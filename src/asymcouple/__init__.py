@@ -13,7 +13,6 @@ from .binding import (
     BindingSpec,
     ZetaCascade,
     build_zeta_cascade,
-    chain_binding,
     dump_cascade_text,
     gl_binding,
     make_binding,
@@ -39,7 +38,6 @@ from .engine import (
 from .estimators import (
     EstimatorError,
     EstimatorReport,
-    axk_frequency,
     axk_table,
     binding_growth_exponents,
     density_diagnostics,
@@ -78,7 +76,6 @@ from .polynomials import (
     IndexedPolynomial,
     PolynomialError,
     PolyVectorField,
-    combine,
     evaluate,
     format_polynomial,
     lie_derivative,

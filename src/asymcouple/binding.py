@@ -246,11 +246,6 @@ def build_zeta_cascade(model: ModelSpec) -> ZetaCascade:
     return cascade
 
 
-def chain_binding(cascade: ZetaCascade, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate the derived scalar force at ``(x, rho = y - x)``."""
-    return cascade.force(x, y)
-
-
 def cascade_shape_ok(cascade: ZetaCascade) -> list[str]:
     """Check the structural invariants of a built cascade.
 

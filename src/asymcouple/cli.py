@@ -84,29 +84,7 @@ def _run_ensemble_jobs(cfg: ExperimentConfig, x0, y0, record_every):
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_ensemble_worker, tasks))
-    first = results[0]
-    if isinstance(first, CoupledEnsembleResult):
-        return CoupledEnsembleResult(
-            times=first.times,
-            x=np.concatenate([r.x for r in results], axis=1),
-            rho=np.concatenate([r.rho for r in results], axis=1),
-            zeta=np.concatenate([r.zeta for r in results], axis=1)
-            if first.zeta is not None
-            else None,
-            log_density=np.concatenate([r.log_density for r in results], axis=1),
-            w_sup_x=np.concatenate([r.w_sup_x for r in results], axis=1),
-            w_sup_y=np.concatenate([r.w_sup_y for r in results], axis=1),
-            g_l2=np.concatenate([r.g_l2 for r in results]),
-            overflow=np.concatenate([r.overflow for r in results]),
-            dt=first.dt,
-        )
-    times = first.times
-    return type(first)(
-        times=times,
-        states=np.concatenate([r.states for r in results], axis=1),
-        w_sup=np.concatenate([r.w_sup for r in results], axis=1),
-        dt=first.dt,
-    )
+    return type(results[0]).concat(results)
 
 
 def _quantile_rows(times, values):

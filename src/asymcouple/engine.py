@@ -22,7 +22,7 @@ exactly mean-one over fresh noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,28 +75,6 @@ def sample_noise(model: ModelSpec, steps: int, dt: float, seed: int, stream: int
     return NoisePath(dt=dt, increments=increments, seed=seed, stream=stream)
 
 
-def save_noise(path, noise: NoisePath) -> None:
-    np.savez(
-        path,
-        increments=noise.increments,
-        dt=noise.dt,
-        seed=-1 if noise.seed is None else noise.seed,
-        stream=-1 if noise.stream is None else noise.stream,
-    )
-
-
-def load_noise(path) -> NoisePath:
-    with np.load(path) as data:
-        seed = int(data["seed"])
-        stream = int(data["stream"])
-        return NoisePath(
-            dt=float(data["dt"]),
-            increments=data["increments"].copy(),
-            seed=None if seed < 0 else seed,
-            stream=None if stream < 0 else stream,
-        )
-
-
 @dataclass
 class GirsanovAccumulator:
     log_density: float
@@ -130,8 +108,27 @@ class CoupledTrajectory:
         return self.x_path + self.rho_path
 
 
+class _PathBatch:
+    """A batch of paths.  Per-path arrays carry the path index on axis 1,
+    or on axis 0 when they hold one value per path; ``times`` and ``dt``
+    are shared by all paths."""
+
+    @classmethod
+    def concat(cls, parts):
+        """Join batches in order along the path axis."""
+        merged = {}
+        for field in fields(cls):
+            value = getattr(parts[0], field.name)
+            if field.name in ("times", "dt") or value is None:
+                merged[field.name] = value
+            else:
+                axis = 1 if value.ndim > 1 else 0
+                merged[field.name] = np.concatenate([getattr(p, field.name) for p in parts], axis=axis)
+        return cls(**merged)
+
+
 @dataclass
-class EnsembleResult:
+class EnsembleResult(_PathBatch):
     times: np.ndarray
     states: np.ndarray        # (records, n_traj, dim)
     w_sup: np.ndarray         # (units, n_traj)
@@ -139,7 +136,7 @@ class EnsembleResult:
 
 
 @dataclass
-class CoupledEnsembleResult:
+class CoupledEnsembleResult(_PathBatch):
     times: np.ndarray
     x: np.ndarray             # (records, n_traj, dim)
     rho: np.ndarray
@@ -184,137 +181,127 @@ def _check_record(steps: int, record_every: int):
         )
 
 
-def _integrate_batch(model, scheme, x0, increments, record_every):
-    """Shared batch stepper; returns (times, states, w_sup)."""
-    steps = increments.shape[0]
-    _check_record(steps, record_every)
-    spu = _steps_per_unit(scheme)
-    e, w1, wn, dt = scheme.exp_factor, scheme.w1, scheme.w_noise, scheme.dt
-    x = np.array(x0, dtype=float)
-    records = [x.copy()]
-    v = lyapunov(model, x)
-    w_cur = v.copy()
-    w_sup = []
-    f = model.nonlinearity
-    # blow-ups are detected and reported, not raised by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            forcing = wn * apply_noise(model, increments[step])
-            n1 = f(x)
-            x_pred = e * x + w1 * n1 + forcing
-            x = e * x + 0.5 * w1 * (n1 + f(x_pred)) + forcing
-            if not np.all(np.isfinite(x)):
-                raise BlowUpError((step + 1) * dt)
-            v = lyapunov(model, x)
-            np.maximum(w_cur, v, out=w_cur)
-            if (step + 1) % spu == 0:
-                w_sup.append(w_cur)
-                w_cur = v.copy()
-            if (step + 1) % record_every == 0:
-                records.append(x.copy())
-    times = np.arange(len(records)) * (record_every * dt)
-    return times, np.array(records), np.array(w_sup)
+def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, rho0=None,
+                     record_force=False):
+    """The batch stepper.
 
-
-def integrate(model: ModelSpec, x0: np.ndarray, noise: NoisePath, record_every: int = 1) -> Trajectory:
-    """Integrate one path; states are returned at every ``record_every``-th
-    grid time (the spacing must divide the step count)."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.dim,):
-        raise EngineError(f"x0 has shape {x0.shape}, expected ({model.dim},)")
-    if not np.all(np.isfinite(noise.increments)):
-        raise EngineError("noise path has non-finite increments")
-    scheme = _Scheme(model, noise.dt)
-    times, states, w_sup = _integrate_batch(
-        model, scheme, x0[None, :], noise.increments[:, None, :], record_every
-    )
-    return Trajectory(times=times, states=states[:, 0, :], w_sup=w_sup[:, 0] if w_sup.size else np.empty(0), dt=noise.dt)
-
-
-def _integrate_coupled_batch(model, binding, scheme, x0, rho0, increments, record_every, record_force):
+    Always steps ``x`` under the increments.  Given a binding it also
+    steps the difference ``rho`` from ``rho0`` with the binding drift and
+    tracks the Girsanov log weight, ``||G||²``, the overflow flag,
+    ``zeta`` and the W sups of ``y``.  Returns ``(result, g_path)``: an
+    :class:`EnsembleResult` or a :class:`CoupledEnsembleResult`, and the
+    left-point force ``(steps, n, n_noise)`` if ``record_force``, else None.
+    """
     steps = increments.shape[0]
     _check_record(steps, record_every)
     spu = _steps_per_unit(scheme)
     e, w1, wn, dt = scheme.exp_factor, scheme.w1, scheme.w_noise, scheme.dt
     f = model.nonlinearity
+    coupled = binding is not None
     x = np.array(x0, dtype=float)
-    rho = np.array(rho0, dtype=float)
     n = x.shape[0]
-
-    log_density = np.zeros(n)
-    g_l2 = np.zeros(n)
-    overflow = np.zeros(n, dtype=bool)
-    zeta_fn = binding.zeta_map
-
     x_records = [x.copy()]
-    rho_records = [rho.copy()]
-    zeta_records = [zeta_fn(x, x + rho)] if zeta_fn is not None else None
-    logdens_records = [log_density.copy()]
-    g_records = [] if record_force else None
-
     vx = lyapunov(model, x)
-    vy = lyapunov(model, x + rho)
-    wx_cur, wy_cur = vx.copy(), vy.copy()
-    w_sup_x, w_sup_y = [], []
+    wx_cur = vx.copy()
+    w_sup_x = []
+    if coupled:
+        rho = np.array(rho0, dtype=float)
+        log_density = np.zeros(n)
+        g_l2 = np.zeros(n)
+        overflow = np.zeros(n, dtype=bool)
+        zeta_fn = binding.zeta_map
+        rho_records = [rho.copy()]
+        zeta_records = [zeta_fn(x, x + rho)] if zeta_fn is not None else None
+        logdens_records = [log_density.copy()]
+        g_records = [] if record_force else None
+        vy = lyapunov(model, x + rho)
+        wy_cur = vy.copy()
+        w_sup_y = []
 
     # blow-ups are detected and reported, not raised by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
             dw = increments[step]
             forcing = wn * apply_noise(model, dw)
-
-            y = x + rho
-            g1 = binding.force(x, y)
             fx1 = f(x)
-            nr1 = f(y) - fx1 + apply_noise(model, g1)
             x_pred = e * x + w1 * fx1 + forcing
-            rho_pred = e * rho + w1 * nr1
-
-            y_pred = x_pred + rho_pred
-            g2 = binding.force(x_pred, y_pred)
             fx2 = f(x_pred)
-            nr2 = f(y_pred) - fx2 + apply_noise(model, g2)
+            if coupled:
+                y = x + rho
+                g1 = binding.force(x, y)
+                nr1 = f(y) - fx1 + apply_noise(model, g1)
+                rho_pred = e * rho + w1 * nr1
+                y_pred = x_pred + rho_pred
+                g2 = binding.force(x_pred, y_pred)
+                nr2 = f(y_pred) - fx2 + apply_noise(model, g2)
+                rho = e * rho + 0.5 * w1 * (nr1 + nr2)
             x = e * x + 0.5 * w1 * (fx1 + fx2) + forcing
-            rho = e * rho + 0.5 * w1 * (nr1 + nr2)
 
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(rho))):
+            if not np.all(np.isfinite(x)) or (coupled and not np.all(np.isfinite(rho))):
                 raise BlowUpError((step + 1) * dt)
 
-            g_sq = (g1**2).sum(axis=-1)
-            log_density += (g1 * dw).sum(axis=-1) - 0.5 * g_sq * dt
-            g_l2 += g_sq * dt
-            overflow |= np.abs(log_density) > LOG_DENSITY_OVERFLOW
-            if g_records is not None:
-                g_records.append(g1.copy())
-
             vx = lyapunov(model, x)
-            vy = lyapunov(model, x + rho)
             np.maximum(wx_cur, vx, out=wx_cur)
-            np.maximum(wy_cur, vy, out=wy_cur)
+            if coupled:
+                g_sq = (g1**2).sum(axis=-1)
+                log_density += (g1 * dw).sum(axis=-1) - 0.5 * g_sq * dt
+                g_l2 += g_sq * dt
+                overflow |= np.abs(log_density) > LOG_DENSITY_OVERFLOW
+                if g_records is not None:
+                    g_records.append(g1.copy())
+                vy = lyapunov(model, x + rho)
+                np.maximum(wy_cur, vy, out=wy_cur)
             if (step + 1) % spu == 0:
                 w_sup_x.append(wx_cur)
-                w_sup_y.append(wy_cur)
-                wx_cur, wy_cur = vx.copy(), vy.copy()
+                wx_cur = vx.copy()
+                if coupled:
+                    w_sup_y.append(wy_cur)
+                    wy_cur = vy.copy()
             if (step + 1) % record_every == 0:
                 x_records.append(x.copy())
-                rho_records.append(rho.copy())
-                logdens_records.append(log_density.copy())
-                if zeta_records is not None:
-                    zeta_records.append(zeta_fn(x, x + rho))
+                if coupled:
+                    rho_records.append(rho.copy())
+                    logdens_records.append(log_density.copy())
+                    if zeta_records is not None:
+                        zeta_records.append(zeta_fn(x, x + rho))
 
     times = np.arange(len(x_records)) * (record_every * dt)
-    return (
-        times,
-        np.array(x_records),
-        np.array(rho_records),
-        np.array(zeta_records) if zeta_records is not None else None,
-        np.array(logdens_records),
-        np.array(w_sup_x),
-        np.array(w_sup_y),
-        g_l2,
-        overflow,
-        np.array(g_records) if g_records is not None else None,
+    # reshape keeps the path axis when no unit interval completed
+    w_sup_x = np.array(w_sup_x).reshape(-1, n)
+    if not coupled:
+        return EnsembleResult(times=times, states=np.array(x_records), w_sup=w_sup_x, dt=dt), None
+    result = CoupledEnsembleResult(
+        times=times,
+        x=np.array(x_records),
+        rho=np.array(rho_records),
+        zeta=np.array(zeta_records) if zeta_records is not None else None,
+        log_density=np.array(logdens_records),
+        w_sup_x=w_sup_x,
+        w_sup_y=np.array(w_sup_y).reshape(-1, n),
+        g_l2=g_l2,
+        overflow=overflow,
+        dt=dt,
     )
+    return result, np.array(g_records) if g_records is not None else None
+
+
+def _check_path_inputs(model: ModelSpec, noise: NoisePath, *starts: np.ndarray):
+    for start in starts:
+        if start.shape != (model.dim,):
+            raise EngineError(f"initial condition has shape {start.shape}, expected ({model.dim},)")
+    if not np.all(np.isfinite(noise.increments)):
+        raise EngineError("noise path has non-finite increments")
+
+
+def integrate(model: ModelSpec, x0: np.ndarray, noise: NoisePath, record_every: int = 1) -> Trajectory:
+    """Integrate one path; states are returned at every ``record_every``-th
+    grid time (the spacing must divide the step count)."""
+    x0 = np.asarray(x0, dtype=float)
+    _check_path_inputs(model, noise, x0)
+    ens, _ = _integrate_batch(
+        model, _Scheme(model, noise.dt), x0[None, :], noise.increments[:, None, :], record_every
+    )
+    return Trajectory(times=ens.times, states=ens.states[:, 0, :], w_sup=ens.w_sup[:, 0], dt=noise.dt)
 
 
 def integrate_coupled(
@@ -334,31 +321,27 @@ def integrate_coupled(
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    if x0.shape != (model.dim,) or y0.shape != (model.dim,):
-        raise EngineError("initial conditions must match the model dimension")
-    if not np.all(np.isfinite(noise.increments)):
-        raise EngineError("noise path has non-finite increments")
-    scheme = _Scheme(model, noise.dt)
-    (times, xs, rhos, zetas, logdens, wsx, wsy, g_l2, overflow, g_path) = _integrate_coupled_batch(
+    _check_path_inputs(model, noise, x0, y0)
+    ens, g_path = _integrate_batch(
         model,
-        binding,
-        scheme,
+        _Scheme(model, noise.dt),
         x0[None, :],
-        (y0 - x0)[None, :],
         noise.increments[:, None, :],
         record_every,
+        binding,
+        (y0 - x0)[None, :],
         record_force,
     )
     return CoupledTrajectory(
-        times=times,
-        x_path=xs[:, 0, :],
-        rho_path=rhos[:, 0, :],
-        zeta_path=zetas[:, 0, :] if zetas is not None else None,
-        log_density_path=logdens[:, 0],
-        w_sup_x=wsx[:, 0] if wsx.size else np.empty(0),
-        w_sup_y=wsy[:, 0] if wsy.size else np.empty(0),
+        times=ens.times,
+        x_path=ens.x[:, 0, :],
+        rho_path=ens.rho[:, 0, :],
+        zeta_path=ens.zeta[:, 0, :] if ens.zeta is not None else None,
+        log_density_path=ens.log_density[:, 0],
+        w_sup_x=ens.w_sup_x[:, 0],
+        w_sup_y=ens.w_sup_y[:, 0],
         girsanov=GirsanovAccumulator(
-            log_density=float(logdens[-1, 0]), g_l2=float(g_l2[0]), overflow=bool(overflow[0])
+            log_density=float(ens.log_density[-1, 0]), g_l2=float(ens.g_l2[0]), overflow=bool(ens.overflow[0])
         ),
         g_path=g_path[:, 0, :] if g_path is not None else None,
         dt=noise.dt,
@@ -404,6 +387,30 @@ def _stack_noise(model, steps, dt, seed, streams):
     return np.stack(cols, axis=1)  # (steps, n_chunk, n_noise)
 
 
+def _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, binding=None, y0=None):
+    """Integrate ``n_traj`` paths in chunks that bound the noise memory,
+    path ``i`` on noise stream ``stream0 + i``, and join the chunks."""
+    if n_traj < 1:
+        raise EngineError("n_traj must be positive")
+    scheme = _Scheme(model, dt)
+    spu = _steps_per_unit(scheme)
+    steps = units * spu
+    if record_every is None:
+        record_every = spu
+    x0 = np.asarray(x0, dtype=float)
+    xs = np.broadcast_to(x0, (n_traj, model.dim))
+    rhos = None
+    if binding is not None:
+        rhos = np.broadcast_to(np.asarray(y0, dtype=float) - x0, (n_traj, model.dim))
+    parts = []
+    for lo, hi in _chunks(n_traj, steps, model.n_noise):
+        incr = _stack_noise(model, steps, dt, seed, range(stream0 + lo, stream0 + hi))
+        rho0 = rhos[lo:hi] if rhos is not None else None
+        part, _ = _integrate_batch(model, scheme, xs[lo:hi], incr, record_every, binding, rho0)
+        parts.append(part)
+    return type(parts[0]).concat(parts)
+
+
 def run_ensemble(
     model: ModelSpec,
     x0: np.ndarray,
@@ -416,25 +423,7 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Integrate ``n_traj`` independent paths from ``x0`` for ``units``
     time units; trajectory ``i`` uses noise stream ``stream0 + i``."""
-    scheme = _Scheme(model, dt)
-    spu = _steps_per_unit(scheme)
-    steps = units * spu
-    if record_every is None:
-        record_every = spu
-    x0 = np.asarray(x0, dtype=float)
-    starts = np.broadcast_to(x0, (n_traj, model.dim))
-    all_states, all_wsup, times = [], [], None
-    for lo, hi in _chunks(n_traj, steps, model.n_noise):
-        incr = _stack_noise(model, steps, dt, seed, range(stream0 + lo, stream0 + hi))
-        times, states, w_sup = _integrate_batch(model, scheme, starts[lo:hi], incr, record_every)
-        all_states.append(states)
-        all_wsup.append(w_sup)
-    return EnsembleResult(
-        times=times,
-        states=np.concatenate(all_states, axis=1),
-        w_sup=np.concatenate(all_wsup, axis=1) if units else np.empty((0, n_traj)),
-        dt=dt,
-    )
+    return _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every)
 
 
 def run_coupled_ensemble(
@@ -449,44 +438,9 @@ def run_coupled_ensemble(
     stream0: int = 0,
     record_every: int | None = None,
 ) -> CoupledEnsembleResult:
-    scheme = _Scheme(model, dt)
-    spu = _steps_per_unit(scheme)
-    steps = units * spu
-    if record_every is None:
-        record_every = spu
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    xs = np.broadcast_to(x0, (n_traj, model.dim))
-    rhos = np.broadcast_to(y0 - x0, (n_traj, model.dim))
-    parts = {k: [] for k in ("x", "rho", "zeta", "ld", "wx", "wy", "g2", "ov")}
-    times = None
-    for lo, hi in _chunks(n_traj, steps, model.n_noise):
-        incr = _stack_noise(model, steps, dt, seed, range(stream0 + lo, stream0 + hi))
-        (times, x_r, rho_r, zeta_r, ld_r, wx, wy, g_l2, overflow, _) = _integrate_coupled_batch(
-            model, binding, scheme, xs[lo:hi], rhos[lo:hi], incr, record_every, record_force=False
-        )
-        parts["x"].append(x_r)
-        parts["rho"].append(rho_r)
-        if zeta_r is not None:
-            parts["zeta"].append(zeta_r)
-        parts["ld"].append(ld_r)
-        parts["wx"].append(wx)
-        parts["wy"].append(wy)
-        parts["g2"].append(g_l2)
-        parts["ov"].append(overflow)
-    return CoupledEnsembleResult(
-        times=times,
-        x=np.concatenate(parts["x"], axis=1),
-        rho=np.concatenate(parts["rho"], axis=1),
-        zeta=np.concatenate(parts["zeta"], axis=1) if parts["zeta"] else None,
-        log_density=np.concatenate(parts["ld"], axis=1),
-        w_sup_x=np.concatenate(parts["wx"], axis=1),
-        w_sup_y=np.concatenate(parts["wy"], axis=1),
-        g_l2=np.concatenate(parts["g2"]),
-        overflow=np.concatenate(parts["ov"]),
-        dt=dt,
-    )
-
+    """Integrate ``n_traj`` bound pairs from ``(x0, y0)`` for ``units``
+    time units; pair ``i`` uses noise stream ``stream0 + i``."""
+    return _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, binding, y0)
 
 # -- trajectory CSV -------------------------------------------------------------
 

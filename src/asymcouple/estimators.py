@@ -319,23 +319,6 @@ def axk_table(
     ]
 
 
-def axk_frequency(
-    model: ModelSpec,
-    x0: np.ndarray,
-    k: float,
-    horizon: int,
-    n_traj: int,
-    dt: float = 1e-3,
-    seed: int = 0,
-    c_hat: float | None = None,
-) -> tuple[float, float | None]:
-    """Single-k version of :func:`axk_table`; the bound column needs an
-    externally calibrated constant."""
-    row = axk_table(model, x0, [k], horizon, n_traj, dt=dt, seed=seed)[0]
-    bound = None if c_hat is None else 1.0 - c_hat / k
-    return row["frequency"], bound
-
-
 # -- density diagnostics --------------------------------------------------------------
 
 

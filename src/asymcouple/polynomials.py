@@ -174,19 +174,6 @@ def _as_poly(value) -> IndexedPolynomial:
     raise PolynomialError(f"cannot coerce {value!r} to a polynomial")
 
 
-def combine(op: str, p: IndexedPolynomial, q) -> IndexedPolynomial:
-    """Dispatch ``add``/``mul``/``scale`` with exact coefficient arithmetic."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    if op == "scale":
-        if not isinstance(q, (int, float)):
-            raise PolynomialError("scale expects a scalar")
-        return p * q
-    raise PolynomialError(f"unknown combine op {op!r}")
-
-
 def evaluate(p: IndexedPolynomial, assignment: Mapping[Var, float]):
     """Evaluate by direct summation of monomials.
 

@@ -10,7 +10,6 @@ from asymcouple.binding import (
     BindingError,
     build_zeta_cascade,
     cascade_shape_ok,
-    chain_binding,
     dump_cascade_text,
     gl_binding,
     gl_coupled_diagonal,
@@ -198,9 +197,9 @@ class TestZetaCascade:
         model = make_chain(a_squared=5.0)
         cascade = build_zeta_cascade(model)
         x = np.random.default_rng(5).normal(size=model.dim)
-        assert chain_binding(cascade, x, x) == pytest.approx(0.0, abs=0.0)
+        assert cascade.force(x, x) == pytest.approx(0.0, abs=0.0)
         with pytest.raises(BindingError, match="components"):
-            chain_binding(cascade, x[:4], x[:4])
+            cascade.force(x[:4], x[:4])
 
     def test_cascade_model_mismatch_rejected(self):
         cascade = build_zeta_cascade(make_chain(a_squared=5.0))

@@ -106,11 +106,14 @@ class TestRun:
             assert (tmp_path / "out" / name).read_bytes() == blob
 
     def test_jobs_do_not_change_results(self, tmp_path):
-        cfg = write_config(tmp_path)
-        main(["run", "--config", str(cfg), "--jobs", "1"])
-        single = (tmp_path / "out" / "report.json").read_bytes()
-        main(["run", "--config", str(cfg), "--jobs", "3"])
-        assert (tmp_path / "out" / "report.json").read_bytes() == single
+        artifacts = ("report.json", "trajectory.csv", "plot_data.csv")
+        for binding in ("on", "off"):
+            cfg = write_config(tmp_path, binding=binding)
+            main(["run", "--config", str(cfg), "--jobs", "1"])
+            single = {name: (tmp_path / "out" / name).read_bytes() for name in artifacts}
+            main(["run", "--config", str(cfg), "--jobs", "3"])
+            for name in artifacts:
+                assert (tmp_path / "out" / name).read_bytes() == single[name], (binding, name)
 
     def test_equal_starts_zero_difference_column(self, tmp_path):
         cfg = write_config(tmp_path, offset="")

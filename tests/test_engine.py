@@ -13,11 +13,9 @@ from asymcouple.engine import (
     girsanov_density,
     integrate,
     integrate_coupled,
-    load_noise,
     run_coupled_ensemble,
     run_ensemble,
     sample_noise,
-    save_noise,
     shift_noise,
     trajectory_csv_lines,
 )
@@ -26,10 +24,30 @@ from asymcouple.models import (
     ModelSpec,
     lyapunov,
     make_chain,
+    make_ginzburg_landau,
+    make_reaction_diffusion,
     make_toy2d,
 )
 
 TOY = make_toy2d()
+
+# per model: factory, head of x0, head of the offset y0 - x0
+BOUND_PAIRS = {
+    "toy2d": (lambda: TOY, [1.0, 0.5], [0.2, -0.1]),
+    "ginzburg_landau": (lambda: make_ginzburg_landau(modes=16), [0.5, 0.4], [0.15, -0.1, 0.1]),
+    "reaction_diffusion": (lambda: make_reaction_diffusion(modes_per_component=8), [0.4, 0.2], [0.1, -0.08]),
+    "chain": (lambda: make_chain(a_squared=2.0), [0.4, 0.3], [0.008, 0.005]),
+}
+
+
+def bound_pair(model_id):
+    factory, x_head, off_head = BOUND_PAIRS[model_id]
+    model = factory()
+    x0 = np.zeros(model.dim)
+    x0[: len(x_head)] = x_head
+    y0 = x0.copy()
+    y0[: len(off_head)] += off_head
+    return model, x0, y0
 
 
 def scalar_model(rate=-1.0):
@@ -67,13 +85,6 @@ class TestSampleNoise:
     def test_bad_dt(self):
         with pytest.raises(EngineError):
             sample_noise(TOY, 10, 0.0, seed=1)
-
-    def test_save_load_round_trip(self, tmp_path):
-        noise = sample_noise(TOY, 20, 1e-3, seed=2, stream=5)
-        save_noise(tmp_path / "noise.npz", noise)
-        back = load_noise(tmp_path / "noise.npz")
-        np.testing.assert_array_equal(back.increments, noise.increments)
-        assert (back.dt, back.seed, back.stream) == (noise.dt, 2, 5)
 
 
 class TestIntegrate:
@@ -212,20 +223,9 @@ class TestGirsanov:
         assert abs(dens.mean() - 1.0) <= 3.0 * se
 
     def test_mean_density_near_one_for_every_model(self):
-        from asymcouple.models import make_ginzburg_landau, make_reaction_diffusion
-
-        cases = [
-            (TOY, [1.0, 0.5], [0.2, -0.1]),
-            (make_ginzburg_landau(modes=16), [0.5, 0.4], [0.15, -0.1, 0.1]),
-            (make_reaction_diffusion(modes_per_component=8), [0.4, 0.2], [0.1, -0.08]),
-            (make_chain(a_squared=2.0), [0.4, 0.3], [0.008, 0.005]),
-        ]
-        for model, x_head, off_head in cases:
+        for model_id in BOUND_PAIRS:
+            model, x0, y0 = bound_pair(model_id)
             binding = make_binding(model)
-            x0 = np.zeros(model.dim)
-            x0[: len(x_head)] = x_head
-            y0 = x0.copy()
-            y0[: len(off_head)] += off_head
             ens = run_coupled_ensemble(model, binding, x0, y0, 400, 1, 2e-3, seed=22)
             dens = np.exp(ens.log_density[-1][~ens.overflow])
             se = dens.std(ddof=1) / math.sqrt(len(dens))
@@ -308,6 +308,38 @@ class TestEnsembles:
         ens = run_ensemble(TOY, x0, 200, 1, 1e-3, seed=20)
         v0 = lyapunov(TOY, x0)
         assert ens.w_sup[0].mean() <= 3.0 * v0 + 4.0
+
+
+    def test_zero_units_keep_the_path_axis(self):
+        x0 = np.array([1.0, 0.5])
+        ens = run_ensemble(TOY, x0, 4, 0, 1e-3, seed=24)
+        pair = run_coupled_ensemble(TOY, make_binding(TOY), x0, x0 + 0.1, 4, 0, 1e-3, seed=24)
+        assert ens.w_sup.shape == pair.w_sup_x.shape == pair.w_sup_y.shape == (0, 4)
+        assert ens.states.shape == pair.x.shape == (1, 4, 2)
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(EngineError, match="n_traj"):
+            run_ensemble(TOY, np.zeros(2), 0, 1, 1e-3, seed=25)
+        with pytest.raises(EngineError, match="n_traj"):
+            run_coupled_ensemble(TOY, make_binding(TOY), np.zeros(2), np.ones(2), 0, 1, 1e-3, seed=25)
+
+
+@pytest.mark.parametrize("n_traj", [1, 9])
+@pytest.mark.parametrize("model_id", list(BOUND_PAIRS))
+def test_uncoupled_run_is_the_x_half_of_the_coupled_run(model_id, n_traj):
+    # the bound copy must not feed back into x: with the same noise, the
+    # uncoupled paths equal the x half of the coupled ones bit for bit
+    model, x0, y0 = bound_pair(model_id)
+    binding = make_binding(model)
+    ens = run_ensemble(model, x0, n_traj, 1, 2e-3, seed=23, record_every=50)
+    pair = run_coupled_ensemble(model, binding, x0, y0, n_traj, 1, 2e-3, seed=23, record_every=50)
+    np.testing.assert_array_equal(ens.states, pair.x)
+    np.testing.assert_array_equal(ens.w_sup, pair.w_sup_x)
+    noise = sample_noise(model, 500, 2e-3, seed=23, stream=n_traj)
+    traj = integrate(model, x0, noise, record_every=50)
+    coupled = integrate_coupled(model, binding, x0, y0, noise, record_every=50)
+    np.testing.assert_array_equal(traj.states, coupled.x_path)
+    np.testing.assert_array_equal(traj.w_sup, coupled.w_sup_x)
 
 
 def test_trajectory_csv_shape():

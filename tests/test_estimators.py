@@ -10,7 +10,6 @@ from asymcouple.engine import run_ensemble
 from asymcouple.estimators import (
     EstimatorError,
     EstimatorReport,
-    axk_frequency,
     axk_table,
     bootstrap_null_quantile,
     density_diagnostics,
@@ -144,9 +143,8 @@ class TestLyapunovFit:
 
 class TestAxk:
     def test_horizon_zero_is_certain(self):
-        freq, bound = axk_frequency(TOY, np.zeros(2), k=1.0, horizon=0, n_traj=10)
-        assert freq == 1.0
-        assert bound is None
+        rows = axk_table(TOY, np.zeros(2), [1.0], horizon=0, n_traj=10)
+        assert rows[0]["frequency"] == 1.0
 
     def test_monotone_in_k(self):
         rows = axk_table(
