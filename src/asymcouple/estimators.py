@@ -1,10 +1,11 @@
 """Statistical verification layer: rates, distances, drift coefficients.
 
 Turns trajectory ensembles into the quantities the contraction and
-mixing statements are about: log-linear decay fits, the dual-Lipschitz
-(bounded-Lipschitz) distance between empirical measures via an exact
-linear program, Lyapunov drift coefficients with confidence margins,
-excursion-set frequencies, and Girsanov density diagnostics.
+mixing statements are about: log-linear decay fits, the exact
+dual-Lipschitz (bounded-Lipschitz) distance between empirical measures
+as optimal transport under a truncated metric, Lyapunov drift
+coefficients with confidence margins, excursion-set frequencies, and
+Girsanov density diagnostics.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import cdist
 
 from .binding import BindingSpec
 from .engine import run_coupled_ensemble, run_ensemble
@@ -70,16 +71,10 @@ def fit_contraction(series: Iterable[tuple[float, float]]) -> ContractionFit:
 # -- dual-Lipschitz distance ------------------------------------------------------
 
 DL_DEFAULT_CAP = 300
-# past this union size the pairwise-constraint LP stops being a desk-scale
-# object; callers should subsample instead of raising the cap
-DL_HARD_LIMIT = 2000
-
-
-def _dedupe(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique rows (sorted, hence deterministic) plus empirical weights."""
-    uniq, inverse = np.unique(points, axis=0, return_inverse=True)
-    weights = np.bincount(inverse, minlength=len(uniq)) / len(points)
-    return uniq, weights
+# golden-section stopping width on the budget split l: the value at the best
+# split is within max(max d, 2) * DL_SPLIT_TOL of the maximum
+DL_SPLIT_TOL = 1e-11
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def dual_lipschitz_distance(
@@ -90,16 +85,22 @@ def dual_lipschitz_distance(
 ) -> float:
     """Exact bounded-Lipschitz distance between two empirical measures.
 
-    Solves the linear program over test-function values g on the union
-    of the supports:
+    The distance is the supremum of ``mean_a f - mean_b f`` over test
+    functions with ``|f| <= s``, ``Lip f <= l`` and ``s + l <= 1``, d the
+    Euclidean distance.  At a fixed split ``s = 1 - l`` these f are, up to
+    a constant the two means cancel, the 1-Lipschitz functions for the
+    metric ``c_l = min(l d, 2 (1 - l))``, so Kantorovich-Rubinstein
+    duality gives
 
-        maximize  mean_a g - mean_b g
-        s.t.      |g(p)| <= s,   |g(p) - g(q)| <= l * d(p, q),   s + l <= 1,
+        BL(mu, nu) = max_{0 <= l <= 1} W_{c_l}(mu, nu),
 
-    with d the Euclidean distance.  Feasible g on the support extend to
-    the whole space with the same bounds, so the optimum is the distance
-    itself, not just a lower bound.  Samples larger than ``cap`` are
-    subsampled with the recorded seed.
+    the optimal transport cost under ``c_l``.  Each coupling's cost is
+    concave in l, so their minimum W_{c_l} is too, and a golden-section
+    search finds its maximum to ``DL_SPLIT_TOL`` in l.  Between samples
+    of equal size with uniform weights some optimal coupling is a
+    permutation, so each W is one assignment problem, duplicated points
+    included; otherwise each W is one transport LP on the n x m coupling.
+    Samples larger than ``cap`` are subsampled with the recorded seed.
     """
     a = np.atleast_2d(np.asarray(sample_a, dtype=float))
     b = np.atleast_2d(np.asarray(sample_b, dtype=float))
@@ -107,74 +108,55 @@ def dual_lipschitz_distance(
         raise EstimatorError("empty sample")
     if a.shape[1] != b.shape[1]:
         raise EstimatorError("samples have different dimensions")
-    if min(len(a), cap) + min(len(b), cap) > DL_HARD_LIMIT:
-        raise EstimatorError(
-            f"sample too large: {min(len(a), cap)}+{min(len(b), cap)} points "
-            f"exceed the LP limit {DL_HARD_LIMIT}"
-        )
+    if cap < 1:
+        raise EstimatorError(f"cap must be at least 1, got {cap}")
+    for name, sample in (("sample_a", a), ("sample_b", b)):
+        if not np.isfinite(sample).all():
+            raise EstimatorError(f"{name} holds non-finite values")
     rng = np.random.default_rng(subsample_seed)
     if len(a) > cap:
         a = a[rng.choice(len(a), cap, replace=False)]
     if len(b) > cap:
         b = b[rng.choice(len(b), cap, replace=False)]
 
-    pts_a, w_a = _dedupe(a)
-    pts_b, w_b = _dedupe(b)
-    union, inv = np.unique(np.vstack([pts_a, pts_b]), axis=0, return_inverse=True)
-    u = len(union)
-    wa = np.zeros(u)
-    wb = np.zeros(u)
-    np.add.at(wa, inv[: len(pts_a)], w_a)
-    np.add.at(wb, inv[len(pts_a) :], w_b)
+    n, m = len(a), len(b)
+    dist = cdist(a, b)
+    if n == m:
+        def transport(cost: np.ndarray) -> float:
+            rows, cols = linear_sum_assignment(cost)
+            return float(cost[rows, cols].mean())
+    else:
+        # row and column sums of the coupling, flattened row-major like cost
+        marginals = np.vstack([np.repeat(np.eye(n), m, axis=1), np.tile(np.eye(m), n)])
+        mass = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
 
-    gram = union @ union.T
-    sq = np.diag(gram)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-    dist = np.sqrt(d2)
+        def transport(cost: np.ndarray) -> float:
+            # at its default 1e-7 tolerances HiGHS can stop ~1e-8 above the
+            # optimum near a kink of W, and the outer search keeps such values;
+            # 1e-10 is the tightest it accepts
+            res = linprog(cost.ravel(), A_eq=marginals, b_eq=mass, bounds=(0.0, None),
+                          method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                                   "dual_feasibility_tolerance": 1e-10})
+            if not res.success:
+                raise EstimatorError(f"transport LP failed: {res.message}")
+            return float(res.fun)
 
-    iu, ju = np.triu_indices(u, k=1)
-    n_pairs = len(iu)
-    pair_d = dist[iu, ju]
-    # variables [g_0 .. g_{u-1}, s, l]; constraint rows, all of the form A x <= 0
-    # except the last:  g_p - s,  -g_p - s,  ±(g_p - g_q) - l d(p,q),  s + l <= 1
-    all_idx = np.arange(u)
-    s_col = np.full(u, u)
-    l_col = np.full(n_pairs, u + 1)
-    ones_u, ones_p = np.ones(u), np.ones(n_pairs)
-    row_list = [
-        np.repeat(np.arange(0, u), 2),
-        np.repeat(np.arange(u, 2 * u), 2),
-        np.repeat(np.arange(2 * u, 2 * u + n_pairs), 3),
-        np.repeat(np.arange(2 * u + n_pairs, 2 * u + 2 * n_pairs), 3),
-        np.array([2 * u + 2 * n_pairs, 2 * u + 2 * n_pairs]),
-    ]
-    col_list = [
-        np.column_stack([all_idx, s_col]).ravel(),
-        np.column_stack([all_idx, s_col]).ravel(),
-        np.column_stack([iu, ju, l_col]).ravel(),
-        np.column_stack([iu, ju, l_col]).ravel(),
-        np.array([u, u + 1]),
-    ]
-    data_list = [
-        np.column_stack([ones_u, -ones_u]).ravel(),
-        np.column_stack([-ones_u, -ones_u]).ravel(),
-        np.column_stack([ones_p, -ones_p, -pair_d]).ravel(),
-        np.column_stack([-ones_p, ones_p, -pair_d]).ravel(),
-        np.array([1.0, 1.0]),
-    ]
-    n_rows = 2 * u + 2 * n_pairs + 1
-    a_ub = sp.csr_matrix(
-        (np.concatenate(data_list), (np.concatenate(row_list), np.concatenate(col_list))),
-        shape=(n_rows, u + 2),
-    )
-    brow = np.zeros(n_rows)
-    brow[-1] = 1.0
-    c = np.concatenate([-(wa - wb), [0.0, 0.0]])
-    bounds = [(None, None)] * u + [(0.0, None), (0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=brow, bounds=bounds, method="highs")
-    if not res.success:
-        raise EstimatorError(f"dual-Lipschitz LP failed: {res.message}")
-    return max(0.0, float(-res.fun))
+    def value(split: float) -> float:
+        return transport(np.minimum(split * dist, 2.0 * (1.0 - split)))
+
+    lo, hi = 0.0, 1.0
+    x1, x2 = hi - _GOLDEN, lo + _GOLDEN
+    f1, f2 = value(x1), value(x2)
+    while hi - lo > DL_SPLIT_TOL:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = value(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = value(x1)
+    return max(0.0, f1, f2)
 
 
 def dirac_dl_distance(separation: float) -> float:

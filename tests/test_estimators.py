@@ -1,9 +1,13 @@
-"""Statistical layer: rate fits, the distance LP, drift and density diagnostics."""
+"""Statistical layer: rate fits, the distance and its LP oracle, drift and
+density diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from asymcouple.binding import make_binding, null_binding
 from asymcouple.engine import run_ensemble
@@ -22,6 +26,60 @@ from asymcouple.estimators import (
 from asymcouple.models import LyapunovSpec, ModelSpec, make_toy2d
 
 TOY = make_toy2d()
+
+
+def _lp_oracle(a, b):
+    """Bounded-Lipschitz distance as one LP over test-function values g on
+    the union u of the supports (meant for u <= 100 points):
+
+        maximize  mean_a g - mean_b g
+        s.t.      |g(p)| <= s,   |g(p) - g(q)| <= l d(p, q),   s + l <= 1.
+
+    Feasible g on the support extend to the whole space with the same
+    bounds, so the optimum is the distance itself.
+    """
+    union, inv = np.unique(np.vstack([a, b]), axis=0, return_inverse=True)
+    u = len(union)
+    w = np.bincount(inv[: len(a)], minlength=u) / len(a)
+    w -= np.bincount(inv[len(a) :], minlength=u) / len(b)
+    iu, ju = np.triu_indices(u, k=1)
+    pair_d = np.linalg.norm(union[iu] - union[ju], axis=1)
+    n_pairs = len(iu)
+    # variables [g_0 .. g_{u-1}, s, l]; rows g_p - s, -g_p - s,
+    # ±(g_p - g_q) - l d(p, q), all <= 0, and s + l <= 1
+    idx, s_col, l_col = np.arange(u), np.full(u, u), np.full(n_pairs, u + 1)
+    ones_u, ones_p = np.ones(u), np.ones(n_pairs)
+    rows = [np.repeat(np.arange(2 * u + 2 * n_pairs), np.repeat([2, 3], [2 * u, 2 * n_pairs])),
+            [2 * u + 2 * n_pairs] * 2]
+    cols = [np.column_stack([idx, s_col]).ravel(), np.column_stack([idx, s_col]).ravel(),
+            np.column_stack([iu, ju, l_col]).ravel(), np.column_stack([iu, ju, l_col]).ravel(),
+            [u, u + 1]]
+    data = [np.column_stack([ones_u, -ones_u]).ravel(), np.column_stack([-ones_u, -ones_u]).ravel(),
+            np.column_stack([ones_p, -ones_p, -pair_d]).ravel(),
+            np.column_stack([-ones_p, ones_p, -pair_d]).ravel(), [1.0, 1.0]]
+    n_rows = 2 * u + 2 * n_pairs + 1
+    a_ub = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n_rows, u + 2))
+    b_ub = np.zeros(n_rows)
+    b_ub[-1] = 1.0
+    bounds = [(None, None)] * u + [(0.0, None), (0.0, None)]
+    res = linprog(np.concatenate([-w, [0.0, 0.0]]), A_ub=a_ub, b_ub=b_ub, bounds=bounds,
+                  method="highs")
+    assert res.success, res.message
+    return max(0.0, -res.fun)
+
+
+def _oracle_samples(n, m, dim, duplicates, seed):
+    """Two samples at order-one Euclidean distance in any dimension; with
+    ``duplicates`` both draw rows from one small shared pool, so points
+    repeat within and across the samples."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / math.sqrt(dim)
+    if duplicates:
+        pool = rng.normal(size=(8, dim)) * scale
+        return pool[rng.integers(0, 8, n)], pool[rng.integers(3, 8, m)]
+    shift = np.full(dim, 0.5 * scale)
+    return rng.normal(size=(n, dim)) * scale, rng.normal(size=(m, dim)) * scale + shift
 
 
 class TestFitContraction:
@@ -106,6 +164,56 @@ class TestDualLipschitz:
     def test_empty_sample_rejected(self):
         with pytest.raises(EstimatorError, match="empty"):
             dual_lipschitz_distance(np.zeros((0, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_rejected(self, cap):
+        pts = np.random.default_rng(4).normal(size=(5, 2))
+        with pytest.raises(EstimatorError, match="cap"):
+            dual_lipschitz_distance(pts, pts + 1.0, cap=cap)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["sample_a", "sample_b"])
+    def test_non_finite_sample_rejected(self, bad, side):
+        rng = np.random.default_rng(5)
+        samples = {"sample_a": rng.normal(size=(6, 2)), "sample_b": rng.normal(size=(6, 2))}
+        samples[side][2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimatorError, match=f"{side} holds non-finite"):
+                dual_lipschitz_distance(**samples)
+
+    @pytest.mark.parametrize(
+        "n, m, dim, duplicates, cap",
+        [
+            (40, 40, 2, False, 100),
+            (30, 45, 2, False, 100),
+            (36, 36, 2, True, 100),
+            (24, 40, 3, True, 100),
+            (1, 1, 2, False, 100),
+            (1, 1, 64, False, 100),
+            (45, 45, 1, False, 100),
+            (40, 40, 24, False, 100),
+            (40, 40, 64, False, 100),
+            (20, 33, 64, False, 100),
+            (90, 80, 2, False, 40),
+            (90, 25, 5, False, 40),
+            (70, 70, 24, True, 35),
+        ],
+        ids=["equal", "unequal", "duplicates-equal", "duplicates-unequal", "one-vs-one",
+             "one-vs-one-dim64", "dim1", "dim24", "dim64", "unequal-dim64", "cap-equal",
+             "cap-unequal", "cap-duplicates"],
+    )
+    def test_matches_lp_oracle(self, n, m, dim, duplicates, cap):
+        a, b = _oracle_samples(n, m, dim, duplicates, seed=n * 1000 + m + dim)
+        got = dual_lipschitz_distance(a, b, cap=cap, subsample_seed=11)
+        # the documented subsampling rule (a no-op at cap 100), applied before the oracle
+        rng = np.random.default_rng(11)
+        if len(a) > cap:
+            a = a[rng.choice(len(a), cap, replace=False)]
+        if len(b) > cap:
+            b = b[rng.choice(len(b), cap, replace=False)]
+        assert len(np.unique(np.vstack([a, b]), axis=0)) <= 100
+        assert got == pytest.approx(_lp_oracle(a, b), abs=1e-7)
 
 
 class TestLyapunovFit:
