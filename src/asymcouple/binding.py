@@ -45,10 +45,7 @@ class BindingSpec:
 
     model_id: str
     force: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (..., dim)² -> (..., n_noise)
-    n_noise: int
     zeta_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    n_zeta: int = 0
-    cascade: "ZetaCascade | None" = None
 
 
 # -- toy model -----------------------------------------------------------------
@@ -321,23 +318,15 @@ def make_binding(model: ModelSpec, cascade: ZetaCascade | None = None) -> Bindin
         return BindingSpec(
             model_id=model.id,
             force=lambda x, y: toy_binding(x, y)[..., None],
-            n_noise=1,
             zeta_map=toy_zeta,
-            n_zeta=1,
         )
     if model.id == "ginzburg_landau":
-        return BindingSpec(
-            model_id=model.id,
-            force=lambda x, y: gl_binding(x, y, model),
-            n_noise=model.n_noise,
-        )
+        return BindingSpec(model_id=model.id, force=lambda x, y: gl_binding(x, y, model))
     if model.id == "reaction_diffusion":
         return BindingSpec(
             model_id=model.id,
             force=lambda x, y: rd_binding(x, y, model),
-            n_noise=model.n_noise,
             zeta_map=lambda x, y: rd_zeta(x, y, model),
-            n_zeta=model.dim // 2,
         )
     if model.id == "chain":
         if cascade is None:
@@ -347,10 +336,7 @@ def make_binding(model: ModelSpec, cascade: ZetaCascade | None = None) -> Bindin
         return BindingSpec(
             model_id=model.id,
             force=lambda x, y: cascade.force(x, y)[..., None],
-            n_noise=1,
             zeta_map=cascade.zeta_values,
-            n_zeta=cascade.k_star,
-            cascade=cascade,
         )
     raise BindingError(f"no binding construction for model {model.id!r}")
 
@@ -363,4 +349,4 @@ def null_binding(model: ModelSpec) -> BindingSpec:
         shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1])
         return np.zeros(shape + (model.n_noise,))
 
-    return BindingSpec(model_id=model.id, force=force, n_noise=model.n_noise)
+    return BindingSpec(model_id=model.id, force=force)

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from . import binding as bnd
 from . import estimators as est
 from . import models
-from .config import ConfigError, ExperimentConfig, default_record_every, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .engine import (
     BlowUpError,
     CoupledEnsembleResult,
@@ -123,29 +124,18 @@ def _run_estimators(cfg, model, ens, x0, y0, fingerprint) -> EstimatorReport:
     if isinstance(ens, CoupledEnsembleResult):
         rho_norm = np.linalg.norm(ens.rho, axis=-1).mean(axis=1)
         if toggles.get("contraction", True) and np.all(rho_norm > 0):
-            fit = est.fit_contraction(list(zip(ens.times, rho_norm)))
-            report.contraction = {"c": fit.c, "gamma": fit.gamma, "gamma_se": fit.gamma_se, "residual": fit.residual}
+            report.contraction = asdict(est.fit_contraction(list(zip(ens.times, rho_norm))))
     if toggles.get("mixing", False):
-        alt = toggles.get("mixing_alt_x0")
-        if alt is None:
-            raise ConfigError("[estimators] mixing requires mixing_alt_x0")
-        alt_x0 = np.zeros(model.dim)
-        alt_x0[: len(alt)] = alt
-        series = est.mixing_distance_series(
-            model, x0, alt_x0, n_side=cfg.ensemble,
+        report.distances = est.mixing_distance_series(
+            model, x0, cfg.mixing_alt_x0(model), n_side=cfg.ensemble,
             times=toggles.get("mixing_times", [1, 2, 3]), dt=cfg.dt, seed=cfg.seed,
         )
-        report.distances = series
     if toggles.get("lyapunov", False):
         base = x0 if np.linalg.norm(x0) > 0 else np.ones(model.dim) / np.sqrt(model.dim)
         probes = [base * s for s in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
-        fit = est.lyapunov_fit(model, probes, samples_per_probe=min(200, cfg.ensemble),
-                               dt=cfg.dt, seed=cfg.seed)
-        report.lyapunov = {
-            "a": fit.a, "b": fit.b, "a_se": fit.a_se, "b_se": fit.b_se,
-            "probe_v": fit.probe_v, "estimates": fit.estimates,
-            "standard_errors": fit.standard_errors,
-        }
+        report.lyapunov = asdict(est.lyapunov_fit(
+            model, probes, samples_per_probe=min(200, cfg.ensemble), dt=cfg.dt, seed=cfg.seed,
+        ))
     if toggles.get("axk", False):
         report.axk = est.axk_table(
             model, x0, toggles.get("axk_ks", [100.0, 1000.0, 10000.0]),
@@ -153,21 +143,10 @@ def _run_estimators(cfg, model, ens, x0, y0, fingerprint) -> EstimatorReport:
         )
     if toggles.get("density", False):
         b = bnd.make_binding(model)
-        diag = est.density_diagnostics(
+        report.density = asdict(est.density_diagnostics(
             model, b, x0, y0, toggles.get("density_horizons", [1, 2, 3, 4]),
             n_traj=cfg.ensemble, dt=cfg.dt, seed=cfg.seed,
-        )
-        report.density = {
-            "horizons": diag.horizons,
-            "mean_density": diag.mean_density,
-            "mean_density_se": diag.mean_density_se,
-            "mean_inv_sq_good": diag.mean_inv_sq_good,
-            "mean_step_dev_sq": diag.mean_step_dev_sq,
-            "good_fraction": diag.good_fraction,
-            "n_overflow": diag.n_overflow,
-            "gamma2_hat": diag.gamma2_hat,
-            "k_good": diag.k_good,
-        }
+        ))
     return report
 
 
@@ -188,7 +167,6 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     fingerprint = cfg.fingerprint()
     spu = round(1.0 / cfg.dt)
-    record_every = default_record_every(cfg)
     dense_every = cfg.record_every
     if not dense_every:
         # densest divisor of the unit interval near a tenth of it
@@ -205,19 +183,16 @@ def cmd_run(args) -> int:
             traj = integrate(model, x0, noise, record_every=dense_every)
             v = models.lyapunov(model, traj.states)
             csv_lines = [f"# t,V_x  [config {fingerprint}]"] + [
-                f"{t!r},{float(val)!r}" for t, val in zip(traj.times, v)
+                f"{float(t)!r},{float(val)!r}" for t, val in zip(traj.times, v)
             ]
         (out_dir / "trajectory.csv").write_text("\n".join(csv_lines) + "\n")
 
-        ens = _run_ensemble_jobs(cfg, x0, y0, record_every)
+        ens = _run_ensemble_jobs(cfg, x0, y0, cfg.record_every or None)
         _write_plot_data(out_dir / "plot_data.csv", cfg, fingerprint, ens)
         report = _run_estimators(cfg, model, ens, x0, y0, fingerprint)
         report.extras["status"] = "ok"
         report.extras["seed"] = cfg.seed
         (out_dir / "report.json").write_text(report.to_json() + "\n")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except BlowUpError as exc:
         diag = {
             "status": "blow_up",

@@ -100,6 +100,13 @@ class ExperimentConfig:
         y0 = x0 + _pad(self.y0_offset, model.dim, "[run] y0_offset")
         return x0, y0
 
+    def mixing_alt_x0(self, model: ModelSpec) -> np.ndarray:
+        """The second start of the mixing estimator, padded to the model."""
+        alt = self.estimators.get("mixing_alt_x0")
+        if alt is None:
+            raise ConfigError("[estimators] mixing requires mixing_alt_x0")
+        return _pad(alt, model.dim, "[estimators] mixing_alt_x0")
+
 
 def _pad(values: list[float], dim: int, where: str) -> np.ndarray:
     if len(values) > dim:
@@ -229,40 +236,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # building the model performs the remaining structural validation
     model = cfg.build_model()
     cfg.initial_conditions(model)
+    if cfg.estimators.get("mixing", False):
+        cfg.mixing_alt_x0(model)
 
-
-def default_record_every(cfg: ExperimentConfig) -> int:
-    spu = round(1.0 / cfg.dt)
-    return cfg.record_every if cfg.record_every else spu
-
-
-def config_to_text(cfg: ExperimentConfig) -> str:
-    """Render a config back to the file format (used by presets and tests)."""
-    lines = ["[model]", f"id = {cfg.model_id}"]
-    for key, value in sorted(cfg.model_params.items()):
-        if isinstance(value, list):
-            value = " ".join(repr(v) for v in value)
-        lines.append(f"{key} = {value}")
-    lines += [
-        "",
-        "[run]",
-        f"dt = {cfg.dt!r}",
-        f"units = {cfg.units}",
-        f"ensemble = {cfg.ensemble}",
-        f"seed = {cfg.seed}",
-        f"binding = {'on' if cfg.binding else 'off'}",
-        f"record_every = {cfg.record_every}",
-        f"jobs = {cfg.jobs}",
-        f"x0 = {' '.join(repr(v) for v in cfg.x0)}",
-        f"y0_offset = {' '.join(repr(v) for v in cfg.y0_offset)}",
-        "",
-        "[estimators]",
-    ]
-    for key, value in sorted(cfg.estimators.items()):
-        if isinstance(value, bool):
-            value = "on" if value else "off"
-        elif isinstance(value, list):
-            value = " ".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
-    lines += ["", "[output]", f"dir = {cfg.out_dir}", ""]
-    return "\n".join(lines)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .binding import BindingSpec
@@ -96,11 +96,11 @@ def dual_lipschitz_distance(
 
     the optimal transport cost under ``c_l``.  Each coupling's cost is
     concave in l, so their minimum W_{c_l} is too, and a golden-section
-    search finds its maximum to ``DL_SPLIT_TOL`` in l.  Between samples
-    of equal size with uniform weights some optimal coupling is a
-    permutation, so each W is one assignment problem, duplicated points
-    included; otherwise each W is one transport LP on the n x m coupling.
-    Samples larger than ``cap`` are subsampled with the recorded seed.
+    search finds its maximum to ``DL_SPLIT_TOL`` in l.  Samples larger
+    than ``cap`` are subsampled with the recorded seed, after which both
+    must have the same size: between uniform samples of equal size some
+    optimal coupling is a permutation, so each W is one assignment
+    problem, duplicated points included.
     """
     a = np.atleast_2d(np.asarray(sample_a, dtype=float))
     b = np.atleast_2d(np.asarray(sample_b, dtype=float))
@@ -118,31 +118,17 @@ def dual_lipschitz_distance(
         a = a[rng.choice(len(a), cap, replace=False)]
     if len(b) > cap:
         b = b[rng.choice(len(b), cap, replace=False)]
+    if len(a) != len(b):
+        raise EstimatorError(
+            f"samples must have equal sizes after capping at {cap}, got {len(a)} and {len(b)}"
+        )
 
-    n, m = len(a), len(b)
     dist = cdist(a, b)
-    if n == m:
-        def transport(cost: np.ndarray) -> float:
-            rows, cols = linear_sum_assignment(cost)
-            return float(cost[rows, cols].mean())
-    else:
-        # row and column sums of the coupling, flattened row-major like cost
-        marginals = np.vstack([np.repeat(np.eye(n), m, axis=1), np.tile(np.eye(m), n)])
-        mass = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
-
-        def transport(cost: np.ndarray) -> float:
-            # at its default 1e-7 tolerances HiGHS can stop ~1e-8 above the
-            # optimum near a kink of W, and the outer search keeps such values;
-            # 1e-10 is the tightest it accepts
-            res = linprog(cost.ravel(), A_eq=marginals, b_eq=mass, bounds=(0.0, None),
-                          method="highs", options={"primal_feasibility_tolerance": 1e-10,
-                                                   "dual_feasibility_tolerance": 1e-10})
-            if not res.success:
-                raise EstimatorError(f"transport LP failed: {res.message}")
-            return float(res.fun)
 
     def value(split: float) -> float:
-        return transport(np.minimum(split * dist, 2.0 * (1.0 - split)))
+        cost = np.minimum(split * dist, 2.0 * (1.0 - split))
+        rows, cols = linear_sum_assignment(cost)
+        return float(cost[rows, cols].mean())
 
     lo, hi = 0.0, 1.0
     x1, x2 = hi - _GOLDEN, lo + _GOLDEN

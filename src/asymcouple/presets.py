@@ -9,7 +9,7 @@ mixing starts, the chain separations) the preset's docstring says why.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,7 +86,7 @@ def toy_contraction(seed: int = 11) -> PresetOutcome:
     out.report = EstimatorReport(
         model_id=model.id,
         config_fingerprint=f"preset:toy-contraction:seed={seed}",
-        contraction={"c": fit.c, "gamma": fit.gamma, "gamma_se": fit.gamma_se, "residual": fit.residual},
+        contraction=asdict(fit),
         extras={
             "zeta_rel_err_max": worst,
             "dt": dt,
@@ -135,7 +135,7 @@ def gl_gap(seed: int = 12) -> PresetOutcome:
     out.report = EstimatorReport(
         model_id=model.id,
         config_fingerprint=f"preset:gl-gap:seed={seed}",
-        contraction={"c": fit.c, "gamma": fit.gamma, "gamma_se": fit.gamma_se, "residual": fit.residual},
+        contraction=asdict(fit),
         extras={
             "gap": gap,
             "pathwise_margin": margin,

@@ -81,6 +81,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="exceed"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "mixing, match",
+        [("mixing = on\n", "requires mixing_alt_x0"),
+         ("mixing = on\nmixing_alt_x0 = 1 2 3\n", "mixing_alt_x0: 3 entries exceed")],
+        ids=["no-alt-x0", "alt-x0-too-long"],
+    )
+    def test_bad_mixing_settings_rejected_before_any_output(self, tmp_path, capsys, mixing, match):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("contraction = on\n", "contraction = on\n" + mixing))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_run_writes_artifacts(self, tmp_path, capsys):
@@ -114,6 +129,15 @@ class TestRun:
             main(["run", "--config", str(cfg), "--jobs", "3"])
             for name in artifacts:
                 assert (tmp_path / "out" / name).read_bytes() == single[name], (binding, name)
+
+    @pytest.mark.parametrize("binding", ["on", "off"])
+    def test_trajectory_fields_are_floats(self, tmp_path, binding):
+        main(["run", "--config", str(write_config(tmp_path, binding=binding))])
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert len(lines) > 1
+        for line in lines[1:]:
+            for field in line.split(","):
+                float(field)
 
     def test_equal_starts_zero_difference_column(self, tmp_path):
         cfg = write_config(tmp_path, offset="")

@@ -193,7 +193,6 @@ class TestGirsanov:
         const = BindingSpec(
             model_id="toy2d",
             force=lambda x, y: np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (1,), c),
-            n_noise=1,
         )
         noise = sample_noise(TOY, 1000, 1e-3, seed=9)
         traj = integrate_coupled(TOY, const, np.zeros(2), np.zeros(2), noise)
@@ -205,7 +204,6 @@ class TestGirsanov:
         huge = BindingSpec(
             model_id="toy2d",
             force=lambda x, y: np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (1,), 2000.0),
-            n_noise=1,
         )
         noise = sample_noise(TOY, 1000, 1e-3, seed=10)
         traj = integrate_coupled(TOY, huge, np.zeros(2), np.zeros(2), noise)

@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 from asymcouple.binding import make_binding, null_binding
 from asymcouple.engine import run_ensemble
 from asymcouple.estimators import (
+    DL_DEFAULT_CAP,
     EstimatorError,
     EstimatorReport,
     axk_table,
@@ -120,7 +121,7 @@ class TestDualLipschitz:
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
-        a = rng.normal(size=(25, 2))
+        a = rng.normal(size=(30, 2))
         b = rng.normal(size=(30, 2)) + 0.5
         assert dual_lipschitz_distance(a, b) == pytest.approx(
             dual_lipschitz_distance(b, a), abs=1e-9
@@ -182,21 +183,31 @@ class TestDualLipschitz:
             with pytest.raises(EstimatorError, match=f"{side} holds non-finite"):
                 dual_lipschitz_distance(**samples)
 
+    @pytest.mark.parametrize("n, m, cap", [(30, 45, DL_DEFAULT_CAP), (90, 25, 40)])
+    def test_unequal_sizes_rejected(self, n, m, cap):
+        a, b = _oracle_samples(n, m, 2, False, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimatorError, match=f"got {min(n, cap)} and {min(m, cap)}"):
+                dual_lipschitz_distance(a, b, cap=cap)
+
+    # the *-unequal cases draw samples of different sizes that the cap
+    # brings to one size, the only unequal inputs the distance accepts
     @pytest.mark.parametrize(
         "n, m, dim, duplicates, cap",
         [
             (40, 40, 2, False, 100),
-            (30, 45, 2, False, 100),
+            (30, 45, 2, False, 30),
             (36, 36, 2, True, 100),
-            (24, 40, 3, True, 100),
+            (24, 40, 3, True, 24),
             (1, 1, 2, False, 100),
             (1, 1, 64, False, 100),
             (45, 45, 1, False, 100),
             (40, 40, 24, False, 100),
             (40, 40, 64, False, 100),
-            (20, 33, 64, False, 100),
+            (20, 33, 64, False, 20),
             (90, 80, 2, False, 40),
-            (90, 25, 5, False, 40),
+            (90, 40, 5, False, 40),
             (70, 70, 24, True, 35),
         ],
         ids=["equal", "unequal", "duplicates-equal", "duplicates-unequal", "one-vs-one",
@@ -206,7 +217,7 @@ class TestDualLipschitz:
     def test_matches_lp_oracle(self, n, m, dim, duplicates, cap):
         a, b = _oracle_samples(n, m, dim, duplicates, seed=n * 1000 + m + dim)
         got = dual_lipschitz_distance(a, b, cap=cap, subsample_seed=11)
-        # the documented subsampling rule (a no-op at cap 100), applied before the oracle
+        # the documented subsampling rule, applied before the oracle
         rng = np.random.default_rng(11)
         if len(a) > cap:
             a = a[rng.choice(len(a), cap, replace=False)]
