@@ -120,31 +120,30 @@ def _write_plot_data(path: Path, cfg, fingerprint, ens):
 
 def _run_estimators(cfg, model, ens, x0, y0, fingerprint) -> EstimatorReport:
     report = EstimatorReport(model_id=model.id, config_fingerprint=fingerprint)
-    toggles = cfg.estimators
     if isinstance(ens, CoupledEnsembleResult):
         rho_norm = np.linalg.norm(ens.rho, axis=-1).mean(axis=1)
-        if toggles.get("contraction", True) and np.all(rho_norm > 0):
+        if cfg.estimator("contraction") and np.all(rho_norm > 0):
             report.contraction = asdict(est.fit_contraction(list(zip(ens.times, rho_norm))))
-    if toggles.get("mixing", False):
+    if cfg.estimator("mixing"):
         report.distances = est.mixing_distance_series(
             model, x0, cfg.mixing_alt_x0(model), n_side=cfg.ensemble,
-            times=toggles.get("mixing_times", [1, 2, 3]), dt=cfg.dt, seed=cfg.seed,
+            times=cfg.estimator("mixing_times"), dt=cfg.dt, seed=cfg.seed,
         )
-    if toggles.get("lyapunov", False):
+    if cfg.estimator("lyapunov"):
         base = x0 if np.linalg.norm(x0) > 0 else np.ones(model.dim) / np.sqrt(model.dim)
         probes = [base * s for s in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
         report.lyapunov = asdict(est.lyapunov_fit(
             model, probes, samples_per_probe=min(200, cfg.ensemble), dt=cfg.dt, seed=cfg.seed,
         ))
-    if toggles.get("axk", False):
+    if cfg.estimator("axk"):
         report.axk = est.axk_table(
-            model, x0, toggles.get("axk_ks", [100.0, 1000.0, 10000.0]),
-            toggles.get("axk_horizon", 3), n_traj=cfg.ensemble, dt=cfg.dt, seed=cfg.seed,
+            model, x0, cfg.estimator("axk_ks"), cfg.estimator("axk_horizon"),
+            n_traj=cfg.ensemble, dt=cfg.dt, seed=cfg.seed,
         )
-    if toggles.get("density", False):
+    if cfg.estimator("density"):
         b = bnd.make_binding(model)
         report.density = asdict(est.density_diagnostics(
-            model, b, x0, y0, toggles.get("density_horizons", [1, 2, 3, 4]),
+            model, b, x0, y0, cfg.estimator("density_horizons"),
             n_traj=cfg.ensemble, dt=cfg.dt, seed=cfg.seed,
         ))
     return report
@@ -152,11 +151,7 @@ def _run_estimators(cfg, model, ens, x0, y0, fingerprint) -> EstimatorReport:
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
+        cfg = load_config(args.config, seed=args.seed, jobs=args.jobs)
         out_dir = Path(os.environ.get("ASYMCOUPLE_OUT") or args.out or cfg.out_dir)
         model = cfg.build_model()
         x0, y0 = cfg.initial_conditions(model)

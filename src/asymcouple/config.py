@@ -1,6 +1,6 @@
 """Experiment configuration: sectioned key=value files, validation, fingerprints.
 
-The format is INI-style (configparser) with three sections::
+The format is INI-style (configparser) with four sections::
 
     [model]
     id = chain
@@ -18,6 +18,13 @@ The format is INI-style (configparser) with three sections::
     [estimators]
     contraction = on
 
+    [output]
+    dir = out/chain
+
+This module alone knows the schema: a key -> parser table per section,
+``ESTIMATOR_DEFAULTS``, and the ``ExperimentConfig`` field defaults.
+Unknown sections and keys are errors.
+
 Times are nondimensional (key names carry no units on purpose).  Every
 artifact written from a config embeds the config fingerprint, a sha256
 over the canonical parsed content, so outputs of one run can be checked
@@ -29,25 +36,56 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .models import ModelError, ModelSpec, chain_k_star, make_model
 
-VALID_MODELS = ("toy2d", "ginzburg_landau", "reaction_diffusion", "chain")
 
-_MODEL_PARAM_TYPES = {
-    "ginzburg_landau": {
-        "modes": int,
-        "forced_modes": int,
-        "length": float,
-        "noise_coeffs": "floats",
-    },
-    "reaction_diffusion": {"modes_per_component": int, "length": float},
-    "chain": {"a_squared": float, "truncation": int, "lyapunov_power": float},
+def _float(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"must be finite, got {text!r}")
+    return val
+
+
+def _floats(text: str) -> list[float]:
+    return [_float(tok) for tok in text.split()]
+
+
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split()]
+
+
+def _bool(text: str) -> bool:
+    val = text.strip().lower()
+    if val in ("on", "true", "yes", "1"):
+        return True
+    if val in ("off", "false", "no", "0"):
+        return False
+    raise ValueError(f"expected on/off, got {text!r}")
+
+
+# [model] keys besides ``id``, per model; its keys are the valid model ids
+_MODEL_KEYS = {
     "toy2d": {},
+    "ginzburg_landau": {"modes": int, "forced_modes": int, "length": _float,
+                        "noise_coeffs": _floats},
+    "reaction_diffusion": {"modes_per_component": int, "length": _float},
+    "chain": {"a_squared": _float, "truncation": int, "lyapunov_power": _float},
 }
+_RUN_KEYS = {"dt": _float, "units": int, "ensemble": int, "seed": int, "binding": _bool,
+             "record_every": int, "jobs": int, "x0": _floats, "y0_offset": _floats}
+_ESTIMATOR_KEYS = {"contraction": _bool, "mixing": _bool, "mixing_times": _ints,
+                   "mixing_alt_x0": _floats, "lyapunov": _bool, "axk": _bool, "axk_ks": _floats,
+                   "axk_horizon": int, "density": _bool, "density_horizons": _ints}
+_OUTPUT_KEYS = {"dir": str}
+ESTIMATOR_DEFAULTS = {"contraction": True, "mixing": False, "mixing_times": [1, 2, 3],
+                      "mixing_alt_x0": None, "lyapunov": False, "axk": False,
+                      "axk_ks": [100.0, 1000.0, 10000.0], "axk_horizon": 3, "density": False,
+                      "density_horizons": [1, 2, 3, 4]}
 
 
 class ConfigError(ValueError):
@@ -71,23 +109,9 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def fingerprint(self) -> str:
-        payload = json.dumps(
-            {
-                "model_id": self.model_id,
-                "model_params": self.model_params,
-                "dt": self.dt,
-                "units": self.units,
-                "ensemble": self.ensemble,
-                "seed": self.seed,
-                "binding": self.binding,
-                "record_every": self.record_every,
-                "x0": self.x0,
-                "y0_offset": self.y0_offset,
-                "estimators": self.estimators,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        """sha256 prefix over every parsed field except ``jobs`` and ``out_dir``."""
+        fields = {k: v for k, v in asdict(self).items() if k not in ("jobs", "out_dir")}
+        return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
 
     def build_model(self) -> ModelSpec:
         try:
@@ -100,9 +124,13 @@ class ExperimentConfig:
         y0 = x0 + _pad(self.y0_offset, model.dim, "[run] y0_offset")
         return x0, y0
 
+    def estimator(self, key: str):
+        """An ``[estimators]`` setting: the file's value, else the default."""
+        return self.estimators.get(key, ESTIMATOR_DEFAULTS[key])
+
     def mixing_alt_x0(self, model: ModelSpec) -> np.ndarray:
         """The second start of the mixing estimator, padded to the model."""
-        alt = self.estimators.get("mixing_alt_x0")
+        alt = self.estimator("mixing_alt_x0")
         if alt is None:
             raise ConfigError("[estimators] mixing requires mixing_alt_x0")
         return _pad(alt, model.dim, "[estimators] mixing_alt_x0")
@@ -116,22 +144,23 @@ def _pad(values: list[float], dim: int, where: str) -> np.ndarray:
     return out
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split()]
+def _parse_section(section: configparser.SectionProxy, table: dict) -> dict:
+    """Parse the keys a section sets through its key -> parser table."""
+    values = {}
+    for key, raw in section.items():
+        if key not in table:
+            raise ConfigError(f"[{section.name}] {key}: unknown key; valid: {', '.join(table)}")
+        try:
+            values[key] = table[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
+    return values
 
 
-def _bool(text: str, where: str) -> bool:
-    val = text.strip().lower()
-    if val in ("on", "true", "yes", "1"):
-        return True
-    if val in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(f"{where}: expected on/off, got {text!r}")
-
-
-def load_config(path) -> ExperimentConfig:
+def load_config(path, *, seed: int | None = None, jobs: int | None = None) -> ExperimentConfig:
     """Parse and validate a config file; raises ConfigError with the
-    offending section/key (or parser line) in the message."""
+    offending section/key (or parser line) in the message.  ``seed`` and
+    ``jobs``, when given, override ``[run]`` before validation."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path) as handle:
@@ -141,68 +170,27 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
-    if not parser.has_section("model") or not parser.has_option("model", "id"):
+    if not parser.has_option("model", "id"):
         raise ConfigError("[model] section with an 'id' key is required")
     model_id = parser.get("model", "id").strip()
-    if model_id not in VALID_MODELS:
-        raise ConfigError(f"[model] id: unknown model {model_id!r}; valid: {VALID_MODELS}")
+    if model_id not in _MODEL_KEYS:
+        raise ConfigError(f"[model] id: unknown model {model_id!r}; valid: {tuple(_MODEL_KEYS)}")
+    tables = {"model": {"id": str, **_MODEL_KEYS[model_id]}, "run": _RUN_KEYS,
+              "estimators": _ESTIMATOR_KEYS, "output": _OUTPUT_KEYS}
+    parsed = {"run": {}, "estimators": {}, "output": {}}
+    for name in parser.sections():
+        if name not in tables:
+            raise ConfigError(f"[{name}] section: unknown section; valid: {', '.join(tables)}")
+        parsed[name] = _parse_section(parser[name], tables[name])
+    del parsed["model"]["id"]
 
-    params = {}
-    types = _MODEL_PARAM_TYPES[model_id]
-    for key in parser.options("model"):
-        if key == "id":
-            continue
-        if key not in types:
-            raise ConfigError(f"[model] {key}: not a parameter of {model_id}")
-        raw = parser.get("model", key)
-        try:
-            params[key] = _floats(raw) if types[key] == "floats" else types[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"[model] {key}: {exc}") from exc
-
-    cfg = ExperimentConfig(model_id=model_id, model_params=params)
-
-    run = parser["run"] if parser.has_section("run") else {}
-    try:
-        cfg.dt = float(run.get("dt", cfg.dt))
-        cfg.units = int(run.get("units", cfg.units))
-        cfg.ensemble = int(run.get("ensemble", cfg.ensemble))
-        cfg.seed = int(run.get("seed", cfg.seed))
-        cfg.record_every = int(run.get("record_every", cfg.record_every))
-        cfg.jobs = int(run.get("jobs", cfg.jobs))
-        if "binding" in run:
-            cfg.binding = _bool(run["binding"], "[run] binding")
-        cfg.x0 = _floats(run.get("x0", ""))
-        cfg.y0_offset = _floats(run.get("y0_offset", ""))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[run] section: {exc}") from exc
-
-    est: dict = {}
-    if parser.has_section("estimators"):
-        sec = parser["estimators"]
-        for toggle in ("contraction", "mixing", "lyapunov", "axk", "density"):
-            if toggle in sec:
-                est[toggle] = _bool(sec[toggle], f"[estimators] {toggle}")
-        try:
-            if "mixing_times" in sec:
-                est["mixing_times"] = [int(t) for t in sec["mixing_times"].split()]
-            if "mixing_alt_x0" in sec:
-                est["mixing_alt_x0"] = _floats(sec["mixing_alt_x0"])
-            if "axk_ks" in sec:
-                est["axk_ks"] = _floats(sec["axk_ks"])
-            if "axk_horizon" in sec:
-                est["axk_horizon"] = int(sec["axk_horizon"])
-            if "density_horizons" in sec:
-                est["density_horizons"] = [int(t) for t in sec["density_horizons"].split()]
-        except ValueError as exc:
-            raise ConfigError(f"[estimators] section: {exc}") from exc
-    cfg.estimators = est
-
-    if parser.has_section("output") and parser.has_option("output", "dir"):
-        cfg.out_dir = parser.get("output", "dir")
-
+    cfg = ExperimentConfig(model_id, parsed["model"], **parsed["run"],
+                           estimators=parsed["estimators"])
+    cfg.out_dir = parsed["output"].get("dir", cfg.out_dir)
+    if seed is not None:
+        cfg.seed = seed
+    if jobs is not None:
+        cfg.jobs = jobs
     validate_config(cfg)
     return cfg
 
@@ -217,6 +205,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[run] units: need at least one time unit")
     if cfg.ensemble < 1:
         raise ConfigError("[run] ensemble: need at least one trajectory")
+    if cfg.seed < 0:
+        raise ConfigError("[run] seed: must be non-negative")
     if cfg.record_every < 0:
         raise ConfigError("[run] record_every: must be non-negative")
     if cfg.record_every and spu % cfg.record_every:
@@ -225,6 +215,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         )
     if cfg.jobs < 1:
         raise ConfigError("[run] jobs: must be at least 1")
+    if cfg.ensemble < 2 and (cfg.estimator("lyapunov") or cfg.estimator("density")):
+        raise ConfigError("[run] ensemble: lyapunov and density need at least two trajectories")
+    for key, least in (("mixing_times", 0), ("density_horizons", 1)):
+        if not cfg.estimator(key) or min(cfg.estimator(key)) < least:
+            raise ConfigError(f"[estimators] {key}: need at least one value, all >= {least}")
+    if cfg.estimator("axk_horizon") < 0:
+        raise ConfigError("[estimators] axk_horizon: must be non-negative")
+    ks = cfg.estimator("axk_ks")
+    if not ks or not all(k > 0 for k in ks):
+        raise ConfigError("[estimators] axk_ks: need at least one level, all > 0")
     if cfg.model_id == "chain":
         a2 = cfg.model_params.get("a_squared", 5.0)
         k_star = chain_k_star(a2)
@@ -236,6 +236,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # building the model performs the remaining structural validation
     model = cfg.build_model()
     cfg.initial_conditions(model)
-    if cfg.estimators.get("mixing", False):
+    if cfg.estimator("mixing"):
         cfg.mixing_alt_x0(model)
 

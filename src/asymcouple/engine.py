@@ -50,8 +50,6 @@ class NoisePath:
 
     dt: float
     increments: np.ndarray  # (steps, n_noise)
-    seed: int | None = None
-    stream: int | None = None
 
     @property
     def steps(self) -> int:
@@ -72,7 +70,7 @@ def sample_noise(model: ModelSpec, steps: int, dt: float, seed: int, stream: int
         raise EngineError("steps must be non-negative")
     rng = _rng_for(seed, stream)
     increments = rng.normal(0.0, math.sqrt(dt), size=(steps, model.n_noise))
-    return NoisePath(dt=dt, increments=increments, seed=seed, stream=stream)
+    return NoisePath(dt=dt, increments=increments)
 
 
 @dataclass
@@ -364,7 +362,7 @@ def shift_noise(noise: NoisePath, traj: CoupledTrajectory, inverse: bool = False
         raise EngineError("noise path and trajectory have different step counts")
     sign = -1.0 if inverse else 1.0
     shifted = noise.increments + sign * traj.g_path * noise.dt
-    return NoisePath(dt=noise.dt, increments=shifted, seed=None, stream=None)
+    return NoisePath(dt=noise.dt, increments=shifted)
 
 
 # -- ensembles ----------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Harness behaviour: config validation, artifacts, determinism, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from asymcouple.binding import build_zeta_cascade, parse_cascade_dump
 from asymcouple.cli import main
+from asymcouple import config
 from asymcouple.config import ConfigError, load_config
 from asymcouple.models import make_chain
 
@@ -30,6 +33,8 @@ contraction = on
 dir = {out}
 """
 
+EST = "contraction = on\n"
+
 
 def write_config(tmp_path, offset="0.4 -0.2", name="exp.cfg", **extra):
     text = TOY_CONFIG.format(offset=offset, out=tmp_path / "out")
@@ -46,8 +51,22 @@ class TestConfig:
         assert cfg.model_id == "toy2d"
         assert cfg.dt == 0.002
         assert len(cfg.fingerprint()) == 16
-        # fingerprint is stable across reloads
-        assert cfg.fingerprint() == load_config(write_config(tmp_path)).fingerprint()
+        # pinned: a schema change that alters a parsed type shows here
+        assert cfg.fingerprint() == "39151243bac91381"
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "readme.cfg"
+        path.write_text(example)
+        assert load_config(path).fingerprint() == "3f68ff73127ef537"
+
+    def test_readme_reference_names_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        tables = [config._RUN_KEYS, config._ESTIMATOR_KEYS, config._OUTPUT_KEYS,
+                  *config._MODEL_KEYS.values(), config._MODEL_KEYS]
+        for key in (key for table in tables for key in table):
+            assert f"`{key}`" in readme, key
 
     def test_unknown_model(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -82,18 +101,45 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize(
-        "mixing, match",
-        [("mixing = on\n", "requires mixing_alt_x0"),
-         ("mixing = on\nmixing_alt_x0 = 1 2 3\n", "mixing_alt_x0: 3 entries exceed")],
-        ids=["no-alt-x0", "alt-x0-too-long"],
+        "edits, jobs, match",
+        [
+            ([(EST, EST + "mixing = on\n")], None, "[estimators] mixing requires mixing_alt_x0"),
+            ([(EST, EST + "mixing = on\nmixing_alt_x0 = 1 2 3\n")], None,
+             "[estimators] mixing_alt_x0: 3 entries exceed"),
+            ([(EST, EST + "mixing_times = -1\n")], None, "[estimators] mixing_times: need"),
+            ([(EST, EST + "density_horizons = 0\n")], None,
+             "[estimators] density_horizons: need"),
+            ([(EST, EST + "axk_horizon = -2\n")], None, "[estimators] axk_horizon: must"),
+            ([(EST, EST + "axk_ks =\n")], None, "[estimators] axk_ks: need"),
+            ([(EST, EST + "lyapnuov = on\n")], None, "[estimators] lyapnuov: unknown key"),
+            ([("[run]\n", "[run]\nensembel = 6\n")], None, "[run] ensembel: unknown key"),
+            ([("[output]", "[estimator]\nlyapunov = on\n\n[output]")], None,
+             "[estimator] section: unknown section"),
+            ([("ensemble = 20", "ensemble = 1"), (EST, EST + "lyapunov = on\n")], None,
+             "[run] ensemble: lyapunov and density need"),
+            ([("seed = 42", "seed = -1")], None, "[run] seed: must be non-negative"),
+            ([("dt = 0.002", "dt = nan")], None, "[run] dt: must be finite, got 'nan'"),
+            ([], 0, "[run] jobs: must be at least 1"),
+            ([], -3, "[run] jobs: must be at least 1"),
+        ],
+        ids=["no-alt-x0", "alt-x0-too-long", "negative-mixing-time", "zero-density-horizon",
+             "negative-axk-horizon", "empty-axk-ks", "misspelt-estimator", "misspelt-run-key",
+             "unknown-section", "one-path-lyapunov", "negative-seed", "nan-dt", "jobs-0",
+             "jobs-negative"],
     )
-    def test_bad_mixing_settings_rejected_before_any_output(self, tmp_path, capsys, mixing, match):
+    def test_bad_mixing_settings_rejected_before_any_output(
+        self, tmp_path, capsys, edits, jobs, match
+    ):
         path = write_config(tmp_path)
-        path.write_text(path.read_text().replace("contraction = on\n", "contraction = on\n" + mixing))
-        with pytest.raises(ConfigError, match=match):
-            load_config(path)
-        assert main(["run", "--config", str(path)]) == 2
-        assert match in capsys.readouterr().err
+        text = path.read_text()
+        for old, new in edits:
+            text = text.replace(old, new, 1)
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            load_config(path, jobs=jobs)
+        argv = ["run", "--config", str(path)] + ([] if jobs is None else ["--jobs", str(jobs)])
+        assert main(argv) == 2
+        assert f"config error: {match}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
