@@ -67,10 +67,6 @@ class DiscreteMeasure:
     def mass(self) -> float:
         return math.fsum(self._w.values())
 
-    def restrict(self, points: Iterable[Point]) -> "DiscreteMeasure":
-        keep = set(points)
-        return DiscreteMeasure({p: v for p, v in self._w.items() if p in keep})
-
     def is_probability(self, tol: float = PROB_TOL) -> bool:
         return abs(self.mass() - 1.0) <= tol
 
@@ -92,20 +88,11 @@ class DiscreteMeasure:
         inner = ", ".join(f"{p!r}: {v:.6g}" for p, v in self._w.items())
         return f"DiscreteMeasure({{{inner}}})"
 
-    def approx_eq(self, other: "DiscreteMeasure", tol: float = 1e-12) -> bool:
-        points = set(self._w) | set(other._w)
-        return all(abs(self.weight(p) - other.weight(p)) <= tol for p in points)
-
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         acc = dict(self._w)
         for p, v in other.items():
             acc[p] = acc.get(p, 0.0) + v
         return DiscreteMeasure(acc)
-
-    def scaled(self, factor: float) -> "DiscreteMeasure":
-        if factor < 0:
-            raise MeasureError("cannot scale a measure by a negative factor")
-        return DiscreteMeasure({p: factor * v for p, v in self._w.items()})
 
     # -- serialization (JSON fixture format: list of [point, weight]) -----
 

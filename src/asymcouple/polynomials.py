@@ -289,19 +289,24 @@ def parse_polynomial(text: str) -> IndexedPolynomial:
 
 @dataclass
 class CompiledPolynomial:
-    """Gather-and-multiply form for fast vectorized evaluation.
+    """Prefix-trie form for fast vectorized evaluation.
 
-    Each monomial is flattened into ``slots`` variable references with
-    powers expanded into repetition; unused slots point at a virtual
-    constant-one entry appended past the real variables, so evaluation
-    is one fancy-index gather, a product over slots, and a weighted sum
-    (no elementwise pow).  ``evaluate(values)`` takes an array whose last
-    axis enumerates ``var_order`` and keeps the remaining axes.
+    Monomials become words of variable indices (powers expanded into
+    repetition) and share the products of common prefixes.  Node 0 is 1;
+    level ``d`` of the trie holds the length-``d`` prefixes, each a level
+    ``d - 1`` node (``parents[d - 1]``) times a variable
+    (``factors[d - 1]``).  Evaluation runs node rows by path columns, one
+    multiply per level, then a row-wise ``vecdot`` of the contiguous
+    ``(paths, terms)`` products with ``coeffs``, so each path's value
+    depends on that path alone.  ``evaluate(values)`` takes an array
+    whose last axis enumerates ``var_order`` and keeps the other axes.
     """
 
     var_order: tuple[Var, ...]
-    coeffs: np.ndarray          # (terms,)
-    slot_idx: np.ndarray        # (terms, slots) indices into var_order + [one]
+    coeffs: np.ndarray                  # (terms,)
+    parents: tuple[np.ndarray, ...]     # per level: node of each prefix minus its last letter
+    factors: tuple[np.ndarray, ...]     # per level: variable of each prefix's last letter
+    term_nodes: np.ndarray              # (terms,) node holding each monomial's product
 
     def evaluate(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -309,12 +314,16 @@ class CompiledPolynomial:
             raise PolynomialError(
                 f"expected {len(self.var_order)} variable values, got {values.shape[-1]}"
             )
-        if self.coeffs.size == 0:
-            return np.zeros(values.shape[:-1])
-        ones = np.ones(values.shape[:-1] + (1,))
-        ext = np.concatenate([values, ones], axis=-1)
-        factors = ext[..., self.slot_idx].prod(axis=-1)
-        return factors @ self.coeffs
+        columns = np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
+        nodes = np.empty((1 + sum(map(len, self.parents)), columns.shape[1]))
+        nodes[0] = 1.0
+        lo = 1
+        for parent, factor in zip(self.parents, self.factors):
+            hi = lo + len(parent)
+            np.multiply(nodes.take(parent, axis=0), columns.take(factor, axis=0), out=nodes[lo:hi])
+            lo = hi
+        products = np.ascontiguousarray(nodes.take(self.term_nodes, axis=0).T)
+        return np.vecdot(products, self.coeffs).reshape(values.shape[:-1])
 
 
 def compile_polynomial(p: IndexedPolynomial, var_order: Iterable[Var]) -> CompiledPolynomial:
@@ -323,16 +332,15 @@ def compile_polynomial(p: IndexedPolynomial, var_order: Iterable[Var]) -> Compil
     missing = p.variables() - set(lookup)
     if missing:
         raise PolynomialError(f"unbound variable(s) in compile: {sorted(missing)}")
-    monos = list(p._terms.items())
-    slots = max((_mono_degree(m) for m, _ in monos), default=1)
-    slots = max(slots, 1)
-    coeffs = np.array([c for _, c in monos], dtype=float)
-    one_slot = len(order)
-    slot_idx = np.full((len(monos), slots), one_slot, dtype=np.intp)
-    for t, (mono, _) in enumerate(monos):
-        s = 0
-        for var, power in mono:
-            for _ in range(power):
-                slot_idx[t, s] = lookup[var]
-                s += 1
-    return CompiledPolynomial(order, coeffs, slot_idx)
+    words = [tuple(lookup[v] for v, power in mono for _ in range(power)) for mono in p._terms]
+    node_of: dict[tuple[int, ...], int] = {(): 0}
+    parents, factors = [], []
+    for depth in range(1, max(map(len, words), default=0) + 1):
+        level = sorted({w[:depth] for w in words if len(w) >= depth})
+        for prefix in level:
+            node_of[prefix] = len(node_of)
+        parents.append(np.array([node_of[w[:-1]] for w in level], dtype=np.intp))
+        factors.append(np.array([w[-1] for w in level], dtype=np.intp))
+    coeffs = np.array(list(p._terms.values()), dtype=float)
+    term_nodes = np.array([node_of[w] for w in words], dtype=np.intp)
+    return CompiledPolynomial(order, coeffs, tuple(parents), tuple(factors), term_nodes)

@@ -35,6 +35,16 @@ dir = {out}
 
 EST = "contraction = on\n"
 
+# per model: [model] section, x0 and y0 offset (the toy's are TOY_CONFIG's)
+JOBS_MODELS = {
+    "toy2d": ("id = toy2d\n", "1.0 0.5", "0.4 -0.2"),
+    "ginzburg_landau": ("id = ginzburg_landau\nmodes = 32\nforced_modes = 3\n",
+                        "0.4 0.8 -0.3 0.2", "0.3 -0.2 0.1"),
+    "reaction_diffusion": ("id = reaction_diffusion\nmodes_per_component = 16\n",
+                           "0.5 0.3 -0.2 0.1", "0.3 -0.3 0.2"),
+    "chain": ("id = chain\na_squared = 2.0\n", "0.4 0.3 -0.2 0.1", "0.01 0.0067 -0.005"),
+}
+
 
 def write_config(tmp_path, offset="0.4 -0.2", name="exp.cfg", **extra):
     text = TOY_CONFIG.format(offset=offset, out=tmp_path / "out")
@@ -167,14 +177,21 @@ class TestRun:
             assert (tmp_path / "out" / name).read_bytes() == blob
 
     def test_jobs_do_not_change_results(self, tmp_path):
+        # five paths go to three workers as 1 + 2 + 2, so one batch holds a single path
         artifacts = ("report.json", "trajectory.csv", "plot_data.csv")
-        for binding in ("on", "off"):
-            cfg = write_config(tmp_path, binding=binding)
-            main(["run", "--config", str(cfg), "--jobs", "1"])
-            single = {name: (tmp_path / "out" / name).read_bytes() for name in artifacts}
-            main(["run", "--config", str(cfg), "--jobs", "3"])
-            for name in artifacts:
-                assert (tmp_path / "out" / name).read_bytes() == single[name], (binding, name)
+        differ = []
+        for model_id, (section, x0, offset) in JOBS_MODELS.items():
+            for binding in ("on", "off"):
+                cfg = write_config(tmp_path, offset=offset, binding=binding)
+                text = cfg.read_text().replace("id = toy2d\n", section)
+                text = text.replace("x0 = 1.0 0.5", f"x0 = {x0}").replace("ensemble = 20", "ensemble = 5")
+                cfg.write_text(text)
+                main(["run", "--config", str(cfg), "--jobs", "1"])
+                single = {name: (tmp_path / "out" / name).read_bytes() for name in artifacts}
+                main(["run", "--config", str(cfg), "--jobs", "3"])
+                differ += [(model_id, binding, name) for name in artifacts
+                           if (tmp_path / "out" / name).read_bytes() != single[name]]
+        assert differ == []
 
     @pytest.mark.parametrize("binding", ["on", "off"])
     def test_trajectory_fields_are_floats(self, tmp_path, binding):

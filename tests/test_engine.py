@@ -1,6 +1,8 @@
 """Integrator correctness: exactness, coupling semantics, Girsanov weights."""
 
 import math
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from asymcouple.binding import BindingSpec, make_binding, null_binding
 from asymcouple.engine import (
     BlowUpError,
+    CoupledEnsembleResult,
     EngineError,
     NoisePath,
     girsanov_density,
@@ -40,9 +43,9 @@ BOUND_PAIRS = {
 }
 
 
-def bound_pair(model_id):
+def bound_pair(model_id, model=None):
     factory, x_head, off_head = BOUND_PAIRS[model_id]
-    model = factory()
+    model = model or factory()
     x0 = np.zeros(model.dim)
     x0[: len(x_head)] = x_head
     y0 = x0.copy()
@@ -351,3 +354,40 @@ def test_trajectory_csv_shape():
     # identical initial conditions leave the difference column at zero
     for line in lines[1:]:
         assert float(line.split(",")[3]) == 0.0
+
+
+# the sizes the CLI and the presets run: GL at 32 modes, RD at 16 per component
+FULL_SIZE = {
+    "toy2d": lambda: TOY,
+    "ginzburg_landau": lambda: make_ginzburg_landau(modes=32),
+    "reaction_diffusion": lambda: make_reaction_diffusion(modes_per_component=16),
+    "chain": lambda: make_chain(a_squared=2.0),
+}
+
+
+@pytest.mark.parametrize("model_id", list(FULL_SIZE))
+def test_paths_do_not_depend_on_the_batch_they_share(model_id):
+    # the --jobs promise rests on this: a path's bits depend only on its
+    # start and its noise stream, not on how many paths share its batch
+    model, x0, y0 = bound_pair(model_id, FULL_SIZE[model_id]())
+    binding = make_binding(model)
+    run = partial(run_coupled_ensemble, model, binding, x0, y0, units=1, dt=2e-3, seed=29,
+                  record_every=50)
+    whole = run(7)
+    singles = CoupledEnsembleResult.concat([run(1, stream0=i) for i in range(7)])
+    split = CoupledEnsembleResult.concat([run(3), run(4, stream0=3)])
+    for joined in (singles, split):
+        for field in fields(CoupledEnsembleResult):
+            np.testing.assert_array_equal(
+                getattr(joined, field.name), getattr(whole, field.name), err_msg=field.name
+            )
+    noise = sample_noise(model, 500, 2e-3, seed=29, stream=4)
+    traj = integrate_coupled(model, binding, x0, y0, noise, record_every=50)
+    for path_field, ens_field in (("x_path", "x"), ("rho_path", "rho"), ("zeta_path", "zeta"),
+                                  ("log_density_path", "log_density"), ("w_sup_x", "w_sup_x"),
+                                  ("w_sup_y", "w_sup_y")):
+        member = getattr(whole, ens_field)
+        expected = member[:, 4] if member is not None else None
+        np.testing.assert_array_equal(getattr(traj, path_field), expected, err_msg=path_field)
+    assert traj.girsanov.g_l2 == whole.g_l2[4]
+    assert traj.girsanov.overflow == whole.overflow[4]

@@ -223,6 +223,42 @@ class TestSpectra:
             assert float(u @ cube) >= -1e-12
 
 
+def dense_cube(u, model):
+    """The pseudo-spectral cube by plain matmuls and ``**3``: the slow oracle."""
+    basis, weight = model.aux["basis"], model.aux["weight"]
+    return ((u @ basis.T) ** 3) @ basis * weight
+
+
+def assert_close_to_scale(actual, expected, rel=1e-12):
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=rel * scale)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 300])
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: make_ginzburg_landau(modes=64),
+        lambda: make_ginzburg_landau(modes=32),
+        lambda: make_reaction_diffusion(modes_per_component=16),
+    ],
+    ids=["gl64", "gl32", "rd16"],
+)
+def test_spectral_transforms_match_the_dense_oracle(factory, batch):
+    model = factory()
+    state = np.random.default_rng(batch).normal(size=(batch, model.dim))
+    if model.id == "ginzburg_landau":
+        assert_close_to_scale(model.nonlinearity(state), -dense_cube(state, model))
+        return
+    half = model.dim // 2
+    u, v = state[:, :half], state[:, half:]
+    expected = np.concatenate([v - dense_cube(u, model), u - dense_cube(v, model)], axis=-1)
+    assert_close_to_scale(model.nonlinearity(state), expected)
+    basis = model.aux["basis"]
+    sup = np.abs(u @ basis.T).max(axis=-1) + np.abs(v @ basis.T).max(axis=-1)
+    assert_close_to_scale(lyapunov(model, state), sup)
+
+
 def test_make_model_dispatch():
     assert make_model("toy2d").id == "toy2d"
     with pytest.raises(ModelError, match="unknown model"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcouple.binding import chain_vector_field
+from asymcouple.binding import build_zeta_cascade, chain_vector_field
 from asymcouple.models import make_chain
 from asymcouple.polynomials import (
     IndexedPolynomial as P,
@@ -186,3 +186,21 @@ def test_compiled_matches_direct(p):
     assign = {v: values[:, i] for i, v in enumerate(order)}
     direct = evaluate(p, assign)
     np.testing.assert_allclose(compiled.evaluate(values), direct, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("a_squared", [0.0, 2.0, 5.0])
+def test_compiled_cascade_matches_symbolic_evaluation(a_squared):
+    # the chain's force and zeta maps run through compiled polynomials;
+    # symbolic term-by-term evaluation is their oracle
+    model = make_chain(a_squared=a_squared)
+    cascade = build_zeta_cascade(model)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(40, model.dim)) * 0.8
+    y = x + rng.normal(size=(40, model.dim)) * 0.3
+    assign = dict(zip(cascade.var_order, cascade.state_values(x, y).T))
+    expected = np.stack(
+        [evaluate(cascade.g_poly, assign)] + [evaluate(z, assign) for z in cascade.zetas], axis=-1
+    )
+    actual = np.concatenate([cascade.force(x, y)[:, None], cascade.zeta_values(x, y)], axis=-1)
+    scale = np.maximum(np.max(np.abs(expected), axis=0), 1.0)
+    np.testing.assert_array_less(np.abs(actual - expected) / scale, 1e-12)
