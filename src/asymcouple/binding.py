@@ -103,7 +103,8 @@ def rd_binding(x: np.ndarray, y: np.ndarray, model: ModelSpec) -> np.ndarray:
     half = model.dim // 2
     rho = y - x
     zeta = rho[..., :half] + 3.0 * rho[..., half:]
-    delta = model.linear_spectrum * rho + model.nonlinearity(y) - model.nonlinearity(x)
+    fy, fx = model.nonlinearity(np.stack(np.broadcast_arrays(y, x)))
+    delta = model.linear_spectrum * rho + fy - fx
     lap = model.aux["laplacian"]
     return (lap - 1.0) * zeta - (delta[..., :half] + 3.0 * delta[..., half:])
 

@@ -196,23 +196,30 @@ def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, 
     e, w1, wn, dt = scheme.exp_factor, scheme.w1, scheme.w_noise, scheme.dt
     f = model.nonlinearity
     coupled = binding is not None
-    x = np.array(x0, dtype=float)
+    # the copies' rows at the step start (x, then y = x + rho) and at the
+    # predictor stage, so that one nonlinearity call per stage serves both;
+    # C order keeps every row reduction in one summation order
+    cur = np.empty((2 if coupled else 1,) + np.shape(x0))
+    pred = np.empty_like(cur)
+    x = cur[0]
+    x[...] = x0
     n = x.shape[0]
     x_records = [x.copy()]
     vx = lyapunov(model, x)
     wx_cur = vx.copy()
     w_sup_x = []
     if coupled:
-        rho = np.array(rho0, dtype=float)
+        rho = np.array(rho0, dtype=float, order="C")
+        y = np.add(x, rho, out=cur[1])
         log_density = np.zeros(n)
         g_l2 = np.zeros(n)
         overflow = np.zeros(n, dtype=bool)
         zeta_fn = binding.zeta_map
         rho_records = [rho.copy()]
-        zeta_records = [zeta_fn(x, x + rho)] if zeta_fn is not None else None
+        zeta_records = [zeta_fn(x, y)] if zeta_fn is not None else None
         logdens_records = [log_density.copy()]
         g_records = [] if record_force else None
-        vy = lyapunov(model, x + rho)
+        vy = lyapunov(model, y)
         wy_cur = vy.copy()
         w_sup_y = []
 
@@ -221,19 +228,19 @@ def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, 
         for step in range(steps):
             dw = increments[step]
             forcing = wn * apply_noise(model, dw)
-            fx1 = f(x)
-            x_pred = e * x + w1 * fx1 + forcing
-            fx2 = f(x_pred)
+            f1 = f(cur)
+            np.add(e * x + w1 * f1[0], forcing, out=pred[0])
             if coupled:
-                y = x + rho
                 g1 = binding.force(x, y)
-                nr1 = f(y) - fx1 + apply_noise(model, g1)
+                nr1 = f1[1] - f1[0] + apply_noise(model, g1)
                 rho_pred = e * rho + w1 * nr1
-                y_pred = x_pred + rho_pred
-                g2 = binding.force(x_pred, y_pred)
-                nr2 = f(y_pred) - fx2 + apply_noise(model, g2)
+                np.add(pred[0], rho_pred, out=pred[1])
+            f2 = f(pred)
+            if coupled:
+                g2 = binding.force(pred[0], pred[1])
+                nr2 = f2[1] - f2[0] + apply_noise(model, g2)
                 rho = e * rho + 0.5 * w1 * (nr1 + nr2)
-            x = e * x + 0.5 * w1 * (fx1 + fx2) + forcing
+            np.add(e * x + 0.5 * w1 * (f1[0] + f2[0]), forcing, out=x)
 
             if not np.all(np.isfinite(x)) or (coupled and not np.all(np.isfinite(rho))):
                 raise BlowUpError((step + 1) * dt)
@@ -241,13 +248,14 @@ def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, 
             vx = lyapunov(model, x)
             np.maximum(wx_cur, vx, out=wx_cur)
             if coupled:
+                np.add(x, rho, out=y)
                 g_sq = (g1**2).sum(axis=-1)
                 log_density += (g1 * dw).sum(axis=-1) - 0.5 * g_sq * dt
                 g_l2 += g_sq * dt
                 overflow |= np.abs(log_density) > LOG_DENSITY_OVERFLOW
                 if g_records is not None:
                     g_records.append(g1.copy())
-                vy = lyapunov(model, x + rho)
+                vy = lyapunov(model, y)
                 np.maximum(wy_cur, vy, out=wy_cur)
             if (step + 1) % spu == 0:
                 w_sup_x.append(wx_cur)
@@ -261,7 +269,7 @@ def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, 
                     rho_records.append(rho.copy())
                     logdens_records.append(log_density.copy())
                     if zeta_records is not None:
-                        zeta_records.append(zeta_fn(x, x + rho))
+                        zeta_records.append(zeta_fn(x, y))
 
     times = np.arange(len(x_records)) * (record_every * dt)
     # reshape keeps the path axis when no unit interval completed
@@ -420,7 +428,10 @@ def run_ensemble(
     record_every: int | None = None,
 ) -> EnsembleResult:
     """Integrate ``n_traj`` independent paths from ``x0`` for ``units``
-    time units; trajectory ``i`` uses noise stream ``stream0 + i``."""
+    time units; trajectory ``i`` uses noise stream ``stream0 + i``.
+
+    ``x0`` is one start ``(dim,)`` shared by every path, or one start per
+    path ``(n_traj, dim)``."""
     return _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every)
 
 
@@ -437,7 +448,10 @@ def run_coupled_ensemble(
     record_every: int | None = None,
 ) -> CoupledEnsembleResult:
     """Integrate ``n_traj`` bound pairs from ``(x0, y0)`` for ``units``
-    time units; pair ``i`` uses noise stream ``stream0 + i``."""
+    time units; pair ``i`` uses noise stream ``stream0 + i``.
+
+    ``x0`` and ``y0`` are each one start ``(dim,)`` shared by every pair,
+    or one start per pair ``(n_traj, dim)``."""
     return _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, binding, y0)
 
 # -- trajectory CSV -------------------------------------------------------------

@@ -209,19 +209,14 @@ def lyapunov_fit(
     every estimate plus two standard errors.  Raises ``EstimatorError``
     ("no dissipative fit") when the regression slope reaches 1.
     """
-    v0, means, ses = [], [], []
-    for i, probe in enumerate(probes):
-        ens = run_ensemble(
-            model, np.asarray(probe, dtype=float), samples_per_probe, units=1,
-            dt=dt, seed=seed, stream0=i * samples_per_probe,
-        )
-        values = lyapunov(model, ens.states[-1])
-        v0.append(float(lyapunov(model, np.asarray(probe, dtype=float))))
-        means.append(float(values.mean()))
-        ses.append(float(values.std(ddof=1) / math.sqrt(samples_per_probe)))
-    v0 = np.array(v0)
-    means = np.array(means)
-    ses = np.array(ses)
+    probes = [np.asarray(probe, dtype=float) for probe in probes]
+    # one ensemble for all probes: probe i's paths are streams i*S .. (i+1)*S - 1
+    starts = np.repeat(np.array(probes), samples_per_probe, axis=0)
+    ens = run_ensemble(model, starts, len(starts), units=1, dt=dt, seed=seed)
+    values = lyapunov(model, ens.states[-1]).reshape(len(probes), samples_per_probe)
+    v0 = np.array([float(lyapunov(model, probe)) for probe in probes])
+    means = np.array([float(row.mean()) for row in values])
+    ses = np.array([float(row.std(ddof=1) / math.sqrt(samples_per_probe)) for row in values])
     slope, intercept = np.polyfit(v0, means, 1)
     if slope >= 1.0:
         raise EstimatorError(f"no dissipative fit: slope {slope:.4f} >= 1")

@@ -77,11 +77,11 @@ def lyapunov(model: ModelSpec, state: np.ndarray) -> np.ndarray:
     if spec.name == "l2_norm_pow_p":
         return np.linalg.norm(state, axis=-1) ** spec.p
     if spec.name == "linf_norm":
-        half = model.dim // 2
-        basis = model.aux["basis"]
-        grid_u = _per_row(basis, state[..., :half])
-        grid_v = _per_row(basis, state[..., half:])
-        return np.abs(grid_u).max(axis=-1) + np.abs(grid_v).max(axis=-1)
+        synthesis = model.aux["synthesis"]
+        # u and v rows synthesized in one call
+        grid = _in_row_blocks(_component_rows(state), lambda blocks: blocks @ synthesis)
+        sup = np.abs(grid).max(axis=-1)
+        return sup[..., 0] + sup[..., 1]
     raise ModelError(f"unknown Lyapunov spec {spec.name!r}")
 
 
@@ -153,15 +153,43 @@ def _fourier_basis(n_modes: int, length: float) -> tuple[np.ndarray, np.ndarray,
     return basis, eigs, weight
 
 
-def _per_row(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``matrix @ r`` for each row ``r`` of ``rows``: one gemv call per row,
-    so, unlike one batch gemm, a row's bits do not depend on its batch."""
-    return np.matvec(matrix, rows)
+# rows per gemm block of the coefficient/grid transforms
+ROW_BLOCK = 8
 
 
-def _spectral_cube(state_block: np.ndarray, basis: np.ndarray, weight: float) -> np.ndarray:
-    grid = _per_row(basis, state_block)
-    return _per_row(basis.T, grid * grid * grid) * weight
+def _in_row_blocks(rows: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``fn`` applied to the rows of ``rows`` packed, zero-padded, into a
+    contiguous ``(blocks, ROW_BLOCK, k)`` buffer; returns the rows of its
+    result in the leading shape of ``rows``.
+
+    Every matmul ``fn`` makes on the buffer is then a stack of gemm calls
+    of one shape and stride, so a row's bits depend on that row alone,
+    not on how many rows share its batch (a plain ``rows @ matrix`` is
+    one gemm whose blocking, and so rounding, follows the batch size).
+    """
+    lead = rows.shape[:-1]
+    n = math.prod(lead)
+    k = rows.shape[-1]
+    blocks = np.zeros((-(-n // ROW_BLOCK), ROW_BLOCK, k))
+    blocks.reshape(-1, k)[:n] = rows.reshape(n, k)
+    out = fn(blocks)
+    return out.reshape(-1, out.shape[-1])[:n].reshape(lead + out.shape[-1:])
+
+
+def _spectral_cube(rows: np.ndarray, synthesis: np.ndarray, basis: np.ndarray,
+                   weight: float) -> np.ndarray:
+    """Projection of the grid cube of each coefficient row."""
+
+    def cube(blocks):
+        grid = blocks @ synthesis
+        return (grid * grid * grid) @ basis
+
+    return _in_row_blocks(rows, cube) * weight
+
+
+def _component_rows(state: np.ndarray) -> np.ndarray:
+    """A two-component state ``(..., 2k)`` as its ``(..., 2, k)`` u and v rows."""
+    return state.reshape(state.shape[:-1] + (2, state.shape[-1] // 2))
 
 
 def make_ginzburg_landau(
@@ -195,8 +223,10 @@ def make_ginzburg_landau(
         raise ModelError("noise_coeffs must be positive, one per forced mode")
     gap = min(1.0, -spectrum[forced_modes])
 
+    synthesis = np.ascontiguousarray(basis.T)
+
     def nonlin(u):
-        return -_spectral_cube(u, basis, weight)
+        return -_spectral_cube(u, synthesis, basis, weight)
 
     return ModelSpec(
         id="ginzburg_landau",
@@ -213,7 +243,7 @@ def make_ginzburg_landau(
             "noise_coeffs": [float(q) for q in noise_coeffs],
         },
         lyapunov_spec=LyapunovSpec(name="l2_norm", norm_domination_c=1.0),
-        aux={"basis": basis, "weight": weight, "laplacian": eigs},
+        aux={"basis": basis, "synthesis": synthesis, "weight": weight, "laplacian": eigs},
     )
 
 
@@ -236,12 +266,12 @@ def make_reaction_diffusion(
     half = modes_per_component
     spectrum = np.concatenate([eigs + 2.0, eigs + 2.0])
 
+    synthesis = np.ascontiguousarray(basis.T)
+
     def nonlin(state):
-        u = state[..., :half]
-        v = state[..., half:]
-        fu = v - _spectral_cube(u, basis, weight)
-        fv = u - _spectral_cube(v, basis, weight)
-        return np.concatenate([fu, fv], axis=-1)
+        # (v - u³, u - v³): both cubes in one call
+        uv = _component_rows(state)
+        return (uv[..., ::-1, :] - _spectral_cube(uv, synthesis, basis, weight)).reshape(state.shape)
 
     return ModelSpec(
         id="reaction_diffusion",
@@ -254,7 +284,7 @@ def make_reaction_diffusion(
         lyapunov_spec=LyapunovSpec(
             name="linf_norm", norm_domination_c=math.sqrt(2.0 * length)
         ),
-        aux={"basis": basis, "weight": weight, "laplacian": eigs},
+        aux={"basis": basis, "synthesis": synthesis, "weight": weight, "laplacian": eigs},
     )
 
 

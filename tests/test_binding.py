@@ -146,6 +146,20 @@ class TestRDBinding:
         expected = (lap[j] - 1.0) * zeta - (du + 3.0 * dv)
         assert rd_binding(x, y, rd)[j] == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("batch", [1, 7, 300])
+    def test_one_stacked_call_equals_two_nonlinearity_calls(self, batch):
+        # the force evaluates F(y) and F(x) in one call on the stacked rows
+        rd = make_reaction_diffusion(modes_per_component=16)
+        half = rd.dim // 2
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, rd.dim))
+        y = x + 0.1 * rng.normal(size=(batch, rd.dim))
+        rho = y - x
+        zeta = rho[..., :half] + 3.0 * rho[..., half:]
+        delta = rd.linear_spectrum * rho + rd.nonlinearity(y) - rd.nonlinearity(x)
+        expected = (rd.aux["laplacian"] - 1.0) * zeta - (delta[..., :half] + 3.0 * delta[..., half:])
+        np.testing.assert_array_equal(rd_binding(x, y, rd), expected)
+
 
 class TestZetaCascade:
     def test_zeta1_is_the_last_undamped_difference(self):

@@ -24,7 +24,7 @@ from asymcouple.estimators import (
     lyapunov_fit,
     mixing_distance_series,
 )
-from asymcouple.models import LyapunovSpec, ModelSpec, make_toy2d
+from asymcouple.models import LyapunovSpec, ModelSpec, lyapunov, make_model, make_toy2d
 
 TOY = make_toy2d()
 
@@ -227,6 +227,14 @@ class TestDualLipschitz:
         assert got == pytest.approx(_lp_oracle(a, b), abs=1e-7)
 
 
+FIT_MODEL_PARAMS = {
+    "toy2d": {},
+    "ginzburg_landau": {"modes": 32},
+    "reaction_diffusion": {"modes_per_component": 16},
+    "chain": {"a_squared": 2.0},
+}
+
+
 class TestLyapunovFit:
     def test_deterministic_linear_flow(self):
         # dx/dt = -x with V = |x|: the one-unit map scales V by e^{-1}
@@ -258,6 +266,27 @@ class TestLyapunovFit:
             samples_per_probe=40, dt=1e-3, seed=8,
         )
         assert fit.k0 == pytest.approx(4.0 * fit.b / (1.0 - fit.a))
+
+    @pytest.mark.parametrize("model_id", list(FIT_MODEL_PARAMS))
+    def test_one_ensemble_equals_the_per_probe_loop(self, model_id):
+        # the fit runs every probe in one ensemble; probe i keeps streams
+        # i*S .. (i+1)*S - 1, so its estimates are those of its own run
+        model = make_model(model_id, **FIT_MODEL_PARAMS[model_id])
+        base = np.linspace(0.5, -0.5, model.dim)
+        probes = [base * s for s in (0.0, 1.0, 3.0)]
+        samples = 5
+        fit = lyapunov_fit(model, probes, samples_per_probe=samples, dt=2e-3, seed=12)
+        v0, means, ses = [], [], []
+        for i, probe in enumerate(probes):
+            ens = run_ensemble(model, probe, samples, units=1, dt=2e-3, seed=12,
+                               stream0=i * samples)
+            values = lyapunov(model, ens.states[-1])
+            v0.append(float(lyapunov(model, probe)))
+            means.append(float(values.mean()))
+            ses.append(float(values.std(ddof=1) / math.sqrt(samples)))
+        assert fit.probe_v == v0
+        assert fit.estimates == means
+        assert fit.standard_errors == ses
 
 
 class TestAxk:

@@ -8,6 +8,7 @@ import pytest
 from asymcouple.binding import chain_vector_field
 from asymcouple.models import (
     ModelError,
+    _in_row_blocks,
     apply_noise,
     chain_k_star,
     drift,
@@ -223,6 +224,13 @@ class TestSpectra:
             assert float(u @ cube) >= -1e-12
 
 
+SPECTRAL = {
+    "gl64": lambda: make_ginzburg_landau(modes=64),
+    "gl32": lambda: make_ginzburg_landau(modes=32),
+    "rd16": lambda: make_reaction_diffusion(modes_per_component=16),
+}
+
+
 def dense_cube(u, model):
     """The pseudo-spectral cube by plain matmuls and ``**3``: the slow oracle."""
     basis, weight = model.aux["basis"], model.aux["weight"]
@@ -235,15 +243,7 @@ def assert_close_to_scale(actual, expected, rel=1e-12):
 
 
 @pytest.mark.parametrize("batch", [1, 7, 300])
-@pytest.mark.parametrize(
-    "factory",
-    [
-        lambda: make_ginzburg_landau(modes=64),
-        lambda: make_ginzburg_landau(modes=32),
-        lambda: make_reaction_diffusion(modes_per_component=16),
-    ],
-    ids=["gl64", "gl32", "rd16"],
-)
+@pytest.mark.parametrize("factory", list(SPECTRAL.values()), ids=list(SPECTRAL))
 def test_spectral_transforms_match_the_dense_oracle(factory, batch):
     model = factory()
     state = np.random.default_rng(batch).normal(size=(batch, model.dim))
@@ -257,6 +257,23 @@ def test_spectral_transforms_match_the_dense_oracle(factory, batch):
     basis = model.aux["basis"]
     sup = np.abs(u @ basis.T).max(axis=-1) + np.abs(v @ basis.T).max(axis=-1)
     assert_close_to_scale(lyapunov(model, state), sup)
+
+
+@pytest.mark.parametrize("offset", [0, 5])
+@pytest.mark.parametrize("transform", ["synthesis", "projection"])
+@pytest.mark.parametrize("factory", list(SPECTRAL.values()), ids=list(SPECTRAL))
+def test_block_transforms_do_not_depend_on_the_batch(factory, transform, offset):
+    # each row of a batch transformed in blocks equals that row transformed
+    # alone, bit for bit, whatever the batch size and the row's position
+    matrix = factory().aux["synthesis" if transform == "synthesis" else "basis"]
+    rows = np.random.default_rng(offset).normal(size=(offset + 300, matrix.shape[0]))
+    alone = np.array([_in_row_blocks(row, lambda b: b @ matrix) for row in rows])
+    for batch in (1, 2, 7, 8, 9, 17, 300):
+        chunk = rows[offset : offset + batch]
+        np.testing.assert_array_equal(
+            _in_row_blocks(chunk, lambda b: b @ matrix), alone[offset : offset + batch],
+            err_msg=f"batch {batch}",
+        )
 
 
 def test_make_model_dispatch():
