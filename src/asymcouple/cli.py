@@ -57,9 +57,23 @@ def _ensemble_worker(args):
     )
 
 
-def _run_ensemble_jobs(cfg: ExperimentConfig, x0, y0, record_every):
-    """Dispatch ensemble members to a worker pool; members are indexed by
-    noise stream so the merged result is independent of the schedule."""
+def _shared_units(cfg: ExperimentConfig) -> int:
+    """Length of the run's one ensemble: the longest horizon that the
+    plot data or a switched-on estimator reads."""
+    units = [cfg.units]
+    if cfg.estimator("axk"):
+        units.append(cfg.estimator("axk_horizon") + 1)
+    if cfg.estimator("density"):
+        units.append(max(cfg.estimator("density_horizons")) + 1)
+    if cfg.estimator("mixing"):
+        units.append(max(cfg.estimator("mixing_times")))
+    return max(units)
+
+
+def _run_ensemble_jobs(cfg: ExperimentConfig, x0, y0, coupled: bool):
+    """Integrate the run's one ensemble, streams ``0..n-1`` from ``(x0, y0)``
+    over ``_shared_units``, on a worker pool; members are indexed by noise
+    stream so the merged result is independent of the schedule."""
     n = cfg.ensemble
     jobs = min(cfg.jobs, n)
     bounds = np.linspace(0, n, jobs + 1).astype(int)
@@ -70,12 +84,12 @@ def _run_ensemble_jobs(cfg: ExperimentConfig, x0, y0, record_every):
             x0,
             y0,
             int(hi - lo),
-            cfg.units,
+            _shared_units(cfg),
             cfg.dt,
             cfg.seed,
             int(lo),
-            record_every,
-            cfg.binding,
+            cfg.record_every or None,
+            coupled,
         )
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
@@ -118,16 +132,17 @@ def _write_plot_data(path: Path, cfg, fingerprint, ens):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_estimators(cfg, model, ens, x0, y0, fingerprint) -> EstimatorReport:
+def _run_estimators(cfg, model, plot_ens, shared, x_ens, x0, y0, fingerprint) -> EstimatorReport:
+    """Every estimator that is on, from the run's one ensemble: its first
+    ``units`` units as plotted, the whole of it, and its ``x`` half."""
     report = EstimatorReport(model_id=model.id, config_fingerprint=fingerprint)
-    if isinstance(ens, CoupledEnsembleResult):
-        rho_norm = np.linalg.norm(ens.rho, axis=-1).mean(axis=1)
+    if isinstance(plot_ens, CoupledEnsembleResult):
+        rho_norm = np.linalg.norm(plot_ens.rho, axis=-1).mean(axis=1)
         if cfg.estimator("contraction") and np.all(rho_norm > 0):
-            report.contraction = asdict(est.fit_contraction(list(zip(ens.times, rho_norm))))
+            report.contraction = asdict(est.fit_contraction(list(zip(plot_ens.times, rho_norm))))
     if cfg.estimator("mixing"):
         report.distances = est.mixing_distance_series(
-            model, x0, cfg.mixing_alt_x0(model), n_side=cfg.ensemble,
-            times=cfg.estimator("mixing_times"), dt=cfg.dt, seed=cfg.seed,
+            model, x_ens, cfg.mixing_alt_x0(model), cfg.estimator("mixing_times"), seed=cfg.seed,
         )
     if cfg.estimator("lyapunov"):
         base = x0 if np.linalg.norm(x0) > 0 else np.ones(model.dim) / np.sqrt(model.dim)
@@ -137,14 +152,11 @@ def _run_estimators(cfg, model, ens, x0, y0, fingerprint) -> EstimatorReport:
         ))
     if cfg.estimator("axk"):
         report.axk = est.axk_table(
-            model, x0, cfg.estimator("axk_ks"), cfg.estimator("axk_horizon"),
-            n_traj=cfg.ensemble, dt=cfg.dt, seed=cfg.seed,
+            model, x_ens, x0, cfg.estimator("axk_ks"), cfg.estimator("axk_horizon"),
         )
     if cfg.estimator("density"):
-        b = bnd.make_binding(model)
         report.density = asdict(est.density_diagnostics(
-            model, b, x0, y0, cfg.estimator("density_horizons"),
-            n_traj=cfg.ensemble, dt=cfg.dt, seed=cfg.seed,
+            model, shared, x0, y0, cfg.estimator("density_horizons"),
         ))
     return report
 
@@ -182,9 +194,14 @@ def cmd_run(args) -> int:
             ]
         (out_dir / "trajectory.csv").write_text("\n".join(csv_lines) + "\n")
 
-        ens = _run_ensemble_jobs(cfg, x0, y0, cfg.record_every or None)
-        _write_plot_data(out_dir / "plot_data.csv", cfg, fingerprint, ens)
-        report = _run_estimators(cfg, model, ens, x0, y0, fingerprint)
+        # one ensemble serves the plot data and every estimator that starts
+        # at (x0, y0); density needs the bound copy even with binding off
+        coupled = cfg.binding or cfg.estimator("density")
+        shared = _run_ensemble_jobs(cfg, x0, y0, coupled)
+        x_ens = shared.x_half() if coupled else shared
+        plot_ens = (shared if cfg.binding else x_ens).head(cfg.units)
+        _write_plot_data(out_dir / "plot_data.csv", cfg, fingerprint, plot_ens)
+        report = _run_estimators(cfg, model, plot_ens, shared, x_ens, x0, y0, fingerprint)
         report.extras["status"] = "ok"
         report.extras["seed"] = cfg.seed
         (out_dir / "report.json").write_text(report.to_json() + "\n")

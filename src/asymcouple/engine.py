@@ -43,6 +43,10 @@ class BlowUpError(RuntimeError):
         super().__init__(f"blow-up at t={time:.6g}")
         self.time = time
 
+    def __reduce__(self):
+        # rebuild from the time, not the message, when crossing a process pool
+        return type(self), (self.time,)
+
 
 @dataclass
 class NoisePath:
@@ -107,9 +111,37 @@ class CoupledTrajectory:
 
 
 class _PathBatch:
-    """A batch of paths.  Per-path arrays carry the path index on axis 1,
-    or on axis 0 when they hold one value per path; ``times`` and ``dt``
-    are shared by all paths."""
+    """A batch of paths.  Per-path arrays carry the record (for the W sups,
+    the unit interval) on axis 0 and the path on axis 1; ``times`` and
+    ``dt`` are shared by all paths."""
+
+    _UNIT_FIELDS = ("w_sup", "w_sup_x", "w_sup_y")
+
+    @property
+    def records_per_unit(self) -> int:
+        """Records per time unit: rows ``::records_per_unit`` of a
+        per-record field sit at the integer times."""
+        spacing = float(self.times[1]) if len(self.times) > 1 else math.inf
+        per_unit = round(1.0 / spacing)
+        if per_unit < 1 or abs(per_unit * spacing - 1.0) > 1e-9:
+            raise EngineError("records must divide the unit interval")
+        return per_unit
+
+    def head(self, units: int):
+        """The batch over its first ``units`` time units: records up to
+        time ``units`` and the W sups of those intervals.  Integration is
+        sequential, so this is bit for bit the shorter run."""
+        if units > round(float(self.times[-1])):
+            raise EngineError(f"the batch ends at t={float(self.times[-1]):g}, before {units}")
+        stop = units * self.records_per_unit + 1
+        cut = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name == "dt" or value is None:
+                cut[field.name] = value
+            else:
+                cut[field.name] = value[:units] if field.name in self._UNIT_FIELDS else value[:stop]
+        return type(self)(**cut)
 
     @classmethod
     def concat(cls, parts):
@@ -120,8 +152,7 @@ class _PathBatch:
             if field.name in ("times", "dt") or value is None:
                 merged[field.name] = value
             else:
-                axis = 1 if value.ndim > 1 else 0
-                merged[field.name] = np.concatenate([getattr(p, field.name) for p in parts], axis=axis)
+                merged[field.name] = np.concatenate([getattr(p, field.name) for p in parts], axis=1)
         return cls(**merged)
 
 
@@ -142,13 +173,17 @@ class CoupledEnsembleResult(_PathBatch):
     log_density: np.ndarray   # (records, n_traj)
     w_sup_x: np.ndarray       # (units, n_traj)
     w_sup_y: np.ndarray
-    g_l2: np.ndarray          # (n_traj,)
-    overflow: np.ndarray      # (n_traj,) bool
+    g_l2: np.ndarray          # (records, n_traj) running sum of ||G||² dt
+    overflow: np.ndarray      # (records, n_traj) bool, sticky
     dt: float
 
     @property
     def y(self) -> np.ndarray:
         return self.x + self.rho
+
+    def x_half(self) -> EnsembleResult:
+        """The ``x`` paths alone: bit for bit the uncoupled run on the same streams."""
+        return EnsembleResult(times=self.times, states=self.x, w_sup=self.w_sup_x, dt=self.dt)
 
 
 class _Scheme:
@@ -186,7 +221,8 @@ def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, 
     Always steps ``x`` under the increments.  Given a binding it also
     steps the difference ``rho`` from ``rho0`` with the binding drift and
     tracks the Girsanov log weight, ``||G||²``, the overflow flag,
-    ``zeta`` and the W sups of ``y``.  Returns ``(result, g_path)``: an
+    ``zeta`` and the W sups of ``y``; the weight, ``||G||²`` and the flag
+    are recorded as of each record.  Returns ``(result, g_path)``: an
     :class:`EnsembleResult` or a :class:`CoupledEnsembleResult`, and the
     left-point force ``(steps, n, n_noise)`` if ``record_force``, else None.
     """
@@ -218,6 +254,8 @@ def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, 
         rho_records = [rho.copy()]
         zeta_records = [zeta_fn(x, y)] if zeta_fn is not None else None
         logdens_records = [log_density.copy()]
+        g_l2_records = [g_l2.copy()]
+        overflow_records = [overflow.copy()]
         g_records = [] if record_force else None
         vy = lyapunov(model, y)
         wy_cur = vy.copy()
@@ -268,6 +306,8 @@ def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, 
                 if coupled:
                     rho_records.append(rho.copy())
                     logdens_records.append(log_density.copy())
+                    g_l2_records.append(g_l2.copy())
+                    overflow_records.append(overflow.copy())
                     if zeta_records is not None:
                         zeta_records.append(zeta_fn(x, y))
 
@@ -284,8 +324,8 @@ def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, 
         log_density=np.array(logdens_records),
         w_sup_x=w_sup_x,
         w_sup_y=np.array(w_sup_y).reshape(-1, n),
-        g_l2=g_l2,
-        overflow=overflow,
+        g_l2=np.array(g_l2_records),
+        overflow=np.array(overflow_records),
         dt=dt,
     )
     return result, np.array(g_records) if g_records is not None else None
@@ -347,7 +387,8 @@ def integrate_coupled(
         w_sup_x=ens.w_sup_x[:, 0],
         w_sup_y=ens.w_sup_y[:, 0],
         girsanov=GirsanovAccumulator(
-            log_density=float(ens.log_density[-1, 0]), g_l2=float(ens.g_l2[0]), overflow=bool(ens.overflow[0])
+            log_density=float(ens.log_density[-1, 0]), g_l2=float(ens.g_l2[-1, 0]),
+            overflow=bool(ens.overflow[-1, 0]),
         ),
         g_path=g_path[:, 0, :] if g_path is not None else None,
         dt=noise.dt,

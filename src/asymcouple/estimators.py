@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .binding import BindingSpec
-from .engine import run_coupled_ensemble, run_ensemble
+from .engine import CoupledEnsembleResult, EnsembleResult, run_ensemble
 from .models import ModelSpec, lyapunov
 
 
@@ -246,16 +246,15 @@ def lyapunov_fit(
 
 def axk_table(
     model: ModelSpec,
+    ens: EnsembleResult,
     x0: np.ndarray,
     ks: Sequence[float],
     horizon: int,
-    n_traj: int,
-    dt: float = 1e-3,
-    seed: int = 0,
-    stream0: int = 0,
 ) -> list[dict]:
     """Empirical frequency of the event that the per-unit-interval sup of V
-    stays below ``k (V(x0) + n²)`` for every interval ``n = 1..horizon``.
+    stays below ``k (V(x0) + n²)`` for every interval ``n = 1..horizon``,
+    read from an ensemble started at ``x0`` that covers ``horizon + 1``
+    units.
 
     One ensemble is shared across all ``k`` (the events are nested, so
     the frequencies are monotone in ``k`` by construction).  The bound
@@ -266,10 +265,9 @@ def axk_table(
         raise EstimatorError("horizon must be non-negative")
     if horizon == 0:
         return [{"k": float(k), "frequency": 1.0, "bound": 1.0} for k in ks]
-    ens = run_ensemble(model, x0, n_traj, units=horizon + 1, dt=dt, seed=seed, stream0=stream0)
     v0 = float(lyapunov(model, x0))
     intervals = np.arange(1, horizon + 1)
-    w = ens.w_sup[1 : horizon + 1]  # (horizon, n_traj)
+    w = ens.head(horizon + 1).w_sup[1:]  # (horizon, n_traj)
     freqs = {}
     for k in ks:
         thresholds = k * (v0 + intervals.astype(float) ** 2)
@@ -300,16 +298,14 @@ class DensityDiagnostics:
 
 def density_diagnostics(
     model: ModelSpec,
-    binding: BindingSpec,
+    ens: CoupledEnsembleResult,
     x0: np.ndarray,
     y0: np.ndarray,
     horizons: Sequence[int],
-    n_traj: int,
-    dt: float = 1e-3,
-    seed: int = 0,
     k_good: float = 20.0,
 ) -> DensityDiagnostics:
-    """Girsanov-weight diagnostics along coupled ensembles.
+    """Girsanov-weight diagnostics along a coupled ensemble started at
+    ``(x0, y0)`` that covers ``max(horizons) + 1`` units.
 
     Per horizon n: the plain mean of the density (a martingale check),
     the mean of density^-2 restricted to the "good" event where the
@@ -318,18 +314,17 @@ def density_diagnostics(
     ``(1 - single-step density at time n)²`` on the good event (this
     should decay); a log-linear rate is fitted to the last column after
     the first three horizons are dropped, where the decay regime starts.
-    Overflowed trajectories are excluded and counted.
+    Trajectories that overflowed by time ``max(horizons) + 1`` are
+    excluded and counted.
     """
     horizons = sorted(int(n) for n in horizons)
     if not horizons or horizons[0] < 1:
         raise EstimatorError("horizons must be positive integers")
     units = horizons[-1] + 1
-    ens = run_coupled_ensemble(
-        model, binding, np.asarray(x0, float), np.asarray(y0, float),
-        n_traj, units=units, dt=dt, seed=seed,
-    )
-    ok = ~ens.overflow
-    n_overflow = int(ens.overflow.sum())
+    ens = ens.head(units)
+    log_density = ens.log_density[:: ens.records_per_unit]  # row n: time n
+    ok = ~ens.overflow[-1]
+    n_overflow = int(ens.overflow[-1].sum())
     if not np.any(ok):
         raise EstimatorError("all trajectories overflowed the density accumulator")
     v_tot = float(lyapunov(model, np.asarray(x0, float)) + lyapunov(model, np.asarray(y0, float)))
@@ -340,15 +335,15 @@ def density_diagnostics(
 
     rows = {k: [] for k in ("md", "se", "inv", "step", "gf")}
     for n in horizons:
-        ld_n = ens.log_density[n][ok]
+        ld_n = log_density[n][ok]
         dens = np.exp(ld_n)
         rows["md"].append(float(dens.mean()))
         rows["se"].append(float(dens.std(ddof=1) / math.sqrt(len(dens))))
         good = good_up_to[n - 1] & ok
         rows["gf"].append(float(good.mean()))
         if np.any(good):
-            rows["inv"].append(float(np.exp(-2.0 * ens.log_density[n][good]).mean()))
-            step = np.exp(ens.log_density[n + 1][good] - ens.log_density[n][good])
+            rows["inv"].append(float(np.exp(-2.0 * log_density[n][good]).mean()))
+            step = np.exp(log_density[n + 1][good] - log_density[n][good])
             rows["step"].append(float(((1.0 - step) ** 2).mean()))
         else:
             rows["inv"].append(float("nan"))
@@ -411,24 +406,25 @@ def binding_growth_exponents(
 
 def mixing_distance_series(
     model: ModelSpec,
-    x0_a: np.ndarray,
+    ens_a: EnsembleResult,
     x0_b: np.ndarray,
-    n_side: int,
     times: Sequence[int],
-    dt: float = 1e-3,
     seed: int = 0,
     cap: int = DL_DEFAULT_CAP,
 ) -> list[dict]:
     """Dual-Lipschitz distance between the laws started at two initial
-    conditions, estimated from independent ensembles (disjoint noise
-    streams) at the requested integer times."""
+    conditions at the requested integer times.  ``ens_a`` is the first
+    start's ensemble, on streams ``0..n-1`` of ``seed``; the second start's
+    runs here on the disjoint streams ``n..2n-1``."""
     times = sorted(int(t) for t in times)
-    units = times[-1]
-    ens_a = run_ensemble(model, np.asarray(x0_a, float), n_side, units, dt, seed, stream0=0)
-    ens_b = run_ensemble(model, np.asarray(x0_b, float), n_side, units, dt, seed, stream0=n_side)
+    n_side = ens_a.states.shape[1]
+    stride = ens_a.records_per_unit
+    states_a = ens_a.head(times[-1]).states[::stride]  # row t: time t
+    ens_b = run_ensemble(model, np.asarray(x0_b, float), n_side, times[-1], ens_a.dt, seed,
+                         stream0=n_side)
     out = []
     for t in times:
-        value = dual_lipschitz_distance(ens_a.states[t], ens_b.states[t], cap=cap, subsample_seed=t)
+        value = dual_lipschitz_distance(states_a[t], ens_b.states[t], cap=cap, subsample_seed=t)
         out.append({"t": float(t), "distance": value, "n_a": n_side, "n_b": n_side})
     return out
 

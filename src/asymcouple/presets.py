@@ -298,16 +298,16 @@ def girsanov_martingale(seed: int = 15) -> PresetOutcome:
         x0 = _pad(x0_head, model.dim)
         y0 = x0 + _pad(off_head, model.dim)
         ens = run_coupled_ensemble(model, binding, x0, y0, 2000, 2, 1e-3, seed, record_every=1000)
-        ok = ~ens.overflow
+        ok = ~ens.overflow[-1]
         dens = np.exp(ens.log_density[-1][ok])
         mean = float(dens.mean())
         se = float(dens.std(ddof=1) / math.sqrt(len(dens)))
         within = abs(mean - 1.0) <= 3.0 * se
         out.add(
             f"mean-density-{name}",
-            within and int(ens.overflow.sum()) == 0,
+            within and int(ens.overflow[-1].sum()) == 0,
             f"mean density {mean:.4f} ± {se:.4f} over {len(dens)} paths "
-            f"({int(ens.overflow.sum())} overflowed)",
+            f"({int(ens.overflow[-1].sum())} overflowed)",
         )
         extras[name] = {"mean": mean, "se": se, "n": int(len(dens))}
     out.report = EstimatorReport(

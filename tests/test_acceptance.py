@@ -12,7 +12,15 @@ import pytest
 
 import asymcouple as ac
 from asymcouple.binding import chain_vector_field, make_binding
-from asymcouple.engine import NoisePath, integrate, integrate_coupled, sample_noise, shift_noise
+from asymcouple.engine import (
+    NoisePath,
+    integrate,
+    integrate_coupled,
+    run_coupled_ensemble,
+    run_ensemble,
+    sample_noise,
+    shift_noise,
+)
 from asymcouple.estimators import axk_table, density_diagnostics, lyapunov_fit
 from asymcouple.measures import (
     DiscreteMeasure,
@@ -170,7 +178,8 @@ def test_criterion_8_diagnostics_suite():
         if x0 is None:
             x0 = np.zeros(model.dim)
             x0[:2] = [0.6, 0.3]
-        rows = axk_table(model, x0, ks=[1e2, 1e3, 1e4], horizon=3, n_traj=2000, dt=2e-3, seed=32)
+        ens = run_ensemble(model, x0, 2000, 4, 2e-3, seed=32)
+        rows = axk_table(model, ens, x0, ks=[1e2, 1e3, 1e4], horizon=3)
         freqs = [r["frequency"] for r in rows]
         assert freqs == sorted(freqs), f"{name}: frequencies not monotone: {freqs}"
         assert freqs[-1] >= 0.99, f"{name}: frequency at k=1e4 is {freqs[-1]:.4f}"
@@ -178,10 +187,9 @@ def test_criterion_8_diagnostics_suite():
 
     # density diagnostics on the toy model
     toy = make_toy2d()
-    diag = density_diagnostics(
-        toy, make_binding(toy), np.array([1.0, 0.5]), np.array([1.3, 0.3]),
-        horizons=list(range(1, 11)), n_traj=2000, dt=2e-3, seed=33,
-    )
+    x0, y0 = np.array([1.0, 0.5]), np.array([1.3, 0.3])
+    ens = run_coupled_ensemble(toy, make_binding(toy), x0, y0, 2000, 11, 2e-3, seed=33)
+    diag = density_diagnostics(toy, ens, x0, y0, horizons=list(range(1, 11)))
     inv = np.array(diag.mean_inv_sq_good)
     bounded = np.mean(inv[-3:]) <= 2.0 * np.mean(inv[:3]) + 0.5
     assert bounded, f"inverse-square column grows: {inv}"

@@ -4,12 +4,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asymcouple.binding import build_zeta_cascade, parse_cascade_dump
 from asymcouple.cli import main
 from asymcouple import config
 from asymcouple.config import ConfigError, load_config
+from asymcouple.engine import BlowUpError, run_ensemble
 from asymcouple.models import make_chain
 
 TOY_CONFIG = """\
@@ -177,19 +179,27 @@ class TestRun:
             assert (tmp_path / "out" / name).read_bytes() == blob
 
     def test_jobs_do_not_change_results(self, tmp_path):
-        # five paths go to three workers as 1 + 2 + 2, so one batch holds a single path
+        # five paths go to three workers as 1 + 2 + 2, so one batch holds a
+        # single path; axk, density and mixing read the one shared ensemble
+        # (3 units, recorded 5 times a unit), which is coupled even with
+        # binding off as long as density is on
         artifacts = ("report.json", "trajectory.csv", "plot_data.csv")
+        shared = ("axk = on\naxk_horizon = 1\ndensity = on\ndensity_horizons = 1 2\n"
+                  "mixing = on\nmixing_times = 1 3\nmixing_alt_x0 = 0.2 0.1\n")
+        cases = (("on", shared), ("off", shared), ("off", ""))
         differ = []
         for model_id, (section, x0, offset) in JOBS_MODELS.items():
-            for binding in ("on", "off"):
+            for binding, estimators in cases:
                 cfg = write_config(tmp_path, offset=offset, binding=binding)
                 text = cfg.read_text().replace("id = toy2d\n", section)
                 text = text.replace("x0 = 1.0 0.5", f"x0 = {x0}").replace("ensemble = 20", "ensemble = 5")
-                cfg.write_text(text)
+                cfg.write_text(text.replace(EST, EST + estimators))
                 main(["run", "--config", str(cfg), "--jobs", "1"])
                 single = {name: (tmp_path / "out" / name).read_bytes() for name in artifacts}
+                report = json.loads(single["report.json"])
+                assert bool(report["density"]) == bool(estimators), (model_id, binding)
                 main(["run", "--config", str(cfg), "--jobs", "3"])
-                differ += [(model_id, binding, name) for name in artifacts
+                differ += [(model_id, binding, bool(estimators), name) for name in artifacts
                            if (tmp_path / "out" / name).read_bytes() != single[name]]
         assert differ == []
 
@@ -226,6 +236,37 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["status"] == "blow_up"
         assert report["time"] > 0
+
+    def test_blow_up_in_a_worker_exits_3(self, tmp_path):
+        # from this start only stream 3 blows up within the unit (about
+        # 0.0026 on either side of its threshold), so the trajectory, on
+        # stream 0, is written and the blow-up happens inside the ensemble
+        model = make_chain(a_squared=5.0)
+        x0 = np.zeros(model.dim)
+        x0[0] = 44.695
+
+        def blows_up(stream):
+            try:
+                run_ensemble(model, x0, 1, 1, 1e-3, seed=1, stream0=stream)
+            except BlowUpError:
+                return True
+            return False
+
+        assert [s for s in range(8) if blows_up(s)] == [3]
+        path = tmp_path / "blow.cfg"
+        path.write_text(
+            "[model]\nid = chain\na_squared = 5.0\n\n"
+            "[run]\ndt = 0.001\nunits = 1\nensemble = 8\nseed = 1\nbinding = off\n"
+            f"x0 = {float(x0[0])!r}\n"
+        )
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", "--config", str(path), "--jobs", jobs, "--out", str(out)]) == 3
+            assert (out / "trajectory.csv").is_file() and not (out / "plot_data.csv").exists()
+            reports.append((out / "report.json").read_bytes())
+        assert json.loads(reports[0])["status"] == "blow_up"
+        assert reports[1] == reports[0]
 
     def test_env_out_override(self, tmp_path, monkeypatch):
         alt = tmp_path / "elsewhere"

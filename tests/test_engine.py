@@ -1,6 +1,7 @@
 """Integrator correctness: exactness, coupling semantics, Girsanov weights."""
 
 import math
+import pickle
 from dataclasses import fields
 from functools import partial
 
@@ -12,6 +13,7 @@ from asymcouple.engine import (
     BlowUpError,
     CoupledEnsembleResult,
     EngineError,
+    EnsembleResult,
     NoisePath,
     girsanov_density,
     integrate,
@@ -89,6 +91,14 @@ class TestSampleNoise:
         with pytest.raises(EngineError):
             sample_noise(TOY, 10, 0.0, seed=1)
 
+    def test_a_shorter_draw_is_a_prefix(self):
+        model = bound_pair("ginzburg_landau")[0]
+        long = sample_noise(model, 1000, 1e-3, seed=9, stream=2).increments
+        assert long.shape == (1000, model.n_noise) and model.n_noise > 1
+        for steps in (0, 1, 37, 500):
+            short = sample_noise(model, steps, 1e-3, seed=9, stream=2).increments
+            np.testing.assert_array_equal(short, long[:steps])
+
 
 class TestIntegrate:
     def test_exact_linear_decay(self):
@@ -129,6 +139,13 @@ class TestIntegrate:
         with pytest.raises(BlowUpError) as err:
             integrate(model, x0, noise)
         assert 0 < err.value.time <= 0.2
+
+    def test_blow_up_survives_a_pickle_round_trip(self):
+        # a process pool sends a worker's exception back pickled
+        err = pickle.loads(pickle.dumps(BlowUpError(0.123)))
+        assert isinstance(err, BlowUpError)
+        assert err.time == 0.123
+        assert str(err) == "blow-up at t=0.123"
 
     def test_record_every_must_divide(self):
         noise = NoisePath(dt=1e-3, increments=np.zeros((1000, 1)))
@@ -219,7 +236,7 @@ class TestGirsanov:
         x0 = np.array([1.0, 0.5])
         y0 = x0 + np.array([0.2, -0.1])
         ens = run_coupled_ensemble(TOY, binding, x0, y0, 2000, 1, 1e-3, seed=11)
-        dens = np.exp(ens.log_density[-1][~ens.overflow])
+        dens = np.exp(ens.log_density[-1][~ens.overflow[-1]])
         se = dens.std(ddof=1) / math.sqrt(len(dens))
         assert abs(dens.mean() - 1.0) <= 3.0 * se
 
@@ -228,7 +245,7 @@ class TestGirsanov:
             model, x0, y0 = bound_pair(model_id)
             binding = make_binding(model)
             ens = run_coupled_ensemble(model, binding, x0, y0, 400, 1, 2e-3, seed=22)
-            dens = np.exp(ens.log_density[-1][~ens.overflow])
+            dens = np.exp(ens.log_density[-1][~ens.overflow[-1]])
             se = dens.std(ddof=1) / math.sqrt(len(dens))
             assert abs(dens.mean() - 1.0) <= 3.0 * se, (
                 f"{model.id}: mean density {dens.mean():.4f} ± {se:.4f}"
@@ -365,28 +382,61 @@ FULL_SIZE = {
 }
 
 
+@pytest.mark.parametrize("model_id", list(BOUND_PAIRS))
+def test_a_shorter_run_is_the_head_of_a_longer_one(model_id):
+    # the run command reads every horizon from one ensemble as long as the
+    # longest: noise draws are sequential, and every per-record field, the
+    # running ||G||² and the sticky overflow flag included, is as of its record
+    model, x0, y0 = bound_pair(model_id)
+    binding = make_binding(model)
+    for record_every in (None, 50):
+        pair = partial(run_coupled_ensemble, model, binding, x0, y0, 3, dt=2e-3, seed=30,
+                       record_every=record_every)
+        single = partial(run_ensemble, model, x0, 3, dt=2e-3, seed=30, record_every=record_every)
+        for run, kind in ((pair, CoupledEnsembleResult), (single, EnsembleResult)):
+            short, head = run(units=1), run(units=3).head(1)
+            for field in fields(kind):
+                np.testing.assert_array_equal(getattr(head, field.name), getattr(short, field.name),
+                                              err_msg=f"record_every={record_every}: {field.name}")
+
+
+def assert_first_paths_equal(joined, whole, where):
+    """Every field of ``joined`` equals that of the first paths of ``whole``."""
+    for field in fields(whole):
+        got, value = getattr(joined, field.name), getattr(whole, field.name)
+        if field.name not in ("times", "dt") and value is not None:
+            value = value[:, : got.shape[1]]
+        np.testing.assert_array_equal(got, value, err_msg=f"{where}: {field.name}")
+
+
 @pytest.mark.parametrize("model_id", list(FULL_SIZE))
 def test_paths_do_not_depend_on_the_batch_they_share(model_id):
     # the --jobs promise rests on this: a path's bits depend only on its
     # start and its noise stream, not on how many paths share its batch.
     # The far start has every component order one or more, so that V(x0),
     # the first W sup, sums terms of mixed size: summed in another order
-    # (a batch copied in Fortran order), it rounds differently.
+    # (a batch copied in Fortran order), it rounds differently.  A coupled
+    # batch of n paths makes 2n-row transforms: 9 and 17 paths cross the
+    # 8-row block and the BLAS gemm blocking.  A lone uncoupled GL path
+    # makes 1-row transforms, which a plain matmul runs as a gemv.
     model, x0, y0 = bound_pair(model_id, FULL_SIZE[model_id]())
     far = 3.0 * np.random.default_rng(3).normal(size=model.dim)
     binding = make_binding(model)
     for start, (a0, b0) in (("near", (x0, y0)), ("far", (far, far + (y0 - x0)))):
         run = partial(run_coupled_ensemble, model, binding, a0, b0, units=1, dt=2e-3, seed=29,
                       record_every=50)
-        whole = run(7)
-        singles = CoupledEnsembleResult.concat([run(1, stream0=i) for i in range(7)])
-        split = CoupledEnsembleResult.concat([run(3), run(4, stream0=3)])
-        for joined in (singles, split):
-            for field in fields(CoupledEnsembleResult):
-                np.testing.assert_array_equal(
-                    getattr(joined, field.name), getattr(whole, field.name),
-                    err_msg=f"{start} start: {field.name}",
-                )
+        whole = run(17)
+        batches = {
+            "1 x 7": CoupledEnsembleResult.concat([run(1, stream0=i) for i in range(7)]),
+            "3 + 4": CoupledEnsembleResult.concat([run(3), run(4, stream0=3)]),
+            "9 + 8": CoupledEnsembleResult.concat([run(9), run(8, stream0=9)]),
+        }
+        for name, joined in batches.items():
+            assert_first_paths_equal(joined, whole, f"{start} start, batches {name}")
+        lone = EnsembleResult.concat([
+            run_ensemble(model, a0, 1, 1, 2e-3, seed=29, stream0=i, record_every=50) for i in range(7)
+        ])
+        assert_first_paths_equal(lone, whole.x_half(), f"{start} start, uncoupled 1 x 7")
         noise = sample_noise(model, 500, 2e-3, seed=29, stream=4)
         traj = integrate_coupled(model, binding, a0, b0, noise, record_every=50)
         for path_field, ens_field in (("x_path", "x"), ("rho_path", "rho"), ("zeta_path", "zeta"),
@@ -396,5 +446,5 @@ def test_paths_do_not_depend_on_the_batch_they_share(model_id):
             expected = member[:, 4] if member is not None else None
             np.testing.assert_array_equal(getattr(traj, path_field), expected,
                                           err_msg=f"{start} start: {path_field}")
-        assert traj.girsanov.g_l2 == whole.g_l2[4]
-        assert traj.girsanov.overflow == whole.overflow[4]
+        assert traj.girsanov.g_l2 == whole.g_l2[-1, 4]
+        assert traj.girsanov.overflow == whole.overflow[-1, 4]

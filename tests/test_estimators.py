@@ -3,14 +3,15 @@ density diagnostics."""
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from asymcouple.binding import make_binding, null_binding
-from asymcouple.engine import run_ensemble
+from asymcouple.binding import BindingSpec, make_binding, null_binding
+from asymcouple.engine import EngineError, run_coupled_ensemble, run_ensemble
 from asymcouple.estimators import (
     DL_DEFAULT_CAP,
     EstimatorError,
@@ -291,41 +292,46 @@ class TestLyapunovFit:
 
 class TestAxk:
     def test_horizon_zero_is_certain(self):
-        rows = axk_table(TOY, np.zeros(2), [1.0], horizon=0, n_traj=10)
+        ens = run_ensemble(TOY, np.zeros(2), 10, 1, 2e-3, seed=8)
+        rows = axk_table(TOY, ens, np.zeros(2), [1.0], horizon=0)
         assert rows[0]["frequency"] == 1.0
 
     def test_monotone_in_k(self):
-        rows = axk_table(
-            TOY, np.array([1.0, 0.5]), ks=[0.5, 2.0, 10.0, 100.0], horizon=2,
-            n_traj=200, dt=2e-3, seed=9,
-        )
+        x0 = np.array([1.0, 0.5])
+        ens = run_ensemble(TOY, x0, 200, 3, 2e-3, seed=9)
+        rows = axk_table(TOY, ens, x0, ks=[0.5, 2.0, 10.0, 100.0], horizon=2)
         freqs = [r["frequency"] for r in rows]
         assert freqs == sorted(freqs)
         assert rows[0]["bound"] == pytest.approx(rows[0]["frequency"])
+        with pytest.raises(EngineError, match="before 4"):
+            axk_table(TOY, ens, x0, ks=[1.0], horizon=3)
 
     def test_large_k_captures_almost_everything(self):
-        rows = axk_table(TOY, np.array([1.0, 0.5]), ks=[1e4], horizon=2, n_traj=300, dt=2e-3, seed=10)
+        x0 = np.array([1.0, 0.5])
+        ens = run_ensemble(TOY, x0, 300, 3, 2e-3, seed=10)
+        rows = axk_table(TOY, ens, x0, ks=[1e4], horizon=2)
         assert rows[0]["frequency"] >= 0.999
+
+
+def _coupled(binding, x0, y0, n_traj, units, seed, record_every=None):
+    return run_coupled_ensemble(TOY, binding, np.asarray(x0, float), np.asarray(y0, float),
+                                n_traj, units, 2e-3, seed, record_every=record_every)
 
 
 class TestDensityDiagnostics:
     def test_null_binding_is_exact(self):
-        diag = density_diagnostics(
-            TOY, null_binding(TOY), np.zeros(2), np.ones(2),
-            horizons=[1, 2, 3], n_traj=50, dt=2e-3, seed=11,
-        )
+        ens = _coupled(null_binding(TOY), np.zeros(2), np.ones(2), 50, 4, seed=11)
+        diag = density_diagnostics(TOY, ens, np.zeros(2), np.ones(2), horizons=[1, 2, 3])
         assert diag.mean_density == [1.0, 1.0, 1.0]
         assert diag.mean_inv_sq_good == [1.0, 1.0, 1.0]
         assert diag.mean_step_dev_sq == [0.0, 0.0, 0.0]
         assert diag.n_overflow == 0
 
     def test_toy_columns_behave(self):
-        binding = make_binding(TOY)
         x0 = np.array([1.0, 0.5])
-        diag = density_diagnostics(
-            TOY, binding, x0, x0 + np.array([0.3, -0.2]),
-            horizons=list(range(1, 9)), n_traj=300, dt=2e-3, seed=12,
-        )
+        y0 = x0 + np.array([0.3, -0.2])
+        ens = _coupled(make_binding(TOY), x0, y0, 300, 9, seed=12)
+        diag = density_diagnostics(TOY, ens, x0, y0, horizons=list(range(1, 9)))
         assert diag.n_overflow == 0
         assert all(gf > 0.5 for gf in diag.good_fraction)
         inv = diag.mean_inv_sq_good
@@ -333,18 +339,38 @@ class TestDensityDiagnostics:
         assert diag.gamma2_hat is not None and diag.gamma2_hat > 0.0
 
     def test_bad_horizons(self):
+        ens = _coupled(null_binding(TOY), np.zeros(2), np.ones(2), 5, 1, seed=0)
         with pytest.raises(EstimatorError):
-            density_diagnostics(TOY, null_binding(TOY), np.zeros(2), np.ones(2),
-                                horizons=[0], n_traj=5)
+            density_diagnostics(TOY, ens, np.zeros(2), np.ones(2), horizons=[0])
+        with pytest.raises(EngineError, match="before 2"):
+            density_diagnostics(TOY, ens, np.zeros(2), np.ones(2), horizons=[1])
+
+    @pytest.mark.parametrize("record_every", [None, 100])
+    def test_longer_run_gives_the_same_diagnostics(self, record_every):
+        # a constant force G = 22 takes G²/2 = 242 per unit off the log
+        # weight, so every path passes |log D| = 700 near t = 2.9: overflows
+        # after the horizon's last unit must not count
+        const = BindingSpec(
+            model_id="toy2d",
+            force=lambda x, y: np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (1,), 22.0),
+        )
+        x0 = np.array([1.0, 0.5])
+        run = partial(_coupled, const, x0, x0, 20, seed=14, record_every=record_every)
+        short, long = run(2), run(4)
+        assert not short.overflow.any() and long.overflow[-1].all()
+        expected = density_diagnostics(TOY, short, x0, x0, horizons=[1])
+        assert density_diagnostics(TOY, long, x0, x0, horizons=[1]) == expected
+        assert expected.n_overflow == 0
 
 
 def test_mixing_series_shape():
-    series = mixing_distance_series(
-        TOY, np.array([1.5, 1.5]), np.array([0.3, 0.3]), n_side=40,
-        times=[1, 2], dt=2e-3, seed=13, cap=40,
-    )
+    x0 = np.array([1.5, 1.5])
+    ens = run_ensemble(TOY, x0, 40, 2, 2e-3, seed=13)
+    series = mixing_distance_series(TOY, ens, np.array([0.3, 0.3]), times=[1, 2], seed=13, cap=40)
     assert [row["t"] for row in series] == [1.0, 2.0]
     assert all(0.0 <= row["distance"] <= 2.0 for row in series)
+    with pytest.raises(EngineError, match="before 3"):
+        mixing_distance_series(TOY, ens, np.array([0.3, 0.3]), times=[3], seed=13)
 
 
 def test_report_json_round_trip():
