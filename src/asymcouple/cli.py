@@ -32,6 +32,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .engine import (
     BlowUpError,
     CoupledEnsembleResult,
+    EnsembleResult,
     integrate,
     integrate_coupled,
     run_coupled_ensemble,
@@ -44,39 +45,56 @@ from .presets import PRESETS, run_preset
 
 
 def _ensemble_worker(args):
-    """Top-level worker so process pools can pickle the job description."""
-    (model_id, params, x0, y0, count, units, dt, seed, stream0, record_every, coupled) = args
+    """Top-level worker so process pools can pickle the job description.
+
+    Integrates ``count`` paths from stream ``stream0`` on: bound pairs over
+    the first ``coupled_units`` units, the ``x`` paths alone after that.
+    Returns the pairs (None when ``coupled_units`` is 0) and the ``x``
+    paths over all ``units``."""
+    (model_id, params, x0, y0, count, coupled_units, units, dt, seed, stream0, record_every,
+     dense_units) = args
     model = models.make_model(model_id, **params)
-    if coupled:
-        b = bnd.make_binding(model)
-        return run_coupled_ensemble(
-            model, b, x0, y0, count, units, dt, seed, stream0=stream0, record_every=record_every
-        )
-    return run_ensemble(
-        model, x0, count, units, dt, seed, stream0=stream0, record_every=record_every
+    records = {"stream0": stream0, "record_every": record_every, "dense_units": dense_units}
+    if not coupled_units:
+        return None, run_ensemble(model, x0, count, units, dt, seed, **records)
+    pairs = run_coupled_ensemble(
+        model, bnd.make_binding(model), x0, y0, count, coupled_units, dt, seed, **records
     )
+    x_ens = pairs.x_half()
+    if units > coupled_units:
+        x_ens = x_ens.then(run_ensemble(
+            model, x_ens.states[-1], count, units - coupled_units, dt, seed,
+            start_unit=coupled_units, **records,
+        ))
+    return pairs, x_ens
 
 
-def _shared_units(cfg: ExperimentConfig) -> int:
-    """Length of the run's one ensemble: the longest horizon that the
-    plot data or a switched-on estimator reads."""
-    units = [cfg.units]
+def _spans(cfg: ExperimentConfig) -> tuple[int, int]:
+    """Units of the run's one ensemble: how long the bound pair is read
+    (by the plot data with binding on, and by density), and how long any
+    reader, the ``x`` paths' included, needs it."""
+    coupled = [cfg.units] if cfg.binding else []
+    if cfg.estimator("density"):
+        coupled.append(max(cfg.estimator("density_horizons")) + 1)
+    units = [cfg.units] + coupled
     if cfg.estimator("axk"):
         units.append(cfg.estimator("axk_horizon") + 1)
-    if cfg.estimator("density"):
-        units.append(max(cfg.estimator("density_horizons")) + 1)
     if cfg.estimator("mixing"):
         units.append(max(cfg.estimator("mixing_times")))
-    return max(units)
+    return max(coupled, default=0), max(units)
 
 
-def _run_ensemble_jobs(cfg: ExperimentConfig, x0, y0, coupled: bool):
+def _run_ensemble_jobs(cfg: ExperimentConfig, x0, y0):
     """Integrate the run's one ensemble, streams ``0..n-1`` from ``(x0, y0)``
-    over ``_shared_units``, on a worker pool; members are indexed by noise
-    stream so the merged result is independent of the schedule."""
+    over the ``_spans``, on a worker pool; members are indexed by noise
+    stream so the merged result is independent of the schedule.  Records
+    are every ``record_every`` steps over the first ``units`` units, which
+    the plot data reads, and once a unit after.  Returns the bound pairs
+    (None when nothing reads them) and the ``x`` paths."""
     n = cfg.ensemble
     jobs = min(cfg.jobs, n)
     bounds = np.linspace(0, n, jobs + 1).astype(int)
+    coupled_units, units = _spans(cfg)
     tasks = [
         (
             cfg.model_id,
@@ -84,12 +102,13 @@ def _run_ensemble_jobs(cfg: ExperimentConfig, x0, y0, coupled: bool):
             x0,
             y0,
             int(hi - lo),
-            _shared_units(cfg),
+            coupled_units,
+            units,
             cfg.dt,
             cfg.seed,
             int(lo),
             cfg.record_every or None,
-            coupled,
+            cfg.units,
         )
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
@@ -99,7 +118,9 @@ def _run_ensemble_jobs(cfg: ExperimentConfig, x0, y0, coupled: bool):
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_ensemble_worker, tasks))
-    return type(results[0]).concat(results)
+    pairs, x_parts = zip(*results)
+    return (CoupledEnsembleResult.concat(pairs) if coupled_units else None,
+            EnsembleResult.concat(x_parts))
 
 
 def _quantile_rows(times, values):
@@ -132,9 +153,9 @@ def _write_plot_data(path: Path, cfg, fingerprint, ens):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_estimators(cfg, model, plot_ens, shared, x_ens, x0, y0, fingerprint) -> EstimatorReport:
+def _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, y0, fingerprint) -> EstimatorReport:
     """Every estimator that is on, from the run's one ensemble: its first
-    ``units`` units as plotted, the whole of it, and its ``x`` half."""
+    ``units`` units as plotted, its bound pairs and its ``x`` paths."""
     report = EstimatorReport(model_id=model.id, config_fingerprint=fingerprint)
     if isinstance(plot_ens, CoupledEnsembleResult):
         rho_norm = np.linalg.norm(plot_ens.rho, axis=-1).mean(axis=1)
@@ -156,7 +177,7 @@ def _run_estimators(cfg, model, plot_ens, shared, x_ens, x0, y0, fingerprint) ->
         )
     if cfg.estimator("density"):
         report.density = asdict(est.density_diagnostics(
-            model, shared, x0, y0, cfg.estimator("density_horizons"),
+            model, pairs, x0, y0, cfg.estimator("density_horizons"),
         ))
     return report
 
@@ -196,12 +217,10 @@ def cmd_run(args) -> int:
 
         # one ensemble serves the plot data and every estimator that starts
         # at (x0, y0); density needs the bound copy even with binding off
-        coupled = cfg.binding or cfg.estimator("density")
-        shared = _run_ensemble_jobs(cfg, x0, y0, coupled)
-        x_ens = shared.x_half() if coupled else shared
-        plot_ens = (shared if cfg.binding else x_ens).head(cfg.units)
+        pairs, x_ens = _run_ensemble_jobs(cfg, x0, y0)
+        plot_ens = (pairs if cfg.binding else x_ens).head(cfg.units)
         _write_plot_data(out_dir / "plot_data.csv", cfg, fingerprint, plot_ens)
-        report = _run_estimators(cfg, model, plot_ens, shared, x_ens, x0, y0, fingerprint)
+        report = _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, y0, fingerprint)
         report.extras["status"] = "ok"
         report.extras["seed"] = cfg.seed
         (out_dir / "report.json").write_text(report.to_json() + "\n")

@@ -110,22 +110,28 @@ class CoupledTrajectory:
         return self.x_path + self.rho_path
 
 
+# times closer than this are one time; records are at least one step apart
+_TIME_TOL = 1e-9
+
+
 class _PathBatch:
     """A batch of paths.  Per-path arrays carry the record (for the W sups,
     the unit interval) on axis 0 and the path on axis 1; ``times`` and
-    ``dt`` are shared by all paths."""
+    ``dt`` are shared by all paths.  Records may be denser over the first
+    units than over the rest."""
 
     _UNIT_FIELDS = ("w_sup", "w_sup_x", "w_sup_y")
 
-    @property
-    def records_per_unit(self) -> int:
-        """Records per time unit: rows ``::records_per_unit`` of a
-        per-record field sit at the integer times."""
-        spacing = float(self.times[1]) if len(self.times) > 1 else math.inf
-        per_unit = round(1.0 / spacing)
-        if per_unit < 1 or abs(per_unit * spacing - 1.0) > 1e-9:
-            raise EngineError("records must divide the unit interval")
-        return per_unit
+    def _take(self, rows, units=None):
+        """The records at ``rows`` and the W sups of the first ``units`` intervals."""
+        cut = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name == "dt" or value is None:
+                cut[field.name] = value
+            else:
+                cut[field.name] = value[:units] if field.name in self._UNIT_FIELDS else value[rows]
+        return type(self)(**cut)
 
     def head(self, units: int):
         """The batch over its first ``units`` time units: records up to
@@ -133,15 +139,31 @@ class _PathBatch:
         sequential, so this is bit for bit the shorter run."""
         if units > round(float(self.times[-1])):
             raise EngineError(f"the batch ends at t={float(self.times[-1]):g}, before {units}")
-        stop = units * self.records_per_unit + 1
-        cut = {}
+        stop = int(np.searchsorted(self.times, units + _TIME_TOL, side="right"))
+        return self._take(slice(stop), units)
+
+    def at_units(self):
+        """The batch at the integer times alone: record ``t`` is time ``t``."""
+        rows = np.flatnonzero(np.abs(self.times - np.rint(self.times)) < _TIME_TOL)
+        if not np.array_equal(np.rint(self.times[rows]), np.arange(len(rows))):
+            raise EngineError("records must include every integer time")
+        return self._take(rows)
+
+    def then(self, later):
+        """This batch followed by ``later``, a run of the same paths from
+        this batch's last record on: the record they share is kept once."""
+        if abs(float(later.times[0]) - float(self.times[-1])) > _TIME_TOL:
+            raise EngineError("the later batch must start at this batch's last record")
+        joined = {}
         for field in fields(self):
             value = getattr(self, field.name)
             if field.name == "dt" or value is None:
-                cut[field.name] = value
+                joined[field.name] = value
             else:
-                cut[field.name] = value[:units] if field.name in self._UNIT_FIELDS else value[:stop]
-        return type(self)(**cut)
+                more = getattr(later, field.name)
+                more = more if field.name in self._UNIT_FIELDS else more[1:]
+                joined[field.name] = np.concatenate([value, more])
+        return type(self)(**joined)
 
     @classmethod
     def concat(cls, parts):
@@ -214,20 +236,47 @@ def _check_record(steps: int, record_every: int):
         )
 
 
-def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, rho0=None,
+def _uniform_records(steps: int, record_every: int, dt: float):
+    """Record steps and times of a path recorded every ``record_every`` steps."""
+    _check_record(steps, record_every)
+    index = np.arange(steps // record_every + 1)
+    return index * record_every, index * (record_every * dt)
+
+
+def _ensemble_records(spu: int, dt: float, start_unit: int, units: int, record_every: int,
+                      dense_units: int):
+    """Record steps, counted from time ``start_unit``, and record times of
+    a run from ``start_unit`` over ``units`` units: every ``record_every``
+    steps up to time ``dense_units``, once a unit after."""
+    _check_record(spu, record_every)
+    per_unit = spu // record_every
+    end = start_unit + units
+    dense_end = min(max(dense_units, start_unit), end)
+    dense = np.arange(start_unit * per_unit, dense_end * per_unit + 1)
+    tail = np.arange(dense_end + 1, end + 1)
+    steps = np.concatenate([dense * record_every, tail * spu]) - start_unit * spu
+    return steps, np.concatenate([dense * (record_every * dt), tail * (spu * dt)])
+
+
+def _integrate_batch(model, scheme, x0, increments, records, binding=None, rho0=None,
                      record_force=False):
     """The batch stepper.
 
-    Always steps ``x`` under the increments.  Given a binding it also
-    steps the difference ``rho`` from ``rho0`` with the binding drift and
-    tracks the Girsanov log weight, ``||G||²``, the overflow flag,
-    ``zeta`` and the W sups of ``y``; the weight, ``||G||²`` and the flag
-    are recorded as of each record.  Returns ``(result, g_path)``: an
+    Always steps ``x`` under the increments, recording at the steps and
+    times ``records`` (step 0 and the last step among them).  Given a
+    binding it also steps the difference ``rho`` from ``rho0`` with the
+    binding drift and tracks the Girsanov log weight, ``||G||²``, the
+    overflow flag, ``zeta`` and the W sups of ``y``; the weight,
+    ``||G||²`` and the flag are recorded as of each record.  Returns ``(result, g_path)``: an
     :class:`EnsembleResult` or a :class:`CoupledEnsembleResult`, and the
     left-point force ``(steps, n, n_noise)`` if ``record_force``, else None.
     """
     steps = increments.shape[0]
-    _check_record(steps, record_every)
+    record_steps, times = records
+    if record_steps[0] != 0 or record_steps[-1] != steps:
+        raise EngineError("records must start at step 0 and end at the last step")
+    next_records = iter(int(s) for s in record_steps[1:])
+    next_record = next(next_records, None)
     spu = _steps_per_unit(scheme)
     e, w1, wn, dt = scheme.exp_factor, scheme.w1, scheme.w_noise, scheme.dt
     f = model.nonlinearity
@@ -301,7 +350,8 @@ def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, 
                 if coupled:
                     w_sup_y.append(wy_cur)
                     wy_cur = vy.copy()
-            if (step + 1) % record_every == 0:
+            if step + 1 == next_record:
+                next_record = next(next_records, None)
                 x_records.append(x.copy())
                 if coupled:
                     rho_records.append(rho.copy())
@@ -311,7 +361,6 @@ def _integrate_batch(model, scheme, x0, increments, record_every, binding=None, 
                     if zeta_records is not None:
                         zeta_records.append(zeta_fn(x, y))
 
-    times = np.arange(len(x_records)) * (record_every * dt)
     # reshape keeps the path axis when no unit interval completed
     w_sup_x = np.array(w_sup_x).reshape(-1, n)
     if not coupled:
@@ -345,7 +394,8 @@ def integrate(model: ModelSpec, x0: np.ndarray, noise: NoisePath, record_every: 
     x0 = np.asarray(x0, dtype=float)
     _check_path_inputs(model, noise, x0)
     ens, _ = _integrate_batch(
-        model, _Scheme(model, noise.dt), x0[None, :], noise.increments[:, None, :], record_every
+        model, _Scheme(model, noise.dt), x0[None, :], noise.increments[:, None, :],
+        _uniform_records(noise.steps, record_every, noise.dt),
     )
     return Trajectory(times=ens.times, states=ens.states[:, 0, :], w_sup=ens.w_sup[:, 0], dt=noise.dt)
 
@@ -373,7 +423,7 @@ def integrate_coupled(
         _Scheme(model, noise.dt),
         x0[None, :],
         noise.increments[:, None, :],
-        record_every,
+        _uniform_records(noise.steps, record_every, noise.dt),
         binding,
         (y0 - x0)[None, :],
         record_force,
@@ -429,12 +479,14 @@ def _chunks(n_traj: int, steps: int, n_noise: int):
         start = stop
 
 
-def _stack_noise(model, steps, dt, seed, streams):
-    cols = [sample_noise(model, steps, dt, seed, s).increments for s in streams]
+def _stack_noise(model, steps, dt, seed, streams, skip=0):
+    """The streams' increments from step ``skip`` on, ``steps`` of them."""
+    cols = [sample_noise(model, skip + steps, dt, seed, s).increments[skip:] for s in streams]
     return np.stack(cols, axis=1)  # (steps, n_chunk, n_noise)
 
 
-def _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, binding=None, y0=None):
+def _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
+                 start_unit=0, binding=None, y0=None):
     """Integrate ``n_traj`` paths in chunks that bound the noise memory,
     path ``i`` on noise stream ``stream0 + i``, and join the chunks."""
     if n_traj < 1:
@@ -442,18 +494,19 @@ def _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, bind
     scheme = _Scheme(model, dt)
     spu = _steps_per_unit(scheme)
     steps = units * spu
-    if record_every is None:
-        record_every = spu
+    records = _ensemble_records(spu, dt, start_unit, units, record_every or spu,
+                                units + start_unit if dense_units is None else dense_units)
     x0 = np.asarray(x0, dtype=float)
     xs = np.broadcast_to(x0, (n_traj, model.dim))
     rhos = None
     if binding is not None:
         rhos = np.broadcast_to(np.asarray(y0, dtype=float) - x0, (n_traj, model.dim))
     parts = []
-    for lo, hi in _chunks(n_traj, steps, model.n_noise):
-        incr = _stack_noise(model, steps, dt, seed, range(stream0 + lo, stream0 + hi))
+    for lo, hi in _chunks(n_traj, start_unit * spu + steps, model.n_noise):
+        incr = _stack_noise(model, steps, dt, seed, range(stream0 + lo, stream0 + hi),
+                            skip=start_unit * spu)
         rho0 = rhos[lo:hi] if rhos is not None else None
-        part, _ = _integrate_batch(model, scheme, xs[lo:hi], incr, record_every, binding, rho0)
+        part, _ = _integrate_batch(model, scheme, xs[lo:hi], incr, records, binding, rho0)
         parts.append(part)
     return type(parts[0]).concat(parts)
 
@@ -467,13 +520,21 @@ def run_ensemble(
     seed: int,
     stream0: int = 0,
     record_every: int | None = None,
+    dense_units: int | None = None,
+    start_unit: int = 0,
 ) -> EnsembleResult:
     """Integrate ``n_traj`` independent paths from ``x0`` for ``units``
     time units; trajectory ``i`` uses noise stream ``stream0 + i``.
 
     ``x0`` is one start ``(dim,)`` shared by every path, or one start per
-    path ``(n_traj, dim)``."""
-    return _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every)
+    path ``(n_traj, dim)``.  States are recorded every ``record_every``
+    steps (once a unit if None) up to time ``dense_units`` (the end if
+    None) and once a unit after.  With ``start_unit`` the paths start at
+    that time: they take their streams' noise from there on, so a run
+    continued from the last record of an earlier run over ``start_unit``
+    units carries on as one longer run would."""
+    return _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
+                        start_unit)
 
 
 def run_coupled_ensemble(
@@ -487,13 +548,16 @@ def run_coupled_ensemble(
     seed: int,
     stream0: int = 0,
     record_every: int | None = None,
+    dense_units: int | None = None,
 ) -> CoupledEnsembleResult:
     """Integrate ``n_traj`` bound pairs from ``(x0, y0)`` for ``units``
     time units; pair ``i`` uses noise stream ``stream0 + i``.
 
     ``x0`` and ``y0`` are each one start ``(dim,)`` shared by every pair,
-    or one start per pair ``(n_traj, dim)``."""
-    return _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, binding, y0)
+    or one start per pair ``(n_traj, dim)``.  Records are kept as for
+    :func:`run_ensemble`."""
+    return _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
+                        binding=binding, y0=y0)
 
 # -- trajectory CSV -------------------------------------------------------------
 

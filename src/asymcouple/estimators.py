@@ -321,8 +321,8 @@ def density_diagnostics(
     if not horizons or horizons[0] < 1:
         raise EstimatorError("horizons must be positive integers")
     units = horizons[-1] + 1
-    ens = ens.head(units)
-    log_density = ens.log_density[:: ens.records_per_unit]  # row n: time n
+    ens = ens.head(units).at_units()
+    log_density = ens.log_density  # row n: time n
     ok = ~ens.overflow[-1]
     n_overflow = int(ens.overflow[-1].sum())
     if not np.any(ok):
@@ -418,8 +418,7 @@ def mixing_distance_series(
     runs here on the disjoint streams ``n..2n-1``."""
     times = sorted(int(t) for t in times)
     n_side = ens_a.states.shape[1]
-    stride = ens_a.records_per_unit
-    states_a = ens_a.head(times[-1]).states[::stride]  # row t: time t
+    states_a = ens_a.head(times[-1]).at_units().states  # row t: time t
     ens_b = run_ensemble(model, np.asarray(x0_b, float), n_side, times[-1], ens_a.dt, seed,
                          stream0=n_side)
     out = []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from asymcouple.binding import build_zeta_cascade, parse_cascade_dump
-from asymcouple.cli import main
+from asymcouple.cli import _run_ensemble_jobs, main
 from asymcouple import config
 from asymcouple.config import ConfigError, load_config
 from asymcouple.engine import BlowUpError, run_ensemble
@@ -180,17 +180,21 @@ class TestRun:
 
     def test_jobs_do_not_change_results(self, tmp_path):
         # five paths go to three workers as 1 + 2 + 2, so one batch holds a
-        # single path; axk, density and mixing read the one shared ensemble
-        # (3 units, recorded 5 times a unit), which is coupled even with
-        # binding off as long as density is on
+        # single path.  axk, density and mixing read the one shared ensemble,
+        # recorded 5 times a unit over the plotted units and once a unit
+        # after.  With binding on it is coupled over 3 units (density), then
+        # the x paths go on alone to 4 (mixing); with binding off and
+        # density on, coupled over 2, then alone over the third plotted unit
+        # and the fourth
         artifacts = ("report.json", "trajectory.csv", "plot_data.csv")
-        shared = ("axk = on\naxk_horizon = 1\ndensity = on\ndensity_horizons = 1 2\n"
-                  "mixing = on\nmixing_times = 1 3\nmixing_alt_x0 = 0.2 0.1\n")
-        cases = (("on", shared), ("off", shared), ("off", ""))
+        mixing = "mixing = on\nmixing_times = 1 4\nmixing_alt_x0 = 0.2 0.1\naxk = on\naxk_horizon = 1\n"
+        cases = (("on", 2, "density = on\ndensity_horizons = 1 2\n" + mixing),
+                 ("off", 3, "density = on\ndensity_horizons = 1\n" + mixing),
+                 ("off", 2, ""))
         differ = []
         for model_id, (section, x0, offset) in JOBS_MODELS.items():
-            for binding, estimators in cases:
-                cfg = write_config(tmp_path, offset=offset, binding=binding)
+            for binding, units, estimators in cases:
+                cfg = write_config(tmp_path, offset=offset, binding=binding, units=units)
                 text = cfg.read_text().replace("id = toy2d\n", section)
                 text = text.replace("x0 = 1.0 0.5", f"x0 = {x0}").replace("ensemble = 20", "ensemble = 5")
                 cfg.write_text(text.replace(EST, EST + estimators))
@@ -202,6 +206,37 @@ class TestRun:
                 differ += [(model_id, binding, bool(estimators), name) for name in artifacts
                            if (tmp_path / "out" / name).read_bytes() != single[name]]
         assert differ == []
+
+    @pytest.mark.parametrize("binding, units, estimators, pair_units, x_units", [
+        ("on", 1, "density = on\ndensity_horizons = 1 2 3\n", 4, 4),
+        ("on", 1, "axk = on\naxk_horizon = 4\nmixing = on\nmixing_times = 1 3\n"
+                  "mixing_alt_x0 = 0.2 0.1\n", 1, 5),
+        ("off", 3, "density = on\ndensity_horizons = 1\n", 2, 3),
+        ("off", 1, "axk = on\naxk_horizon = 2\n", 0, 3),
+    ], ids=["density-longest", "binding-then-x", "density-then-x", "x-only"])
+    def test_one_ensemble_couples_and_records_only_what_is_read(
+            self, tmp_path, binding, units, estimators, pair_units, x_units):
+        # the pair is bound only as long as the plot (binding on) or density
+        # reads it; the x paths run as long as any reader needs; records are
+        # every step over the plotted units and once a unit after, so the
+        # record memory does not grow with the estimators' horizons
+        path = write_config(tmp_path, binding=binding, units=units, record_every=1)
+        text = path.read_text().replace("ensemble = 20", "ensemble = 2")
+        path.write_text(text.replace(EST, EST + estimators))
+        cfg = load_config(path)
+        pairs, x_ens = _run_ensemble_jobs(cfg, *cfg.initial_conditions(cfg.build_model()))
+
+        def record_count(span):
+            return 500 * min(units, span) + max(span - units, 0) + 1
+
+        assert x_ens.times[-1] == pytest.approx(x_units)
+        assert x_ens.states.shape[:2] == (record_count(x_units), 2)
+        if not pair_units:
+            assert pairs is None
+            return
+        assert pairs.times[-1] == pytest.approx(pair_units)
+        assert pairs.rho.shape[:2] == (record_count(pair_units), 2)
+        np.testing.assert_array_equal(pairs.x, x_ens.head(pair_units).states)
 
     @pytest.mark.parametrize("binding", ["on", "off"])
     def test_trajectory_fields_are_floats(self, tmp_path, binding):

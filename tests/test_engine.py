@@ -400,6 +400,41 @@ def test_a_shorter_run_is_the_head_of_a_longer_one(model_id):
                                               err_msg=f"record_every={record_every}: {field.name}")
 
 
+def assert_batches_equal(got, expected, where):
+    """Every field equal bit for bit, but the times, which may be summed
+    in another order."""
+    for field in fields(expected):
+        value = getattr(expected, field.name)
+        if field.name == "times":
+            np.testing.assert_allclose(got.times, value, rtol=0, atol=1e-12, err_msg=where)
+        else:
+            np.testing.assert_array_equal(getattr(got, field.name), value,
+                                          err_msg=f"{where}: {field.name}")
+
+
+@pytest.mark.parametrize("model_id", list(BOUND_PAIRS))
+def test_records_thin_out_and_a_run_continues_from_its_last_record(model_id):
+    # the run command records densely only over the plotted units, and
+    # carries the x paths on uncoupled past the bound pair's last reader
+    model, x0, y0 = bound_pair(model_id)
+    binding = make_binding(model)
+    pair = partial(run_coupled_ensemble, model, binding, x0, y0, 3, dt=2e-3, seed=31,
+                   record_every=50)
+    dense, thin = pair(units=3), pair(units=3, dense_units=1)
+    assert len(thin.times) == 10 + 2 + 1
+    assert_batches_equal(thin.head(1), dense.head(1), "dense head")
+    assert_batches_equal(thin.at_units(), dense.at_units(), "unit records")
+    assert_batches_equal(run_ensemble(model, x0, 3, 3, 2e-3, seed=31), dense.x_half().at_units(),
+                         "a run recorded once a unit")
+    for couple_units in (1, 2):
+        head = pair(units=couple_units, dense_units=1).x_half()
+        later = run_ensemble(model, head.states[-1], 3, 3 - couple_units, 2e-3, seed=31,
+                             record_every=50, dense_units=1, start_unit=couple_units)
+        assert_batches_equal(head.then(later), thin.x_half(), f"continued at {couple_units}")
+    with pytest.raises(EngineError, match="last record"):
+        thin.x_half().then(later)
+
+
 def assert_first_paths_equal(joined, whole, where):
     """Every field of ``joined`` equals that of the first paths of ``whole``."""
     for field in fields(whole):
