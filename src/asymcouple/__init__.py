@@ -22,12 +22,8 @@ from .binding import (
 )
 from .engine import (
     BlowUpError,
-    CoupledTrajectory,
     EngineError,
-    GirsanovAccumulator,
     NoisePath,
-    Trajectory,
-    girsanov_density,
     integrate,
     integrate_coupled,
     run_coupled_ensemble,

@@ -130,7 +130,7 @@ def _quantile_rows(times, values):
         yield [t, mean[i], qs[0, i], qs[1, i], qs[2, i]]
 
 
-def _write_plot_data(path: Path, cfg, fingerprint, ens):
+def _write_plot_data(path: Path, model, fingerprint, ens):
     lines = []
     if isinstance(ens, CoupledEnsembleResult):
         header = "# t,rho_norm_mean,rho_norm_q10,rho_norm_q50,rho_norm_q90"
@@ -146,7 +146,6 @@ def _write_plot_data(path: Path, cfg, fingerprint, ens):
             lines.append(",".join(repr(float(v)) for v in row))
     else:
         lines.append(f"# t,V_mean,V_q10,V_q50,V_q90  [config {fingerprint}]")
-        model = cfg.build_model()
         v = models.lyapunov(model, ens.states)
         for row in _quantile_rows(ens.times, v):
             lines.append(",".join(repr(float(x)) for x in row))
@@ -162,9 +161,11 @@ def _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, y0, fingerprint) -> 
         if cfg.estimator("contraction") and np.all(rho_norm > 0):
             report.contraction = asdict(est.fit_contraction(list(zip(plot_ens.times, rho_norm))))
     if cfg.estimator("mixing"):
-        report.distances = est.mixing_distance_series(
-            model, x_ens, cfg.mixing_alt_x0(model), cfg.estimator("mixing_times"), seed=cfg.seed,
-        )
+        # the second start runs on the streams after the ensemble's
+        times = cfg.estimator("mixing_times")
+        alt = run_ensemble(model, cfg.mixing_alt_x0(model), cfg.ensemble, max(times), cfg.dt,
+                           cfg.seed, stream0=cfg.ensemble)
+        report.distances = est.mixing_distance_series(x_ens, alt, times)
     if cfg.estimator("lyapunov"):
         base = x0 if np.linalg.norm(x0) > 0 else np.ones(model.dim) / np.sqrt(model.dim)
         probes = [base * s for s in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
@@ -204,12 +205,11 @@ def cmd_run(args) -> int:
         noise = sample_noise(model, cfg.units * spu, cfg.dt, cfg.seed, stream=0)
         if cfg.binding:
             b = bnd.make_binding(model)
-            traj = integrate_coupled(model, b, x0, y0, noise, record_every=dense_every,
-                                     record_force=False)
+            traj = integrate_coupled(model, b, x0, y0, noise, record_every=dense_every)
             csv_lines = trajectory_csv_lines(model, traj, fingerprint)
         else:
             traj = integrate(model, x0, noise, record_every=dense_every)
-            v = models.lyapunov(model, traj.states)
+            v = models.lyapunov(model, traj.states[:, 0])
             csv_lines = [f"# t,V_x  [config {fingerprint}]"] + [
                 f"{float(t)!r},{float(val)!r}" for t, val in zip(traj.times, v)
             ]
@@ -219,7 +219,7 @@ def cmd_run(args) -> int:
         # at (x0, y0); density needs the bound copy even with binding off
         pairs, x_ens = _run_ensemble_jobs(cfg, x0, y0)
         plot_ens = (pairs if cfg.binding else x_ens).head(cfg.units)
-        _write_plot_data(out_dir / "plot_data.csv", cfg, fingerprint, plot_ens)
+        _write_plot_data(out_dir / "plot_data.csv", model, fingerprint, plot_ens)
         report = _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, y0, fingerprint)
         report.extras["status"] = "ok"
         report.extras["seed"] = cfg.seed

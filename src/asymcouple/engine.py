@@ -77,39 +77,6 @@ def sample_noise(model: ModelSpec, steps: int, dt: float, seed: int, stream: int
     return NoisePath(dt=dt, increments=increments)
 
 
-@dataclass
-class GirsanovAccumulator:
-    log_density: float
-    g_l2: float
-    overflow: bool
-
-
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray        # (records, dim)
-    w_sup: np.ndarray         # (complete unit intervals,)
-    dt: float
-
-
-@dataclass
-class CoupledTrajectory:
-    times: np.ndarray
-    x_path: np.ndarray        # (records, dim)
-    rho_path: np.ndarray      # (records, dim)
-    zeta_path: np.ndarray | None
-    log_density_path: np.ndarray
-    w_sup_x: np.ndarray
-    w_sup_y: np.ndarray
-    girsanov: GirsanovAccumulator
-    g_path: np.ndarray | None  # (steps, n_noise) left-point binding force
-    dt: float
-
-    @property
-    def y_path(self) -> np.ndarray:
-        return self.x_path + self.rho_path
-
-
 # times closer than this are one time; records are at least one step apart
 _TIME_TOL = 1e-9
 
@@ -229,37 +196,24 @@ def _steps_per_unit(scheme: _Scheme) -> int:
     return scheme.steps_per_unit
 
 
-def _check_record(steps: int, record_every: int):
-    if record_every < 1 or steps % record_every:
-        raise EngineError(
-            f"record_every={record_every} must divide the step count {steps}"
-        )
+def _records(dt: float, record_every: int, stop: int, unit: int | None = None, start: int = 0,
+             dense_stop: int | None = None):
+    """Record steps, counted from step ``start``, and record times of a run
+    over the grid steps ``start..stop``: every ``record_every`` steps up to
+    step ``dense_stop``, every ``unit`` steps after.  ``unit`` (the whole
+    run if None) is a multiple of ``record_every``, and ``start``, ``stop``
+    and ``dense_stop`` (``stop`` if None) are multiples of ``unit``."""
+    unit = stop if unit is None else unit
+    if record_every < 1 or unit % record_every:
+        raise EngineError(f"record_every={record_every} must divide the step count {unit}")
+    dense_stop = min(max(stop if dense_stop is None else dense_stop, start), stop)
+    dense = np.arange(start // record_every, dense_stop // record_every + 1)
+    tail = np.arange(dense_stop // unit + 1, stop // unit + 1) if stop > dense_stop else dense[:0]
+    steps = np.concatenate([dense * record_every, tail * unit]) - start
+    return steps, np.concatenate([dense * (record_every * dt), tail * (unit * dt)])
 
 
-def _uniform_records(steps: int, record_every: int, dt: float):
-    """Record steps and times of a path recorded every ``record_every`` steps."""
-    _check_record(steps, record_every)
-    index = np.arange(steps // record_every + 1)
-    return index * record_every, index * (record_every * dt)
-
-
-def _ensemble_records(spu: int, dt: float, start_unit: int, units: int, record_every: int,
-                      dense_units: int):
-    """Record steps, counted from time ``start_unit``, and record times of
-    a run from ``start_unit`` over ``units`` units: every ``record_every``
-    steps up to time ``dense_units``, once a unit after."""
-    _check_record(spu, record_every)
-    per_unit = spu // record_every
-    end = start_unit + units
-    dense_end = min(max(dense_units, start_unit), end)
-    dense = np.arange(start_unit * per_unit, dense_end * per_unit + 1)
-    tail = np.arange(dense_end + 1, end + 1)
-    steps = np.concatenate([dense * record_every, tail * spu]) - start_unit * spu
-    return steps, np.concatenate([dense * (record_every * dt), tail * (spu * dt)])
-
-
-def _integrate_batch(model, scheme, x0, increments, records, binding=None, rho0=None,
-                     record_force=False):
+def _integrate_batch(model, scheme, x0, increments, records, binding=None, rho0=None):
     """The batch stepper.
 
     Always steps ``x`` under the increments, recording at the steps and
@@ -267,9 +221,8 @@ def _integrate_batch(model, scheme, x0, increments, records, binding=None, rho0=
     binding it also steps the difference ``rho`` from ``rho0`` with the
     binding drift and tracks the Girsanov log weight, ``||G||²``, the
     overflow flag, ``zeta`` and the W sups of ``y``; the weight,
-    ``||G||²`` and the flag are recorded as of each record.  Returns ``(result, g_path)``: an
-    :class:`EnsembleResult` or a :class:`CoupledEnsembleResult`, and the
-    left-point force ``(steps, n, n_noise)`` if ``record_force``, else None.
+    ``||G||²`` and the flag are recorded as of each record.  Returns an
+    :class:`EnsembleResult` or a :class:`CoupledEnsembleResult`.
     """
     steps = increments.shape[0]
     record_steps, times = records
@@ -305,7 +258,6 @@ def _integrate_batch(model, scheme, x0, increments, records, binding=None, rho0=
         logdens_records = [log_density.copy()]
         g_l2_records = [g_l2.copy()]
         overflow_records = [overflow.copy()]
-        g_records = [] if record_force else None
         vy = lyapunov(model, y)
         wy_cur = vy.copy()
         w_sup_y = []
@@ -340,8 +292,6 @@ def _integrate_batch(model, scheme, x0, increments, records, binding=None, rho0=
                 log_density += (g1 * dw).sum(axis=-1) - 0.5 * g_sq * dt
                 g_l2 += g_sq * dt
                 overflow |= np.abs(log_density) > LOG_DENSITY_OVERFLOW
-                if g_records is not None:
-                    g_records.append(g1.copy())
                 vy = lyapunov(model, y)
                 np.maximum(wy_cur, vy, out=wy_cur)
             if (step + 1) % spu == 0:
@@ -364,8 +314,8 @@ def _integrate_batch(model, scheme, x0, increments, records, binding=None, rho0=
     # reshape keeps the path axis when no unit interval completed
     w_sup_x = np.array(w_sup_x).reshape(-1, n)
     if not coupled:
-        return EnsembleResult(times=times, states=np.array(x_records), w_sup=w_sup_x, dt=dt), None
-    result = CoupledEnsembleResult(
+        return EnsembleResult(times=times, states=np.array(x_records), w_sup=w_sup_x, dt=dt)
+    return CoupledEnsembleResult(
         times=times,
         x=np.array(x_records),
         rho=np.array(rho_records),
@@ -377,7 +327,6 @@ def _integrate_batch(model, scheme, x0, increments, records, binding=None, rho0=
         overflow=np.array(overflow_records),
         dt=dt,
     )
-    return result, np.array(g_records) if g_records is not None else None
 
 
 def _check_path_inputs(model: ModelSpec, noise: NoisePath, *starts: np.ndarray):
@@ -388,16 +337,15 @@ def _check_path_inputs(model: ModelSpec, noise: NoisePath, *starts: np.ndarray):
         raise EngineError("noise path has non-finite increments")
 
 
-def integrate(model: ModelSpec, x0: np.ndarray, noise: NoisePath, record_every: int = 1) -> Trajectory:
-    """Integrate one path; states are returned at every ``record_every``-th
-    grid time (the spacing must divide the step count)."""
+def integrate(model: ModelSpec, x0: np.ndarray, noise: NoisePath, record_every: int = 1) -> EnsembleResult:
+    """Integrate one path: an ensemble of one, recorded at every
+    ``record_every``-th grid time (the spacing must divide the step count)."""
     x0 = np.asarray(x0, dtype=float)
     _check_path_inputs(model, noise, x0)
-    ens, _ = _integrate_batch(
+    return _integrate_batch(
         model, _Scheme(model, noise.dt), x0[None, :], noise.increments[:, None, :],
-        _uniform_records(noise.steps, record_every, noise.dt),
+        _records(noise.dt, record_every, noise.steps),
     )
-    return Trajectory(times=ens.times, states=ens.states[:, 0, :], w_sup=ens.w_sup[:, 0], dt=noise.dt)
 
 
 def integrate_coupled(
@@ -407,10 +355,10 @@ def integrate_coupled(
     y0: np.ndarray,
     noise: NoisePath,
     record_every: int = 1,
-    record_force: bool = True,
-) -> CoupledTrajectory:
-    """Integrate the bound pair: ``x`` under the given noise, the
-    difference ``rho`` pathwise with the binding drift, ``y = x + rho``.
+) -> CoupledEnsembleResult:
+    """Integrate one bound pair, an ensemble of one: ``x`` under the given
+    noise, the difference ``rho`` pathwise with the binding drift,
+    ``y = x + rho``.
 
     For ``y0 = x0`` the difference stays exactly zero, the force is
     exactly zero and the Girsanov weight stays exactly one.
@@ -418,50 +366,24 @@ def integrate_coupled(
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     _check_path_inputs(model, noise, x0, y0)
-    ens, g_path = _integrate_batch(
-        model,
-        _Scheme(model, noise.dt),
-        x0[None, :],
-        noise.increments[:, None, :],
-        _uniform_records(noise.steps, record_every, noise.dt),
-        binding,
-        (y0 - x0)[None, :],
-        record_force,
-    )
-    return CoupledTrajectory(
-        times=ens.times,
-        x_path=ens.x[:, 0, :],
-        rho_path=ens.rho[:, 0, :],
-        zeta_path=ens.zeta[:, 0, :] if ens.zeta is not None else None,
-        log_density_path=ens.log_density[:, 0],
-        w_sup_x=ens.w_sup_x[:, 0],
-        w_sup_y=ens.w_sup_y[:, 0],
-        girsanov=GirsanovAccumulator(
-            log_density=float(ens.log_density[-1, 0]), g_l2=float(ens.g_l2[-1, 0]),
-            overflow=bool(ens.overflow[-1, 0]),
-        ),
-        g_path=g_path[:, 0, :] if g_path is not None else None,
-        dt=noise.dt,
+    return _integrate_batch(
+        model, _Scheme(model, noise.dt), x0[None, :], noise.increments[:, None, :],
+        _records(noise.dt, record_every, noise.steps), binding, (y0 - x0)[None, :],
     )
 
 
-def girsanov_density(traj: CoupledTrajectory) -> float:
-    """The accumulated path density exp(log weight)."""
-    if traj.girsanov.overflow:
-        raise EngineError("density overflow: |log density| exceeded the exp range")
-    return math.exp(traj.girsanov.log_density)
-
-
-def shift_noise(noise: NoisePath, traj: CoupledTrajectory, inverse: bool = False) -> NoisePath:
-    """Binding image of a noise path: increments shifted by the recorded
-    force, ``Δω + G dt`` (or ``Δω - G dt`` for the inverse map)."""
-    if traj.g_path is None:
-        raise EngineError("trajectory was integrated without force recording")
-    if traj.g_path.shape[0] != noise.steps:
-        raise EngineError("noise path and trajectory have different step counts")
+def shift_noise(noise: NoisePath, pair: CoupledEnsembleResult, binding: BindingSpec,
+                inverse: bool = False) -> NoisePath:
+    """Binding image of a noise path: increments shifted by the force at
+    each step's left point, ``Δω + G dt`` (or ``Δω - G dt`` for the
+    inverse map).  ``pair`` is the one bound pair run under ``noise`` with
+    ``binding``, recorded at every step."""
+    if pair.x.shape[1] != 1 or len(pair.times) != noise.steps + 1:
+        raise EngineError("pair and noise path have different step counts: "
+                          "the pair must be one path recorded at every step")
+    force = binding.force(pair.x[:-1, 0], pair.y[:-1, 0])
     sign = -1.0 if inverse else 1.0
-    shifted = noise.increments + sign * traj.g_path * noise.dt
-    return NoisePath(dt=noise.dt, increments=shifted)
+    return NoisePath(dt=noise.dt, increments=noise.increments + sign * force * noise.dt)
 
 
 # -- ensembles ----------------------------------------------------------------
@@ -493,21 +415,19 @@ def _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, dens
         raise EngineError("n_traj must be positive")
     scheme = _Scheme(model, dt)
     spu = _steps_per_unit(scheme)
-    steps = units * spu
-    records = _ensemble_records(spu, dt, start_unit, units, record_every or spu,
-                                units + start_unit if dense_units is None else dense_units)
+    skip, steps = start_unit * spu, units * spu
+    records = _records(dt, record_every or spu, skip + steps, spu, skip,
+                       None if dense_units is None else dense_units * spu)
     x0 = np.asarray(x0, dtype=float)
     xs = np.broadcast_to(x0, (n_traj, model.dim))
     rhos = None
     if binding is not None:
         rhos = np.broadcast_to(np.asarray(y0, dtype=float) - x0, (n_traj, model.dim))
     parts = []
-    for lo, hi in _chunks(n_traj, start_unit * spu + steps, model.n_noise):
-        incr = _stack_noise(model, steps, dt, seed, range(stream0 + lo, stream0 + hi),
-                            skip=start_unit * spu)
+    for lo, hi in _chunks(n_traj, skip + steps, model.n_noise):
+        incr = _stack_noise(model, steps, dt, seed, range(stream0 + lo, stream0 + hi), skip=skip)
         rho0 = rhos[lo:hi] if rhos is not None else None
-        part, _ = _integrate_batch(model, scheme, xs[lo:hi], incr, records, binding, rho0)
-        parts.append(part)
+        parts.append(_integrate_batch(model, scheme, xs[lo:hi], incr, records, binding, rho0))
     return type(parts[0]).concat(parts)
 
 
@@ -562,21 +482,23 @@ def run_coupled_ensemble(
 # -- trajectory CSV -------------------------------------------------------------
 
 
-def trajectory_csv_lines(model: ModelSpec, traj: CoupledTrajectory, fingerprint: str | None = None):
-    """CSV rows for a coupled trajectory; the first line is a '#' header
+def trajectory_csv_lines(model: ModelSpec, pair: CoupledEnsembleResult, fingerprint: str | None = None):
+    """CSV rows for path 0 of a bound pair; the first line is a '#' header
     naming the fixed columns t, V_x, V_y, rho_norm, zeta_*, log_density."""
-    n_zeta = traj.zeta_path.shape[1] if traj.zeta_path is not None else 0
+    x, rho = pair.x[:, 0], pair.rho[:, 0]
+    zeta = pair.zeta[:, 0] if pair.zeta is not None else None
+    n_zeta = zeta.shape[1] if zeta is not None else 0
     zeta_names = ",".join(f"zeta_{i + 1}" for i in range(n_zeta))
     header = "# t,V_x,V_y,rho_norm" + ("," + zeta_names if n_zeta else "") + ",log_density"
     if fingerprint:
         header += f"  [config {fingerprint}]"
     yield header
-    vx = lyapunov(model, traj.x_path)
-    vy = lyapunov(model, traj.y_path)
-    rho_norm = np.linalg.norm(traj.rho_path, axis=-1)
-    for i, t in enumerate(traj.times):
+    vx = lyapunov(model, x)
+    vy = lyapunov(model, x + rho)
+    rho_norm = np.linalg.norm(rho, axis=-1)
+    for i, t in enumerate(pair.times):
         row = [t, vx[i], vy[i], rho_norm[i]]
         if n_zeta:
-            row.extend(traj.zeta_path[i])
-        row.append(traj.log_density_path[i])
+            row.extend(zeta[i])
+        row.append(pair.log_density[i, 0])
         yield ",".join(repr(float(v)) for v in row)

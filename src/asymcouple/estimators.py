@@ -405,26 +405,20 @@ def binding_growth_exponents(
 
 
 def mixing_distance_series(
-    model: ModelSpec,
     ens_a: EnsembleResult,
-    x0_b: np.ndarray,
+    ens_b: EnsembleResult,
     times: Sequence[int],
-    seed: int = 0,
     cap: int = DL_DEFAULT_CAP,
 ) -> list[dict]:
-    """Dual-Lipschitz distance between the laws started at two initial
-    conditions at the requested integer times.  ``ens_a`` is the first
-    start's ensemble, on streams ``0..n-1`` of ``seed``; the second start's
-    runs here on the disjoint streams ``n..2n-1``."""
+    """Dual-Lipschitz distance between the laws of two ensembles, on
+    disjoint noise streams, at the requested integer times."""
     times = sorted(int(t) for t in times)
-    n_side = ens_a.states.shape[1]
-    states_a = ens_a.head(times[-1]).at_units().states  # row t: time t
-    ens_b = run_ensemble(model, np.asarray(x0_b, float), n_side, times[-1], ens_a.dt, seed,
-                         stream0=n_side)
+    states_a, states_b = (ens.head(times[-1]).at_units().states for ens in (ens_a, ens_b))
     out = []
     for t in times:
-        value = dual_lipschitz_distance(states_a[t], ens_b.states[t], cap=cap, subsample_seed=t)
-        out.append({"t": float(t), "distance": value, "n_a": n_side, "n_b": n_side})
+        value = dual_lipschitz_distance(states_a[t], states_b[t], cap=cap, subsample_seed=t)
+        out.append({"t": float(t), "distance": value, "n_a": len(states_a[t]),
+                    "n_b": len(states_b[t])})
     return out
 
 

@@ -358,10 +358,7 @@ def mixing_distance(seed: int = 16) -> PresetOutcome:
     for name, (model, xa, xb) in cases.items():
         ens_a = run_ensemble(model, xa, n_side, times[-1], dt, seed, stream0=0)
         ens_b = run_ensemble(model, xb, n_side, times[-1], dt, seed, stream0=n_side)
-        values = [
-            est.dual_lipschitz_distance(ens_a.states[t], ens_b.states[t], subsample_seed=t)
-            for t in times
-        ]
+        values = [row["distance"] for row in est.mixing_distance_series(ens_a, ens_b, times)]
         floor = est.bootstrap_null_quantile(
             ens_a.states[-1], ens_b.states[-1], n_boot=12, cap=150, seed=seed
         )

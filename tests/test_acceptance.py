@@ -240,7 +240,7 @@ def test_criterion_9_numerics_suite():
     ends = {}
     for factor in (8, 4, 2):
         noise = NoisePath(dt=dt_fine * factor, increments=coarsen(fine, factor))
-        ends[factor] = integrate(toy, np.array([0.5, -0.2]), noise, record_every=noise.steps).states[-1]
+        ends[factor] = integrate(toy, np.array([0.5, -0.2]), noise, record_every=noise.steps).states[-1, 0]
     e1 = np.linalg.norm(ends[8] - ends[4])
     e2 = np.linalg.norm(ends[4] - ends[2])
     assert 1.4 <= e1 / e2 <= 5.0, f"Richardson ratio {e1 / e2:.2f} incompatible with order >= 1"
@@ -250,7 +250,7 @@ def test_criterion_9_numerics_suite():
     binding = make_binding(toy)
     noise = sample_noise(toy, 2000, 1e-3, seed=43)
     traj = integrate_coupled(toy, binding, np.array([1.0, 0.0]), np.array([0.2, 0.5]), noise)
-    back = shift_noise(shift_noise(noise, traj), traj, inverse=True)
+    back = shift_noise(shift_noise(noise, traj, binding), traj, binding, inverse=True)
     round_trip = np.abs(back.increments - noise.increments).max()
     assert round_trip <= 1e-12, f"shift round trip error {round_trip:.2e}"
     details.append(f"shift round trip {round_trip:.1e}")

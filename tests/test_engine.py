@@ -15,7 +15,6 @@ from asymcouple.engine import (
     EngineError,
     EnsembleResult,
     NoisePath,
-    girsanov_density,
     integrate,
     integrate_coupled,
     run_coupled_ensemble,
@@ -105,13 +104,13 @@ class TestIntegrate:
         model = scalar_model(-1.0)
         noise = NoisePath(dt=1e-3, increments=np.zeros((1000, 1)))
         traj = integrate(model, np.array([1.0]), noise, record_every=1000)
-        assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-13)
+        assert traj.states[-1, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-13)
 
     def test_toy_deterministic_equilibrium(self):
         # symmetric starts flow to the root of 3x = x³
         noise = NoisePath(dt=1e-3, increments=np.zeros((8000, 1)))
         traj = integrate(TOY, np.array([0.1, 0.1]), noise, record_every=8000)
-        np.testing.assert_allclose(traj.states[-1], [math.sqrt(3.0)] * 2, rtol=1e-6)
+        np.testing.assert_allclose(traj.states[-1, 0], [math.sqrt(3.0)] * 2, rtol=1e-6)
 
     def test_strong_order_richardson(self):
         # refine one Brownian path: halving dt should shrink the endpoint
@@ -126,7 +125,7 @@ class TestIntegrate:
         ends = {}
         for factor in (8, 4, 2):
             noise = NoisePath(dt=dt_fine * factor, increments=coarsen(fine, factor))
-            ends[factor] = integrate(TOY, x0, noise, record_every=noise.steps).states[-1]
+            ends[factor] = integrate(TOY, x0, noise, record_every=noise.steps).states[-1, 0]
         e1 = np.linalg.norm(ends[8] - ends[4])
         e2 = np.linalg.norm(ends[4] - ends[2])
         assert 1.4 <= e1 / e2 <= 5.0
@@ -155,10 +154,10 @@ class TestIntegrate:
     def test_w_sup_dominates_interval_start(self):
         noise = sample_noise(TOY, 3000, 1e-3, seed=4)
         traj = integrate(TOY, np.array([1.0, -0.5]), noise, record_every=1000)
-        v_at_units = lyapunov(TOY, traj.states)
+        v_at_units = lyapunov(TOY, traj.states[:, 0])
         for n in range(3):
-            assert traj.w_sup[n] >= v_at_units[n] - 1e-12
-            assert traj.w_sup[n] >= v_at_units[n + 1] - 1e-12
+            assert traj.w_sup[n, 0] >= v_at_units[n] - 1e-12
+            assert traj.w_sup[n, 0] >= v_at_units[n + 1] - 1e-12
 
 
 class TestCoupled:
@@ -168,9 +167,9 @@ class TestCoupled:
         for seed in (0, 1):
             noise = sample_noise(TOY, 2000, 1e-3, seed=seed)
             traj = integrate_coupled(TOY, binding, x0, x0, noise)
-            assert np.all(traj.rho_path == 0.0)
-            assert traj.girsanov.log_density == 0.0
-            np.testing.assert_array_equal(traj.y_path, traj.x_path)
+            assert np.all(traj.rho == 0.0)
+            assert traj.log_density[-1, 0] == 0.0
+            np.testing.assert_array_equal(traj.y, traj.x)
 
     def test_difference_contracts(self):
         binding = make_binding(TOY)
@@ -178,7 +177,7 @@ class TestCoupled:
         traj = integrate_coupled(
             TOY, binding, np.array([1.0, 0.0]), np.array([0.0, 1.0]), noise, record_every=500
         )
-        rho = np.linalg.norm(traj.rho_path, axis=-1)
+        rho = np.linalg.norm(traj.rho[:, 0], axis=-1)
         # |rho(t)| <= C |rho(0)| e^{-t} with a moderate constant
         assert np.all(rho <= 6.0 * rho[0] * np.exp(-traj.times))
         assert rho[-1] < 0.05 * rho[0]
@@ -189,15 +188,15 @@ class TestCoupled:
         traj = integrate_coupled(
             TOY, binding, np.array([0.5, -0.5]), np.array([1.2, 0.3]), noise, record_every=100
         )
-        zeta0 = traj.zeta_path[0, 0]
+        zeta0 = traj.zeta[0, 0, 0]
         expected = zeta0 * np.exp(-2.0 * traj.times)
-        np.testing.assert_allclose(traj.zeta_path[:, 0], expected, rtol=10 * 1e-3)
+        np.testing.assert_allclose(traj.zeta[:, 0, 0], expected, rtol=10 * 1e-3)
 
     def test_y_reconstruction_invariant(self):
         binding = make_binding(TOY)
         noise = sample_noise(TOY, 1000, 1e-3, seed=7)
         traj = integrate_coupled(TOY, binding, np.array([1.0, 0.0]), np.array([0.2, 0.4]), noise)
-        np.testing.assert_allclose(traj.y_path, traj.x_path + traj.rho_path, rtol=1e-9)
+        np.testing.assert_allclose(traj.y, traj.x + traj.rho, rtol=1e-9)
 
 
 class TestGirsanov:
@@ -205,8 +204,7 @@ class TestGirsanov:
         binding = null_binding(TOY)
         noise = sample_noise(TOY, 500, 1e-3, seed=8)
         traj = integrate_coupled(TOY, binding, np.zeros(2), np.ones(2), noise)
-        assert traj.girsanov.log_density == 0.0
-        assert girsanov_density(traj) == 1.0
+        assert traj.log_density[-1, 0] == 0.0
 
     def test_constant_force_closed_form(self):
         c = 0.7
@@ -217,8 +215,7 @@ class TestGirsanov:
         noise = sample_noise(TOY, 1000, 1e-3, seed=9)
         traj = integrate_coupled(TOY, const, np.zeros(2), np.zeros(2), noise)
         omega_1 = noise.increments[:, 0].sum()
-        assert traj.girsanov.log_density == pytest.approx(c * omega_1 - c**2 / 2.0, rel=1e-12)
-        assert girsanov_density(traj) == pytest.approx(math.exp(c * omega_1 - c**2 / 2.0))
+        assert traj.log_density[-1, 0] == pytest.approx(c * omega_1 - c**2 / 2.0, rel=1e-12)
 
     def test_overflow_flagged(self):
         huge = BindingSpec(
@@ -227,9 +224,7 @@ class TestGirsanov:
         )
         noise = sample_noise(TOY, 1000, 1e-3, seed=10)
         traj = integrate_coupled(TOY, huge, np.zeros(2), np.zeros(2), noise)
-        assert traj.girsanov.overflow
-        with pytest.raises(EngineError, match="overflow"):
-            girsanov_density(traj)
+        assert traj.overflow[-1, 0]
 
     def test_ensemble_mean_density_near_one(self):
         binding = make_binding(TOY)
@@ -257,14 +252,14 @@ class TestShiftNoise:
         binding = null_binding(TOY)
         noise = sample_noise(TOY, 200, 1e-3, seed=12)
         traj = integrate_coupled(TOY, binding, np.zeros(2), np.ones(2), noise)
-        shifted = shift_noise(noise, traj)
+        shifted = shift_noise(noise, traj, binding)
         np.testing.assert_array_equal(shifted.increments, noise.increments)
 
     def test_round_trip(self):
         binding = make_binding(TOY)
         noise = sample_noise(TOY, 1000, 1e-3, seed=13)
         traj = integrate_coupled(TOY, binding, np.array([1.0, 0.0]), np.array([0.0, 0.5]), noise)
-        back = shift_noise(shift_noise(noise, traj), traj, inverse=True)
+        back = shift_noise(shift_noise(noise, traj, binding), traj, binding, inverse=True)
         assert np.abs(back.increments - noise.increments).max() <= 1e-12
 
     def test_resimulation_reproduces_bound_copy(self):
@@ -273,10 +268,10 @@ class TestShiftNoise:
         binding = make_binding(TOY)
         noise = sample_noise(TOY, 2000, 1e-3, seed=14)
         x0, y0 = np.array([1.0, 0.0]), np.array([0.3, 0.6])
-        traj = integrate_coupled(TOY, binding, x0, y0, noise, record_every=100)
-        shifted = shift_noise(noise, traj)
-        replay = integrate(TOY, y0, shifted, record_every=100)
-        err = np.abs(replay.states - traj.y_path).max()
+        traj = integrate_coupled(TOY, binding, x0, y0, noise)
+        shifted = shift_noise(noise, traj, binding)
+        replay = integrate(TOY, y0, shifted)
+        err = np.abs(replay.states - traj.y).max()
         assert err <= 50 * 1e-3
 
     def test_length_mismatch(self):
@@ -285,14 +280,47 @@ class TestShiftNoise:
         traj = integrate_coupled(TOY, binding, np.zeros(2), np.ones(2), noise)
         other = sample_noise(TOY, 50, 1e-3, seed=15)
         with pytest.raises(EngineError, match="step counts"):
-            shift_noise(other, traj)
+            shift_noise(other, traj, binding)
 
-    def test_missing_force_record(self):
+    def test_pair_recorded_every_second_step_rejected(self):
         binding = make_binding(TOY)
         noise = sample_noise(TOY, 100, 1e-3, seed=16)
-        traj = integrate_coupled(TOY, binding, np.zeros(2), np.ones(2), noise, record_force=False)
-        with pytest.raises(EngineError, match="force recording"):
-            shift_noise(noise, traj)
+        traj = integrate_coupled(TOY, binding, np.zeros(2), np.ones(2), noise, record_every=2)
+        with pytest.raises(EngineError, match="every step"):
+            shift_noise(noise, traj, binding)
+
+    def test_two_paths_rejected(self):
+        binding = make_binding(TOY)
+        pairs = run_coupled_ensemble(TOY, binding, np.zeros(2), np.ones(2), 2, 1, 1e-2, seed=16,
+                                     record_every=1)
+        noise = sample_noise(TOY, 100, 1e-2, seed=16)
+        with pytest.raises(EngineError, match="one path"):
+            shift_noise(noise, pairs, binding)
+
+
+@pytest.mark.parametrize("model_id", list(BOUND_PAIRS))
+def test_shift_noise_applies_the_force_the_stepper_applied(model_id):
+    # the stepper evaluates G at each step's left point, shifts the noise
+    # of the bound copy by G dt, and sums G·Δω - |G|²dt/2 and |G|²dt
+    # sequentially; the shift read back from the recorded pair must agree
+    # bit for bit, so evaluating G anywhere else shows
+    model, x0, y0 = bound_pair(model_id)
+    binding = make_binding(model)
+    noise = sample_noise(model, 200, 2e-3, seed=26)
+    pair = integrate_coupled(model, binding, x0, y0, noise)
+    force = binding.force(pair.x[:-1, 0], pair.x[:-1, 0] + pair.rho[:-1, 0])
+    assert np.abs(force).max() > 0.0
+    shifted = shift_noise(noise, pair, binding)
+    np.testing.assert_array_equal(shifted.increments, noise.increments + force * noise.dt)
+    log_density, g_l2 = np.zeros(noise.steps), np.zeros(noise.steps)
+    running_log, running_l2 = 0.0, 0.0
+    for k in range(noise.steps):
+        g_sq = float((force[k] ** 2).sum())
+        running_log += float((force[k] * noise.increments[k]).sum()) - 0.5 * g_sq * noise.dt
+        running_l2 += g_sq * noise.dt
+        log_density[k], g_l2[k] = running_log, running_l2
+    np.testing.assert_array_equal(pair.log_density[1:, 0], log_density)
+    np.testing.assert_array_equal(pair.g_l2[1:, 0], g_l2)
 
 
 class TestEnsembles:
@@ -301,8 +329,8 @@ class TestEnsembles:
         for i in range(3):
             noise = sample_noise(TOY, 2000, 1e-3, seed=17, stream=i)
             traj = integrate(TOY, np.array([0.5, -0.5]), noise, record_every=500)
-            np.testing.assert_array_equal(ens.states[:, i, :], traj.states)
-            np.testing.assert_array_equal(ens.w_sup[:, i], traj.w_sup)
+            np.testing.assert_array_equal(ens.states[:, i], traj.states[:, 0])
+            np.testing.assert_array_equal(ens.w_sup[:, i], traj.w_sup[:, 0])
 
     def test_coupled_matches_single(self):
         binding = make_binding(TOY)
@@ -311,9 +339,9 @@ class TestEnsembles:
         for i in range(2):
             noise = sample_noise(TOY, 1000, 1e-3, seed=18, stream=i)
             traj = integrate_coupled(TOY, binding, x0, y0, noise, record_every=250)
-            np.testing.assert_array_equal(ens.x[:, i], traj.x_path)
-            np.testing.assert_array_equal(ens.rho[:, i], traj.rho_path)
-            np.testing.assert_array_equal(ens.log_density[:, i], traj.log_density_path)
+            np.testing.assert_array_equal(ens.x[:, i], traj.x[:, 0])
+            np.testing.assert_array_equal(ens.rho[:, i], traj.rho[:, 0])
+            np.testing.assert_array_equal(ens.log_density[:, i], traj.log_density[:, 0])
 
     def test_lyapunov_drift_contracts(self):
         # one-step conditional mean of V must sit below V at large amplitude
@@ -356,7 +384,7 @@ def test_uncoupled_run_is_the_x_half_of_the_coupled_run(model_id, n_traj):
     noise = sample_noise(model, 500, 2e-3, seed=23, stream=n_traj)
     traj = integrate(model, x0, noise, record_every=50)
     coupled = integrate_coupled(model, binding, x0, y0, noise, record_every=50)
-    np.testing.assert_array_equal(traj.states, coupled.x_path)
+    np.testing.assert_array_equal(traj.states, coupled.x)
     np.testing.assert_array_equal(traj.w_sup, coupled.w_sup_x)
 
 
@@ -435,12 +463,13 @@ def test_records_thin_out_and_a_run_continues_from_its_last_record(model_id):
         thin.x_half().then(later)
 
 
-def assert_first_paths_equal(joined, whole, where):
-    """Every field of ``joined`` equals that of the first paths of ``whole``."""
+def assert_paths_equal(joined, whole, where, first=0):
+    """Every field of ``joined`` equals that of the paths of ``whole`` from
+    path ``first`` on."""
     for field in fields(whole):
         got, value = getattr(joined, field.name), getattr(whole, field.name)
         if field.name not in ("times", "dt") and value is not None:
-            value = value[:, : got.shape[1]]
+            value = value[:, first : first + got.shape[1]]
         np.testing.assert_array_equal(got, value, err_msg=f"{where}: {field.name}")
 
 
@@ -467,19 +496,11 @@ def test_paths_do_not_depend_on_the_batch_they_share(model_id):
             "9 + 8": CoupledEnsembleResult.concat([run(9), run(8, stream0=9)]),
         }
         for name, joined in batches.items():
-            assert_first_paths_equal(joined, whole, f"{start} start, batches {name}")
+            assert_paths_equal(joined, whole, f"{start} start, batches {name}")
         lone = EnsembleResult.concat([
             run_ensemble(model, a0, 1, 1, 2e-3, seed=29, stream0=i, record_every=50) for i in range(7)
         ])
-        assert_first_paths_equal(lone, whole.x_half(), f"{start} start, uncoupled 1 x 7")
+        assert_paths_equal(lone, whole.x_half(), f"{start} start, uncoupled 1 x 7")
         noise = sample_noise(model, 500, 2e-3, seed=29, stream=4)
         traj = integrate_coupled(model, binding, a0, b0, noise, record_every=50)
-        for path_field, ens_field in (("x_path", "x"), ("rho_path", "rho"), ("zeta_path", "zeta"),
-                                      ("log_density_path", "log_density"), ("w_sup_x", "w_sup_x"),
-                                      ("w_sup_y", "w_sup_y")):
-            member = getattr(whole, ens_field)
-            expected = member[:, 4] if member is not None else None
-            np.testing.assert_array_equal(getattr(traj, path_field), expected,
-                                          err_msg=f"{start} start: {path_field}")
-        assert traj.girsanov.g_l2 == whole.g_l2[-1, 4]
-        assert traj.girsanov.overflow == whole.overflow[-1, 4]
+        assert_paths_equal(traj, whole, f"{start} start, one path", first=4)

@@ -366,11 +366,12 @@ class TestDensityDiagnostics:
 def test_mixing_series_shape():
     x0 = np.array([1.5, 1.5])
     ens = run_ensemble(TOY, x0, 40, 2, 2e-3, seed=13)
-    series = mixing_distance_series(TOY, ens, np.array([0.3, 0.3]), times=[1, 2], seed=13, cap=40)
+    alt = run_ensemble(TOY, np.array([0.3, 0.3]), 40, 2, 2e-3, seed=13, stream0=40)
+    series = mixing_distance_series(ens, alt, times=[1, 2], cap=40)
     assert [row["t"] for row in series] == [1.0, 2.0]
     assert all(0.0 <= row["distance"] <= 2.0 for row in series)
     with pytest.raises(EngineError, match="before 3"):
-        mixing_distance_series(TOY, ens, np.array([0.3, 0.3]), times=[3], seed=13)
+        mixing_distance_series(ens, alt, times=[3])
 
 
 def test_report_json_round_trip():

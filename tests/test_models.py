@@ -99,7 +99,7 @@ class TestChain:
             x0 = np.zeros(m)
             x0[:5] = [0.6, 0.4, -0.3, 0.2, 0.1]
             noise = NoisePath(dt=1e-3, increments=np.zeros((2000, 1)))
-            paths[m] = integrate(model, x0, noise, record_every=500).states
+            paths[m] = integrate(model, x0, noise, record_every=500).states[:, 0]
         err = np.abs(paths[12][:, :8] - paths[18][:, :8]).max()
         assert err < 1e-5
 
