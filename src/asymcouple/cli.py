@@ -8,7 +8,8 @@ Subcommands::
     asymcouple list-presets
 
 Exit codes: 0 success / all checks pass, 1 an acceptance check failed,
-2 configuration error, 3 runtime blow-up (partial outputs are written).
+2 configuration error, 3 the run could not finish: a blow-up, or an
+estimator that could not run (partial outputs are written).
 The environment variable ``ASYMCOUPLE_OUT`` overrides the output
 directory.
 """
@@ -33,37 +34,34 @@ from .engine import (
     BlowUpError,
     CoupledEnsembleResult,
     EnsembleResult,
-    integrate,
-    integrate_coupled,
     run_coupled_ensemble,
     run_ensemble,
-    sample_noise,
-    trajectory_csv_lines,
 )
-from .estimators import EstimatorReport
+from .estimators import EstimatorError, EstimatorReport
 from .presets import PRESETS, run_preset
 
 
-def _ensemble_worker(args):
-    """Top-level worker so process pools can pickle the job description.
+def _ensemble_worker(task):
+    """Top-level worker so process pools can pickle the task ``(cfg, lo, hi)``.
 
-    Integrates ``count`` paths from stream ``stream0`` on: bound pairs over
-    the first ``coupled_units`` units, the ``x`` paths alone after that.
-    Returns the pairs (None when ``coupled_units`` is 0) and the ``x``
-    paths over all ``units``."""
-    (model_id, params, x0, y0, count, coupled_units, units, dt, seed, stream0, record_every,
-     dense_units) = args
-    model = models.make_model(model_id, **params)
-    records = {"stream0": stream0, "record_every": record_every, "dense_units": dense_units}
+    Integrates the run's paths on streams ``lo..hi-1`` over the
+    ``_spans``: bound pairs over the first span, the ``x`` paths alone
+    after that.  Returns the pairs (None when nothing reads them) and the
+    ``x`` paths over the whole run."""
+    cfg, lo, hi = task
+    model = cfg.build_model()
+    x0, y0 = cfg.initial_conditions(model)
+    coupled_units, units = _spans(cfg)
+    records = {"stream0": lo, "record_every": cfg.record_every or None, "dense_units": cfg.units}
     if not coupled_units:
-        return None, run_ensemble(model, x0, count, units, dt, seed, **records)
+        return None, run_ensemble(model, x0, hi - lo, units, cfg.dt, cfg.seed, **records)
     pairs = run_coupled_ensemble(
-        model, bnd.make_binding(model), x0, y0, count, coupled_units, dt, seed, **records
+        model, bnd.make_binding(model), x0, y0, hi - lo, coupled_units, cfg.dt, cfg.seed, **records
     )
     x_ens = pairs.x_half()
     if units > coupled_units:
         x_ens = x_ens.then(run_ensemble(
-            model, x_ens.states[-1], count, units - coupled_units, dt, seed,
+            model, x_ens.states[-1], hi - lo, units - coupled_units, cfg.dt, cfg.seed,
             start_unit=coupled_units, **records,
         ))
     return pairs, x_ens
@@ -84,9 +82,9 @@ def _spans(cfg: ExperimentConfig) -> tuple[int, int]:
     return max(coupled, default=0), max(units)
 
 
-def _run_ensemble_jobs(cfg: ExperimentConfig, x0, y0):
-    """Integrate the run's one ensemble, streams ``0..n-1`` from ``(x0, y0)``
-    over the ``_spans``, on a worker pool; members are indexed by noise
+def _run_ensemble_jobs(cfg: ExperimentConfig):
+    """Integrate the run's one ensemble, streams ``0..n-1`` from the
+    config's ``(x0, y0)``, on a worker pool; members are indexed by noise
     stream so the merged result is independent of the schedule.  Records
     are every ``record_every`` steps over the first ``units`` units, which
     the plot data reads, and once a unit after.  Returns the bound pairs
@@ -94,65 +92,61 @@ def _run_ensemble_jobs(cfg: ExperimentConfig, x0, y0):
     n = cfg.ensemble
     jobs = min(cfg.jobs, n)
     bounds = np.linspace(0, n, jobs + 1).astype(int)
-    coupled_units, units = _spans(cfg)
-    tasks = [
-        (
-            cfg.model_id,
-            cfg.model_params,
-            x0,
-            y0,
-            int(hi - lo),
-            coupled_units,
-            units,
-            cfg.dt,
-            cfg.seed,
-            int(lo),
-            cfg.record_every or None,
-            cfg.units,
-        )
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
+    tasks = [(cfg, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if jobs == 1:
         results = [_ensemble_worker(tasks[0])]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_ensemble_worker, tasks))
     pairs, x_parts = zip(*results)
-    return (CoupledEnsembleResult.concat(pairs) if coupled_units else None,
+    return (None if pairs[0] is None else CoupledEnsembleResult.concat(pairs),
             EnsembleResult.concat(x_parts))
 
 
-def _quantile_rows(times, values):
-    qs = np.quantile(values, [0.1, 0.5, 0.9], axis=1)
-    mean = values.mean(axis=1)
-    for i, t in enumerate(times):
-        yield [t, mean[i], qs[0, i], qs[1, i], qs[2, i]]
+def _trajectory_table(model, ens):
+    """Columns and rows of ``trajectory.csv``: path 0 of a run, a bound
+    pair (t, V_x, V_y, rho_norm, zeta_*, log_density) or an ``x`` path
+    (t, V_x)."""
+    if isinstance(ens, EnsembleResult):
+        return ["t", "V_x"], zip(ens.times, models.lyapunov(model, ens.states[:, 0]))
+    x, rho = ens.x[:, 0], ens.rho[:, 0]
+    columns = ["t", "V_x", "V_y", "rho_norm"]
+    values = [ens.times, models.lyapunov(model, x), models.lyapunov(model, x + rho),
+              np.linalg.norm(rho, axis=-1)]
+    if ens.zeta is not None:
+        columns += [f"zeta_{i + 1}" for i in range(ens.zeta.shape[-1])]
+        values += list(ens.zeta[:, 0].T)
+    return columns + ["log_density"], zip(*values, ens.log_density[:, 0])
 
 
-def _write_plot_data(path: Path, model, fingerprint, ens):
-    lines = []
-    if isinstance(ens, CoupledEnsembleResult):
-        header = "# t,rho_norm_mean,rho_norm_q10,rho_norm_q50,rho_norm_q90"
-        rho_norm = np.linalg.norm(ens.rho, axis=-1)
-        extra_cols = [ens.log_density.mean(axis=1)]
-        header += ",log_density_mean"
+def _plot_table(model, ens):
+    """Columns and rows of ``plot_data.csv``: the mean and the 10/50/90 %
+    quantiles over the paths at each record of ``rho_norm`` for bound
+    pairs (then the mean log weight and, where there is zeta, the mean
+    of |zeta_1|) or of V for ``x`` paths."""
+    coupled = isinstance(ens, CoupledEnsembleResult)
+    name = "rho_norm" if coupled else "V"
+    v = np.linalg.norm(ens.rho, axis=-1) if coupled else models.lyapunov(model, ens.states)
+    columns = ["t"] + [f"{name}_{stat}" for stat in ("mean", "q10", "q50", "q90")]
+    values = [ens.times, v.mean(axis=1), *np.quantile(v, [0.1, 0.5, 0.9], axis=1)]
+    if coupled:
+        columns.append("log_density_mean")
+        values.append(ens.log_density.mean(axis=1))
         if ens.zeta is not None:
-            extra_cols.append(np.abs(ens.zeta[:, :, 0]).mean(axis=1))
-            header += ",abs_zeta1_mean"
-        lines.append(header + f"  [config {fingerprint}]")
-        for i, row in enumerate(_quantile_rows(ens.times, rho_norm)):
-            row.extend(col[i] for col in extra_cols)
-            lines.append(",".join(repr(float(v)) for v in row))
-    else:
-        lines.append(f"# t,V_mean,V_q10,V_q50,V_q90  [config {fingerprint}]")
-        v = models.lyapunov(model, ens.states)
-        for row in _quantile_rows(ens.times, v):
-            lines.append(",".join(repr(float(x)) for x in row))
+            columns.append("abs_zeta1_mean")
+            values.append(np.abs(ens.zeta[:, :, 0]).mean(axis=1))
+    return columns, zip(*values)
+
+
+def _write_csv(path: Path, columns, rows, fingerprint):
+    """One '#' header naming the columns, stamped with the config
+    fingerprint, then one line of ``repr`` floats per row."""
+    lines = [f"# {','.join(columns)}  [config {fingerprint}]"]
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, y0, fingerprint) -> EstimatorReport:
+def _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, fingerprint) -> EstimatorReport:
     """Every estimator that is on, from the run's one ensemble: its first
     ``units`` units as plotted, its bound pairs and its ``x`` paths."""
     report = EstimatorReport(model_id=model.id, config_fingerprint=fingerprint)
@@ -173,12 +167,10 @@ def _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, y0, fingerprint) -> 
             model, probes, samples_per_probe=min(200, cfg.ensemble), dt=cfg.dt, seed=cfg.seed,
         ))
     if cfg.estimator("axk"):
-        report.axk = est.axk_table(
-            model, x_ens, x0, cfg.estimator("axk_ks"), cfg.estimator("axk_horizon"),
-        )
+        report.axk = est.axk_table(model, x_ens, cfg.estimator("axk_ks"), cfg.estimator("axk_horizon"))
     if cfg.estimator("density"):
         report.density = asdict(est.density_diagnostics(
-            model, pairs, x0, y0, cfg.estimator("density_horizons"),
+            model, pairs, cfg.estimator("density_horizons"),
         ))
     return report
 
@@ -202,41 +194,36 @@ def cmd_run(args) -> int:
         dense_every = next(d for d in range(max(1, spu // 10), 0, -1) if spu % d == 0)
 
     try:
-        noise = sample_noise(model, cfg.units * spu, cfg.dt, cfg.seed, stream=0)
+        # stream 0 of the run, recorded densely, as a run of its own: it is
+        # written before the ensemble, so a blow-up in the ensemble leaves it
         if cfg.binding:
-            b = bnd.make_binding(model)
-            traj = integrate_coupled(model, b, x0, y0, noise, record_every=dense_every)
-            csv_lines = trajectory_csv_lines(model, traj, fingerprint)
+            traj = run_coupled_ensemble(model, bnd.make_binding(model), x0, y0, 1, cfg.units,
+                                        cfg.dt, cfg.seed, record_every=dense_every)
         else:
-            traj = integrate(model, x0, noise, record_every=dense_every)
-            v = models.lyapunov(model, traj.states[:, 0])
-            csv_lines = [f"# t,V_x  [config {fingerprint}]"] + [
-                f"{float(t)!r},{float(val)!r}" for t, val in zip(traj.times, v)
-            ]
-        (out_dir / "trajectory.csv").write_text("\n".join(csv_lines) + "\n")
+            traj = run_ensemble(model, x0, 1, cfg.units, cfg.dt, cfg.seed, record_every=dense_every)
+        _write_csv(out_dir / "trajectory.csv", *_trajectory_table(model, traj), fingerprint)
 
         # one ensemble serves the plot data and every estimator that starts
         # at (x0, y0); density needs the bound copy even with binding off
-        pairs, x_ens = _run_ensemble_jobs(cfg, x0, y0)
+        pairs, x_ens = _run_ensemble_jobs(cfg)
         plot_ens = (pairs if cfg.binding else x_ens).head(cfg.units)
-        _write_plot_data(out_dir / "plot_data.csv", model, fingerprint, plot_ens)
-        report = _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, y0, fingerprint)
+        _write_csv(out_dir / "plot_data.csv", *_plot_table(model, plot_ens), fingerprint)
+        report = _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, fingerprint)
+    except BlowUpError as exc:
+        failure, message = {"status": "blow_up", "time": exc.time}, str(exc)
+    except EstimatorError as exc:
+        failure = {"status": "estimator_error", "message": str(exc)}
+        message = f"estimator error: {exc}"
+    else:
         report.extras["status"] = "ok"
         report.extras["seed"] = cfg.seed
         (out_dir / "report.json").write_text(report.to_json() + "\n")
-    except BlowUpError as exc:
-        diag = {
-            "status": "blow_up",
-            "time": exc.time,
-            "config_fingerprint": fingerprint,
-            "model_id": cfg.model_id,
-            "seed": cfg.seed,
-        }
-        (out_dir / "report.json").write_text(json.dumps(diag, sort_keys=True, indent=2) + "\n")
-        print(f"blow-up at t={exc.time:.6g}; partial outputs in {out_dir}", file=sys.stderr)
-        return 3
-    print(f"run complete; outputs in {out_dir} (config {fingerprint})")
-    return 0
+        print(f"run complete; outputs in {out_dir} (config {fingerprint})")
+        return 0
+    diag = {**failure, "config_fingerprint": fingerprint, "model_id": cfg.model_id, "seed": cfg.seed}
+    (out_dir / "report.json").write_text(json.dumps(diag, sort_keys=True, indent=2) + "\n")
+    print(f"{message}; partial outputs in {out_dir}", file=sys.stderr)
+    return 3
 
 
 def cmd_reproduce(args) -> int:

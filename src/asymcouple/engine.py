@@ -176,7 +176,8 @@ class CoupledEnsembleResult(_PathBatch):
 
 
 class _Scheme:
-    """Per-(model, dt) step weights for the exponential two-stage scheme."""
+    """Per-(model, dt) step weights for the exponential two-stage scheme,
+    and the steps per unit interval, over which the W sups are taken."""
 
     def __init__(self, model: ModelSpec, dt: float):
         if dt <= 0:
@@ -186,14 +187,9 @@ class _Scheme:
         self.exp_factor = np.exp(s * dt)
         self.w1 = np.where(s != 0.0, np.expm1(s * dt) / np.where(s != 0.0, s, 1.0), dt)
         self.w_noise = self.w1 / dt
-        spu = round(1.0 / dt)
-        self.steps_per_unit = spu if abs(spu * dt - 1.0) < 1e-9 else None
-
-
-def _steps_per_unit(scheme: _Scheme) -> int:
-    if scheme.steps_per_unit is None:
-        raise EngineError("dt must divide the unit interval for W tracking")
-    return scheme.steps_per_unit
+        self.steps_per_unit = round(1.0 / dt)
+        if abs(self.steps_per_unit * dt - 1.0) >= 1e-9:
+            raise EngineError("dt must divide the unit interval for W tracking")
 
 
 def _records(dt: float, record_every: int, stop: int, unit: int | None = None, start: int = 0,
@@ -230,7 +226,7 @@ def _integrate_batch(model, scheme, x0, increments, records, binding=None, rho0=
         raise EngineError("records must start at step 0 and end at the last step")
     next_records = iter(int(s) for s in record_steps[1:])
     next_record = next(next_records, None)
-    spu = _steps_per_unit(scheme)
+    spu = scheme.steps_per_unit
     e, w1, wn, dt = scheme.exp_factor, scheme.w1, scheme.w_noise, scheme.dt
     f = model.nonlinearity
     coupled = binding is not None
@@ -414,7 +410,7 @@ def _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, dens
     if n_traj < 1:
         raise EngineError("n_traj must be positive")
     scheme = _Scheme(model, dt)
-    spu = _steps_per_unit(scheme)
+    spu = scheme.steps_per_unit
     skip, steps = start_unit * spu, units * spu
     records = _records(dt, record_every or spu, skip + steps, spu, skip,
                        None if dense_units is None else dense_units * spu)
@@ -478,27 +474,3 @@ def run_coupled_ensemble(
     :func:`run_ensemble`."""
     return _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
                         binding=binding, y0=y0)
-
-# -- trajectory CSV -------------------------------------------------------------
-
-
-def trajectory_csv_lines(model: ModelSpec, pair: CoupledEnsembleResult, fingerprint: str | None = None):
-    """CSV rows for path 0 of a bound pair; the first line is a '#' header
-    naming the fixed columns t, V_x, V_y, rho_norm, zeta_*, log_density."""
-    x, rho = pair.x[:, 0], pair.rho[:, 0]
-    zeta = pair.zeta[:, 0] if pair.zeta is not None else None
-    n_zeta = zeta.shape[1] if zeta is not None else 0
-    zeta_names = ",".join(f"zeta_{i + 1}" for i in range(n_zeta))
-    header = "# t,V_x,V_y,rho_norm" + ("," + zeta_names if n_zeta else "") + ",log_density"
-    if fingerprint:
-        header += f"  [config {fingerprint}]"
-    yield header
-    vx = lyapunov(model, x)
-    vy = lyapunov(model, x + rho)
-    rho_norm = np.linalg.norm(rho, axis=-1)
-    for i, t in enumerate(pair.times):
-        row = [t, vx[i], vy[i], rho_norm[i]]
-        if n_zeta:
-            row.extend(zeta[i])
-        row.append(pair.log_density[i, 0])
-        yield ",".join(repr(float(v)) for v in row)

@@ -247,25 +247,23 @@ def lyapunov_fit(
 def axk_table(
     model: ModelSpec,
     ens: EnsembleResult,
-    x0: np.ndarray,
     ks: Sequence[float],
     horizon: int,
 ) -> list[dict]:
     """Empirical frequency of the event that the per-unit-interval sup of V
     stays below ``k (V(x0) + n²)`` for every interval ``n = 1..horizon``,
-    read from an ensemble started at ``x0`` that covers ``horizon + 1``
-    units.
+    read from an ensemble started at one ``x0`` (its first record) that
+    covers ``horizon + 1`` units.
 
     One ensemble is shared across all ``k`` (the events are nested, so
     the frequencies are monotone in ``k`` by construction).  The bound
     column ``1 - C/k`` is calibrated at the smallest ``k`` in the sweep.
     """
-    x0 = np.asarray(x0, dtype=float)
     if horizon < 0:
         raise EstimatorError("horizon must be non-negative")
     if horizon == 0:
         return [{"k": float(k), "frequency": 1.0, "bound": 1.0} for k in ks]
-    v0 = float(lyapunov(model, x0))
+    v0 = float(lyapunov(model, ens.states[0, 0]))
     intervals = np.arange(1, horizon + 1)
     w = ens.head(horizon + 1).w_sup[1:]  # (horizon, n_traj)
     freqs = {}
@@ -299,13 +297,12 @@ class DensityDiagnostics:
 def density_diagnostics(
     model: ModelSpec,
     ens: CoupledEnsembleResult,
-    x0: np.ndarray,
-    y0: np.ndarray,
     horizons: Sequence[int],
     k_good: float = 20.0,
 ) -> DensityDiagnostics:
-    """Girsanov-weight diagnostics along a coupled ensemble started at
-    ``(x0, y0)`` that covers ``max(horizons) + 1`` units.
+    """Girsanov-weight diagnostics along a coupled ensemble started at one
+    ``(x0, y0)`` (its first record, ``y0 = x0 + rho0``) that covers
+    ``max(horizons) + 1`` units.
 
     Per horizon n: the plain mean of the density (a martingale check),
     the mean of density^-2 restricted to the "good" event where the
@@ -327,7 +324,8 @@ def density_diagnostics(
     n_overflow = int(ens.overflow[-1].sum())
     if not np.any(ok):
         raise EstimatorError("all trajectories overflowed the density accumulator")
-    v_tot = float(lyapunov(model, np.asarray(x0, float)) + lyapunov(model, np.asarray(y0, float)))
+    x0, rho0 = ens.x[0, 0], ens.rho[0, 0]
+    v_tot = float(lyapunov(model, x0) + lyapunov(model, x0 + rho0))
     w_joint = ens.w_sup_x + ens.w_sup_y  # (units, n_traj)
     m_idx = np.arange(1, units + 1, dtype=float)
     within = w_joint <= k_good * (v_tot + m_idx[:, None] ** 2)

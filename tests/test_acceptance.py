@@ -179,7 +179,7 @@ def test_criterion_8_diagnostics_suite():
             x0 = np.zeros(model.dim)
             x0[:2] = [0.6, 0.3]
         ens = run_ensemble(model, x0, 2000, 4, 2e-3, seed=32)
-        rows = axk_table(model, ens, x0, ks=[1e2, 1e3, 1e4], horizon=3)
+        rows = axk_table(model, ens, ks=[1e2, 1e3, 1e4], horizon=3)
         freqs = [r["frequency"] for r in rows]
         assert freqs == sorted(freqs), f"{name}: frequencies not monotone: {freqs}"
         assert freqs[-1] >= 0.99, f"{name}: frequency at k=1e4 is {freqs[-1]:.4f}"
@@ -189,7 +189,7 @@ def test_criterion_8_diagnostics_suite():
     toy = make_toy2d()
     x0, y0 = np.array([1.0, 0.5]), np.array([1.3, 0.3])
     ens = run_coupled_ensemble(toy, make_binding(toy), x0, y0, 2000, 11, 2e-3, seed=33)
-    diag = density_diagnostics(toy, ens, x0, y0, horizons=list(range(1, 11)))
+    diag = density_diagnostics(toy, ens, horizons=list(range(1, 11)))
     inv = np.array(diag.mean_inv_sq_good)
     bounded = np.mean(inv[-3:]) <= 2.0 * np.mean(inv[:3]) + 0.5
     assert bounded, f"inverse-square column grows: {inv}"

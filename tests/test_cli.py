@@ -2,17 +2,25 @@
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asymcouple.binding import build_zeta_cascade, parse_cascade_dump
-from asymcouple.cli import _run_ensemble_jobs, main
+from asymcouple.binding import build_zeta_cascade, make_binding, parse_cascade_dump
+from asymcouple.cli import _run_ensemble_jobs, _trajectory_table, _write_csv, main
 from asymcouple import config
 from asymcouple.config import ConfigError, load_config
-from asymcouple.engine import BlowUpError, run_ensemble
-from asymcouple.models import make_chain
+from asymcouple.engine import (
+    BlowUpError,
+    integrate,
+    integrate_coupled,
+    run_coupled_ensemble,
+    run_ensemble,
+    sample_noise,
+)
+from asymcouple.models import make_chain, make_toy2d
 
 TOY_CONFIG = """\
 [model]
@@ -36,6 +44,7 @@ dir = {out}
 """
 
 EST = "contraction = on\n"
+TOY = make_toy2d()
 
 # per model: [model] section, x0 and y0 offset (the toy's are TOY_CONFIG's)
 JOBS_MODELS = {
@@ -54,6 +63,16 @@ def write_config(tmp_path, offset="0.4 -0.2", name="exp.cfg", **extra):
         text = text.replace(f"{key} = ", f"{key} = {value} #", 1)
     path = tmp_path / name
     path.write_text(text)
+    return path
+
+
+def write_model_config(tmp_path, model_id, estimators="", **extra):
+    """TOY_CONFIG with a JOBS_MODELS model, its starts and five paths."""
+    section, x0, offset = JOBS_MODELS[model_id]
+    path = write_config(tmp_path, offset=offset, **extra)
+    text = path.read_text().replace("id = toy2d\n", section)
+    text = text.replace("x0 = 1.0 0.5", f"x0 = {x0}").replace("ensemble = 20", "ensemble = 5")
+    path.write_text(text.replace(EST, EST + estimators))
     return path
 
 
@@ -192,12 +211,9 @@ class TestRun:
                  ("off", 3, "density = on\ndensity_horizons = 1\n" + mixing),
                  ("off", 2, ""))
         differ = []
-        for model_id, (section, x0, offset) in JOBS_MODELS.items():
+        for model_id in JOBS_MODELS:
             for binding, units, estimators in cases:
-                cfg = write_config(tmp_path, offset=offset, binding=binding, units=units)
-                text = cfg.read_text().replace("id = toy2d\n", section)
-                text = text.replace("x0 = 1.0 0.5", f"x0 = {x0}").replace("ensemble = 20", "ensemble = 5")
-                cfg.write_text(text.replace(EST, EST + estimators))
+                cfg = write_model_config(tmp_path, model_id, estimators, binding=binding, units=units)
                 main(["run", "--config", str(cfg), "--jobs", "1"])
                 single = {name: (tmp_path / "out" / name).read_bytes() for name in artifacts}
                 report = json.loads(single["report.json"])
@@ -223,8 +239,7 @@ class TestRun:
         path = write_config(tmp_path, binding=binding, units=units, record_every=1)
         text = path.read_text().replace("ensemble = 20", "ensemble = 2")
         path.write_text(text.replace(EST, EST + estimators))
-        cfg = load_config(path)
-        pairs, x_ens = _run_ensemble_jobs(cfg, *cfg.initial_conditions(cfg.build_model()))
+        pairs, x_ens = _run_ensemble_jobs(load_config(path))
 
         def record_count(span):
             return 500 * min(units, span) + max(span - units, 0) + 1
@@ -253,6 +268,59 @@ class TestRun:
         lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         for line in lines[1:]:
             assert float(line.split(",")[3]) == 0.0
+
+    @pytest.mark.parametrize("binding", ["on", "off"])
+    @pytest.mark.parametrize("model_id", list(JOBS_MODELS))
+    def test_trajectory_is_stream_0_of_the_run(self, tmp_path, model_id, binding):
+        # the one-path run on stream 0 is the given-noise integration of
+        # that stream's noise, field for field and row for row
+        cfg = load_config(write_model_config(tmp_path, model_id, binding=binding))
+        model = cfg.build_model()
+        x0, y0 = cfg.initial_conditions(model)
+        noise = sample_noise(model, cfg.units * round(1 / cfg.dt), cfg.dt, cfg.seed, stream=0)
+        if cfg.binding:
+            spec = make_binding(model)
+            run = run_coupled_ensemble(model, spec, x0, y0, 1, cfg.units, cfg.dt, cfg.seed,
+                                       record_every=cfg.record_every)
+            oracle = integrate_coupled(model, spec, x0, y0, noise, record_every=cfg.record_every)
+        else:
+            run = run_ensemble(model, x0, 1, cfg.units, cfg.dt, cfg.seed,
+                               record_every=cfg.record_every)
+            oracle = integrate(model, x0, noise, record_every=cfg.record_every)
+        for field in fields(run):
+            np.testing.assert_array_equal(getattr(run, field.name), getattr(oracle, field.name))
+        columns, rows = _trajectory_table(model, run)
+        oracle_columns, oracle_rows = _trajectory_table(model, oracle)
+        assert columns == oracle_columns
+        assert list(rows) == list(oracle_rows)
+
+    def test_trajectory_csv_shape(self, tmp_path):
+        binding = make_binding(TOY)
+        traj = run_coupled_ensemble(TOY, binding, np.zeros(2), np.zeros(2), 1, 1, 1e-3, seed=21,
+                                    record_every=50)
+        _write_csv(tmp_path / "t.csv", *_trajectory_table(TOY, traj), "deadbeef")
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[0] == "# t,V_x,V_y,rho_norm,zeta_1,log_density  [config deadbeef]"
+        assert len(lines) == 1 + len(traj.times)
+        # identical initial conditions leave the difference column at zero
+        for line in lines[1:]:
+            assert float(line.split(",")[3]) == 0.0
+
+    @pytest.mark.parametrize("model_id, binding, trajectory, plot_data", [
+        ("toy2d", "on", "t,V_x,V_y,rho_norm,zeta_1,log_density",
+         "t,rho_norm_mean,rho_norm_q10,rho_norm_q50,rho_norm_q90,log_density_mean,abs_zeta1_mean"),
+        ("ginzburg_landau", "on", "t,V_x,V_y,rho_norm,log_density",
+         "t,rho_norm_mean,rho_norm_q10,rho_norm_q50,rho_norm_q90,log_density_mean"),
+        ("toy2d", "off", "t,V_x", "t,V_mean,V_q10,V_q50,V_q90"),
+    ], ids=["bound-with-zeta", "bound-without-zeta", "unbound"])
+    def test_csv_headers(self, tmp_path, model_id, binding, trajectory, plot_data):
+        path = write_model_config(tmp_path, model_id, binding=binding, units=1)
+        assert main(["run", "--config", str(path)]) == 0
+        stamp = f"  [config {load_config(path).fingerprint()}]"
+        for name, columns in (("trajectory.csv", trajectory), ("plot_data.csv", plot_data)):
+            text = (tmp_path / "out" / name).read_text()
+            assert text.splitlines()[0] == f"# {columns}{stamp}", name
+            assert text.endswith("\n") and not text.endswith("\n\n")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -302,6 +370,32 @@ class TestRun:
             reports.append((out / "report.json").read_bytes())
         assert json.loads(reports[0])["status"] == "blow_up"
         assert reports[1] == reports[0]
+
+    def test_estimator_error_exits_3_with_a_report(self, tmp_path, capsys):
+        # a far start of the a² = 5 chain: every path's log weight passes the
+        # overflow bound within the density horizon
+        path = tmp_path / "overflow.cfg"
+        path.write_text(
+            "[model]\nid = chain\na_squared = 5.0\n\n"
+            "[run]\ndt = 0.001\nunits = 1\nensemble = 4\nseed = 7\nbinding = on\n"
+            "x0 = 0.4 0.3 -0.2 0.1\ny0_offset = 1.0 0.5 -0.5 0.5\n\n"
+            "[estimators]\ndensity = on\ndensity_horizons = 1 2\n"
+        )
+        reports = []
+        for jobs in ("1", "2", "1"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", "--config", str(path), "--jobs", jobs, "--out", str(out)]) == 3
+            assert "estimator error: all trajectories overflowed" in capsys.readouterr().err
+            assert (out / "trajectory.csv").is_file() and (out / "plot_data.csv").is_file()
+            reports.append((out / "report.json").read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert json.loads(reports[0]) == {
+            "status": "estimator_error",
+            "message": "all trajectories overflowed the density accumulator",
+            "config_fingerprint": load_config(path).fingerprint(),
+            "model_id": "chain",
+            "seed": 7,
+        }
 
     def test_env_out_override(self, tmp_path, monkeypatch):
         alt = tmp_path / "elsewhere"

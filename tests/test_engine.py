@@ -21,7 +21,6 @@ from asymcouple.engine import (
     run_ensemble,
     sample_noise,
     shift_noise,
-    trajectory_csv_lines,
 )
 from asymcouple.models import (
     LyapunovSpec,
@@ -145,6 +144,13 @@ class TestIntegrate:
         assert isinstance(err, BlowUpError)
         assert err.time == 0.123
         assert str(err) == "blow-up at t=0.123"
+
+    def test_dt_must_divide_the_unit(self):
+        noise = NoisePath(dt=3e-3, increments=np.zeros((10, 1)))
+        with pytest.raises(EngineError, match="dt must divide the unit interval"):
+            integrate(TOY, np.zeros(2), noise, record_every=1)
+        with pytest.raises(EngineError, match="dt must divide the unit interval"):
+            run_ensemble(TOY, np.zeros(2), 2, 1, 3e-3, seed=0)
 
     def test_record_every_must_divide(self):
         noise = NoisePath(dt=1e-3, increments=np.zeros((1000, 1)))
@@ -386,19 +392,6 @@ def test_uncoupled_run_is_the_x_half_of_the_coupled_run(model_id, n_traj):
     coupled = integrate_coupled(model, binding, x0, y0, noise, record_every=50)
     np.testing.assert_array_equal(traj.states, coupled.x)
     np.testing.assert_array_equal(traj.w_sup, coupled.w_sup_x)
-
-
-def test_trajectory_csv_shape():
-    binding = make_binding(TOY)
-    noise = sample_noise(TOY, 100, 1e-3, seed=21)
-    traj = integrate_coupled(TOY, binding, np.zeros(2), np.zeros(2), noise, record_every=50)
-    lines = list(trajectory_csv_lines(TOY, traj, fingerprint="deadbeef"))
-    assert lines[0].startswith("# t,V_x,V_y,rho_norm,zeta_1,log_density")
-    assert "deadbeef" in lines[0]
-    assert len(lines) == 1 + len(traj.times)
-    # identical initial conditions leave the difference column at zero
-    for line in lines[1:]:
-        assert float(line.split(",")[3]) == 0.0
 
 
 # the sizes the CLI and the presets run: GL at 32 modes, RD at 16 per component

@@ -293,23 +293,23 @@ class TestLyapunovFit:
 class TestAxk:
     def test_horizon_zero_is_certain(self):
         ens = run_ensemble(TOY, np.zeros(2), 10, 1, 2e-3, seed=8)
-        rows = axk_table(TOY, ens, np.zeros(2), [1.0], horizon=0)
+        rows = axk_table(TOY, ens, [1.0], horizon=0)
         assert rows[0]["frequency"] == 1.0
 
     def test_monotone_in_k(self):
         x0 = np.array([1.0, 0.5])
         ens = run_ensemble(TOY, x0, 200, 3, 2e-3, seed=9)
-        rows = axk_table(TOY, ens, x0, ks=[0.5, 2.0, 10.0, 100.0], horizon=2)
+        rows = axk_table(TOY, ens, ks=[0.5, 2.0, 10.0, 100.0], horizon=2)
         freqs = [r["frequency"] for r in rows]
         assert freqs == sorted(freqs)
         assert rows[0]["bound"] == pytest.approx(rows[0]["frequency"])
         with pytest.raises(EngineError, match="before 4"):
-            axk_table(TOY, ens, x0, ks=[1.0], horizon=3)
+            axk_table(TOY, ens, ks=[1.0], horizon=3)
 
     def test_large_k_captures_almost_everything(self):
         x0 = np.array([1.0, 0.5])
         ens = run_ensemble(TOY, x0, 300, 3, 2e-3, seed=10)
-        rows = axk_table(TOY, ens, x0, ks=[1e4], horizon=2)
+        rows = axk_table(TOY, ens, ks=[1e4], horizon=2)
         assert rows[0]["frequency"] >= 0.999
 
 
@@ -321,7 +321,7 @@ def _coupled(binding, x0, y0, n_traj, units, seed, record_every=None):
 class TestDensityDiagnostics:
     def test_null_binding_is_exact(self):
         ens = _coupled(null_binding(TOY), np.zeros(2), np.ones(2), 50, 4, seed=11)
-        diag = density_diagnostics(TOY, ens, np.zeros(2), np.ones(2), horizons=[1, 2, 3])
+        diag = density_diagnostics(TOY, ens, horizons=[1, 2, 3])
         assert diag.mean_density == [1.0, 1.0, 1.0]
         assert diag.mean_inv_sq_good == [1.0, 1.0, 1.0]
         assert diag.mean_step_dev_sq == [0.0, 0.0, 0.0]
@@ -331,7 +331,7 @@ class TestDensityDiagnostics:
         x0 = np.array([1.0, 0.5])
         y0 = x0 + np.array([0.3, -0.2])
         ens = _coupled(make_binding(TOY), x0, y0, 300, 9, seed=12)
-        diag = density_diagnostics(TOY, ens, x0, y0, horizons=list(range(1, 9)))
+        diag = density_diagnostics(TOY, ens, horizons=list(range(1, 9)))
         assert diag.n_overflow == 0
         assert all(gf > 0.5 for gf in diag.good_fraction)
         inv = diag.mean_inv_sq_good
@@ -341,9 +341,9 @@ class TestDensityDiagnostics:
     def test_bad_horizons(self):
         ens = _coupled(null_binding(TOY), np.zeros(2), np.ones(2), 5, 1, seed=0)
         with pytest.raises(EstimatorError):
-            density_diagnostics(TOY, ens, np.zeros(2), np.ones(2), horizons=[0])
+            density_diagnostics(TOY, ens, horizons=[0])
         with pytest.raises(EngineError, match="before 2"):
-            density_diagnostics(TOY, ens, np.zeros(2), np.ones(2), horizons=[1])
+            density_diagnostics(TOY, ens, horizons=[1])
 
     @pytest.mark.parametrize("record_every", [None, 100])
     def test_longer_run_gives_the_same_diagnostics(self, record_every):
@@ -358,8 +358,8 @@ class TestDensityDiagnostics:
         run = partial(_coupled, const, x0, x0, 20, seed=14, record_every=record_every)
         short, long = run(2), run(4)
         assert not short.overflow.any() and long.overflow[-1].all()
-        expected = density_diagnostics(TOY, short, x0, x0, horizons=[1])
-        assert density_diagnostics(TOY, long, x0, x0, horizons=[1]) == expected
+        expected = density_diagnostics(TOY, short, horizons=[1])
+        assert density_diagnostics(TOY, long, horizons=[1]) == expected
         assert expected.n_overflow == 0
 
 
