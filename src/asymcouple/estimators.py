@@ -71,10 +71,71 @@ def fit_contraction(series: Iterable[tuple[float, float]]) -> ContractionFit:
 # -- dual-Lipschitz distance ------------------------------------------------------
 
 DL_DEFAULT_CAP = 300
-# golden-section stopping width on the budget split l: the value at the best
-# split is within max(max d, 2) * DL_SPLIT_TOL of the maximum
+# certified accuracy of the distance: the cutting-plane loop stops once the
+# upper model's maximum is within DL_SPLIT_TOL * max(2, max d) of the best
+# transport cost found, d the Euclidean distance
 DL_SPLIT_TOL = 1e-11
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# assignments after which the cutting-plane loop gives up on an open gap
+DL_MAX_ASSIGNMENTS = 57
+
+
+def _point_samples(sample_a, sample_b) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as finite ``(points, dim)`` arrays of one dimension."""
+    a = np.asarray(sample_a, dtype=float)
+    b = np.asarray(sample_b, dtype=float)
+    for name, sample in (("sample_a", a), ("sample_b", b)):
+        if sample.ndim != 2:
+            raise EstimatorError(
+                f"{name} must be a (points, dim) array, got shape {sample.shape}"
+            )
+    if a.size == 0 or b.size == 0:
+        raise EstimatorError("empty sample")
+    if a.shape[1] != b.shape[1]:
+        raise EstimatorError("samples have different dimensions")
+    for name, sample in (("sample_a", a), ("sample_b", b)):
+        if not np.isfinite(sample).all():
+            raise EstimatorError(f"{name} holds non-finite values")
+    return a, b
+
+
+def _coupling_planes(matched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes and intercepts of the n + 1 lines whose minimum is a coupling's
+    cost ``mean_i min(l d_i, 2 (1 - l))``: with the d_i sorted and S_m the sum
+    of the m smallest, line m is ``(S_m - 2 (n - m)) / n * l + 2 (n - m) / n``."""
+    n = len(matched)
+    sums = np.concatenate([[0.0], np.cumsum(np.sort(matched))])
+    flat = 2.0 * (n - np.arange(n + 1))
+    return (sums - flat) / n, flat / n
+
+
+def _envelope_max(slopes: np.ndarray, intercepts: np.ndarray) -> tuple[float, float]:
+    """A maximiser on [0, 1] of ``U(l) = min_j (slopes_j l + intercepts_j)``
+    and an upper bound on max U, equal to U there.
+
+    Starts from lines p and q active at 0 and 1.  U lies below both, so its
+    maximum is at most their crossing value; the line active at the crossing
+    either attains it or is flat (the crossing is a maximiser), or it
+    replaces p or q by the sign of its slope.  No line enters twice.
+    """
+    p = int(np.argmin(intercepts))
+    if slopes[p] <= 0.0:
+        return 0.0, float(intercepts[p])
+    q = int(np.argmin(slopes + intercepts))
+    if slopes[q] >= 0.0:
+        return 1.0, float(slopes[q] + intercepts[q])
+    for _ in range(len(slopes)):
+        split = (intercepts[q] - intercepts[p]) / (slopes[p] - slopes[q])
+        split = min(1.0, max(0.0, float(split)))
+        values = slopes * split + intercepts
+        bound = float(min(values[p], values[q]))
+        j = int(np.argmin(values))
+        if values[j] >= bound or slopes[j] == 0.0:
+            return split, float(values[j])
+        if slopes[j] > 0.0:
+            p = j
+        else:
+            q = j
+    return split, bound
 
 
 def dual_lipschitz_distance(
@@ -92,27 +153,27 @@ def dual_lipschitz_distance(
     metric ``c_l = min(l d, 2 (1 - l))``, so Kantorovich-Rubinstein
     duality gives
 
-        BL(mu, nu) = max_{0 <= l <= 1} W_{c_l}(mu, nu),
+        BL(mu, nu) = max_{0 <= l <= 1} W(l),   W(l) = W_{c_l}(mu, nu),
 
-    the optimal transport cost under ``c_l``.  Each coupling's cost is
-    concave in l, so their minimum W_{c_l} is too, and a golden-section
-    search finds its maximum to ``DL_SPLIT_TOL`` in l.  Samples larger
-    than ``cap`` are subsampled with the recorded seed, after which both
-    must have the same size: between uniform samples of equal size some
-    optimal coupling is a permutation, so each W is one assignment
-    problem, duplicated points included.
+    the optimal transport cost under ``c_l``.  Samples larger than ``cap``
+    are subsampled with the recorded seed, after which both must be
+    ``(points, dim)`` arrays of the same size: between uniform samples of
+    equal size some optimal coupling is a permutation, so each W(l) is one
+    assignment problem, duplicated points included.
+
+    The maximum is found by Kelley's cutting planes (J. SIAM 8, 1960).
+    Each assignment, solved at a split l_k, gives a coupling whose cost
+    ``C_k(l)`` is concave in l and at least W everywhere, so the upper
+    model ``U = min_k C_k`` is a minimum of lines.  The next assignment is
+    solved where U is largest; the loop stops once ``max U`` is within
+    ``DL_SPLIT_TOL * max(2, max d)`` of the best W found, or when the
+    coupling at that split is one already held (then W = U there), and it
+    returns that best W.  A gap still open after ``DL_MAX_ASSIGNMENTS``
+    assignments raises ``EstimatorError``.
     """
-    a = np.atleast_2d(np.asarray(sample_a, dtype=float))
-    b = np.atleast_2d(np.asarray(sample_b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise EstimatorError("empty sample")
-    if a.shape[1] != b.shape[1]:
-        raise EstimatorError("samples have different dimensions")
+    a, b = _point_samples(sample_a, sample_b)
     if cap < 1:
         raise EstimatorError(f"cap must be at least 1, got {cap}")
-    for name, sample in (("sample_a", a), ("sample_b", b)):
-        if not np.isfinite(sample).all():
-            raise EstimatorError(f"{name} holds non-finite values")
     rng = np.random.default_rng(subsample_seed)
     if len(a) > cap:
         a = a[rng.choice(len(a), cap, replace=False)]
@@ -124,25 +185,28 @@ def dual_lipschitz_distance(
         )
 
     dist = cdist(a, b)
-
-    def value(split: float) -> float:
+    tol = DL_SPLIT_TOL * max(2.0, float(dist.max()))
+    slopes, intercepts = np.empty(0), np.empty(0)
+    held: set[bytes] = set()
+    best, split = 0.0, 0.5
+    for _ in range(DL_MAX_ASSIGNMENTS):
         cost = np.minimum(split * dist, 2.0 * (1.0 - split))
         rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].mean())
-
-    lo, hi = 0.0, 1.0
-    x1, x2 = hi - _GOLDEN, lo + _GOLDEN
-    f1, f2 = value(x1), value(x2)
-    while hi - lo > DL_SPLIT_TOL:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = value(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = value(x1)
-    return max(0.0, f1, f2)
+        best = max(best, float(cost[rows, cols].mean()))
+        key = cols.tobytes()
+        if key in held:
+            return best
+        held.add(key)
+        line_slopes, line_intercepts = _coupling_planes(dist[rows, cols])
+        slopes = np.concatenate([slopes, line_slopes])
+        intercepts = np.concatenate([intercepts, line_intercepts])
+        split, bound = _envelope_max(slopes, intercepts)
+        if bound - best <= tol:
+            return best
+    raise EstimatorError(
+        f"bounded-Lipschitz gap {bound - best:.3g} still open after "
+        f"{DL_MAX_ASSIGNMENTS} assignments"
+    )
 
 
 def dirac_dl_distance(separation: float) -> float:
@@ -161,7 +225,8 @@ def bootstrap_null_quantile(
     """Null distribution of the two-sample distance under 'same law':
     pool the samples, re-split at random, and return the requested
     quantile of the resulting distances."""
-    pool = np.vstack([np.atleast_2d(sample_a), np.atleast_2d(sample_b)])
+    sample_a, sample_b = _point_samples(sample_a, sample_b)
+    pool = np.vstack([sample_a, sample_b])
     n_a = min(len(sample_a), cap)
     n_b = min(len(sample_b), cap)
     rng = np.random.default_rng(seed)

@@ -8,12 +8,15 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import cdist
 
+from asymcouple import estimators
 from asymcouple.binding import BindingSpec, make_binding, null_binding
 from asymcouple.engine import EngineError, run_coupled_ensemble, run_ensemble
 from asymcouple.estimators import (
     DL_DEFAULT_CAP,
+    DL_SPLIT_TOL,
     EstimatorError,
     EstimatorReport,
     axk_table,
@@ -82,6 +85,70 @@ def _oracle_samples(n, m, dim, duplicates, seed):
         return pool[rng.integers(0, 8, n)], pool[rng.integers(3, 8, m)]
     shift = np.full(dim, 0.5 * scale)
     return rng.normal(size=(n, dim)) * scale, rng.normal(size=(m, dim)) * scale + shift
+
+
+def _golden_reference(a, b):
+    """Bounded-Lipschitz distance of two equal-size samples by golden-section
+    search over the split l, one assignment per evaluated l: slow, but exact
+    to about 1e-11 in l at any size, since W(l) is concave."""
+    dist = cdist(a, b)
+
+    def value(split):
+        cost = np.minimum(split * dist, 2.0 * (1.0 - split))
+        rows, cols = linear_sum_assignment(cost)
+        return float(cost[rows, cols].mean())
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
+    x1, x2 = hi - golden, lo + golden
+    f1, f2 = value(x1), value(x2)
+    while hi - lo > 1e-11:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = value(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = value(x1)
+    return max(0.0, f1, f2)
+
+
+@pytest.fixture
+def assignments(monkeypatch):
+    """The cost matrices of the assignment problems the distance solves."""
+    costs = []
+
+    def counted(cost):
+        costs.append(cost)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(estimators, "linear_sum_assignment", counted)
+    return costs
+
+
+# the cutting planes certify their gap in a handful of assignments; a loop
+# that drifts towards the cap means the upper model has stopped tightening
+MAX_ASSIGNMENTS_SEEN = 15
+
+ORACLE_CASES = [
+    (40, 40, 2, False, 100),
+    (30, 45, 2, False, 30),
+    (36, 36, 2, True, 100),
+    (24, 40, 3, True, 24),
+    (1, 1, 2, False, 100),
+    (1, 1, 64, False, 100),
+    (45, 45, 1, False, 100),
+    (40, 40, 24, False, 100),
+    (40, 40, 64, False, 100),
+    (20, 33, 64, False, 20),
+    (90, 80, 2, False, 40),
+    (90, 40, 5, False, 40),
+    (70, 70, 24, True, 35),
+]
+ORACLE_IDS = ["equal", "unequal", "duplicates-equal", "duplicates-unequal", "one-vs-one",
+              "one-vs-one-dim64", "dim1", "dim24", "dim64", "unequal-dim64", "cap-equal",
+              "cap-unequal", "cap-duplicates"]
 
 
 class TestFitContraction:
@@ -194,27 +261,7 @@ class TestDualLipschitz:
 
     # the *-unequal cases draw samples of different sizes that the cap
     # brings to one size, the only unequal inputs the distance accepts
-    @pytest.mark.parametrize(
-        "n, m, dim, duplicates, cap",
-        [
-            (40, 40, 2, False, 100),
-            (30, 45, 2, False, 30),
-            (36, 36, 2, True, 100),
-            (24, 40, 3, True, 24),
-            (1, 1, 2, False, 100),
-            (1, 1, 64, False, 100),
-            (45, 45, 1, False, 100),
-            (40, 40, 24, False, 100),
-            (40, 40, 64, False, 100),
-            (20, 33, 64, False, 20),
-            (90, 80, 2, False, 40),
-            (90, 40, 5, False, 40),
-            (70, 70, 24, True, 35),
-        ],
-        ids=["equal", "unequal", "duplicates-equal", "duplicates-unequal", "one-vs-one",
-             "one-vs-one-dim64", "dim1", "dim24", "dim64", "unequal-dim64", "cap-equal",
-             "cap-unequal", "cap-duplicates"],
-    )
+    @pytest.mark.parametrize("n, m, dim, duplicates, cap", ORACLE_CASES, ids=ORACLE_IDS)
     def test_matches_lp_oracle(self, n, m, dim, duplicates, cap):
         a, b = _oracle_samples(n, m, dim, duplicates, seed=n * 1000 + m + dim)
         got = dual_lipschitz_distance(a, b, cap=cap, subsample_seed=11)
@@ -226,6 +273,47 @@ class TestDualLipschitz:
             b = b[rng.choice(len(b), cap, replace=False)]
         assert len(np.unique(np.vstack([a, b]), axis=0)) <= 100
         assert got == pytest.approx(_lp_oracle(a, b), abs=1e-7)
+
+    @pytest.mark.parametrize("n, m, dim, duplicates, cap", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_few_assignments_on_the_oracle_cases(self, n, m, dim, duplicates, cap, assignments):
+        a, b = _oracle_samples(n, m, dim, duplicates, seed=n * 1000 + m + dim)
+        dual_lipschitz_distance(a, b, cap=cap, subsample_seed=11)
+        assert 1 <= len(assignments) <= MAX_ASSIGNMENTS_SEEN
+
+    # past the LP's reach: the golden search over W, one assignment per l
+    @pytest.mark.parametrize("n", [150, 300])
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_matches_golden_reference(self, n, dim, assignments):
+        a, b = _oracle_samples(n, n, dim, False, seed=n + dim)
+        got = dual_lipschitz_distance(a, b)
+        assert 1 <= len(assignments) <= MAX_ASSIGNMENTS_SEEN
+        reference = _golden_reference(a, b)
+        assert abs(got - reference) <= 2.0 * DL_SPLIT_TOL * max(2.0, cdist(a, b).max())
+
+    def test_open_gap_raises(self, monkeypatch):
+        a, b = _oracle_samples(40, 40, 2, False, seed=12)
+        monkeypatch.setattr(estimators, "DL_MAX_ASSIGNMENTS", 1)
+        with pytest.raises(EstimatorError, match="still open after 1 assignments"):
+            dual_lipschitz_distance(a, b)
+
+    @pytest.mark.parametrize(
+        "sample_a, sample_b, side",
+        [
+            # n scalars are n points on the line, not one point in R^n
+            ([0.0, 1.0], [1.0, 0.0], "sample_a"),
+            (np.zeros((3, 2)), np.zeros(3), "sample_b"),
+            (np.zeros((2, 3, 2)), np.zeros((2, 3, 2)), "sample_a"),
+        ],
+        ids=["one-dim", "one-dim-b", "three-dim"],
+    )
+    @pytest.mark.parametrize("routine", [dual_lipschitz_distance, bootstrap_null_quantile],
+                             ids=["distance", "bootstrap"])
+    def test_sample_shape_rejected(self, routine, sample_a, sample_b, side):
+        with pytest.raises(EstimatorError, match=rf"{side} must be a \(points, dim\) array"):
+            routine(sample_a, sample_b)
+
+    def test_column_samples_are_points_on_the_line(self):
+        assert dual_lipschitz_distance([[0.0], [1.0]], [[1.0], [0.0]]) == 0.0
 
 
 FIT_MODEL_PARAMS = {
