@@ -41,13 +41,14 @@ from .estimators import EstimatorError, EstimatorReport
 from .presets import PRESETS, run_preset
 
 
-def _ensemble_worker(task):
+def _ensemble_worker(task, binding=None):
     """Top-level worker so process pools can pickle the task ``(cfg, lo, hi)``.
 
     Integrates the run's paths on streams ``lo..hi-1`` over the
     ``_spans``: bound pairs over the first span, the ``x`` paths alone
     after that.  Returns the pairs (None when nothing reads them) and the
-    ``x`` paths over the whole run."""
+    ``x`` paths over the whole run.  A pool worker builds its own model
+    and binding; in the run's own process they are the run's."""
     cfg, lo, hi = task
     model = cfg.build_model()
     x0, y0 = cfg.initial_conditions(model)
@@ -56,7 +57,8 @@ def _ensemble_worker(task):
     if not coupled_units:
         return None, run_ensemble(model, x0, hi - lo, units, cfg.dt, cfg.seed, **records)
     pairs = run_coupled_ensemble(
-        model, bnd.make_binding(model), x0, y0, hi - lo, coupled_units, cfg.dt, cfg.seed, **records
+        model, binding or bnd.make_binding(model), x0, y0, hi - lo, coupled_units, cfg.dt, cfg.seed,
+        **records,
     )
     x_ens = pairs.x_half()
     if units > coupled_units:
@@ -82,19 +84,20 @@ def _spans(cfg: ExperimentConfig) -> tuple[int, int]:
     return max(coupled, default=0), max(units)
 
 
-def _run_ensemble_jobs(cfg: ExperimentConfig):
+def _run_ensemble_jobs(cfg: ExperimentConfig, binding=None):
     """Integrate the run's one ensemble, streams ``0..n-1`` from the
     config's ``(x0, y0)``, on a worker pool; members are indexed by noise
     stream so the merged result is independent of the schedule.  Records
     are every ``record_every`` steps over the first ``units`` units, which
     the plot data reads, and once a unit after.  Returns the bound pairs
-    (None when nothing reads them) and the ``x`` paths."""
+    (None when nothing reads them) and the ``x`` paths.  At one job the
+    run's ``binding``, if it has one, serves the pairs."""
     n = cfg.ensemble
     jobs = min(cfg.jobs, n)
     bounds = np.linspace(0, n, jobs + 1).astype(int)
     tasks = [(cfg, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if jobs == 1:
-        results = [_ensemble_worker(tasks[0])]
+        results = [_ensemble_worker(tasks[0], binding)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_ensemble_worker, tasks))
@@ -196,8 +199,9 @@ def cmd_run(args) -> int:
     try:
         # stream 0 of the run, recorded densely, as a run of its own: it is
         # written before the ensemble, so a blow-up in the ensemble leaves it
+        binding = bnd.make_binding(model) if cfg.binding else None
         if cfg.binding:
-            traj = run_coupled_ensemble(model, bnd.make_binding(model), x0, y0, 1, cfg.units,
+            traj = run_coupled_ensemble(model, binding, x0, y0, 1, cfg.units,
                                         cfg.dt, cfg.seed, record_every=dense_every)
         else:
             traj = run_ensemble(model, x0, 1, cfg.units, cfg.dt, cfg.seed, record_every=dense_every)
@@ -205,7 +209,7 @@ def cmd_run(args) -> int:
 
         # one ensemble serves the plot data and every estimator that starts
         # at (x0, y0); density needs the bound copy even with binding off
-        pairs, x_ens = _run_ensemble_jobs(cfg)
+        pairs, x_ens = _run_ensemble_jobs(cfg, binding)
         plot_ens = (pairs if cfg.binding else x_ens).head(cfg.units)
         _write_csv(out_dir / "plot_data.csv", *_plot_table(model, plot_ens), fingerprint)
         report = _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, fingerprint)

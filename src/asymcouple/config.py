@@ -114,10 +114,17 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
 
     def build_model(self) -> ModelSpec:
-        try:
-            return make_model(self.model_id, **self.model_params)
-        except ModelError as exc:
-            raise ConfigError(f"[model] {exc}") from exc
+        """The config's model, built once per process (it is not pickled)."""
+        if "_model" not in vars(self):
+            try:
+                self._model = make_model(self.model_id, **self.model_params)
+            except ModelError as exc:
+                raise ConfigError(f"[model] {exc}") from exc
+        return self._model
+
+    def __getstate__(self):
+        # a model holds closures: a pool worker builds its own
+        return {k: v for k, v in vars(self).items() if k != "_model"}
 
     def initial_conditions(self, model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
         x0 = _pad(self.x0, model.dim, "[run] x0")

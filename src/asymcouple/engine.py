@@ -17,6 +17,11 @@ error.
 The log Girsanov weight accumulates the left-point (Ito) sums
 ``G · Δω - ||G||² dt / 2``; left-point evaluation keeps the exponential
 exactly mean-one over fresh noise.
+
+A step reads only its own increment, so an ensemble runs as one batch
+whose noise is drawn a block of at most one unit of steps at a time into
+one reused buffer: the noise held is paths × noise dims × block steps ×
+8 bytes, whatever the run's length.
 """
 
 from __future__ import annotations
@@ -134,7 +139,9 @@ class _PathBatch:
 
     @classmethod
     def concat(cls, parts):
-        """Join batches in order along the path axis."""
+        """Join batches in order along the path axis; one batch is returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
         merged = {}
         for field in fields(cls):
             value = getattr(parts[0], field.name)
@@ -209,21 +216,34 @@ def _records(dt: float, record_every: int, stop: int, unit: int | None = None, s
     return steps, np.concatenate([dense * (record_every * dt), tail * (unit * dt)])
 
 
-def _integrate_batch(model, scheme, x0, increments, records, binding=None, rho0=None):
+def _steps_of(blocks, steps: int):
+    """The rows of the increment blocks, one a step: exactly ``steps`` of them."""
+    taken = 0
+    for block in blocks:
+        taken += len(block)
+        if taken > steps:
+            raise EngineError(f"the noise covers more than the records' {steps} steps")
+        yield from block
+    if taken < steps:
+        raise EngineError(f"the noise covers {taken} of the records' {steps} steps")
+
+
+def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None):
     """The batch stepper.
 
-    Always steps ``x`` under the increments, recording at the steps and
-    times ``records`` (step 0 and the last step among them).  Given a
-    binding it also steps the difference ``rho`` from ``rho0`` with the
-    binding drift and tracks the Girsanov log weight, ``||G||²``, the
-    overflow flag, ``zeta`` and the W sups of ``y``; the weight,
-    ``||G||²`` and the flag are recorded as of each record.  Returns an
-    :class:`EnsembleResult` or a :class:`CoupledEnsembleResult`.
+    Always steps ``x`` under the increments, which ``blocks`` yields as
+    consecutive ``(block, paths, n_noise)`` arrays that together cover
+    the records exactly, recording at the steps and times ``records``
+    (step 0 and the last step among them).  Given a binding it also
+    steps the difference ``rho`` from ``rho0`` with the binding drift and
+    tracks the Girsanov log weight, ``||G||²``, the overflow flag,
+    ``zeta`` and the W sups of ``y``; the weight, ``||G||²`` and the flag
+    are recorded as of each record.  Returns an :class:`EnsembleResult`
+    or a :class:`CoupledEnsembleResult`.
     """
-    steps = increments.shape[0]
     record_steps, times = records
-    if record_steps[0] != 0 or record_steps[-1] != steps:
-        raise EngineError("records must start at step 0 and end at the last step")
+    if record_steps[0] != 0:
+        raise EngineError("records must start at step 0")
     next_records = iter(int(s) for s in record_steps[1:])
     next_record = next(next_records, None)
     spu = scheme.steps_per_unit
@@ -260,8 +280,7 @@ def _integrate_batch(model, scheme, x0, increments, records, binding=None, rho0=
 
     # blow-ups are detected and reported, not raised by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            dw = increments[step]
+        for step, dw in enumerate(_steps_of(blocks, int(record_steps[-1]))):
             forcing = wn * apply_noise(model, dw)
             f1 = f(cur)
             np.add(e * x + w1 * f1[0], forcing, out=pred[0])
@@ -339,7 +358,7 @@ def integrate(model: ModelSpec, x0: np.ndarray, noise: NoisePath, record_every: 
     x0 = np.asarray(x0, dtype=float)
     _check_path_inputs(model, noise, x0)
     return _integrate_batch(
-        model, _Scheme(model, noise.dt), x0[None, :], noise.increments[:, None, :],
+        model, _Scheme(model, noise.dt), x0[None, :], [noise.increments[:, None, :]],
         _records(noise.dt, record_every, noise.steps),
     )
 
@@ -363,7 +382,7 @@ def integrate_coupled(
     y0 = np.asarray(y0, dtype=float)
     _check_path_inputs(model, noise, x0, y0)
     return _integrate_batch(
-        model, _Scheme(model, noise.dt), x0[None, :], noise.increments[:, None, :],
+        model, _Scheme(model, noise.dt), x0[None, :], [noise.increments[:, None, :]],
         _records(noise.dt, record_every, noise.steps), binding, (y0 - x0)[None, :],
     )
 
@@ -384,29 +403,33 @@ def shift_noise(noise: NoisePath, pair: CoupledEnsembleResult, binding: BindingS
 
 # -- ensembles ----------------------------------------------------------------
 
-_CHUNK_BYTES = 1 << 26
+# the most bytes of one block of a run's noise, all paths over at most a unit
+_NOISE_BLOCK_BYTES = 1 << 26
 
 
-def _chunks(n_traj: int, steps: int, n_noise: int):
-    per_traj = max(1, steps * n_noise * 8)
-    chunk = max(1, min(n_traj, _CHUNK_BYTES // per_traj))
-    start = 0
-    while start < n_traj:
-        stop = min(n_traj, start + chunk)
-        yield start, stop
-        start = stop
+def _noise_blocks(model, dt, seed, streams, spu, skip, steps):
+    """The streams' increments from step ``skip`` (whole units, drawn and
+    dropped a unit at a time) on, ``steps`` of them, as ``(block, paths,
+    n_noise)`` views of one reused buffer.  Draws are sequential, so each
+    stream's rows are those of its one :func:`sample_noise` draw."""
+    rngs = [_rng_for(seed, s) for s in streams]
+    shape, scale = (len(rngs), model.n_noise), math.sqrt(dt)
+    for rng in rngs:
+        for _ in range(skip // spu):
+            rng.normal(0.0, scale, (spu, shape[1]))
+    block = max(1, min(spu, steps, _NOISE_BLOCK_BYTES // max(1, 8 * math.prod(shape))))
+    buffer = np.empty((block,) + shape)
+    for lo in range(0, steps, block):
+        rows = buffer[: min(block, steps - lo)]
+        for i, rng in enumerate(rngs):
+            rows[:, i] = rng.normal(0.0, scale, (len(rows), shape[1]))
+        yield rows
 
 
-def _stack_noise(model, steps, dt, seed, streams, skip=0):
-    """The streams' increments from step ``skip`` on, ``steps`` of them."""
-    cols = [sample_noise(model, skip + steps, dt, seed, s).increments[skip:] for s in streams]
-    return np.stack(cols, axis=1)  # (steps, n_chunk, n_noise)
-
-
-def _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
-                 start_unit=0, binding=None, y0=None):
-    """Integrate ``n_traj`` paths in chunks that bound the noise memory,
-    path ``i`` on noise stream ``stream0 + i``, and join the chunks."""
+def _run(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
+         start_unit=0, binding=None, y0=None):
+    """Integrate ``n_traj`` paths as one batch, path ``i`` on noise stream
+    ``stream0 + i``, its noise drawn a block at a time."""
     if n_traj < 1:
         raise EngineError("n_traj must be positive")
     scheme = _Scheme(model, dt)
@@ -419,12 +442,8 @@ def _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, dens
     rhos = None
     if binding is not None:
         rhos = np.broadcast_to(np.asarray(y0, dtype=float) - x0, (n_traj, model.dim))
-    parts = []
-    for lo, hi in _chunks(n_traj, skip + steps, model.n_noise):
-        incr = _stack_noise(model, steps, dt, seed, range(stream0 + lo, stream0 + hi), skip=skip)
-        rho0 = rhos[lo:hi] if rhos is not None else None
-        parts.append(_integrate_batch(model, scheme, xs[lo:hi], incr, records, binding, rho0))
-    return type(parts[0]).concat(parts)
+    blocks = _noise_blocks(model, dt, seed, range(stream0, stream0 + n_traj), spu, skip, steps)
+    return _integrate_batch(model, scheme, xs, blocks, records, binding, rhos)
 
 
 def run_ensemble(
@@ -448,9 +467,10 @@ def run_ensemble(
     None) and once a unit after.  With ``start_unit`` the paths start at
     that time: they take their streams' noise from there on, so a run
     continued from the last record of an earlier run over ``start_unit``
-    units carries on as one longer run would."""
-    return _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
-                        start_unit)
+    units carries on as one longer run would.  All paths step as one
+    batch; their noise is drawn a block of at most one unit of steps at a
+    time, so its memory does not grow with ``units``."""
+    return _run(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units, start_unit)
 
 
 def run_coupled_ensemble(
@@ -472,5 +492,5 @@ def run_coupled_ensemble(
     ``x0`` and ``y0`` are each one start ``(dim,)`` shared by every pair,
     or one start per pair ``(n_traj, dim)``.  Records are kept as for
     :func:`run_ensemble`."""
-    return _run_chunked(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
-                        binding=binding, y0=y0)
+    return _run(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
+                binding=binding, y0=y0)

@@ -16,8 +16,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .binding import BindingSpec
 from .engine import CoupledEnsembleResult, EnsembleResult, run_ensemble
@@ -171,6 +169,10 @@ def dual_lipschitz_distance(
     returns that best W.  A gap still open after ``DL_MAX_ASSIGNMENTS``
     assignments raises ``EstimatorError``.
     """
+    # scipy loads at the first distance, not with the package
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     a, b = _point_samples(sample_a, sample_b)
     if cap < 1:
         raise EstimatorError(f"cap must be at least 1, got {cap}")

@@ -1,13 +1,18 @@
 """Harness behaviour: config validation, artifacts, determinism, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import asymcouple
+from asymcouple import binding as bnd
 from asymcouple.binding import build_zeta_cascade, make_binding, parse_cascade_dump
 from asymcouple.cli import _run_ensemble_jobs, _trajectory_table, _write_csv, main
 from asymcouple import config
@@ -294,6 +299,31 @@ class TestRun:
         assert columns == oracle_columns
         assert list(rows) == list(oracle_rows)
 
+    @pytest.mark.parametrize("binding, estimators, jobs, bindings", [
+        ("on", "", 1, 1),
+        ("off", "density = on\ndensity_horizons = 1\n", 1, 1),
+        ("off", "", 1, 0),
+        ("on", "density = on\ndensity_horizons = 1\n", 2, 1),
+    ], ids=["bound", "density-only", "unbound", "bound-2-jobs"])
+    def test_model_and_binding_built_once(self, tmp_path, monkeypatch, binding, estimators, jobs,
+                                          bindings):
+        # validation, the trajectory and an in-process worker share one model
+        # and one binding (the chain's cascade is derived once); a pool
+        # worker builds its own, in its own process
+        built = {"model": 0, "binding": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(config, "make_model", counted("model", config.make_model))
+        monkeypatch.setattr(bnd, "make_binding", counted("binding", bnd.make_binding))
+        path = write_model_config(tmp_path, "chain", estimators, binding=binding)
+        assert main(["run", "--config", str(path), "--jobs", str(jobs)]) == 0
+        assert built == {"model": 1, "binding": bindings}
+
     def test_trajectory_csv_shape(self, tmp_path):
         binding = make_binding(TOY)
         traj = run_coupled_ensemble(TOY, binding, np.zeros(2), np.zeros(2), 1, 1, 1e-3, seed=21,
@@ -420,6 +450,26 @@ class TestPresetsCommand:
             "chain-cascade", "girsanov-martingale", "mixing-distance",
         ):
             assert name in out
+
+    def test_scipy_loads_only_for_distances(self):
+        # importing the package and listing presets need no scipy.optimize
+        # or scipy.spatial: only the bounded-Lipschitz distance loads them
+        script = (
+            "import sys\n"
+            "import asymcouple\n"
+            "loaded = lambda: sorted(m for m in sys.modules\n"
+            "                        if m.startswith(('scipy.optimize', 'scipy.spatial')))\n"
+            "assert not loaded(), loaded()\n"
+            "from asymcouple.cli import main\n"
+            "assert main(['list-presets']) == 0\n"
+            "assert not loaded(), loaded()\n"
+            "asymcouple.dual_lipschitz_distance([[0.0]], [[1.0]])\n"
+            "assert loaded()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(asymcouple.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
 
     def test_unknown_preset(self, capsys):
         assert main(["reproduce", "nope"]) == 2

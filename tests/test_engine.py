@@ -2,12 +2,14 @@
 
 import math
 import pickle
+import re
 from dataclasses import fields
 from functools import partial
 
 import numpy as np
 import pytest
 
+from asymcouple import engine
 from asymcouple.binding import BindingSpec, make_binding, null_binding
 from asymcouple.engine import (
     BlowUpError,
@@ -497,3 +499,83 @@ def test_paths_do_not_depend_on_the_batch_they_share(model_id):
         noise = sample_noise(model, 500, 2e-3, seed=29, stream=4)
         traj = integrate_coupled(model, binding, a0, b0, noise, record_every=50)
         assert_paths_equal(traj, whole, f"{start} start, one path", first=4)
+
+
+def block_rows(model, n_paths, rows):
+    """A noise budget that holds ``rows`` steps of ``n_paths`` paths."""
+    return 8 * n_paths * model.n_noise * rows
+
+
+@pytest.mark.parametrize("budget_rows", [None, 7], ids=["unit-blocks", "7-step-blocks"])
+@pytest.mark.parametrize("model_id", list(BOUND_PAIRS))
+def test_streamed_runs_equal_the_one_draw_oracle(model_id, budget_rows, monkeypatch):
+    # an ensemble draws its noise a block at a time; path i must be, bit for
+    # bit, the given-noise integration of sample_noise's one draw of stream
+    # i, also with blocks that cut across the unit intervals, and a run
+    # continued at start_unit must carry on the oracle's path
+    model, x0, y0 = bound_pair(model_id)
+    binding = make_binding(model)
+    n, units, dt = 3, 3, 2e-3
+    spu = round(1 / dt)
+    if budget_rows is not None:
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", block_rows(model, n, budget_rows))
+    ens = run_ensemble(model, x0, n, units, dt, seed=33, record_every=50)
+    pairs = run_coupled_ensemble(model, binding, x0, y0, n, units, dt, seed=33, record_every=50)
+    noises = [sample_noise(model, units * spu, dt, seed=33, stream=i) for i in range(n)]
+    paths = [integrate(model, x0, noise, record_every=50) for noise in noises]
+    assert_paths_equal(ens, EnsembleResult.concat(paths), "uncoupled run")
+    coupled = [integrate_coupled(model, binding, x0, y0, noise, record_every=50) for noise in noises]
+    assert_paths_equal(pairs, CoupledEnsembleResult.concat(coupled), "coupled run")
+    for start_unit in (1, 2):
+        first = 10 * start_unit  # the record at time start_unit
+        starts = np.stack([path.states[first, 0] for path in paths])
+        later = run_ensemble(model, starts, n, units - start_unit, dt, seed=33, record_every=50,
+                             start_unit=start_unit)
+        for i, path in enumerate(paths):
+            where = f"continued at {start_unit}, path {i}"
+            np.testing.assert_allclose(later.times, path.times[first:], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(later.states[:, i], path.states[first:, 0], err_msg=where)
+            np.testing.assert_array_equal(later.w_sup[:, i], path.w_sup[start_unit:, 0], err_msg=where)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ((4, 5), "covers 9 of the records' 10 steps"),
+    ((6, 6), "more than the records' 10 steps"),
+    ((10, 1), "more than the records' 10 steps"),
+    ((), "covers 0 of the records' 10 steps"),
+])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_noise_must_cover_the_records_exactly(sizes, message, coupled):
+    scheme = engine._Scheme(TOY, 1e-3)
+    blocks = iter([np.zeros((k, 1, TOY.n_noise)) for k in sizes])
+    binding, rho0 = (make_binding(TOY), np.full((1, 2), 0.1)) if coupled else (None, None)
+    with pytest.raises(EngineError, match=re.escape(message)):
+        engine._integrate_batch(TOY, scheme, np.ones((1, 2)), blocks, engine._records(1e-3, 1, 10),
+                                binding, rho0)
+
+
+@pytest.mark.parametrize("budget_rows", [None, 300])
+def test_noise_blocks_stay_within_a_unit_and_the_budget(budget_rows, monkeypatch):
+    # the noise of a 2000-path run is held a block at a time, in one buffer
+    n, units, dt = 2000, 2, 2e-3
+    spu = round(1 / dt)
+    if budget_rows is not None:
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", block_rows(TOY, n, budget_rows) + 8)
+    blocks = []
+    stepper = engine._integrate_batch
+
+    def spy(model, scheme, x0, noise, *args):
+        def seen():
+            for block in noise:
+                blocks.append((block.shape, block.nbytes, block.__array_interface__["data"][0]))
+                yield block
+        return stepper(model, scheme, x0, seen(), *args)
+
+    monkeypatch.setattr(engine, "_integrate_batch", spy)
+    run_ensemble(TOY, np.array([0.5, -0.5]), n, units, dt, seed=34, start_unit=1)
+    shapes, sizes, buffers = zip(*blocks)
+    assert sum(shape[0] for shape in shapes) == units * spu
+    assert {shape[1:] for shape in shapes} == {(n, TOY.n_noise)}
+    assert max(shape[0] for shape in shapes) == min(spu, budget_rows or spu)
+    assert max(sizes) <= engine._NOISE_BLOCK_BYTES
+    assert len(set(buffers)) == 1

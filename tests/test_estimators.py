@@ -7,6 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
@@ -123,7 +124,8 @@ def assignments(monkeypatch):
         costs.append(cost)
         return linear_sum_assignment(cost)
 
-    monkeypatch.setattr(estimators, "linear_sum_assignment", counted)
+    # the distance imports the solver from scipy.optimize at each call
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
     return costs
 
 
