@@ -41,11 +41,22 @@ class BindingError(ValueError):
 
 @dataclass
 class BindingSpec:
-    """A binding force plus its diagnostic contraction variables."""
+    """A binding force plus its diagnostic contraction variables.
+
+    ``force(x, y)`` is the binding's contract.  A force that reads the
+    model's nonlinearity at both copies may also be given as
+    ``drift_force(xy, f_xy)``: the same force, bit for bit, from the
+    stacked copies ``xy = (x, y)`` and the nonlinearity ``f_xy`` already
+    evaluated on them.  The stepper evaluates the nonlinearity on the
+    stacked copies at each stage anyway, and passes those values rather
+    than have the force recompute them.
+    """
 
     model_id: str
     force: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (..., dim)² -> (..., n_noise)
     zeta_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    # (2, ..., dim)² -> (..., n_noise)
+    drift_force: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 # -- toy model -----------------------------------------------------------------
@@ -95,15 +106,20 @@ def gl_coupled_diagonal(model: ModelSpec) -> np.ndarray:
 # -- reaction-diffusion --------------------------------------------------------
 
 
-def rd_binding(x: np.ndarray, y: np.ndarray, model: ModelSpec) -> np.ndarray:
+def rd_binding(x: np.ndarray, y: np.ndarray, model: ModelSpec,
+               f_xy: np.ndarray | None = None) -> np.ndarray:
     """Force on the u-modes making ``zeta = rho_u + 3 rho_v`` solve the damped
-    heat equation ``dzeta/dt = Δzeta - zeta`` mode by mode."""
+    heat equation ``dzeta/dt = Δzeta - zeta`` mode by mode.  ``f_xy``, the
+    nonlinearity at the stacked ``(x, y)``, is computed if not given."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     half = model.dim // 2
     rho = y - x
     zeta = rho[..., :half] + 3.0 * rho[..., half:]
-    fy, fx = model.nonlinearity(np.stack(np.broadcast_arrays(y, x)))
+    if f_xy is None:
+        fy, fx = model.nonlinearity(np.stack(np.broadcast_arrays(y, x)))
+    else:
+        fx, fy = f_xy
     delta = model.linear_spectrum * rho + fy - fx
     lap = model.aux["laplacian"]
     return (lap - 1.0) * zeta - (delta[..., :half] + 3.0 * delta[..., half:])
@@ -328,6 +344,7 @@ def make_binding(model: ModelSpec, cascade: ZetaCascade | None = None) -> Bindin
             model_id=model.id,
             force=lambda x, y: rd_binding(x, y, model),
             zeta_map=lambda x, y: rd_zeta(x, y, model),
+            drift_force=lambda xy, f_xy: rd_binding(xy[0], xy[1], model, f_xy),
         )
     if model.id == "chain":
         if cascade is None:

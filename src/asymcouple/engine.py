@@ -16,7 +16,15 @@ error.
 
 The log Girsanov weight accumulates the left-point (Ito) sums
 ``G · Δω - ||G||² dt / 2``; left-point evaluation keeps the exponential
-exactly mean-one over fresh noise.
+exactly mean-one over fresh noise.  Each step's ``G`` waits in one
+buffer, bounded by ``_FOLD_BYTES`` with the fold's temporaries, and the
+sums are folded over the buffered steps when it is full and at the end
+of each noise block: cumulative sums down the steps, carried on from
+the last fold, add in the order of a step-by-step sum.
+
+The noise forces the first ``n_noise`` coordinates (a model forced
+elsewhere is refused), so the increment and the shift ``Q G`` are added
+to that block alone.
 
 A step reads only its own increment, so an ensemble runs as one batch
 whose noise is drawn a block of at most one unit of steps at a time into
@@ -32,7 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .binding import BindingSpec
-from .models import ModelSpec, apply_noise, lyapunov
+from .models import ModelSpec, lyapunov
 
 LOG_DENSITY_OVERFLOW = 700.0
 
@@ -189,6 +197,9 @@ class _Scheme:
     def __init__(self, model: ModelSpec, dt: float):
         if dt <= 0:
             raise EngineError("dt must be positive")
+        if not np.array_equal(model.noise_dims, np.arange(model.n_noise)):
+            raise EngineError(f"the noise must force the first coordinates: noise_dims "
+                              f"{model.noise_dims.tolist()} is not arange({model.n_noise})")
         s = model.linear_spectrum
         self.dt = dt
         self.exp_factor = np.exp(s * dt)
@@ -216,16 +227,38 @@ def _records(dt: float, record_every: int, stop: int, unit: int | None = None, s
     return steps, np.concatenate([dense * (record_every * dt), tail * (unit * dt)])
 
 
-def _steps_of(blocks, steps: int):
-    """The rows of the increment blocks, one a step: exactly ``steps`` of them."""
+def _blocks_of(blocks, steps: int):
+    """The increment blocks, checked to cover exactly ``steps`` steps."""
     taken = 0
     for block in blocks:
         taken += len(block)
         if taken > steps:
             raise EngineError(f"the noise covers more than the records' {steps} steps")
-        yield from block
+        yield block
     if taken < steps:
         raise EngineError(f"the noise covers {taken} of the records' {steps} steps")
+
+
+# the most bytes of one Girsanov fold, its buffer of forces and the fold's
+# temporaries (per path and step: the force, two products of it and about
+# ten path-sized sums and flags), unless one step alone needs more
+_FOLD_BYTES = 1 << 16
+
+
+def _fold_girsanov(g, dw, dt, last):
+    """The log weight, ``||G||² dt`` and the overflow flag after each of
+    the buffered steps with forces ``g`` and increments ``dw``, carried
+    on from ``last``, their values before the first of them.  The
+    cumulative sums add in the order of a step-by-step sum."""
+    g_sq = (g**2).sum(axis=-1)
+    log_density = (g * dw).sum(axis=-1) - 0.5 * g_sq * dt
+    g_l2 = g_sq * dt
+    log_density[0] += last[0]
+    g_l2[0] += last[1]
+    log_density = np.cumsum(log_density, axis=0)
+    overflow = np.abs(log_density) > LOG_DENSITY_OVERFLOW
+    overflow[0] |= last[2]
+    return log_density, np.cumsum(g_l2, axis=0), np.logical_or.accumulate(overflow, axis=0)
 
 
 def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None):
@@ -247,99 +280,111 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
     next_records = iter(int(s) for s in record_steps[1:])
     next_record = next(next_records, None)
     spu = scheme.steps_per_unit
-    e, w1, wn, dt = scheme.exp_factor, scheme.w1, scheme.w_noise, scheme.dt
+    e, w1, half_w1, dt = scheme.exp_factor, scheme.w1, 0.5 * scheme.w1, scheme.dt
+    k, q, wq = model.n_noise, model.noise_coeffs, scheme.w_noise[: model.n_noise]
     f = model.nonlinearity
     coupled = binding is not None
     # the copies' rows at the step start (x, then y = x + rho) and at the
-    # predictor stage, so that one nonlinearity call per stage serves both;
-    # C order keeps every row reduction in one summation order
+    # predictor stage, so that one nonlinearity call per stage, and one
+    # Lyapunov call per step, serves both; C order keeps every row
+    # reduction in one summation order
     cur = np.empty((2 if coupled else 1,) + np.shape(x0))
     pred = np.empty_like(cur)
     x = cur[0]
     x[...] = x0
+    # noise enters the first n_noise coordinates only (see _Scheme)
+    x_forced, pred_forced = x[..., :k], pred[0, ..., :k]
     n = x.shape[0]
     x_records = [x.copy()]
-    vx = lyapunov(model, x)
-    wx_cur = vx.copy()
-    w_sup_x = []
     if coupled:
         rho = np.array(rho0, dtype=float, order="C")
         y = np.add(x, rho, out=cur[1])
-        log_density = np.zeros(n)
-        g_l2 = np.zeros(n)
-        overflow = np.zeros(n, dtype=bool)
+        force = binding.drift_force or (lambda xy, f_xy: binding.force(xy[0], xy[1]))
         zeta_fn = binding.zeta_map
         rho_records = [rho.copy()]
         zeta_records = [zeta_fn(x, y)] if zeta_fn is not None else None
-        logdens_records = [log_density.copy()]
-        g_l2_records = [g_l2.copy()]
-        overflow_records = [overflow.copy()]
-        vy = lyapunov(model, y)
-        wy_cur = vy.copy()
-        w_sup_y = []
+        # each step's force waits in one buffer for the fold that sums it
+        # into the Girsanov records, at the latest at the end of its block
+        forces = np.empty((max(1, _FOLD_BYTES // (8 * n * (3 * k + 10))), n, k))
+        held, kept = 0, []
+        last = (np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
+        girsanov_records = tuple([value[None]] for value in last)
+    v = lyapunov(model, cur)
+    w_cur = v.copy()
+    w_sups = []
 
     # blow-ups are detected and reported, not raised by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, dw in enumerate(_steps_of(blocks, int(record_steps[-1]))):
-            forcing = wn * apply_noise(model, dw)
-            f1 = f(cur)
-            np.add(e * x + w1 * f1[0], forcing, out=pred[0])
-            if coupled:
-                g1 = binding.force(x, y)
-                nr1 = f1[1] - f1[0] + apply_noise(model, g1)
-                rho_pred = e * rho + w1 * nr1
-                np.add(pred[0], rho_pred, out=pred[1])
-            f2 = f(pred)
-            if coupled:
-                g2 = binding.force(pred[0], pred[1])
-                nr2 = f2[1] - f2[0] + apply_noise(model, g2)
-                rho = e * rho + 0.5 * w1 * (nr1 + nr2)
-            np.add(e * x + 0.5 * w1 * (f1[0] + f2[0]), forcing, out=x)
-
-            if not np.all(np.isfinite(x)) or (coupled and not np.all(np.isfinite(rho))):
-                raise BlowUpError((step + 1) * dt)
-
-            vx = lyapunov(model, x)
-            np.maximum(wx_cur, vx, out=wx_cur)
-            if coupled:
-                np.add(x, rho, out=y)
-                g_sq = (g1**2).sum(axis=-1)
-                log_density += (g1 * dw).sum(axis=-1) - 0.5 * g_sq * dt
-                g_l2 += g_sq * dt
-                overflow |= np.abs(log_density) > LOG_DENSITY_OVERFLOW
-                vy = lyapunov(model, y)
-                np.maximum(wy_cur, vy, out=wy_cur)
-            if (step + 1) % spu == 0:
-                w_sup_x.append(wx_cur)
-                wx_cur = vx.copy()
+        step = 0
+        for block in _blocks_of(blocks, int(record_steps[-1])):
+            for j, dw in enumerate(block):
+                forcing = wq * (q * dw)
+                f1 = f(cur)
+                ex = e * x
+                np.add(ex, w1 * f1[0], out=pred[0])
+                pred_forced += forcing
                 if coupled:
-                    w_sup_y.append(wy_cur)
-                    wy_cur = vy.copy()
-            if step + 1 == next_record:
-                next_record = next(next_records, None)
-                x_records.append(x.copy())
+                    g1 = force(cur, f1)
+                    if g1.shape != forces.shape[1:]:
+                        raise EngineError(f"the binding force has shape {g1.shape}, "
+                                          f"expected {forces.shape[1:]}")
+                    forces[held] = g1
+                    held += 1
+                    nr1 = f1[1] - f1[0]
+                    nr1[..., :k] += q * g1
+                    erho = e * rho
+                    np.add(pred[0], erho + w1 * nr1, out=pred[1])
+                f2 = f(pred)
                 if coupled:
-                    rho_records.append(rho.copy())
-                    logdens_records.append(log_density.copy())
-                    g_l2_records.append(g_l2.copy())
-                    overflow_records.append(overflow.copy())
-                    if zeta_records is not None:
-                        zeta_records.append(zeta_fn(x, y))
+                    g2 = force(pred, f2)
+                    nr2 = f2[1] - f2[0]
+                    nr2[..., :k] += q * g2
+                    rho = erho + half_w1 * (nr1 + nr2)
+                np.add(ex, half_w1 * (f1[0] + f2[0]), out=x)
+                x_forced += forcing
+                step += 1
+
+                if not np.isfinite(x).all() or (coupled and not np.isfinite(rho).all()):
+                    raise BlowUpError(step * dt)
+
+                if coupled:
+                    np.add(x, rho, out=y)
+                v = lyapunov(model, cur)
+                np.maximum(w_cur, v, out=w_cur)
+                if step % spu == 0:
+                    w_sups.append(w_cur)
+                    w_cur = v.copy()
+                if step == next_record:
+                    next_record = next(next_records, None)
+                    x_records.append(x.copy())
+                    if coupled:
+                        kept.append(held - 1)
+                        rho_records.append(rho.copy())
+                        if zeta_records is not None:
+                            zeta_records.append(zeta_fn(x, y))
+                if coupled and (held == len(forces) or j + 1 == len(block)):
+                    folded = _fold_girsanov(forces[:held], block[j + 1 - held : j + 1], dt, last)
+                    if kept:
+                        for chunks, values in zip(girsanov_records, folded):
+                            chunks.append(values[kept])
+                    last = tuple(values[-1] for values in folded)
+                    held, kept = 0, []
 
     # reshape keeps the path axis when no unit interval completed
-    w_sup_x = np.array(w_sup_x).reshape(-1, n)
+    w_sups = np.array(w_sups).reshape(-1, len(cur), n).transpose(1, 0, 2).copy()
     if not coupled:
-        return EnsembleResult(times=times, states=np.array(x_records), w_sup=w_sup_x, dt=dt)
+        return EnsembleResult(times=times, states=np.array(x_records), w_sup=w_sups[0], dt=dt)
+    log_density, g_l2, overflow = (np.concatenate(chunks) for chunks in girsanov_records)
     return CoupledEnsembleResult(
         times=times,
         x=np.array(x_records),
         rho=np.array(rho_records),
         zeta=np.array(zeta_records) if zeta_records is not None else None,
-        log_density=np.array(logdens_records),
-        w_sup_x=w_sup_x,
-        w_sup_y=np.array(w_sup_y).reshape(-1, n),
-        g_l2=np.array(g_l2_records),
-        overflow=np.array(overflow_records),
+        log_density=log_density,
+        w_sup_x=w_sups[0],
+        w_sup_y=w_sups[1],
+        g_l2=g_l2,
+        overflow=overflow,
         dt=dt,
     )
 

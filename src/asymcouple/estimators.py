@@ -168,6 +168,11 @@ def dual_lipschitz_distance(
     coupling at that split is one already held (then W = U there), and it
     returns that best W.  A gap still open after ``DL_MAX_ASSIGNMENTS``
     assignments raises ``EstimatorError``.
+
+    The certified gap is absolute: the value is within
+    ``DL_SPLIT_TOL * max(2, max d)`` (2e-11 for samples whose points are
+    less than 2 apart) of the distance, not within a fraction of it.
+    Distances near 1e-9 can come out a few percent low.
     """
     # scipy loads at the first distance, not with the package
     from scipy.optimize import linear_sum_assignment

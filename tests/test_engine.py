@@ -579,3 +579,118 @@ def test_noise_blocks_stay_within_a_unit_and_the_budget(budget_rows, monkeypatch
     assert max(shape[0] for shape in shapes) == min(spu, budget_rows or spu)
     assert max(sizes) <= engine._NOISE_BLOCK_BYTES
     assert len(set(buffers)) == 1
+
+
+def test_noise_must_force_the_first_coordinates():
+    # the stepper adds the noise and the shift Q G to the first n_noise
+    # coordinates, so a model forced elsewhere is refused, not mis-stepped
+    model = ModelSpec(
+        id="toy2d",
+        dim=2,
+        linear_spectrum=np.array([-1.0, -1.0]),
+        nonlinearity=lambda x: np.zeros_like(x),
+        noise_dims=np.array([1]),
+        noise_coeffs=np.array([1.0]),
+        params={},
+        lyapunov_spec=LyapunovSpec(name="l2_norm"),
+    )
+    with pytest.raises(EngineError, match=re.escape("noise_dims [1] is not arange(1)")):
+        run_ensemble(model, np.ones(2), 2, 1, 0.1, seed=1)
+    with pytest.raises(EngineError, match="noise_dims"):
+        integrate_coupled(model, null_binding(model), np.ones(2), np.zeros(2),
+                          sample_noise(model, 10, 0.1, seed=1))
+
+
+def test_a_force_of_the_wrong_shape_is_refused():
+    flat = BindingSpec(model_id="toy2d", force=lambda x, y: (y - x)[..., 0])
+    with pytest.raises(EngineError, match=re.escape("has shape (2,), expected (2, 1)")):
+        run_coupled_ensemble(TOY, flat, np.zeros(2), np.ones(2), 2, 1, 1e-2, seed=1)
+
+
+def fold_bytes(model, n_paths, rows):
+    """A fold budget that holds ``rows`` steps of ``n_paths`` paths."""
+    return 8 * n_paths * (3 * model.n_noise + 10) * rows
+
+
+def constant_pair():
+    force = BindingSpec(
+        model_id="toy2d",
+        force=lambda x, y: np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (1,), 3.0),
+    )
+    return TOY, force, np.array([1.0, 0.5]), np.array([1.2, 0.4])
+
+
+@pytest.mark.parametrize("model_id", [*BOUND_PAIRS, "constant"])
+def test_girsanov_folds_equal_a_step_by_step_sum(model_id, monkeypatch):
+    # the stepper buffers each step's force and folds the Girsanov sums a
+    # few steps at a time; with folds of 3 steps they cut across records
+    # and unit ends (a unit is 500 steps), and the log weight, ||G||² dt and
+    # the sticky overflow flag must still be, bit for bit, the sums of a
+    # plain step-by-step loop over the force at the recorded pair.  The
+    # overflow bound is lowered so that the constant force's log weight
+    # crosses it and comes back: the flag must stay set.  Dropping the
+    # carry of any running sum or of the flag into a fold fails this test.
+    if model_id == "constant":
+        model, binding, x0, y0 = constant_pair()
+    else:
+        model, x0, y0 = bound_pair(model_id)
+        binding = make_binding(model)
+    n, units, dt = 2, 2, 2e-3
+    steps = units * round(1 / dt)
+    monkeypatch.setattr(engine, "_FOLD_BYTES", fold_bytes(model, n, 3))
+    monkeypatch.setattr(engine, "LOG_DENSITY_OVERFLOW", 1.0)
+    folds = []
+    fold = engine._fold_girsanov
+
+    def spy(g, dw, *args):
+        folds.append(len(g))
+        return fold(g, dw, *args)
+
+    monkeypatch.setattr(engine, "_fold_girsanov", spy)
+    pairs = run_coupled_ensemble(model, binding, x0, y0, n, units, dt, seed=41, record_every=1)
+    assert max(folds) == 3 and folds.count(2) == units and sum(folds) == steps
+    thin = run_coupled_ensemble(model, binding, x0, y0, n, units, dt, seed=41, record_every=4)
+    for name in ("log_density", "g_l2", "overflow"):
+        np.testing.assert_array_equal(getattr(thin, name), getattr(pairs, name)[::4], err_msg=name)
+    for i in range(n):
+        noise = sample_noise(model, steps, dt, seed=41, stream=i)
+        force = binding.force(pairs.x[:-1, i], pairs.y[:-1, i])
+        running_log, running_l2, flag = 0.0, 0.0, False
+        expected = {"log_density": [0.0], "g_l2": [0.0], "overflow": [False]}
+        for k in range(steps):
+            g_sq = float((force[k] ** 2).sum())
+            running_log += float((force[k] * noise.increments[k]).sum()) - 0.5 * g_sq * dt
+            running_l2 += g_sq * dt
+            flag = flag or abs(running_log) > engine.LOG_DENSITY_OVERFLOW
+            for name, value in zip(expected, (running_log, running_l2, flag)):
+                expected[name].append(value)
+        for name, values in expected.items():
+            np.testing.assert_array_equal(getattr(pairs, name)[:, i], values,
+                                          err_msg=f"path {i}: {name}")
+    if model_id == "constant":
+        flagged_below = pairs.overflow & (np.abs(pairs.log_density) <= 1.0)
+        assert flagged_below.any(axis=0).all()
+
+
+@pytest.mark.parametrize("n_traj", [1, 3, 9])
+def test_rd_force_reuses_the_stage_nonlinearity(n_traj):
+    # a coupled RD step evaluates the nonlinearity once per Heun stage on
+    # the stacked (x, y) rows; the binding force takes those values instead
+    # of evaluating it again, and is bit for bit the force from (x, y)
+    model, x0, y0 = bound_pair("reaction_diffusion")
+    binding = make_binding(model)
+    nonlinearity, calls = model.nonlinearity, []
+
+    def counted(state):
+        calls.append(state.shape)
+        return nonlinearity(state)
+
+    model.nonlinearity = counted
+    run_coupled_ensemble(model, binding, x0, y0, n_traj, 1, 2e-3, seed=42)
+    assert calls == [(2, n_traj, model.dim)] * 2 * 500
+    rng = np.random.default_rng(42)
+    xy = np.stack([x0 + 0.5 * rng.normal(size=(n_traj, model.dim)) for _ in range(2)])
+    f_xy = nonlinearity(xy)
+    got = binding.drift_force(xy, f_xy)
+    np.testing.assert_array_equal(got, binding.force(xy[0], xy[1]))
+    assert got.shape == (n_traj, model.n_noise) and np.abs(got).max() > 0.0

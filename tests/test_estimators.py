@@ -292,6 +292,15 @@ class TestDualLipschitz:
         reference = _golden_reference(a, b)
         assert abs(got - reference) <= 2.0 * DL_SPLIT_TOL * max(2.0, cdist(a, b).max())
 
+    def test_the_gap_is_absolute_at_tiny_scales(self):
+        # at scale 1e-9 the certified gap, DL_SPLIT_TOL * max(2, max d) =
+        # 2e-11, is a few percent of the distance: at this seed the value is
+        # 2 % below the golden reference, and still inside the absolute bound
+        a, b = (sample * 1e-9 for sample in _oracle_samples(40, 40, 2, False, seed=40))
+        got, reference = dual_lipschitz_distance(a, b), _golden_reference(a, b)
+        assert 0.0 < got <= reference
+        assert abs(got - reference) <= 2.0 * DL_SPLIT_TOL * max(2.0, cdist(a, b).max())
+
     def test_open_gap_raises(self, monkeypatch):
         a, b = _oracle_samples(40, 40, 2, False, seed=12)
         monkeypatch.setattr(estimators, "DL_MAX_ASSIGNMENTS", 1)
