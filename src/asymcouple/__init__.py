@@ -43,10 +43,8 @@ from .estimators import (
     mixing_distance_series,
 )
 from .measures import (
-    DiscreteKernel,
     DiscreteMeasure,
     MeasureError,
-    compose,
     meet,
     overlap_chi2_bound,
     overlap_chi2_bound_sharp,
@@ -58,7 +56,6 @@ from .models import (
     LyapunovSpec,
     ModelError,
     ModelSpec,
-    apply_noise,
     chain_k_star,
     drift,
     lyapunov,

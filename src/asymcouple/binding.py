@@ -92,14 +92,15 @@ def gl_binding(x: np.ndarray, y: np.ndarray, model: ModelSpec) -> np.ndarray:
     forced mode, so the full diagonal is bounded by ``-gap``.
     """
     rho = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    lam = model.linear_spectrum[model.noise_dims] - 1.0
-    return -(2.0 + lam) / model.noise_coeffs * rho[..., model.noise_dims]
+    k = model.n_noise
+    lam = model.linear_spectrum[:k] - 1.0
+    return -(2.0 + lam) / model.noise_coeffs * rho[..., :k]
 
 
 def gl_coupled_diagonal(model: ModelSpec) -> np.ndarray:
     """Diagonal of the difference-process linear operator with binding on."""
     diag = model.linear_spectrum.copy()
-    diag[model.noise_dims] = -1.0
+    diag[: model.n_noise] = -1.0
     return diag
 
 

@@ -42,15 +42,32 @@ from .presets import PRESETS, run_preset
 
 
 def _ensemble_worker(task, binding=None):
-    """Top-level worker so process pools can pickle the task ``(cfg, lo, hi)``.
-
-    Integrates the run's paths on streams ``lo..hi-1`` over the
-    ``_spans``: bound pairs over the first span, the ``x`` paths alone
-    after that.  Returns the pairs (None when nothing reads them) and the
-    ``x`` paths over the whole run.  A pool worker builds its own model
-    and binding; in the run's own process they are the run's."""
-    cfg, lo, hi = task
+    """Top-level worker so process pools can pickle the task ``(cfg, group,
+    lo, hi)``: paths ``lo..hi-1`` of one of the run's ``_groups``, or the
+    ``BlowUpError`` they raised, which the run weighs against its other
+    spans' (see ``_run_ensemble_jobs``).  A pool worker builds its own
+    model and binding; in the run's own process they are the run's."""
+    cfg, group, lo, hi = task
     model = cfg.build_model()
+    try:
+        if group == "mixing":
+            # the second start runs on the streams after the ensemble's
+            return run_ensemble(model, cfg.mixing_alt_x0(model), hi - lo,
+                                max(cfg.estimator("mixing_times")), cfg.dt, cfg.seed,
+                                stream0=cfg.ensemble + lo)
+        if group == "lyapunov":
+            return run_ensemble(model, _lyapunov_starts(cfg, model)[lo:hi], hi - lo, 1, cfg.dt,
+                                cfg.seed, stream0=lo)
+        return _ensemble_span(cfg, model, lo, hi, binding)
+    except BlowUpError as exc:
+        return exc
+
+
+def _ensemble_span(cfg, model, lo, hi, binding):
+    """The run's ensemble on streams ``lo..hi-1`` over the ``_spans``:
+    bound pairs over the first span, the ``x`` paths alone after that.
+    Returns the pairs (None when nothing reads them) and the ``x`` paths
+    over the whole run."""
     x0, y0 = cfg.initial_conditions(model)
     coupled_units, units = _spans(cfg)
     records = {"stream0": lo, "record_every": cfg.record_every or None, "dense_units": cfg.units}
@@ -84,26 +101,67 @@ def _spans(cfg: ExperimentConfig) -> tuple[int, int]:
     return max(coupled, default=0), max(units)
 
 
-def _run_ensemble_jobs(cfg: ExperimentConfig, binding=None):
-    """Integrate the run's one ensemble, streams ``0..n-1`` from the
-    config's ``(x0, y0)``, on a worker pool; members are indexed by noise
-    stream so the merged result is independent of the schedule.  Records
-    are every ``record_every`` steps over the first ``units`` units, which
-    the plot data reads, and once a unit after.  Returns the bound pairs
-    (None when nothing reads them) and the ``x`` paths.  At one job the
-    run's ``binding``, if it has one, serves the pairs."""
-    n = cfg.ensemble
-    jobs = min(cfg.jobs, n)
-    bounds = np.linspace(0, n, jobs + 1).astype(int)
-    tasks = [(cfg, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+# the lyapunov probes are these multiples of x0 (of a unit vector if x0 = 0)
+_PROBE_SCALES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def _probe_samples(cfg: ExperimentConfig) -> int:
+    return min(200, cfg.ensemble)  # paths per lyapunov probe
+
+
+def _lyapunov_starts(cfg: ExperimentConfig, model) -> np.ndarray:
+    """Probe ``i`` of the lyapunov group on its paths ``i*S..(i+1)*S-1``."""
+    x0 = cfg.initial_conditions(model)[0]
+    base = x0 if np.linalg.norm(x0) > 0 else np.ones(model.dim) / np.sqrt(model.dim)
+    return np.repeat([base * s for s in _PROBE_SCALES], _probe_samples(cfg), axis=0)
+
+
+def _groups(cfg: ExperimentConfig) -> list[tuple[str, int]]:
+    """The groups of paths the run integrates after its trajectory, with
+    their path counts: the ensemble, streams ``0..n-1`` from the config's
+    ``(x0, y0)``; mixing's second start, streams ``n..2n-1``; and the
+    lyapunov probes, streams ``0..6S-1``."""
+    groups = [("ensemble", cfg.ensemble)]
+    if cfg.estimator("mixing"):
+        groups.append(("mixing", cfg.ensemble))
+    if cfg.estimator("lyapunov"):
+        groups.append(("lyapunov", len(_PROBE_SCALES) * _probe_samples(cfg)))
+    return groups
+
+
+def _run_ensemble_jobs(cfg: ExperimentConfig, binding=None) -> dict:
+    """Integrate the run's ``_groups`` of paths as one task list on a worker
+    pool, each group split into at most ``jobs`` spans.  Paths are indexed
+    by noise stream, so the merged groups do not depend on the schedule.
+    The ensemble is recorded every ``record_every`` steps over the first
+    ``units`` units, which the plot data reads, and once a unit after; the
+    other groups once a unit.  Returns the groups by name, the ensemble as
+    its ``x`` paths (``"ensemble"``) and bound pairs (``"pairs"``, None
+    when nothing reads them).  A blow-up raises that of the first group
+    that blew up, at its earliest time over the spans, as the group run as
+    one batch would.  At one job the run's ``binding`` serves the pairs."""
+    groups = _groups(cfg)
+    jobs = min(cfg.jobs, max(n for _, n in groups))
+    tasks = []
+    for group, n in groups:
+        bounds = np.linspace(0, n, min(jobs, n) + 1).astype(int)
+        tasks += [(cfg, group, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if jobs == 1:
-        results = [_ensemble_worker(tasks[0], binding)]
+        outcomes = [_ensemble_worker(task, binding) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_ensemble_worker, tasks))
-    pairs, x_parts = zip(*results)
-    return (None if pairs[0] is None else CoupledEnsembleResult.concat(pairs),
-            EnsembleResult.concat(x_parts))
+            outcomes = list(pool.map(_ensemble_worker, tasks))
+    merged = {}
+    for group, _ in groups:
+        parts = [out for task, out in zip(tasks, outcomes) if task[1] == group]
+        blow_ups = [out for out in parts if isinstance(out, BlowUpError)]
+        if blow_ups:
+            raise min(blow_ups, key=lambda exc: exc.time)
+        if group == "ensemble":
+            pairs, parts = zip(*parts)
+            merged["pairs"] = None if pairs[0] is None else CoupledEnsembleResult.concat(pairs)
+        merged[group] = EnsembleResult.concat(parts)
+    return merged
 
 
 def _trajectory_table(model, ens):
@@ -149,31 +207,26 @@ def _write_csv(path: Path, columns, rows, fingerprint):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, fingerprint) -> EstimatorReport:
-    """Every estimator that is on, from the run's one ensemble: its first
-    ``units`` units as plotted, its bound pairs and its ``x`` paths."""
+def _run_estimators(cfg, model, plot_ens, groups, fingerprint) -> EstimatorReport:
+    """Every estimator that is on, from the run's merged ``groups`` of
+    paths (see ``_run_ensemble_jobs``) and the ensemble's first ``units``
+    units as plotted."""
     report = EstimatorReport(model_id=model.id, config_fingerprint=fingerprint)
     if isinstance(plot_ens, CoupledEnsembleResult):
         rho_norm = np.linalg.norm(plot_ens.rho, axis=-1).mean(axis=1)
         if cfg.estimator("contraction") and np.all(rho_norm > 0):
             report.contraction = asdict(est.fit_contraction(list(zip(plot_ens.times, rho_norm))))
+    x_ens = groups["ensemble"]
     if cfg.estimator("mixing"):
-        # the second start runs on the streams after the ensemble's
-        times = cfg.estimator("mixing_times")
-        alt = run_ensemble(model, cfg.mixing_alt_x0(model), cfg.ensemble, max(times), cfg.dt,
-                           cfg.seed, stream0=cfg.ensemble)
-        report.distances = est.mixing_distance_series(x_ens, alt, times)
+        report.distances = est.mixing_distance_series(x_ens, groups["mixing"],
+                                                      cfg.estimator("mixing_times"))
     if cfg.estimator("lyapunov"):
-        base = x0 if np.linalg.norm(x0) > 0 else np.ones(model.dim) / np.sqrt(model.dim)
-        probes = [base * s for s in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
-        report.lyapunov = asdict(est.lyapunov_fit(
-            model, probes, samples_per_probe=min(200, cfg.ensemble), dt=cfg.dt, seed=cfg.seed,
-        ))
+        report.lyapunov = asdict(est.lyapunov_fit(model, groups["lyapunov"], _probe_samples(cfg)))
     if cfg.estimator("axk"):
         report.axk = est.axk_table(model, x_ens, cfg.estimator("axk_ks"), cfg.estimator("axk_horizon"))
     if cfg.estimator("density"):
         report.density = asdict(est.density_diagnostics(
-            model, pairs, cfg.estimator("density_horizons"),
+            model, groups["pairs"], cfg.estimator("density_horizons"),
         ))
     return report
 
@@ -209,10 +262,10 @@ def cmd_run(args) -> int:
 
         # one ensemble serves the plot data and every estimator that starts
         # at (x0, y0); density needs the bound copy even with binding off
-        pairs, x_ens = _run_ensemble_jobs(cfg, binding)
-        plot_ens = (pairs if cfg.binding else x_ens).head(cfg.units)
+        groups = _run_ensemble_jobs(cfg, binding)
+        plot_ens = groups["pairs" if cfg.binding else "ensemble"].head(cfg.units)
         _write_csv(out_dir / "plot_data.csv", *_plot_table(model, plot_ens), fingerprint)
-        report = _run_estimators(cfg, model, plot_ens, pairs, x_ens, x0, fingerprint)
+        report = _run_estimators(cfg, model, plot_ens, groups, fingerprint)
     except BlowUpError as exc:
         failure, message = {"status": "blow_up", "time": exc.time}, str(exc)
     except EstimatorError as exc:

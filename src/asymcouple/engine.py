@@ -22,9 +22,8 @@ sums are folded over the buffered steps when it is full and at the end
 of each noise block: cumulative sums down the steps, carried on from
 the last fold, add in the order of a step-by-step sum.
 
-The noise forces the first ``n_noise`` coordinates (a model forced
-elsewhere is refused), so the increment and the shift ``Q G`` are added
-to that block alone.
+The noise forces the first ``n_noise`` coordinates, so the increment
+and the shift ``Q G`` are added to that block alone.
 
 A step reads only its own increment, so an ensemble runs as one batch
 whose noise is drawn a block of at most one unit of steps at a time into
@@ -197,9 +196,6 @@ class _Scheme:
     def __init__(self, model: ModelSpec, dt: float):
         if dt <= 0:
             raise EngineError("dt must be positive")
-        if not np.array_equal(model.noise_dims, np.arange(model.n_noise)):
-            raise EngineError(f"the noise must force the first coordinates: noise_dims "
-                              f"{model.noise_dims.tolist()} is not arange({model.n_noise})")
         s = model.linear_spectrum
         self.dt = dt
         self.exp_factor = np.exp(s * dt)
@@ -292,7 +288,7 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
     pred = np.empty_like(cur)
     x = cur[0]
     x[...] = x0
-    # noise enters the first n_noise coordinates only (see _Scheme)
+    # noise enters the first n_noise coordinates only
     x_forced, pred_forced = x[..., :k], pred[0, ..., :k]
     n = x.shape[0]
     x_records = [x.copy()]
@@ -345,7 +341,8 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
                 step += 1
 
                 if not np.isfinite(x).all() or (coupled and not np.isfinite(rho).all()):
-                    raise BlowUpError(step * dt)
+                    # the time of the run, which a continued run starts after 0
+                    raise BlowUpError(float(times[0]) + step * dt)
 
                 if coupled:
                     np.add(x, rho, out=y)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .binding import BindingSpec
-from .engine import CoupledEnsembleResult, EnsembleResult, run_ensemble
+from .engine import CoupledEnsembleResult, EnsembleResult
 from .models import ModelSpec, lyapunov
 
 
@@ -267,25 +267,18 @@ class LyapunovFit:
         return 4.0 * self.b / (1.0 - self.a)
 
 
-def lyapunov_fit(
-    model: ModelSpec,
-    probes: Sequence[np.ndarray],
-    samples_per_probe: int = 100,
-    dt: float = 1e-3,
-    seed: int = 0,
-) -> LyapunovFit:
-    """Fit ``E V(time-1 state from x) <= a V(x) + b`` with ``a < 1``.
+def lyapunov_fit(model: ModelSpec, ens: EnsembleResult, samples_per_probe: int) -> LyapunovFit:
+    """Fit ``E V(time-1 state from x) <= a V(x) + b`` with ``a < 1`` from an
+    ensemble over at least one unit whose paths ``i*S..(i+1)*S-1``, ``S =
+    samples_per_probe``, start at probe ``i`` (its first record).
 
     Monte-Carlo estimates of the conditional mean are regressed on
     ``V(probe)``; the intercept is then lifted so the line dominates
     every estimate plus two standard errors.  Raises ``EstimatorError``
     ("no dissipative fit") when the regression slope reaches 1.
     """
-    probes = [np.asarray(probe, dtype=float) for probe in probes]
-    # one ensemble for all probes: probe i's paths are streams i*S .. (i+1)*S - 1
-    starts = np.repeat(np.array(probes), samples_per_probe, axis=0)
-    ens = run_ensemble(model, starts, len(starts), units=1, dt=dt, seed=seed)
-    values = lyapunov(model, ens.states[-1]).reshape(len(probes), samples_per_probe)
+    probes = ens.states[0, ::samples_per_probe]
+    values = lyapunov(model, ens.head(1).states[-1]).reshape(len(probes), samples_per_probe)
     v0 = np.array([float(lyapunov(model, probe)) for probe in probes])
     means = np.array([float(row.mean()) for row in values])
     ses = np.array([float(row.std(ddof=1) / math.sqrt(samples_per_probe)) for row in values])

@@ -1,7 +1,7 @@
-"""Lattice algebra and kernel composition for finitely supported measures.
+"""Lattice algebra and overlap bounds for finitely supported measures.
 
 Measures here are non-negative with finite support, so the meet, the
-truncated difference, pushforwards and kernel composition all reduce to
+truncated difference and pushforwards all reduce to
 exact dictionary arithmetic on point weights.  Support points are opaque
 hashable atoms compared by exact equality; there is no geometric
 tolerance.  Everything is pure: no operation mutates its inputs.
@@ -23,7 +23,8 @@ PROB_TOL = 1e-12
 
 
 class MeasureError(ValueError):
-    """Raised for invalid weights, partial maps, or kernel mismatches."""
+    """Raised for invalid weights, partial maps, or measures an overlap bound
+    cannot take."""
 
 
 class DiscreteMeasure:
@@ -155,50 +156,6 @@ def pushforward(f: Callable[[Point], Point], mu: DiscreteMeasure) -> DiscreteMea
         if q is None:
             raise MeasureError(f"partial map: {p!r} has no image")
         out[q] = out.get(q, 0.0) + v
-    return DiscreteMeasure(out)
-
-
-class DiscreteKernel:
-    """Family of probability measures indexed by source points.
-
-    Each row must be a probability measure up to :data:`PROB_TOL`.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Mapping[Point, DiscreteMeasure]):
-        for src, row in rows.items():
-            if not row.is_probability():
-                raise MeasureError(
-                    f"kernel row at {src!r} has mass {row.mass():.3e}, expected 1"
-                )
-        self._rows = dict(rows)
-
-    def row(self, point: Point) -> DiscreteMeasure:
-        try:
-            return self._rows[point]
-        except KeyError:
-            raise MeasureError(f"kernel domain mismatch: no row for {point!r}") from None
-
-    @property
-    def sources(self) -> tuple[Point, ...]:
-        return tuple(self._rows)
-
-    def __contains__(self, point: Point) -> bool:
-        return point in self._rows
-
-
-def compose(r: DiscreteKernel, q: DiscreteKernel, y: Point) -> DiscreteMeasure:
-    """Two-step path measure from ``y``: first a ``q`` step, then an ``r`` step.
-
-    Returns the measure on pairs ``(z, w)`` with weight ``q_y({z}) * r_z({w})``.
-    Raises :class:`MeasureError` if ``r`` has no row for some point charged
-    by ``q_y``.
-    """
-    out: dict[Point, float] = {}
-    for z, qw in q.row(y).items():
-        for w, rw in r.row(z).items():
-            out[(z, w)] = out.get((z, w), 0.0) + qw * rw
     return DiscreteMeasure(out)
 
 

@@ -47,15 +47,14 @@ class ModelSpec:
     dim: int
     linear_spectrum: np.ndarray
     nonlinearity: Callable[[np.ndarray], np.ndarray]
-    noise_dims: np.ndarray
-    noise_coeffs: np.ndarray
+    noise_coeffs: np.ndarray  # q_i of coordinate i: the noise forces the first n_noise
     params: dict
     lyapunov_spec: LyapunovSpec
     aux: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_noise(self) -> int:
-        return len(self.noise_dims)
+        return len(self.noise_coeffs)
 
 
 def drift(model: ModelSpec, state: np.ndarray) -> np.ndarray:
@@ -85,19 +84,6 @@ def lyapunov(model: ModelSpec, state: np.ndarray) -> np.ndarray:
     raise ModelError(f"unknown Lyapunov spec {spec.name!r}")
 
 
-def apply_noise(model: ModelSpec, increments: np.ndarray) -> np.ndarray:
-    """Map noise-space increments to state space: q_i at the forced
-    coordinates, zero elsewhere."""
-    increments = np.asarray(increments, dtype=float)
-    if increments.shape[-1] != model.n_noise:
-        raise ModelError(
-            f"noise increment has length {increments.shape[-1]}, expected {model.n_noise}"
-        )
-    out = np.zeros(increments.shape[:-1] + (model.dim,))
-    out[..., model.noise_dims] = model.noise_coeffs * increments
-    return out
-
-
 # -- toy model ------------------------------------------------------------
 
 
@@ -117,7 +103,6 @@ def make_toy2d() -> ModelSpec:
         dim=2,
         linear_spectrum=np.array([2.0, 2.0]),
         nonlinearity=nonlin,
-        noise_dims=np.array([0]),
         noise_coeffs=np.array([1.0]),
         params={},
         lyapunov_spec=LyapunovSpec(name="l2_norm_pow_p", p=2.0, norm_domination_c=1.0),
@@ -233,7 +218,6 @@ def make_ginzburg_landau(
         dim=modes,
         linear_spectrum=spectrum,
         nonlinearity=nonlin,
-        noise_dims=np.arange(forced_modes),
         noise_coeffs=noise_coeffs,
         params={
             "modes": modes,
@@ -278,7 +262,6 @@ def make_reaction_diffusion(
         dim=2 * half,
         linear_spectrum=spectrum,
         nonlinearity=nonlin,
-        noise_dims=np.arange(half),
         noise_coeffs=np.ones(half),
         params={"modes_per_component": half, "length": length},
         lyapunov_spec=LyapunovSpec(
@@ -333,7 +316,6 @@ def make_chain(
         dim=truncation,
         linear_spectrum=spectrum,
         nonlinearity=nonlin,
-        noise_dims=np.array([0]),
         noise_coeffs=np.array([1.0]),
         params={
             "a_squared": a_squared,

@@ -166,7 +166,8 @@ def test_criterion_8_diagnostics_suite():
             base[: min(3, model.dim)] = [0.8, -0.5, 0.4][: min(3, model.dim)]
         second = np.roll(base, 1)
         probes = [s * b for b in (base, second) for s in (0.0, 0.3, 0.8, 1.5, 2.5, 4.0, 5.5, 7.0, 8.5, 10.0)]
-        fit = lyapunov_fit(model, probes, samples_per_probe=60, dt=2e-3, seed=31)
+        starts = np.repeat(probes, 60, axis=0)
+        fit = lyapunov_fit(model, run_ensemble(model, starts, len(starts), 1, 2e-3, seed=31), 60)
         assert fit.a < 1.0, f"{name}: fitted drift slope {fit.a:.3f}"
         details.append(f"{name} drift (a={fit.a:.3f}, b={fit.b:.2f})")
 

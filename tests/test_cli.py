@@ -19,6 +19,7 @@ from asymcouple import config
 from asymcouple.config import ConfigError, load_config
 from asymcouple.engine import (
     BlowUpError,
+    EnsembleResult,
     integrate,
     integrate_coupled,
     run_coupled_ensemble,
@@ -209,9 +210,11 @@ class TestRun:
         # after.  With binding on it is coupled over 3 units (density), then
         # the x paths go on alone to 4 (mixing); with binding off and
         # density on, coupled over 2, then alone over the third plotted unit
-        # and the fourth
+        # and the fourth.  Mixing's second start (5 paths) and the lyapunov
+        # probes (30) are split across the workers as well
         artifacts = ("report.json", "trajectory.csv", "plot_data.csv")
-        mixing = "mixing = on\nmixing_times = 1 4\nmixing_alt_x0 = 0.2 0.1\naxk = on\naxk_horizon = 1\n"
+        mixing = ("mixing = on\nmixing_times = 1 4\nmixing_alt_x0 = 0.2 0.1\naxk = on\n"
+                  "axk_horizon = 1\nlyapunov = on\n")
         cases = (("on", 2, "density = on\ndensity_horizons = 1 2\n" + mixing),
                  ("off", 3, "density = on\ndensity_horizons = 1\n" + mixing),
                  ("off", 2, ""))
@@ -223,6 +226,7 @@ class TestRun:
                 single = {name: (tmp_path / "out" / name).read_bytes() for name in artifacts}
                 report = json.loads(single["report.json"])
                 assert bool(report["density"]) == bool(estimators), (model_id, binding)
+                assert bool(report["lyapunov"]) == bool(estimators), (model_id, binding)
                 main(["run", "--config", str(cfg), "--jobs", "3"])
                 differ += [(model_id, binding, bool(estimators), name) for name in artifacts
                            if (tmp_path / "out" / name).read_bytes() != single[name]]
@@ -244,7 +248,8 @@ class TestRun:
         path = write_config(tmp_path, binding=binding, units=units, record_every=1)
         text = path.read_text().replace("ensemble = 20", "ensemble = 2")
         path.write_text(text.replace(EST, EST + estimators))
-        pairs, x_ens = _run_ensemble_jobs(load_config(path))
+        groups = _run_ensemble_jobs(load_config(path))
+        pairs, x_ens = groups["pairs"], groups["ensemble"]
 
         def record_count(span):
             return 500 * min(units, span) + max(span - units, 0) + 1
@@ -257,6 +262,31 @@ class TestRun:
         assert pairs.times[-1] == pytest.approx(pair_units)
         assert pairs.rho.shape[:2] == (record_count(pair_units), 2)
         np.testing.assert_array_equal(pairs.x, x_ens.head(pair_units).states)
+
+    @pytest.mark.parametrize("model_id", list(JOBS_MODELS))
+    def test_pooled_groups_keep_their_streams(self, tmp_path, model_id):
+        # split over three workers, the probe group is probe i's own run on
+        # streams i*S..(i+1)*S-1 (S = 5 paths a probe), and mixing's second
+        # start one run on the streams after the ensemble's
+        estimators = "lyapunov = on\nmixing = on\nmixing_times = 2\nmixing_alt_x0 = 0.2 0.1\n"
+        cfg = load_config(write_model_config(tmp_path, model_id, estimators), jobs=3)
+        groups = _run_ensemble_jobs(cfg)
+        model = cfg.build_model()
+        x0 = cfg.initial_conditions(model)[0]
+        n, samples = cfg.ensemble, 5
+        probes = [x0 * s for s in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
+        oracles = {
+            "lyapunov": EnsembleResult.concat([
+                run_ensemble(model, probe, samples, 1, cfg.dt, cfg.seed, stream0=i * samples)
+                for i, probe in enumerate(probes)
+            ]),
+            "mixing": run_ensemble(model, cfg.mixing_alt_x0(model), n, 2, cfg.dt, cfg.seed,
+                                   stream0=n),
+        }
+        for group, oracle in oracles.items():
+            for field in fields(oracle):
+                np.testing.assert_array_equal(getattr(groups[group], field.name),
+                                              getattr(oracle, field.name), err_msg=group)
 
     @pytest.mark.parametrize("binding", ["on", "off"])
     def test_trajectory_fields_are_floats(self, tmp_path, binding):
@@ -304,7 +334,8 @@ class TestRun:
         ("off", "density = on\ndensity_horizons = 1\n", 1, 1),
         ("off", "", 1, 0),
         ("on", "density = on\ndensity_horizons = 1\n", 2, 1),
-    ], ids=["bound", "density-only", "unbound", "bound-2-jobs"])
+        ("on", "lyapunov = on\nmixing = on\nmixing_alt_x0 = 0.2 0.1\n", 1, 1),
+    ], ids=["bound", "density-only", "unbound", "bound-2-jobs", "lyapunov-and-mixing"])
     def test_model_and_binding_built_once(self, tmp_path, monkeypatch, binding, estimators, jobs,
                                           bindings):
         # validation, the trajectory and an in-process worker share one model
@@ -400,6 +431,42 @@ class TestRun:
             reports.append((out / "report.json").read_bytes())
         assert json.loads(reports[0])["status"] == "blow_up"
         assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("group", ["ensemble", "second-start"])
+    def test_blow_up_report_is_the_same_at_every_jobs(self, tmp_path, group):
+        # from this start streams 1 and 5 blow up, at 0.008 and 0.007, and
+        # streams 8 and 15 at 0.007: one batch raises the earliest, and so
+        # must every split of the paths, in the ensemble (streams 0..7) and
+        # in mixing's second start (8..15), which now also runs before
+        # plot_data.csv is written
+        model = make_chain(a_squared=5.0)
+        start = np.zeros(model.dim)
+        start[0] = 44.7
+        times = {}
+        for stream in range(16):
+            try:
+                run_ensemble(model, start, 1, 1, 1e-3, seed=25, stream0=stream)
+            except BlowUpError as exc:
+                times[stream] = exc.time
+        assert times == {1: pytest.approx(0.008), 5: pytest.approx(0.007),
+                         8: pytest.approx(0.007), 15: pytest.approx(0.007)}
+        text = ("[model]\nid = chain\na_squared = 5.0\n\n"
+                "[run]\ndt = 0.001\nunits = 1\nensemble = 8\nseed = 25\nbinding = off\n")
+        if group == "ensemble":
+            text += "x0 = 44.7\n"
+        else:
+            text += "x0 = 1.0\n\n[estimators]\nmixing = on\nmixing_times = 1\nmixing_alt_x0 = 44.7\n"
+        path = tmp_path / "blow.cfg"
+        path.write_text(text)
+        reports = set()
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", "--config", str(path), "--jobs", jobs, "--out", str(out)]) == 3
+            assert (out / "trajectory.csv").is_file() and not (out / "plot_data.csv").exists()
+            reports.add((out / "report.json").read_text())
+        assert len(reports) == 1
+        report = json.loads(reports.pop())
+        assert report["status"] == "blow_up" and report["time"] == times[5]
 
     def test_estimator_error_exits_3_with_a_report(self, tmp_path, capsys):
         # a far start of the a² = 5 chain: every path's log weight passes the

@@ -61,7 +61,6 @@ def scalar_model(rate=-1.0):
         dim=1,
         linear_spectrum=np.array([rate]),
         nonlinearity=lambda x: np.zeros_like(x),
-        noise_dims=np.array([0]),
         noise_coeffs=np.array([1.0]),
         params={},
         lyapunov_spec=LyapunovSpec(name="l2_norm"),
@@ -139,6 +138,15 @@ class TestIntegrate:
         with pytest.raises(BlowUpError) as err:
             integrate(model, x0, noise)
         assert 0 < err.value.time <= 0.2
+
+    def test_a_continued_run_blows_up_at_the_run_time(self):
+        # from unit 2 on, a blow-up within the unit is reported after t = 2
+        model = make_chain(a_squared=5.0)
+        x0 = np.zeros(model.dim)
+        x0[0] = 60.0
+        with pytest.raises(BlowUpError) as err:
+            run_ensemble(model, x0, 1, 1, 1e-3, seed=1, start_unit=2)
+        assert 2 < err.value.time <= 2.2
 
     def test_blow_up_survives_a_pickle_round_trip(self):
         # a process pool sends a worker's exception back pickled
@@ -579,26 +587,6 @@ def test_noise_blocks_stay_within_a_unit_and_the_budget(budget_rows, monkeypatch
     assert max(shape[0] for shape in shapes) == min(spu, budget_rows or spu)
     assert max(sizes) <= engine._NOISE_BLOCK_BYTES
     assert len(set(buffers)) == 1
-
-
-def test_noise_must_force_the_first_coordinates():
-    # the stepper adds the noise and the shift Q G to the first n_noise
-    # coordinates, so a model forced elsewhere is refused, not mis-stepped
-    model = ModelSpec(
-        id="toy2d",
-        dim=2,
-        linear_spectrum=np.array([-1.0, -1.0]),
-        nonlinearity=lambda x: np.zeros_like(x),
-        noise_dims=np.array([1]),
-        noise_coeffs=np.array([1.0]),
-        params={},
-        lyapunov_spec=LyapunovSpec(name="l2_norm"),
-    )
-    with pytest.raises(EngineError, match=re.escape("noise_dims [1] is not arange(1)")):
-        run_ensemble(model, np.ones(2), 2, 1, 0.1, seed=1)
-    with pytest.raises(EngineError, match="noise_dims"):
-        integrate_coupled(model, null_binding(model), np.ones(2), np.zeros(2),
-                          sample_noise(model, 10, 0.1, seed=1))
 
 
 def test_a_force_of_the_wrong_shape_is_refused():

@@ -1,9 +1,11 @@
 """Statistical layer: rate fits, the distance and its LP oracle, drift and
 density diagnostics."""
 
+import ast
 import math
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +337,12 @@ FIT_MODEL_PARAMS = {
 }
 
 
+def probe_fit(model, probes, samples, dt, seed):
+    """lyapunov_fit on one ensemble of the probes, probe i on streams i*S..(i+1)*S-1."""
+    starts = np.repeat(np.array(probes, dtype=float), samples, axis=0)
+    return lyapunov_fit(model, run_ensemble(model, starts, len(starts), 1, dt, seed), samples)
+
+
 class TestLyapunovFit:
     def test_deterministic_linear_flow(self):
         # dx/dt = -x with V = |x|: the one-unit map scales V by e^{-1}
@@ -343,39 +351,36 @@ class TestLyapunovFit:
             dim=1,
             linear_spectrum=np.array([-1.0]),
             nonlinearity=lambda x: np.zeros_like(x),
-            noise_dims=np.array([0]),
             noise_coeffs=np.array([1e-12]),
             params={},
             lyapunov_spec=LyapunovSpec(name="l2_norm"),
         )
         probes = [np.array([v]) for v in (0.0, 0.5, 1.0, 2.0, 4.0)]
-        fit = lyapunov_fit(model, probes, samples_per_probe=4, dt=1e-3, seed=6)
+        fit = probe_fit(model, probes, 4, dt=1e-3, seed=6)
         assert fit.a == pytest.approx(math.exp(-1.0), abs=1e-6)
         assert fit.b <= 1e-6
 
     def test_toy_model_dissipative(self):
         probes = [np.array([s, s * 0.5]) for s in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
-        fit = lyapunov_fit(TOY, probes, samples_per_probe=60, dt=1e-3, seed=7)
+        fit = probe_fit(TOY, probes, 60, dt=1e-3, seed=7)
         assert fit.a < 1.0
         # the origin probe forces a positive intercept: noise spreads mass
         assert fit.b >= fit.estimates[0] > 0.0
 
     def test_k0_from_fit(self):
-        fit = lyapunov_fit(
-            TOY, [np.zeros(2), np.array([2.0, 1.0]), np.array([4.0, 2.0])],
-            samples_per_probe=40, dt=1e-3, seed=8,
-        )
+        fit = probe_fit(TOY, [np.zeros(2), np.array([2.0, 1.0]), np.array([4.0, 2.0])], 40,
+                        dt=1e-3, seed=8)
         assert fit.k0 == pytest.approx(4.0 * fit.b / (1.0 - fit.a))
 
     @pytest.mark.parametrize("model_id", list(FIT_MODEL_PARAMS))
     def test_one_ensemble_equals_the_per_probe_loop(self, model_id):
-        # the fit runs every probe in one ensemble; probe i keeps streams
+        # the fit reads every probe from one ensemble; probe i keeps streams
         # i*S .. (i+1)*S - 1, so its estimates are those of its own run
         model = make_model(model_id, **FIT_MODEL_PARAMS[model_id])
         base = np.linspace(0.5, -0.5, model.dim)
         probes = [base * s for s in (0.0, 1.0, 3.0)]
         samples = 5
-        fit = lyapunov_fit(model, probes, samples_per_probe=samples, dt=2e-3, seed=12)
+        fit = probe_fit(model, probes, samples, dt=2e-3, seed=12)
         v0, means, ses = [], [], []
         for i, probe in enumerate(probes):
             ens = run_ensemble(model, probe, samples, units=1, dt=2e-3, seed=12,
@@ -387,6 +392,17 @@ class TestLyapunovFit:
         assert fit.probe_v == v0
         assert fit.estimates == means
         assert fit.standard_errors == ses
+
+
+def test_estimators_integrate_nothing():
+    # the estimators read the ensembles they are given: the module names no
+    # run_* or integrate* entry point of the engine
+    tree = ast.parse(Path(estimators.__file__).read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(n for n in names if n.startswith(("run_", "integrate"))) == []
 
 
 class TestAxk:

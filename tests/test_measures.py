@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymcouple.measures import (
-    DiscreteKernel,
     DiscreteMeasure,
     MeasureError,
-    compose,
     dirac,
     leq,
     meet,
@@ -133,48 +131,6 @@ def test_pushforward_equalities_for_injective_maps(mu, nu):
     f = {a: a.upper() for a in ATOMS}.get
     assert pushforward(f, meet(mu, nu)) == meet(pushforward(f, mu), pushforward(f, nu))
     assert pushforward(f, subtract(mu, nu)) == subtract(pushforward(f, mu), pushforward(f, nu))
-
-
-class TestCompose:
-    def test_deterministic_kernels(self):
-        q = DiscreteKernel({"s": dirac("t")})
-        r = DiscreteKernel({"t": dirac("u")})
-        assert compose(r, q, "s") == DiscreteMeasure({("t", "u"): 1.0})
-
-    def test_uniform_two_state(self):
-        # brute-force enumeration: all four (z, w) paths carry 0.25
-        half = DiscreteMeasure({"s": 0.5, "t": 0.5})
-        q = DiscreteKernel({"s": half})
-        r = DiscreteKernel({"s": half, "t": half})
-        out = compose(r, q, "s")
-        expected = {
-            (z, w): 0.5 * 0.5 for z in ("s", "t") for w in ("s", "t")
-        }
-        assert out == DiscreteMeasure(expected)
-
-    def test_dirac_row_lifts(self):
-        q = DiscreteKernel({"y": dirac("z")})
-        r_row = DiscreteMeasure({"u": 0.25, "v": 0.75})
-        r = DiscreteKernel({"z": r_row})
-        out = compose(r, q, "y")
-        assert out == DiscreteMeasure({("z", "u"): 0.25, ("z", "v"): 0.75})
-
-    def test_mass_preserved(self):
-        q = DiscreteKernel({"y": DiscreteMeasure({"a": 0.5, "b": 0.5})})
-        r = DiscreteKernel(
-            {"a": DiscreteMeasure({"a": 0.25, "b": 0.75}), "b": dirac("a")}
-        )
-        assert compose(r, q, "y").mass() == pytest.approx(1.0, abs=1e-12)
-
-    def test_domain_mismatch(self):
-        q = DiscreteKernel({"y": dirac("missing")})
-        r = DiscreteKernel({"z": dirac("u")})
-        with pytest.raises(MeasureError, match="kernel domain mismatch"):
-            compose(r, q, "y")
-
-    def test_kernel_rows_must_be_probabilities(self):
-        with pytest.raises(MeasureError, match="mass"):
-            DiscreteKernel({"y": DiscreteMeasure({"a": 0.5})})
 
 
 class TestOverlapLowerBound:

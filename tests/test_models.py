@@ -9,7 +9,6 @@ from asymcouple.binding import chain_vector_field
 from asymcouple.models import (
     ModelError,
     _in_row_blocks,
-    apply_noise,
     chain_k_star,
     drift,
     lyapunov,
@@ -139,35 +138,6 @@ class TestLyapunov:
                 norm = np.linalg.norm(x)
                 v = lyapunov(model, x)
                 assert norm <= c * (1.0 + v) + 1e-9
-
-
-class TestApplyNoise:
-    def test_zero_increments(self):
-        gl = make_ginzburg_landau(modes=16)
-        np.testing.assert_array_equal(
-            apply_noise(gl, np.zeros(gl.n_noise)), np.zeros(16)
-        )
-
-    def test_gl_two_forced_modes(self):
-        gl = make_ginzburg_landau(
-            modes=16, forced_modes=2, length=math.pi / 2, noise_coeffs=[1.0, 0.5]
-        )
-        out = apply_noise(gl, np.array([1.0, 1.0]))
-        expected = np.zeros(16)
-        expected[0] = 1.0
-        expected[1] = 0.5
-        np.testing.assert_array_equal(out, expected)
-
-    def test_chain_single_site(self):
-        model = make_chain(a_squared=5.0)
-        out = apply_noise(model, np.array([0.3]))
-        assert out[0] == 0.3
-        assert np.all(out[1:] == 0.0)
-
-    def test_length_mismatch(self):
-        model = make_chain(a_squared=5.0)
-        with pytest.raises(ModelError, match="length"):
-            apply_noise(model, np.array([0.3, 0.1]))
 
 
 class TestDissipativity:
