@@ -46,7 +46,6 @@ from .measures import (
     DiscreteMeasure,
     MeasureError,
     meet,
-    overlap_chi2_bound,
     overlap_chi2_bound_sharp,
     overlap_lower_bound,
     pushforward,

@@ -201,11 +201,12 @@ class ZetaCascade:
         return np.stack([cp.evaluate(values) for cp in self._zeta_compiled], axis=-1)
 
 
-def _warn_on_awkward_coefficients(polys, scale_bits: int = 16, magnitude: float = 2.0**40):
-    scale = float(1 << scale_bits)
+def _warn_on_awkward_coefficients(polys):
+    """Warn once if a coefficient is not a multiple of 2⁻¹⁶ or exceeds 2⁴⁰."""
+    scale = float(1 << 16)
     for poly in polys:
         for coef in poly.terms.values():
-            if abs(coef) > magnitude or coef * scale != round(coef * scale):
+            if abs(coef) > 2.0**40 or coef * scale != round(coef * scale):
                 warnings.warn(
                     f"cascade coefficient {coef!r} is not a small dyadic rational; "
                     "symbolic identities may carry rounding error",

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -101,16 +102,23 @@ class _PathBatch:
 
     _UNIT_FIELDS = ("w_sup", "w_sup_x", "w_sup_y")
 
+    @classmethod
+    def _join(cls, parts, per_record, per_unit, shared=("dt",)):
+        """One batch built field by field from ``parts``: ``per_record`` or
+        ``per_unit`` (for the W sups) maps the parts' arrays to the new
+        one; the ``shared`` fields and the absent ones are the first part's."""
+        out = {}
+        for field in fields(cls):
+            values = [getattr(part, field.name) for part in parts]
+            if field.name in shared or values[0] is None:
+                out[field.name] = values[0]
+            else:
+                out[field.name] = (per_unit if field.name in cls._UNIT_FIELDS else per_record)(values)
+        return cls(**out)
+
     def _take(self, rows, units=None):
         """The records at ``rows`` and the W sups of the first ``units`` intervals."""
-        cut = {}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.name == "dt" or value is None:
-                cut[field.name] = value
-            else:
-                cut[field.name] = value[:units] if field.name in self._UNIT_FIELDS else value[rows]
-        return type(self)(**cut)
+        return self._join([self], lambda v: v[0][rows], lambda v: v[0][:units])
 
     def head(self, units: int):
         """The batch over its first ``units`` time units: records up to
@@ -133,30 +141,15 @@ class _PathBatch:
         this batch's last record on: the record they share is kept once."""
         if abs(float(later.times[0]) - float(self.times[-1])) > _TIME_TOL:
             raise EngineError("the later batch must start at this batch's last record")
-        joined = {}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.name == "dt" or value is None:
-                joined[field.name] = value
-            else:
-                more = getattr(later, field.name)
-                more = more if field.name in self._UNIT_FIELDS else more[1:]
-                joined[field.name] = np.concatenate([value, more])
-        return type(self)(**joined)
+        return self._join([self, later], lambda v: np.concatenate([v[0], v[1][1:]]), np.concatenate)
 
     @classmethod
     def concat(cls, parts):
         """Join batches in order along the path axis; one batch is returned as it is."""
         if len(parts) == 1:
             return parts[0]
-        merged = {}
-        for field in fields(cls):
-            value = getattr(parts[0], field.name)
-            if field.name in ("times", "dt") or value is None:
-                merged[field.name] = value
-            else:
-                merged[field.name] = np.concatenate([getattr(p, field.name) for p in parts], axis=1)
-        return cls(**merged)
+        along_paths = partial(np.concatenate, axis=1)
+        return cls._join(parts, along_paths, along_paths, shared=("times", "dt"))
 
 
 @dataclass

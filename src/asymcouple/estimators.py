@@ -227,11 +227,10 @@ def bootstrap_null_quantile(
     n_boot: int = 30,
     cap: int = 100,
     seed: int = 0,
-    quantile: float = 0.95,
 ) -> float:
     """Null distribution of the two-sample distance under 'same law':
-    pool the samples, re-split at random, and return the requested
-    quantile of the resulting distances."""
+    pool the samples, re-split at random, and return the 95% quantile
+    of the resulting distances."""
     sample_a, sample_b = _point_samples(sample_a, sample_b)
     pool = np.vstack([sample_a, sample_b])
     n_a = min(len(sample_a), cap)
@@ -245,7 +244,7 @@ def bootstrap_null_quantile(
                 pool[perm[:n_a]], pool[perm[n_a : n_a + n_b]], cap=cap, subsample_seed=i
             )
         )
-    return float(np.quantile(values, quantile))
+    return float(np.quantile(values, 0.95))
 
 
 # -- Lyapunov drift fit ------------------------------------------------------------
@@ -345,6 +344,9 @@ def axk_table(
 
 # -- density diagnostics --------------------------------------------------------------
 
+# the good event's bound on the summed sups of V, in units of V(x0)+V(y0)+m²
+K_GOOD = 20.0
+
 
 @dataclass
 class DensityDiagnostics:
@@ -363,7 +365,6 @@ def density_diagnostics(
     model: ModelSpec,
     ens: CoupledEnsembleResult,
     horizons: Sequence[int],
-    k_good: float = 20.0,
 ) -> DensityDiagnostics:
     """Girsanov-weight diagnostics along a coupled ensemble started at one
     ``(x0, y0)`` (its first record, ``y0 = x0 + rho0``) that covers
@@ -371,7 +372,7 @@ def density_diagnostics(
 
     Per horizon n: the plain mean of the density (a martingale check),
     the mean of density^-2 restricted to the "good" event where the
-    summed per-interval sup of V stays below ``k_good (V(x0)+V(y0)+m²)``
+    summed per-interval sup of V stays below ``K_GOOD (V(x0)+V(y0)+m²)``
     (this should stay bounded in n), and the mean of
     ``(1 - single-step density at time n)²`` on the good event (this
     should decay); a log-linear rate is fitted to the last column after
@@ -393,7 +394,7 @@ def density_diagnostics(
     v_tot = float(lyapunov(model, x0) + lyapunov(model, x0 + rho0))
     w_joint = ens.w_sup_x + ens.w_sup_y  # (units, n_traj)
     m_idx = np.arange(1, units + 1, dtype=float)
-    within = w_joint <= k_good * (v_tot + m_idx[:, None] ** 2)
+    within = w_joint <= K_GOOD * (v_tot + m_idx[:, None] ** 2)
     good_up_to = np.cumprod(within, axis=0).astype(bool)  # row n-1: good through n units
 
     rows = {k: [] for k in ("md", "se", "inv", "step", "gf")}
@@ -425,7 +426,7 @@ def density_diagnostics(
         good_fraction=rows["gf"],
         n_overflow=n_overflow,
         gamma2_hat=gamma2_hat,
-        k_good=k_good,
+        k_good=K_GOOD,
     )
 
 
@@ -435,18 +436,17 @@ def density_diagnostics(
 def binding_growth_exponents(
     model: ModelSpec,
     binding: BindingSpec,
-    n_pairs: int = 300,
     seed: int = 0,
 ) -> dict:
     """Fit the force-growth shape ``|G(x,y)|² ≈ C |x-y|^alpha (1+V(x)+V(y))^beta``.
 
-    Random pairs sweep separations across three decades and amplitudes
+    300 random pairs sweep separations across three decades and amplitudes
     across one; the exponents come from least squares in log space.
     Zero-force pairs are skipped (they carry no growth information).
     """
     rng = np.random.default_rng(seed)
     rows, values = [], []
-    for _ in range(n_pairs):
+    for _ in range(300):
         x = rng.normal(size=model.dim) * rng.choice([0.3, 1.0, 3.0])
         direction = rng.normal(size=model.dim)
         direction /= np.linalg.norm(direction)

@@ -60,16 +60,14 @@ class DiscreteMeasure:
     def weight(self, point: Point) -> float:
         return self._w.get(point, 0.0)
 
-    __call__ = weight
-
     def items(self):
         return self._w.items()
 
     def mass(self) -> float:
         return math.fsum(self._w.values())
 
-    def is_probability(self, tol: float = PROB_TOL) -> bool:
-        return abs(self.mass() - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.mass() - 1.0) <= PROB_TOL
 
     def __len__(self) -> int:
         return len(self._w)
@@ -94,15 +92,6 @@ class DiscreteMeasure:
         for p, v in other.items():
             acc[p] = acc.get(p, 0.0) + v
         return DiscreteMeasure(acc)
-
-    # -- serialization (JSON fixture format: list of [point, weight]) -----
-
-    def to_pairs(self) -> list[list]:
-        return [[p, v] for p, v in self._w.items()]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable]) -> "DiscreteMeasure":
-        return cls([(p, w) for p, w in pairs])
 
 
 def dirac(point: Point) -> DiscreteMeasure:
@@ -133,9 +122,9 @@ def subtract(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     return DiscreteMeasure(out)
 
 
-def leq(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 0.0) -> bool:
+def leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     """Pointwise ``mu ≤ nu`` on the union of supports."""
-    return all(v <= nu.weight(p) + tol for p, v in mu.items())
+    return all(v <= nu.weight(p) for p, v in mu.items())
 
 
 def pushforward(f: Callable[[Point], Point], mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -198,39 +187,26 @@ def overlap_lower_bound(
     return lhs, rhs
 
 
-def overlap_chi2_bound(
+def overlap_chi2_bound_sharp(
     mu1: DiscreteMeasure,
     mu2: DiscreteMeasure,
     a: Iterable[Point],
 ) -> tuple[float, float, float]:
     """Overlap bound from the inverse-square density integral.
 
-    With ``c = ∫_A D⁻² dmu1`` this returns ``(lhs, rhs, c)`` where
-    ``lhs = (mu1 ∧ mu2)(A)`` and ``rhs = mu1(A)² / (4c)``.
+    With ``c = ∫_A D⁻² dmu1`` and ``D = dmu2/dmu1`` this returns
+    ``(lhs, rhs, c)`` where ``lhs = (mu1 ∧ mu2)(A)`` and
+    ``rhs = mu1(A)² / (mu1(A) + sqrt(c))``; the caller asserts
+    ``lhs ≥ rhs``.  The bound holds for every ``c``.  Where
+    ``4c ≥ mu1(A) + sqrt(c)`` it is at least the ``mu1(A)² / (4c)`` form.
 
-    The ``1/(4c)`` form only follows from Cauchy-Schwarz when ``c`` is
-    not too small, namely ``4c ≥ mu1(A) + sqrt(c)``; for tiny ``c`` it
-    can exceed the true overlap.  Use :func:`overlap_chi2_bound_sharp`
-    for the unconditional variant.
+    Raises
+    ------
+    MeasureError
+        If either measure is not a probability measure, or if ``mu2``
+        vanishes at a point of ``A`` that ``mu1`` charges (the inverse
+        moment is undefined there).
     """
-    lhs, c, mass_a = _overlap_chi2_parts(mu1, mu2, a)
-    rhs = 0.0 if mass_a == 0.0 else mass_a**2 / (4.0 * c)
-    return lhs, rhs, c
-
-
-def overlap_chi2_bound_sharp(
-    mu1: DiscreteMeasure,
-    mu2: DiscreteMeasure,
-    a: Iterable[Point],
-) -> tuple[float, float, float]:
-    """Unconditional variant: ``(mu1 ∧ mu2)(A) ≥ mu1(A)² / (mu1(A) + sqrt(c))``."""
-    lhs, c, mass_a = _overlap_chi2_parts(mu1, mu2, a)
-    denom = mass_a + math.sqrt(c)
-    rhs = 0.0 if denom == 0.0 else mass_a**2 / denom
-    return lhs, rhs, c
-
-
-def _overlap_chi2_parts(mu1, mu2, a):
     if not mu1.is_probability() or not mu2.is_probability():
         raise MeasureError("overlap bounds require probability measures")
     a_set = set(a)
@@ -246,4 +222,6 @@ def _overlap_chi2_parts(mu1, mu2, a):
     c = math.fsum(c_terms)
     mass_a = math.fsum(mu1.weight(p) for p in a_set)
     lhs = math.fsum(w for p, w in meet(mu1, mu2).items() if p in a_set)
-    return lhs, c, mass_a
+    denom = mass_a + math.sqrt(c)
+    rhs = 0.0 if denom == 0.0 else mass_a**2 / denom
+    return lhs, rhs, c

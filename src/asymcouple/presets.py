@@ -209,11 +209,15 @@ def chain_cascade(seed: int = 14) -> PresetOutcome:
         f"first damped site index per a²: {got}",
     )
 
-    shape_all_ok = True
-    details = []
-    for a2 in (0.0, 2.0, 5.0):
+    chains = {}
+    for a2 in k_expect:
         model = models.make_chain(a_squared=a2)
         cascade = bnd.build_zeta_cascade(model)
+        chains[a2] = (model, cascade, bnd.make_binding(model, cascade))
+
+    shape_all_ok = True
+    details = []
+    for a2, (_, cascade, _) in chains.items():
         problems = bnd.cascade_shape_ok(cascade)
         lead_ok = cascade.zetas[0] == IndexedPolynomial.variable("rho", cascade.k_star - 1)
         if problems or not lead_ok:
@@ -229,9 +233,7 @@ def chain_cascade(seed: int = 14) -> PresetOutcome:
     # modest separations: the derived force amplifies the difference through
     # a large transient before the cascade contraction takes over, and the
     # amplification constant grows fast with a²
-    model = models.make_chain(a_squared=5.0)
-    cascade = bnd.build_zeta_cascade(model)
-    binding = bnd.make_binding(model, cascade)
+    model, cascade, binding = chains[5.0]
     dt, units, n = 1e-3, 2, 20
     x0 = _pad([0.4, 0.3, -0.2, 0.1, 0.05], model.dim)
     rho0 = _pad([0.2, 0.1, -0.08, 0.05, 0.03], model.dim)
@@ -248,9 +250,7 @@ def chain_cascade(seed: int = 14) -> PresetOutcome:
     )
 
     rates = {}
-    for a2 in (0.0, 2.0, 5.0):
-        m = models.make_chain(a_squared=a2)
-        b = bnd.make_binding(m)
+    for a2, (m, _, b) in chains.items():
         xa = _pad([0.4, 0.3, -0.2, 0.1, 0.05], m.dim)
         ra = _pad([0.2, 0.1, -0.08, 0.05, 0.03], m.dim)
         # ten units: the fitted rate must see past the transient hump

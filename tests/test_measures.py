@@ -12,7 +12,6 @@ from asymcouple.measures import (
     dirac,
     leq,
     meet,
-    overlap_chi2_bound,
     overlap_chi2_bound_sharp,
     overlap_lower_bound,
     pushforward,
@@ -50,10 +49,6 @@ class TestBasics:
     def test_prune(self):
         mu = DiscreteMeasure({"a": 1e-16, "b": 1.0})
         assert mu.support == ("b",)
-
-    def test_json_pairs_round_trip(self):
-        mu = DiscreteMeasure({"a": 0.25, "b": 0.75})
-        assert DiscreteMeasure.from_pairs(mu.to_pairs()) == mu
 
 
 class TestMeet:
@@ -189,7 +184,6 @@ def test_overlap_bounds_on_random_pairs(w1, w2, mask):
 
     lhs, rhs_sharp, c = overlap_chi2_bound_sharp(mu1, mu2, a)
     assert lhs >= rhs_sharp - 1e-12
-    lhs4, rhs4, c4 = overlap_chi2_bound(mu1, mu2, a)
     mass_a = sum(mu1.weight(p) for p in a)
-    if 4.0 * c4 >= mass_a + math.sqrt(c4):  # regime where the 1/(4c) form is valid
-        assert lhs4 >= rhs4 - 1e-12
+    if mass_a > 0.0 and 4.0 * c >= mass_a + math.sqrt(c):  # where the 1/(4c) form is valid
+        assert rhs_sharp >= mass_a**2 / (4.0 * c) - 1e-12

@@ -1,0 +1,82 @@
+"""Print one ``name sha256`` line per artifact the README promises byte-identical.
+
+The artifacts are the stdout and ``report.json`` of all six presets at
+their pinned seeds, and ``report.json``, ``trajectory.csv`` and
+``plot_data.csv`` of the four ``bench/workloads.py`` ``cli-run``
+configs at seeds 3 and 7, each at ``--jobs`` 1 and 2.
+
+Run it at two commits and ``diff`` the output: no line may differ.
+
+    python tools/artifact_digests.py [CHECKOUT] > digests.txt
+
+``CHECKOUT`` is the tree whose ``src/`` and ``bench/`` are imported; it
+defaults to the one holding this script, so an older commit without
+this tool can be checked from a ``git archive`` of it.  ``bench/`` is
+only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (3, 7)
+JOBS = (1, 2)
+
+
+def _digest(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _quiet_main(cli, argv) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli.main(argv)
+    return stdout.getvalue()
+
+
+def digests(checkout: Path):
+    """Yield ``(name, sha256)`` for every artifact, importing from ``checkout``."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    from asymcouple import cli
+    from asymcouple.presets import PRESETS
+    from workloads import ARTIFACTS, MODEL_IDS, cli_config_text
+
+    if checkout / "src" not in Path(cli.__file__).resolve().parents:
+        raise SystemExit(f"error: asymcouple imported from {cli.__file__}, not {checkout / 'src'}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for preset_id in sorted(PRESETS):
+            stdout = _quiet_main(cli, ["reproduce", preset_id, "--out", str(tmp)])
+            yield f"preset/{preset_id}/stdout", _digest(stdout)
+            yield f"preset/{preset_id}/report.json", _digest((tmp / preset_id / "report.json").read_bytes())
+        for model_id in MODEL_IDS:
+            for seed in SEEDS:
+                config = tmp / f"{model_id}-{seed}.cfg"
+                config.write_text(cli_config_text(model_id, seed))
+                for jobs in JOBS:
+                    out = tmp / f"{model_id}-{seed}-jobs{jobs}"
+                    _quiet_main(cli, ["run", "--config", str(config), "--jobs", str(jobs), "--out", str(out)])
+                    for artifact in ARTIFACTS:
+                        yield (f"cli/{model_id}/seed={seed}/jobs={jobs}/{artifact}",
+                               _digest((out / artifact).read_bytes()))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="tree whose src/ and bench/ to import (default: this one)")
+    args = parser.parse_args(argv)
+    for name, digest in digests(args.checkout.resolve()):
+        print(f"{name} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
