@@ -17,8 +17,7 @@ from .binding import (
     gl_binding,
     make_binding,
     null_binding,
-    rd_binding,
-    toy_binding,
+    zeta_binding,
 )
 from .engine import (
     BlowUpError,

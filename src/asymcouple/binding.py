@@ -1,14 +1,17 @@
 """Binding drifts that pull the second copy of a coupled pair onto the first.
 
-For each model the binding force ``G(x, y)`` lives in noise space (it is
+For each model the binding force ``G`` lives in noise space (it is
 multiplied by the noise map ``Q`` inside the integrator) and vanishes
 identically on the diagonal ``x = y``: every term carries a factor of
-``rho = y - x``.
+``rho = y - x``.  Every force reads the stacked copies ``xy = (x, y)``
+and the model's nonlinearity ``f_xy`` on them, the values the stepper
+has already evaluated for its stage.
 
-The toy and reaction-diffusion constructions force a designated linear
-combination ``zeta`` of the difference components to obey an explicit
-linear contraction; Ginzburg-Landau cancels the non-contracting linear
-rates mode by mode; the chain derives its scalar force symbolically by
+The toy and reaction-diffusion systems share one construction
+(:func:`zeta_binding`): the force makes the linear combination
+``zeta = rho_u + 3 rho_v`` of the difference obey an explicit linear
+contraction.  Ginzburg-Landau cancels the non-contracting linear rates
+mode by mode; the chain derives its scalar force symbolically by
 cascading Lie derivatives down the nearest-neighbour structure until the
 forced site is reached.  The cascade is built for the same truncated
 system the integrator runs, so its identities hold for the simulated
@@ -43,58 +46,59 @@ class BindingError(ValueError):
 class BindingSpec:
     """A binding force plus its diagnostic contraction variables.
 
-    ``force(x, y)`` is the binding's contract.  A force that reads the
-    model's nonlinearity at both copies may also be given as
-    ``drift_force(xy, f_xy)``: the same force, bit for bit, from the
-    stacked copies ``xy = (x, y)`` and the nonlinearity ``f_xy`` already
-    evaluated on them.  The stepper evaluates the nonlinearity on the
-    stacked copies at each stage anyway, and passes those values rather
-    than have the force recompute them.
+    ``force(xy, f_xy)`` takes the stacked copies ``xy = (x, y)`` of shape
+    ``(2, ..., dim)`` and the model's nonlinearity ``f_xy`` evaluated on
+    them, and returns the force ``(..., n_noise)``.  A force that does
+    not read the nonlinearity ignores ``f_xy``.
     """
 
     model_id: str
-    force: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (..., dim)² -> (..., n_noise)
+    force: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (2, ..., dim)² -> (..., n_noise)
     zeta_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    # (2, ..., dim)² -> (..., n_noise)
-    drift_force: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
-# -- toy model -----------------------------------------------------------------
+# -- toy model and reaction-diffusion ------------------------------------------
 
 
-def toy_binding(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Scalar force making ``zeta = rho_1 + 3 rho_2`` obey ``dzeta/dt = -2 zeta``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rho = y - x
-    zeta = rho[..., 0] + 3.0 * rho[..., 1]
-    d0 = 2.0 * rho[..., 0] + rho[..., 1] - rho[..., 0] * (
-        x[..., 0] ** 2 + x[..., 0] * y[..., 0] + y[..., 0] ** 2
-    )
-    d1 = 2.0 * rho[..., 1] + rho[..., 0] - rho[..., 1] * (
-        x[..., 1] ** 2 + x[..., 1] * y[..., 1] + y[..., 1] ** 2
-    )
-    return -2.0 * zeta - (d0 + 3.0 * d1)
+def zeta_binding(model: ModelSpec, rates: float | np.ndarray) -> BindingSpec:
+    """Force making ``zeta = rho[:k] + 3 rho[k:]`` obey ``dzeta/dt = rates · zeta``.
 
+    The state is two blocks of ``k = n_noise`` coordinates, the forced one
+    first.  With ``delta = s rho + f(y) - f(x)`` the force-free drift of
+    the difference, the force is ``G = rates · zeta - (delta[:k] +
+    3 delta[k:])``.  The toy model takes ``rates = -2`` (k = 1);
+    reaction-diffusion takes ``Δ - 1`` mode by mode, a damped heat
+    equation for ``zeta``.
+    """
+    k = model.n_noise
+    s = model.linear_spectrum
 
-def toy_zeta(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    rho = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    return (rho[..., 0] + 3.0 * rho[..., 1])[..., None]
+    def zeta(x, y):
+        rho = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+        return rho[..., :k] + 3.0 * rho[..., k:]
+
+    def force(xy, f_xy):
+        rho = xy[1] - xy[0]
+        delta = s * rho + f_xy[1] - f_xy[0]
+        return rates * (rho[..., :k] + 3.0 * rho[..., k:]) - (delta[..., :k] + 3.0 * delta[..., k:])
+
+    return BindingSpec(model_id=model.id, force=force, zeta_map=zeta)
 
 
 # -- Ginzburg-Landau -----------------------------------------------------------
 
 
-def gl_binding(x: np.ndarray, y: np.ndarray, model: ModelSpec) -> np.ndarray:
+def gl_binding(model: ModelSpec) -> BindingSpec:
     """Mode-wise force ``G_k = -(2 + λ_k)/q_k · rho_k`` on the forced modes.
 
     The coupled linear operator then has diagonal entry -1 on every
     forced mode, so the full diagonal is bounded by ``-gap``.
     """
-    rho = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
     k = model.n_noise
     lam = model.linear_spectrum[:k] - 1.0
-    return -(2.0 + lam) / model.noise_coeffs * rho[..., :k]
+    gain = -(2.0 + lam) / model.noise_coeffs
+    return BindingSpec(model_id=model.id,
+                       force=lambda xy, f_xy: gain * (xy[1, ..., :k] - xy[0, ..., :k]))
 
 
 def gl_coupled_diagonal(model: ModelSpec) -> np.ndarray:
@@ -102,34 +106,6 @@ def gl_coupled_diagonal(model: ModelSpec) -> np.ndarray:
     diag = model.linear_spectrum.copy()
     diag[: model.n_noise] = -1.0
     return diag
-
-
-# -- reaction-diffusion --------------------------------------------------------
-
-
-def rd_binding(x: np.ndarray, y: np.ndarray, model: ModelSpec,
-               f_xy: np.ndarray | None = None) -> np.ndarray:
-    """Force on the u-modes making ``zeta = rho_u + 3 rho_v`` solve the damped
-    heat equation ``dzeta/dt = Δzeta - zeta`` mode by mode.  ``f_xy``, the
-    nonlinearity at the stacked ``(x, y)``, is computed if not given."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    half = model.dim // 2
-    rho = y - x
-    zeta = rho[..., :half] + 3.0 * rho[..., half:]
-    if f_xy is None:
-        fy, fx = model.nonlinearity(np.stack(np.broadcast_arrays(y, x)))
-    else:
-        fx, fy = f_xy
-    delta = model.linear_spectrum * rho + fy - fx
-    lap = model.aux["laplacian"]
-    return (lap - 1.0) * zeta - (delta[..., :half] + 3.0 * delta[..., half:])
-
-
-def rd_zeta(x: np.ndarray, y: np.ndarray, model: ModelSpec) -> np.ndarray:
-    half = model.dim // 2
-    rho = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    return rho[..., :half] + 3.0 * rho[..., half:]
 
 
 # -- chain cascade -------------------------------------------------------------
@@ -334,20 +310,11 @@ def make_binding(model: ModelSpec, cascade: ZetaCascade | None = None) -> Bindin
     if np.any(model.noise_coeffs == 0.0):
         raise BindingError("binding force undefined: a forced mode has q = 0")
     if model.id == "toy2d":
-        return BindingSpec(
-            model_id=model.id,
-            force=lambda x, y: toy_binding(x, y)[..., None],
-            zeta_map=toy_zeta,
-        )
+        return zeta_binding(model, -2.0)
     if model.id == "ginzburg_landau":
-        return BindingSpec(model_id=model.id, force=lambda x, y: gl_binding(x, y, model))
+        return gl_binding(model)
     if model.id == "reaction_diffusion":
-        return BindingSpec(
-            model_id=model.id,
-            force=lambda x, y: rd_binding(x, y, model),
-            zeta_map=lambda x, y: rd_zeta(x, y, model),
-            drift_force=lambda xy, f_xy: rd_binding(xy[0], xy[1], model, f_xy),
-        )
+        return zeta_binding(model, model.aux["laplacian"] - 1.0)
     if model.id == "chain":
         if cascade is None:
             cascade = build_zeta_cascade(model)
@@ -355,7 +322,7 @@ def make_binding(model: ModelSpec, cascade: ZetaCascade | None = None) -> Bindin
             raise BindingError("cascade was built for different chain parameters")
         return BindingSpec(
             model_id=model.id,
-            force=lambda x, y: cascade.force(x, y)[..., None],
+            force=lambda xy, f_xy: cascade.force(xy[0], xy[1])[..., None],
             zeta_map=cascade.zeta_values,
         )
     raise BindingError(f"no binding construction for model {model.id!r}")
@@ -365,8 +332,7 @@ def null_binding(model: ModelSpec) -> BindingSpec:
     """Zero force: the coupled pair degenerates to two independent copies
     driven by the same noise.  Useful as a diagnostic null case."""
 
-    def force(x, y):
-        shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1])
-        return np.zeros(shape + (model.n_noise,))
+    def force(xy, f_xy):
+        return np.zeros(xy.shape[1:-1] + (model.n_noise,))
 
     return BindingSpec(model_id=model.id, force=force)

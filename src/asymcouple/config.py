@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .models import ModelError, ModelSpec, chain_k_star, make_model
+from .models import ModelError, ModelSpec, make_model
 
 
 def _float(text: str) -> float:
@@ -232,16 +232,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     ks = cfg.estimator("axk_ks")
     if not ks or not all(k > 0 for k in ks):
         raise ConfigError("[estimators] axk_ks: need at least one level, all > 0")
-    if cfg.model_id == "chain":
-        a2 = cfg.model_params.get("a_squared", 5.0)
-        k_star = chain_k_star(a2)
-        truncation = cfg.model_params.get("truncation", 4 * k_star)
-        if truncation < 4 * k_star:
-            raise ConfigError(
-                f"[model] truncation: chain runs require at least 4 k* = {4 * k_star} sites"
-            )
-    # building the model performs the remaining structural validation
+    # building the model performs the structural validation
     model = cfg.build_model()
+    if model.id == "chain" and model.dim < 4 * model.params["k_star"]:
+        raise ConfigError(
+            f"[model] truncation: chain runs require at least 4 k* = {4 * model.params['k_star']} sites"
+        )
     cfg.initial_conditions(model)
     if cfg.estimator("mixing"):
         cfg.mixing_alt_x0(model)

@@ -288,7 +288,6 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
     if coupled:
         rho = np.array(rho0, dtype=float, order="C")
         y = np.add(x, rho, out=cur[1])
-        force = binding.drift_force or (lambda xy, f_xy: binding.force(xy[0], xy[1]))
         zeta_fn = binding.zeta_map
         rho_records = [rho.copy()]
         zeta_records = [zeta_fn(x, y)] if zeta_fn is not None else None
@@ -313,7 +312,7 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
                 np.add(ex, w1 * f1[0], out=pred[0])
                 pred_forced += forcing
                 if coupled:
-                    g1 = force(cur, f1)
+                    g1 = binding.force(cur, f1)
                     if g1.shape != forces.shape[1:]:
                         raise EngineError(f"the binding force has shape {g1.shape}, "
                                           f"expected {forces.shape[1:]}")
@@ -325,7 +324,7 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
                     np.add(pred[0], erho + w1 * nr1, out=pred[1])
                 f2 = f(pred)
                 if coupled:
-                    g2 = force(pred, f2)
+                    g2 = binding.force(pred, f2)
                     nr2 = f2[1] - f2[0]
                     nr2[..., :k] += q * g2
                     rho = erho + half_w1 * (nr1 + nr2)
@@ -422,16 +421,17 @@ def integrate_coupled(
     )
 
 
-def shift_noise(noise: NoisePath, pair: CoupledEnsembleResult, binding: BindingSpec,
-                inverse: bool = False) -> NoisePath:
+def shift_noise(model: ModelSpec, noise: NoisePath, pair: CoupledEnsembleResult,
+                binding: BindingSpec, inverse: bool = False) -> NoisePath:
     """Binding image of a noise path: increments shifted by the force at
     each step's left point, ``Δω + G dt`` (or ``Δω - G dt`` for the
-    inverse map).  ``pair`` is the one bound pair run under ``noise`` with
-    ``binding``, recorded at every step."""
+    inverse map).  ``pair`` is the one bound pair of ``model`` run under
+    ``noise`` with ``binding``, recorded at every step."""
     if pair.x.shape[1] != 1 or len(pair.times) != noise.steps + 1:
         raise EngineError("pair and noise path have different step counts: "
                           "the pair must be one path recorded at every step")
-    force = binding.force(pair.x[:-1, 0], pair.y[:-1, 0])
+    xy = np.stack([pair.x[:-1, 0], pair.y[:-1, 0]])
+    force = binding.force(xy, model.nonlinearity(xy))
     sign = -1.0 if inverse else 1.0
     return NoisePath(dt=noise.dt, increments=noise.increments + sign * force * noise.dt)
 

@@ -452,7 +452,8 @@ def binding_growth_exponents(
         direction /= np.linalg.norm(direction)
         sep = 10.0 ** rng.uniform(-2.0, 0.5)
         y = x + sep * direction
-        g_sq = float((binding.force(x, y) ** 2).sum())
+        xy = np.stack([x, y])
+        g_sq = float((binding.force(xy, model.nonlinearity(xy)) ** 2).sum())
         if g_sq <= 0.0:
             continue
         v_tot = float(lyapunov(model, x) + lyapunov(model, y))

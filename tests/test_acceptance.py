@@ -249,7 +249,7 @@ def test_criterion_9_numerics_suite():
     binding = make_binding(toy)
     noise = sample_noise(toy, 2000, 1e-3, seed=43)
     traj = integrate_coupled(toy, binding, np.array([1.0, 0.0]), np.array([0.2, 0.5]), noise)
-    back = shift_noise(shift_noise(noise, traj, binding), traj, binding, inverse=True)
+    back = shift_noise(toy, shift_noise(toy, noise, traj, binding), traj, binding, inverse=True)
     round_trip = np.abs(back.increments - noise.increments).max()
     assert round_trip <= 1e-12, f"shift round trip error {round_trip:.2e}"
     details.append(f"shift round trip {round_trip:.1e}")

@@ -11,14 +11,10 @@ from asymcouple.binding import (
     build_zeta_cascade,
     cascade_shape_ok,
     dump_cascade_text,
-    gl_binding,
     gl_coupled_diagonal,
     make_binding,
     null_binding,
     parse_cascade_dump,
-    rd_binding,
-    rd_zeta,
-    toy_binding,
 )
 from asymcouple.models import (
     drift,
@@ -31,27 +27,36 @@ from asymcouple.polynomials import IndexedPolynomial as P
 from asymcouple.polynomials import evaluate, lie_derivative
 
 
+def force_at(model, x, y):
+    """The model's binding force at the copies ``(x, y)``, as the stepper
+    evaluates it: on the stacked copies and the nonlinearity there."""
+    xy = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+    return make_binding(model).force(xy, model.nonlinearity(xy))
+
+
 class TestToyBinding:
     def test_diagonal_vanishes(self):
         x = np.array([0.7, -0.3])
-        assert toy_binding(x, x) == 0.0
+        assert np.all(force_at(make_toy2d(), x, x) == 0.0)
 
     def test_reference_value(self):
         # x = 0, y = (0, 1): zeta = 3, parts give G = -13 + 3 = -10
-        g = toy_binding(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
-        assert g == pytest.approx(-10.0)
+        g = force_at(make_toy2d(), np.array([0.0, 0.0]), np.array([0.0, 1.0]))
+        assert g == pytest.approx([-10.0])
 
     def test_forces_linear_contraction_of_zeta(self):
         # algebraic identity: the combination rho_1 + 3 rho_2 must have
         # time derivative exactly -2 zeta once the force is added
         toy = make_toy2d()
+        binding = make_binding(toy)
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = rng.normal(size=2)
             y = rng.normal(size=2)
-            g = toy_binding(x, y)
-            rho_dot = drift(toy, y) - drift(toy, x) + np.array([g, 0.0])
+            g = force_at(toy, x, y)
+            rho_dot = drift(toy, y) - drift(toy, x) + np.array([g[0], 0.0])
             zeta = (y - x)[0] + 3.0 * (y - x)[1]
+            assert binding.zeta_map(x, y) == pytest.approx([zeta], abs=0.0)
             assert rho_dot[0] + 3.0 * rho_dot[1] == pytest.approx(-2.0 * zeta, abs=1e-10)
 
 
@@ -59,7 +64,7 @@ class TestGLBinding:
     def test_diagonal_vanishes(self):
         gl = make_ginzburg_landau(modes=16)
         u = np.random.default_rng(1).normal(size=16)
-        np.testing.assert_array_equal(gl_binding(u, u, gl), np.zeros(gl.n_noise))
+        np.testing.assert_array_equal(force_at(gl, u, u), np.zeros(gl.n_noise))
 
     def test_mode_zero_formula(self):
         # lambda_0 = 0, q_0 = 1, rho_0 = 0.5 -> G_0 = -(2+0)/1 * 0.5
@@ -67,7 +72,7 @@ class TestGLBinding:
         x = np.zeros(16)
         y = np.zeros(16)
         y[0] = 0.5
-        assert gl_binding(x, y, gl)[0] == pytest.approx(-1.0)
+        assert force_at(gl, x, y)[0] == pytest.approx(-1.0)
 
     def test_coupled_diagonal_below_gap(self):
         gl = make_ginzburg_landau(modes=32, forced_modes=3)
@@ -85,21 +90,23 @@ class TestRDBinding:
     def test_diagonal_vanishes(self):
         rd = make_reaction_diffusion(modes_per_component=8)
         x = np.random.default_rng(2).normal(size=rd.dim)
-        np.testing.assert_allclose(rd_binding(x, x, rd), np.zeros(rd.n_noise), atol=0.0)
+        np.testing.assert_allclose(force_at(rd, x, x), np.zeros(rd.n_noise), atol=0.0)
 
     def test_forces_damped_heat_equation_for_zeta(self):
         # with the force included, d zeta/dt = (Δ - 1) zeta mode by mode
         rd = make_reaction_diffusion(modes_per_component=8)
+        binding = make_binding(rd)
         half = rd.dim // 2
         lap = rd.aux["laplacian"]
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.normal(size=rd.dim) * 0.5
             y = rng.normal(size=rd.dim) * 0.5
-            g = rd_binding(x, y, rd)
+            g = force_at(rd, x, y)
             rho_dot = drift(rd, y) - drift(rd, x)
             rho_dot[:half] += g
-            zeta = rd_zeta(x, y, rd)
+            zeta = binding.zeta_map(x, y)
+            np.testing.assert_array_equal(zeta, (y - x)[:half] + 3.0 * (y - x)[half:])
             zeta_dot = rho_dot[:half] + 3.0 * rho_dot[half:]
             np.testing.assert_allclose(zeta_dot, (lap - 1.0) * zeta, atol=1e-9)
 
@@ -122,7 +129,7 @@ class TestRDBinding:
             return -zeta - (du + 3.0 * dv)
 
         expected = scalar_force(x[0] / amp, x[half] / amp, y[0] / amp, y[half] / amp)
-        got = rd_binding(x, y, rd)
+        got = force_at(rd, x, y)
         assert got[0] / amp == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(got[1:], 0.0, atol=1e-12)
 
@@ -144,11 +151,11 @@ class TestRDBinding:
         du = (lap[j] + 2.0) * ru + rv
         dv = (lap[j] + 2.0) * rv + ru
         expected = (lap[j] - 1.0) * zeta - (du + 3.0 * dv)
-        assert rd_binding(x, y, rd)[j] == pytest.approx(expected, rel=1e-6)
+        assert force_at(rd, x, y)[j] == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize("batch", [1, 7, 300])
     def test_one_stacked_call_equals_two_nonlinearity_calls(self, batch):
-        # the force evaluates F(y) and F(x) in one call on the stacked rows
+        # the force reads F(x) and F(y) from one call on the stacked rows
         rd = make_reaction_diffusion(modes_per_component=16)
         half = rd.dim // 2
         rng = np.random.default_rng(batch)
@@ -158,7 +165,7 @@ class TestRDBinding:
         zeta = rho[..., :half] + 3.0 * rho[..., half:]
         delta = rd.linear_spectrum * rho + rd.nonlinearity(y) - rd.nonlinearity(x)
         expected = (rd.aux["laplacian"] - 1.0) * zeta - (delta[..., :half] + 3.0 * delta[..., half:])
-        np.testing.assert_array_equal(rd_binding(x, y, rd), expected)
+        np.testing.assert_array_equal(force_at(rd, x, y), expected)
 
 
 class TestZetaCascade:
@@ -259,11 +266,10 @@ class TestDiagonalVanishing:
         rd = make_reaction_diffusion(modes_per_component=8)
         ch = make_chain(a_squared=5.0)
         for model in (make_toy2d(), gl, rd, ch):
-            spec = make_binding(model)
             states = rng.normal(size=(1000, model.dim)) * rng.choice(
                 [0.3, 1.0, 3.0], size=(1000, 1)
             )
-            force = spec.force(states, states)
+            force = force_at(model, states, states)
             assert np.all(force == 0.0)
 
     def test_growth_bound_exponents_per_model(self):
@@ -292,7 +298,7 @@ class TestDiagonalVanishing:
 def test_null_binding_is_zero():
     toy = make_toy2d()
     spec = null_binding(toy)
-    assert np.all(spec.force(np.ones(2), np.zeros(2)) == 0.0)
+    assert np.all(spec.force(np.stack([np.ones(2), np.zeros(2)]), None) == 0.0)
 
 
 def test_top_cascade_variable_satisfies_its_ode_along_paths():

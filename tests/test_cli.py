@@ -118,12 +118,14 @@ class TestConfig:
             load_config(path)
 
     def test_chain_truncation_floor(self, tmp_path):
+        # without a_squared the floor is that of the model's default a² = 5
         path = tmp_path / "bad.cfg"
-        path.write_text(
-            "[model]\nid = chain\na_squared = 5.0\ntruncation = 8\n"
-        )
-        with pytest.raises(ConfigError, match="4 k"):
-            load_config(path)
+        for params, floor in (("a_squared = 5.0\ntruncation = 8\n", 12),
+                              ("truncation = 11\n", 12),
+                              ("a_squared = 0.0\ntruncation = 7\n", 8)):
+            path.write_text("[model]\nid = chain\n" + params)
+            with pytest.raises(ConfigError, match=f"4 k\\* = {floor} sites"):
+                load_config(path)
 
     def test_gl_underforced(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -45,6 +45,13 @@ BOUND_PAIRS = {
 }
 
 
+def force_at(model, binding, x, y):
+    """The binding force at the copies ``(x, y)``: on the stacked copies
+    and the model's nonlinearity there, as the stepper evaluates it."""
+    xy = np.stack([x, y])
+    return binding.force(xy, model.nonlinearity(xy))
+
+
 def bound_pair(model_id, model=None):
     factory, x_head, off_head = BOUND_PAIRS[model_id]
     model = model or factory()
@@ -63,7 +70,7 @@ def scalar_model(rate=-1.0):
         nonlinearity=lambda x: np.zeros_like(x),
         noise_coeffs=np.array([1.0]),
         params={},
-        lyapunov_spec=LyapunovSpec(name="l2_norm"),
+        lyapunov_spec=LyapunovSpec(name="l2_norm_pow_p"),
     )
 
 
@@ -226,7 +233,7 @@ class TestGirsanov:
         c = 0.7
         const = BindingSpec(
             model_id="toy2d",
-            force=lambda x, y: np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (1,), c),
+            force=lambda xy, f_xy: np.full(xy.shape[1:-1] + (1,), c),
         )
         noise = sample_noise(TOY, 1000, 1e-3, seed=9)
         traj = integrate_coupled(TOY, const, np.zeros(2), np.zeros(2), noise)
@@ -236,7 +243,7 @@ class TestGirsanov:
     def test_overflow_flagged(self):
         huge = BindingSpec(
             model_id="toy2d",
-            force=lambda x, y: np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (1,), 2000.0),
+            force=lambda xy, f_xy: np.full(xy.shape[1:-1] + (1,), 2000.0),
         )
         noise = sample_noise(TOY, 1000, 1e-3, seed=10)
         traj = integrate_coupled(TOY, huge, np.zeros(2), np.zeros(2), noise)
@@ -268,14 +275,14 @@ class TestShiftNoise:
         binding = null_binding(TOY)
         noise = sample_noise(TOY, 200, 1e-3, seed=12)
         traj = integrate_coupled(TOY, binding, np.zeros(2), np.ones(2), noise)
-        shifted = shift_noise(noise, traj, binding)
+        shifted = shift_noise(TOY, noise, traj, binding)
         np.testing.assert_array_equal(shifted.increments, noise.increments)
 
     def test_round_trip(self):
         binding = make_binding(TOY)
         noise = sample_noise(TOY, 1000, 1e-3, seed=13)
         traj = integrate_coupled(TOY, binding, np.array([1.0, 0.0]), np.array([0.0, 0.5]), noise)
-        back = shift_noise(shift_noise(noise, traj, binding), traj, binding, inverse=True)
+        back = shift_noise(TOY, shift_noise(TOY, noise, traj, binding), traj, binding, inverse=True)
         assert np.abs(back.increments - noise.increments).max() <= 1e-12
 
     def test_resimulation_reproduces_bound_copy(self):
@@ -285,7 +292,7 @@ class TestShiftNoise:
         noise = sample_noise(TOY, 2000, 1e-3, seed=14)
         x0, y0 = np.array([1.0, 0.0]), np.array([0.3, 0.6])
         traj = integrate_coupled(TOY, binding, x0, y0, noise)
-        shifted = shift_noise(noise, traj, binding)
+        shifted = shift_noise(TOY, noise, traj, binding)
         replay = integrate(TOY, y0, shifted)
         err = np.abs(replay.states - traj.y).max()
         assert err <= 50 * 1e-3
@@ -296,14 +303,14 @@ class TestShiftNoise:
         traj = integrate_coupled(TOY, binding, np.zeros(2), np.ones(2), noise)
         other = sample_noise(TOY, 50, 1e-3, seed=15)
         with pytest.raises(EngineError, match="step counts"):
-            shift_noise(other, traj, binding)
+            shift_noise(TOY, other, traj, binding)
 
     def test_pair_recorded_every_second_step_rejected(self):
         binding = make_binding(TOY)
         noise = sample_noise(TOY, 100, 1e-3, seed=16)
         traj = integrate_coupled(TOY, binding, np.zeros(2), np.ones(2), noise, record_every=2)
         with pytest.raises(EngineError, match="every step"):
-            shift_noise(noise, traj, binding)
+            shift_noise(TOY, noise, traj, binding)
 
     def test_two_paths_rejected(self):
         binding = make_binding(TOY)
@@ -311,7 +318,7 @@ class TestShiftNoise:
                                      record_every=1)
         noise = sample_noise(TOY, 100, 1e-2, seed=16)
         with pytest.raises(EngineError, match="one path"):
-            shift_noise(noise, pairs, binding)
+            shift_noise(TOY, noise, pairs, binding)
 
 
 @pytest.mark.parametrize("model_id", list(BOUND_PAIRS))
@@ -324,9 +331,9 @@ def test_shift_noise_applies_the_force_the_stepper_applied(model_id):
     binding = make_binding(model)
     noise = sample_noise(model, 200, 2e-3, seed=26)
     pair = integrate_coupled(model, binding, x0, y0, noise)
-    force = binding.force(pair.x[:-1, 0], pair.x[:-1, 0] + pair.rho[:-1, 0])
+    force = force_at(model, binding, pair.x[:-1, 0], pair.x[:-1, 0] + pair.rho[:-1, 0])
     assert np.abs(force).max() > 0.0
-    shifted = shift_noise(noise, pair, binding)
+    shifted = shift_noise(model, noise, pair, binding)
     np.testing.assert_array_equal(shifted.increments, noise.increments + force * noise.dt)
     log_density, g_l2 = np.zeros(noise.steps), np.zeros(noise.steps)
     running_log, running_l2 = 0.0, 0.0
@@ -590,7 +597,7 @@ def test_noise_blocks_stay_within_a_unit_and_the_budget(budget_rows, monkeypatch
 
 
 def test_a_force_of_the_wrong_shape_is_refused():
-    flat = BindingSpec(model_id="toy2d", force=lambda x, y: (y - x)[..., 0])
+    flat = BindingSpec(model_id="toy2d", force=lambda xy, f_xy: (xy[1] - xy[0])[..., 0])
     with pytest.raises(EngineError, match=re.escape("has shape (2,), expected (2, 1)")):
         run_coupled_ensemble(TOY, flat, np.zeros(2), np.ones(2), 2, 1, 1e-2, seed=1)
 
@@ -603,7 +610,7 @@ def fold_bytes(model, n_paths, rows):
 def constant_pair():
     force = BindingSpec(
         model_id="toy2d",
-        force=lambda x, y: np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (1,), 3.0),
+        force=lambda xy, f_xy: np.full(xy.shape[1:-1] + (1,), 3.0),
     )
     return TOY, force, np.array([1.0, 0.5]), np.array([1.2, 0.4])
 
@@ -642,7 +649,7 @@ def test_girsanov_folds_equal_a_step_by_step_sum(model_id, monkeypatch):
         np.testing.assert_array_equal(getattr(thin, name), getattr(pairs, name)[::4], err_msg=name)
     for i in range(n):
         noise = sample_noise(model, steps, dt, seed=41, stream=i)
-        force = binding.force(pairs.x[:-1, i], pairs.y[:-1, i])
+        force = force_at(model, binding, pairs.x[:-1, i], pairs.y[:-1, i])
         running_log, running_l2, flag = 0.0, 0.0, False
         expected = {"log_density": [0.0], "g_l2": [0.0], "overflow": [False]}
         for k in range(steps):
@@ -661,11 +668,12 @@ def test_girsanov_folds_equal_a_step_by_step_sum(model_id, monkeypatch):
 
 
 @pytest.mark.parametrize("n_traj", [1, 3, 9])
-def test_rd_force_reuses_the_stage_nonlinearity(n_traj):
-    # a coupled RD step evaluates the nonlinearity once per Heun stage on
-    # the stacked (x, y) rows; the binding force takes those values instead
-    # of evaluating it again, and is bit for bit the force from (x, y)
-    model, x0, y0 = bound_pair("reaction_diffusion")
+@pytest.mark.parametrize("model_id", list(BOUND_PAIRS))
+def test_the_force_reuses_the_stage_nonlinearity(model_id, n_traj, monkeypatch):
+    # a coupled step evaluates the nonlinearity once per Heun stage on the
+    # stacked (x, y) rows, and the binding force takes those values
+    # instead of evaluating it again
+    model, x0, y0 = bound_pair(model_id)
     binding = make_binding(model)
     nonlinearity, calls = model.nonlinearity, []
 
@@ -673,12 +681,6 @@ def test_rd_force_reuses_the_stage_nonlinearity(n_traj):
         calls.append(state.shape)
         return nonlinearity(state)
 
-    model.nonlinearity = counted
+    monkeypatch.setattr(model, "nonlinearity", counted)
     run_coupled_ensemble(model, binding, x0, y0, n_traj, 1, 2e-3, seed=42)
     assert calls == [(2, n_traj, model.dim)] * 2 * 500
-    rng = np.random.default_rng(42)
-    xy = np.stack([x0 + 0.5 * rng.normal(size=(n_traj, model.dim)) for _ in range(2)])
-    f_xy = nonlinearity(xy)
-    got = binding.drift_force(xy, f_xy)
-    np.testing.assert_array_equal(got, binding.force(xy[0], xy[1]))
-    assert got.shape == (n_traj, model.n_noise) and np.abs(got).max() > 0.0

@@ -353,7 +353,7 @@ class TestLyapunovFit:
             nonlinearity=lambda x: np.zeros_like(x),
             noise_coeffs=np.array([1e-12]),
             params={},
-            lyapunov_spec=LyapunovSpec(name="l2_norm"),
+            lyapunov_spec=LyapunovSpec(name="l2_norm_pow_p"),
         )
         probes = [np.array([v]) for v in (0.0, 0.5, 1.0, 2.0, 4.0)]
         fit = probe_fit(model, probes, 4, dt=1e-3, seed=6)
@@ -467,7 +467,7 @@ class TestDensityDiagnostics:
         # after the horizon's last unit must not count
         const = BindingSpec(
             model_id="toy2d",
-            force=lambda x, y: np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (1,), 22.0),
+            force=lambda xy, f_xy: np.full(xy.shape[1:-1] + (1,), 22.0),
         )
         x0 = np.array([1.0, 0.5])
         run = partial(_coupled, const, x0, x0, 20, seed=14, record_every=record_every)
