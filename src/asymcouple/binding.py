@@ -21,14 +21,13 @@ dynamics by construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .models import ModelSpec
 from .polynomials import (
-    CompiledPolynomial,
     IndexedPolynomial,
     PolyVectorField,
     compile_polynomial,
@@ -46,15 +45,17 @@ class BindingError(ValueError):
 class BindingSpec:
     """A binding force plus its diagnostic contraction variables.
 
-    ``force(xy, f_xy)`` takes the stacked copies ``xy = (x, y)`` of shape
-    ``(2, ..., dim)`` and the model's nonlinearity ``f_xy`` evaluated on
-    them, and returns the force ``(..., n_noise)``.  A force that does
-    not read the nonlinearity ignores ``f_xy``.
+    Both callables take the stacked copies ``xy = (x, y)`` of shape
+    ``(2, ..., dim)``.  ``force(xy, f_xy)`` also takes the model's
+    nonlinearity ``f_xy`` evaluated on them and returns the force
+    ``(..., n_noise)``; a force that does not read the nonlinearity
+    ignores ``f_xy``.  ``zeta_map(xy)`` returns the contraction variables
+    ``(..., n_zeta)``.
     """
 
     model_id: str
     force: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (2, ..., dim)² -> (..., n_noise)
-    zeta_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    zeta_map: Callable[[np.ndarray], np.ndarray] | None = None  # (2, ..., dim) -> (..., n_zeta)
 
 
 # -- toy model and reaction-diffusion ------------------------------------------
@@ -73,16 +74,15 @@ def zeta_binding(model: ModelSpec, rates: float | np.ndarray) -> BindingSpec:
     k = model.n_noise
     s = model.linear_spectrum
 
-    def zeta(x, y):
-        rho = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        return rho[..., :k] + 3.0 * rho[..., k:]
+    def zeta(v):
+        return v[..., :k] + 3.0 * v[..., k:]
 
     def force(xy, f_xy):
         rho = xy[1] - xy[0]
-        delta = s * rho + f_xy[1] - f_xy[0]
-        return rates * (rho[..., :k] + 3.0 * rho[..., k:]) - (delta[..., :k] + 3.0 * delta[..., k:])
+        return rates * zeta(rho) - zeta(s * rho + f_xy[1] - f_xy[0])
 
-    return BindingSpec(model_id=model.id, force=force, zeta_map=zeta)
+    return BindingSpec(model_id=model.id, force=force,
+                       zeta_map=lambda xy: zeta(xy[1] - xy[0]))
 
 
 # -- Ginzburg-Landau -----------------------------------------------------------
@@ -140,12 +140,15 @@ def chain_vector_field(model: ModelSpec) -> PolyVectorField:
 
 @dataclass
 class ZetaCascade:
-    """Recursively derived contraction variables for the chain.
+    """Recursively derived contraction variables for the chain, as
+    symbolic polynomials in the variables ``var_order`` (the ``x_i``, then
+    the ``rho_i``).
 
     ``zetas[l-1]`` is ``zeta_l = rho_{k*-l} + Q_l`` for ``l = 1..k*``;
     ``q_polys[l]`` holds ``Q_l`` (``Q_1 = 0``) together with the closing
     ``Q_{k*+1}``; ``g_poly`` is the force with
-    ``d zeta_{k*}/dt = -zeta_{k*}`` along the coupled flow.
+    ``d zeta_{k*}/dt = -zeta_{k*}`` along the coupled flow.  The cascade
+    evaluates nothing: :func:`make_binding` compiles it.
     """
 
     a_squared: float
@@ -156,25 +159,7 @@ class ZetaCascade:
     q_polys: dict[int, IndexedPolynomial]
     g_poly: IndexedPolynomial
     field: PolyVectorField
-    var_order: tuple = field(default=())
-    _g_compiled: CompiledPolynomial | None = field(default=None, repr=False)
-    _zeta_compiled: list[CompiledPolynomial] = field(default_factory=list, repr=False)
-
-    def state_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape[-1] < self.truncation or y.shape[-1] < self.truncation:
-            raise BindingError(
-                f"state has {x.shape[-1]} components; cascade needs {self.truncation}"
-            )
-        return np.concatenate([x, y - x], axis=-1)
-
-    def force(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._g_compiled.evaluate(self.state_values(x, y))
-
-    def zeta_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        values = self.state_values(x, y)
-        return np.stack([cp.evaluate(values) for cp in self._zeta_compiled], axis=-1)
+    var_order: tuple
 
 
 def _warn_on_awkward_coefficients(polys):
@@ -222,7 +207,7 @@ def build_zeta_cascade(model: ModelSpec) -> ZetaCascade:
     _warn_on_awkward_coefficients(zetas + [g_poly])
 
     var_order = tuple(("x", i) for i in range(m)) + tuple(("rho", i) for i in range(m))
-    cascade = ZetaCascade(
+    return ZetaCascade(
         a_squared=a2,
         truncation=m,
         k_star=k_star,
@@ -232,10 +217,7 @@ def build_zeta_cascade(model: ModelSpec) -> ZetaCascade:
         g_poly=g_poly,
         field=fld,
         var_order=var_order,
-        _g_compiled=compile_polynomial(g_poly, var_order),
-        _zeta_compiled=[compile_polynomial(z, var_order) for z in zetas],
     )
-    return cascade
 
 
 def cascade_shape_ok(cascade: ZetaCascade) -> list[str]:
@@ -320,11 +302,20 @@ def make_binding(model: ModelSpec, cascade: ZetaCascade | None = None) -> Bindin
             cascade = build_zeta_cascade(model)
         if cascade.truncation != model.dim or cascade.a_squared != model.params["a_squared"]:
             raise BindingError("cascade was built for different chain parameters")
-        return BindingSpec(
-            model_id=model.id,
-            force=lambda xy, f_xy: cascade.force(xy[0], xy[1])[..., None],
-            zeta_map=cascade.zeta_values,
-        )
+        g = compile_polynomial(cascade.g_poly, cascade.var_order)
+        zetas = [compile_polynomial(z, cascade.var_order) for z in cascade.zetas]
+
+        def state(xy):
+            # the cascade's variables (x, rho) with rho = y - x
+            return np.concatenate([xy[0], xy[1] - xy[0]], axis=-1)
+
+        def zeta_map(xy):
+            values = state(xy)
+            return np.stack([z.evaluate(values) for z in zetas], axis=-1)
+
+        return BindingSpec(model_id=model.id,
+                           force=lambda xy, f_xy: g.evaluate(state(xy))[..., None],
+                           zeta_map=zeta_map)
     raise BindingError(f"no binding construction for model {model.id!r}")
 
 

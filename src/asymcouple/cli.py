@@ -215,7 +215,7 @@ def _run_estimators(cfg, model, plot_ens, groups, fingerprint) -> EstimatorRepor
     if isinstance(plot_ens, CoupledEnsembleResult):
         rho_norm = np.linalg.norm(plot_ens.rho, axis=-1).mean(axis=1)
         if cfg.estimator("contraction") and np.all(rho_norm > 0):
-            report.contraction = asdict(est.fit_contraction(list(zip(plot_ens.times, rho_norm))))
+            report.contraction = asdict(est.fit_contraction(plot_ens.times, rho_norm))
     x_ens = groups["ensemble"]
     if cfg.estimator("mixing"):
         report.distances = est.mixing_distance_series(x_ens, groups["mixing"],
@@ -289,6 +289,9 @@ def cmd_reproduce(args) -> int:
             f"unknown experiment {args.experiment!r}; valid ids: {', '.join(sorted(PRESETS))}",
             file=sys.stderr,
         )
+        return 2
+    if args.seed is not None and args.seed < 0:
+        print("config error: --seed: must be non-negative", file=sys.stderr)
         return 2
     outcome = run_preset(args.experiment, seed=args.seed)
     out_dir = Path(os.environ.get("ASYMCOUPLE_OUT") or args.out or "out") / args.experiment

@@ -290,7 +290,7 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
         y = np.add(x, rho, out=cur[1])
         zeta_fn = binding.zeta_map
         rho_records = [rho.copy()]
-        zeta_records = [zeta_fn(x, y)] if zeta_fn is not None else None
+        zeta_records = [zeta_fn(cur)] if zeta_fn is not None else None
         # each step's force waits in one buffer for the fold that sums it
         # into the Girsanov records, at the latest at the end of its block
         forces = np.empty((max(1, _FOLD_BYTES // (8 * n * (3 * k + 10))), n, k))
@@ -350,7 +350,7 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
                         kept.append(held - 1)
                         rho_records.append(rho.copy())
                         if zeta_records is not None:
-                            zeta_records.append(zeta_fn(x, y))
+                            zeta_records.append(zeta_fn(cur))
                 if coupled and (held == len(forces) or j + 1 == len(block)):
                     folded = _fold_girsanov(forces[:held], block[j + 1 - held : j + 1], dt, last)
                     if kept:

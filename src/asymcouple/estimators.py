@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,28 +37,32 @@ class ContractionFit:
     gamma_se: float
 
 
-def fit_contraction(series: Iterable[tuple[float, float]]) -> ContractionFit:
-    """Least-squares fit of ``value = C exp(-gamma t)`` in log space.
+def fit_contraction(times: np.ndarray, values: np.ndarray) -> ContractionFit:
+    """Least-squares fit of ``values = C exp(-gamma times)`` in log space,
+    from two 1-D arrays of one length.
 
     ``residual`` is the RMS of the log-residuals and ``gamma_se`` the
     usual regression standard error of the slope; non-positive values
     are rejected since the fit lives in log space.
     """
-    pts = [(float(t), float(v)) for t, v in series]
-    if len(pts) < 2:
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.shape != values.shape:
+        raise EstimatorError(
+            f"times and values must be 1-D of one length, got {times.shape} and {values.shape}"
+        )
+    if len(times) < 2:
         raise EstimatorError("need at least two points to fit a rate")
-    times = np.array([t for t, _ in pts])
-    values = np.array([v for _, v in pts])
     if np.any(values <= 0.0):
         raise EstimatorError("log of non-positive value in contraction fit")
     logs = np.log(values)
     slope, intercept = np.polyfit(times, logs, 1)
     fitted = slope * times + intercept
     rss = float(((logs - fitted) ** 2).sum())
-    residual = math.sqrt(rss / len(pts))
+    residual = math.sqrt(rss / len(times))
     spread = float(((times - times.mean()) ** 2).sum())
-    if len(pts) > 2 and spread > 0:
-        gamma_se = math.sqrt(rss / (len(pts) - 2) / spread)
+    if len(times) > 2 and spread > 0:
+        gamma_se = math.sqrt(rss / (len(times) - 2) / spread)
     else:
         gamma_se = float("nan")
     return ContractionFit(
@@ -278,9 +282,9 @@ def lyapunov_fit(model: ModelSpec, ens: EnsembleResult, samples_per_probe: int) 
     """
     probes = ens.states[0, ::samples_per_probe]
     values = lyapunov(model, ens.head(1).states[-1]).reshape(len(probes), samples_per_probe)
-    v0 = np.array([float(lyapunov(model, probe)) for probe in probes])
-    means = np.array([float(row.mean()) for row in values])
-    ses = np.array([float(row.std(ddof=1) / math.sqrt(samples_per_probe)) for row in values])
+    v0 = lyapunov(model, probes)
+    means = values.mean(axis=1)
+    ses = values.std(axis=1, ddof=1) / math.sqrt(samples_per_probe)
     slope, intercept = np.polyfit(v0, means, 1)
     if slope >= 1.0:
         raise EstimatorError(f"no dissipative fit: slope {slope:.4f} >= 1")
@@ -299,9 +303,7 @@ def lyapunov_fit(model: ModelSpec, ens: EnsembleResult, samples_per_probe: int) 
     b_se = math.sqrt(sigma2 * (1.0 / n + v0.mean() ** 2 / denom)) if denom > 0 else float("nan")
     return LyapunovFit(
         a=float(slope), b=float(intercept), a_se=a_se, b_se=b_se,
-        probe_v=[float(v) for v in v0],
-        estimates=[float(m) for m in means],
-        standard_errors=[float(s) for s in ses],
+        probe_v=v0.tolist(), estimates=means.tolist(), standard_errors=ses.tolist(),
     )
 
 
@@ -414,9 +416,10 @@ def density_diagnostics(
             rows["step"].append(float("nan"))
 
     gamma2_hat = None
-    tail = [(n, v) for n, v in zip(horizons[3:], rows["step"][3:]) if v > 0 and math.isfinite(v)]
-    if len(tail) >= 2:
-        gamma2_hat = fit_contraction(tail).gamma
+    tail_t, tail_v = np.array(horizons[3:], dtype=float), np.array(rows["step"][3:])
+    tail = (tail_v > 0) & np.isfinite(tail_v)
+    if tail.sum() >= 2:
+        gamma2_hat = fit_contraction(tail_t[tail], tail_v[tail]).gamma
     return DensityDiagnostics(
         horizons=horizons,
         mean_density=rows["md"],
@@ -445,22 +448,21 @@ def binding_growth_exponents(
     Zero-force pairs are skipped (they carry no growth information).
     """
     rng = np.random.default_rng(seed)
-    rows, values = [], []
-    for _ in range(300):
+    xy, seps = np.empty((2, 300, model.dim)), np.empty(300)
+    for i in range(300):
         x = rng.normal(size=model.dim) * rng.choice([0.3, 1.0, 3.0])
         direction = rng.normal(size=model.dim)
         direction /= np.linalg.norm(direction)
-        sep = 10.0 ** rng.uniform(-2.0, 0.5)
-        y = x + sep * direction
-        xy = np.stack([x, y])
-        g_sq = float((binding.force(xy, model.nonlinearity(xy)) ** 2).sum())
-        if g_sq <= 0.0:
-            continue
-        v_tot = float(lyapunov(model, x) + lyapunov(model, y))
-        rows.append([1.0, math.log(sep), math.log1p(v_tot)])
-        values.append(math.log(g_sq))
-    if len(rows) < 10:
+        seps[i] = 10.0 ** rng.uniform(-2.0, 0.5)
+        xy[:, i] = x, x + seps[i] * direction
+    g_sq = (binding.force(xy, model.nonlinearity(xy)) ** 2).sum(axis=-1)
+    v = lyapunov(model, xy)
+    v_tot = v[0] + v[1]
+    keep = g_sq > 0.0
+    if keep.sum() < 10:
         raise EstimatorError("not enough informative pairs for a growth fit")
+    rows = [[1.0, math.log(sep), math.log1p(vt)] for sep, vt in zip(seps[keep], v_tot[keep])]
+    values = [math.log(g) for g in g_sq[keep]]
     coef, *_ = np.linalg.lstsq(np.array(rows), np.array(values), rcond=None)
     return {"c": float(np.exp(coef[0])), "alpha": float(coef[1]), "beta": float(coef[2])}
 
@@ -472,21 +474,32 @@ def mixing_distance_series(
     ens_a: EnsembleResult,
     ens_b: EnsembleResult,
     times: Sequence[int],
-    cap: int = DL_DEFAULT_CAP,
 ) -> list[dict]:
     """Dual-Lipschitz distance between the laws of two ensembles, on
-    disjoint noise streams, at the requested integer times."""
+    disjoint noise streams, at the requested integer times; samples
+    larger than ``DL_DEFAULT_CAP`` are subsampled with seed ``t``."""
     times = sorted(int(t) for t in times)
     states_a, states_b = (ens.head(times[-1]).at_units().states for ens in (ens_a, ens_b))
     out = []
     for t in times:
-        value = dual_lipschitz_distance(states_a[t], states_b[t], cap=cap, subsample_seed=t)
+        value = dual_lipschitz_distance(states_a[t], states_b[t], subsample_seed=t)
         out.append({"t": float(t), "distance": value, "n_a": len(states_a[t]),
                     "n_b": len(states_b[t])})
     return out
 
 
 # -- report ------------------------------------------------------------------------------
+
+
+def _finite_or_null(value):
+    """``value`` with every NaN or infinite float, however nested, as ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 @dataclass
@@ -503,7 +516,8 @@ class EstimatorReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        """Strict JSON (RFC 8259): a non-finite float is written as null."""
+        return json.dumps(_finite_or_null(asdict(self)), sort_keys=True, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "EstimatorReport":

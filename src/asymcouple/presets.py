@@ -77,7 +77,7 @@ def toy_contraction(seed: int = 11) -> PresetOutcome:
     )
 
     mean_rho = np.linalg.norm(ens.rho, axis=-1).mean(axis=1)
-    fit = est.fit_contraction(list(zip(ens.times, mean_rho)))
+    fit = est.fit_contraction(ens.times, mean_rho)
     out.add(
         "mean-difference-rate",
         fit.gamma >= 0.9,
@@ -126,7 +126,7 @@ def gl_gap(seed: int = 12) -> PresetOutcome:
         f"max |rho(t)| over trajectories relative to exp(-{gap:.2f} t) envelope: {margin:.6f}",
     )
 
-    fit = est.fit_contraction(list(zip(ens.times, rho_norm.mean(axis=1))))
+    fit = est.fit_contraction(ens.times, rho_norm.mean(axis=1))
     out.add(
         "measured-rate",
         fit.gamma >= gap,
@@ -256,7 +256,7 @@ def chain_cascade(seed: int = 14) -> PresetOutcome:
         # ten units: the fitted rate must see past the transient hump
         e = run_coupled_ensemble(m, b, xa, xa + ra, 20, 10, dt, seed + 1, record_every=1000)
         mean_rho = np.linalg.norm(e.rho, axis=-1).mean(axis=1)
-        rates[a2] = est.fit_contraction(list(zip(e.times, mean_rho))).gamma
+        rates[a2] = est.fit_contraction(e.times, mean_rho).gamma
     out.add(
         "rho-decay-rates",
         all(g > 0.0 for g in rates.values()),
@@ -363,7 +363,7 @@ def mixing_distance(seed: int = 16) -> PresetOutcome:
             ens_a.states[-1], ens_b.states[-1], n_boot=12, cap=150, seed=seed
         )
         monotone = all(values[i + 1] <= values[i] + floor for i in range(len(values) - 1))
-        gamma = est.fit_contraction(list(zip(times, values))).gamma
+        gamma = est.fit_contraction(times, values).gamma
         out.add(
             f"decay-{name}",
             monotone and gamma > 0.0,

@@ -24,7 +24,7 @@ from asymcouple.models import (
     make_toy2d,
 )
 from asymcouple.polynomials import IndexedPolynomial as P
-from asymcouple.polynomials import evaluate, lie_derivative
+from asymcouple.polynomials import PolynomialError, evaluate, lie_derivative
 
 
 def force_at(model, x, y):
@@ -56,7 +56,7 @@ class TestToyBinding:
             g = force_at(toy, x, y)
             rho_dot = drift(toy, y) - drift(toy, x) + np.array([g[0], 0.0])
             zeta = (y - x)[0] + 3.0 * (y - x)[1]
-            assert binding.zeta_map(x, y) == pytest.approx([zeta], abs=0.0)
+            assert binding.zeta_map(np.stack([x, y])) == pytest.approx([zeta], abs=0.0)
             assert rho_dot[0] + 3.0 * rho_dot[1] == pytest.approx(-2.0 * zeta, abs=1e-10)
 
 
@@ -105,7 +105,7 @@ class TestRDBinding:
             g = force_at(rd, x, y)
             rho_dot = drift(rd, y) - drift(rd, x)
             rho_dot[:half] += g
-            zeta = binding.zeta_map(x, y)
+            zeta = binding.zeta_map(np.stack([x, y]))
             np.testing.assert_array_equal(zeta, (y - x)[:half] + 3.0 * (y - x)[half:])
             zeta_dot = rho_dot[:half] + 3.0 * rho_dot[half:]
             np.testing.assert_allclose(zeta_dot, (lap - 1.0) * zeta, atol=1e-9)
@@ -216,11 +216,12 @@ class TestZetaCascade:
 
     def test_chain_binding_diagonal_and_errors(self):
         model = make_chain(a_squared=5.0)
-        cascade = build_zeta_cascade(model)
+        binding = make_binding(model, build_zeta_cascade(model))
         x = np.random.default_rng(5).normal(size=model.dim)
-        assert cascade.force(x, x) == pytest.approx(0.0, abs=0.0)
-        with pytest.raises(BindingError, match="components"):
-            cascade.force(x[:4], x[:4])
+        assert force_at(model, x, x) == pytest.approx([0.0], abs=0.0)
+        # a state narrower than the cascade's truncation is rejected
+        with pytest.raises(PolynomialError, match="variable values"):
+            binding.force(np.stack([x[:4], x[:4]]), None)
 
     def test_cascade_model_mismatch_rejected(self):
         cascade = build_zeta_cascade(make_chain(a_squared=5.0))
@@ -257,6 +258,19 @@ class TestZetaCascade:
             warnings.simplefilter("always")
             build_zeta_cascade(make_chain(a_squared=5.0))
         assert not caught
+
+
+@pytest.mark.parametrize("model", [make_toy2d(), make_reaction_diffusion(modes_per_component=8)],
+                         ids=["toy2d", "reaction_diffusion"])
+def test_zeta_map_reads_the_stacked_copies(model):
+    # zeta(xy) = rho[:k] + 3 rho[k:] with rho = y - x, row by row of a batch
+    binding = make_binding(model)
+    rng = np.random.default_rng(8)
+    xy = rng.normal(size=(2, 5, model.dim))
+    rho = xy[1] - xy[0]
+    k = model.n_noise
+    np.testing.assert_array_equal(binding.zeta_map(xy), rho[:, :k] + 3.0 * rho[:, k:])
+    np.testing.assert_array_equal(binding.zeta_map(xy[:, 2]), binding.zeta_map(xy)[2])
 
 
 class TestDiagonalVanishing:

@@ -1,6 +1,7 @@
 """Harness behaviour: config validation, artifacts, determinism, exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -385,6 +386,20 @@ class TestRun:
             assert text.splitlines()[0] == f"# {columns}{stamp}", name
             assert text.endswith("\n") and not text.endswith("\n\n")
 
+    def test_report_is_strict_json(self, tmp_path):
+        # one unit recorded once a unit is a two-point rate fit, whose slope
+        # has no standard error: report.json writes it as null, not NaN
+        path = write_config(tmp_path, units=1, record_every=0)
+        assert main(["run", "--config", str(path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "out" / "report.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        assert report["contraction"]["gamma_se"] is None
+        assert math.isfinite(report["contraction"]["gamma"])
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[model]\nid = nope\n")
@@ -543,6 +558,20 @@ class TestPresetsCommand:
     def test_unknown_preset(self, capsys):
         assert main(["reproduce", "nope"]) == 2
         assert "toy-contraction" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        import asymcouple.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a negative seed reached the preset")
+
+        monkeypatch.setattr(cli_mod, "run_preset", never)
+        monkeypatch.setenv("ASYMCOUPLE_OUT", str(tmp_path / "out"))
+        assert main(["reproduce", "toy-contraction", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --seed: must be non-negative")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_reproduce_toy(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ASYMCOUPLE_OUT", str(tmp_path))

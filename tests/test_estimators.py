@@ -2,6 +2,7 @@
 density diagnostics."""
 
 import ast
+import json
 import math
 import warnings
 from functools import partial
@@ -23,6 +24,7 @@ from asymcouple.estimators import (
     EstimatorError,
     EstimatorReport,
     axk_table,
+    binding_growth_exponents,
     bootstrap_null_quantile,
     density_diagnostics,
     dirac_dl_distance,
@@ -158,18 +160,22 @@ ORACLE_IDS = ["equal", "unequal", "duplicates-equal", "duplicates-unequal", "one
 class TestFitContraction:
     def test_exact_log_linear(self):
         ts = np.linspace(0.0, 5.0, 11)
-        fit = fit_contraction(list(zip(ts, np.exp(-2.0 * ts))))
+        fit = fit_contraction(ts, np.exp(-2.0 * ts))
         assert fit.c == pytest.approx(1.0, abs=1e-10)
         assert fit.gamma == pytest.approx(2.0, abs=1e-10)
         assert fit.residual < 1e-10
 
     def test_constant_series(self):
-        fit = fit_contraction([(t, 3.0) for t in range(6)])
+        fit = fit_contraction(range(6), np.full(6, 3.0))
         assert fit.gamma == pytest.approx(0.0, abs=1e-12)
 
     def test_non_positive_rejected(self):
         with pytest.raises(EstimatorError, match="non-positive"):
-            fit_contraction([(0.0, 1.0), (1.0, 0.0), (2.0, 1.0)])
+            fit_contraction([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])
+
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(EstimatorError, match="1-D of one length"):
+            fit_contraction([0.0, 1.0, 2.0], [1.0, 0.5])
 
 
 class TestDualLipschitz:
@@ -394,6 +400,41 @@ class TestLyapunovFit:
         assert fit.standard_errors == ses
 
 
+GROWTH_MODEL_PARAMS = {
+    "toy2d": {},
+    "ginzburg_landau": {"modes": 64, "forced_modes": 3, "noise_coeffs": [1.0, 0.6, 0.6]},
+    "reaction_diffusion": {"modes_per_component": 16},
+    "chain": {"a_squared": 5.0},
+}
+
+
+@pytest.mark.parametrize("model_id", list(GROWTH_MODEL_PARAMS))
+def test_growth_fit_equals_the_per_pair_loop(model_id):
+    # the fit evaluates its 300 pairs as one stacked batch; one force,
+    # nonlinearity and Lyapunov call per pair, in the same draws, is its
+    # oracle, bit for bit
+    model = make_model(model_id, **GROWTH_MODEL_PARAMS[model_id])
+    binding = make_binding(model)
+    rng = np.random.default_rng(5)
+    rows, values = [], []
+    for _ in range(300):
+        x = rng.normal(size=model.dim) * rng.choice([0.3, 1.0, 3.0])
+        direction = rng.normal(size=model.dim)
+        direction /= np.linalg.norm(direction)
+        sep = 10.0 ** rng.uniform(-2.0, 0.5)
+        y = x + sep * direction
+        xy = np.stack([x, y])
+        g_sq = float((binding.force(xy, model.nonlinearity(xy)) ** 2).sum())
+        if g_sq <= 0.0:
+            continue
+        v_tot = float(lyapunov(model, x) + lyapunov(model, y))
+        rows.append([1.0, math.log(sep), math.log1p(v_tot)])
+        values.append(math.log(g_sq))
+    coef, *_ = np.linalg.lstsq(np.array(rows), np.array(values), rcond=None)
+    expected = {"c": float(np.exp(coef[0])), "alpha": float(coef[1]), "beta": float(coef[2])}
+    assert binding_growth_exponents(model, binding, seed=5) == expected
+
+
 def test_estimators_integrate_nothing():
     # the estimators read the ensembles they are given: the module names no
     # run_* or integrate* entry point of the engine
@@ -482,7 +523,7 @@ def test_mixing_series_shape():
     x0 = np.array([1.5, 1.5])
     ens = run_ensemble(TOY, x0, 40, 2, 2e-3, seed=13)
     alt = run_ensemble(TOY, np.array([0.3, 0.3]), 40, 2, 2e-3, seed=13, stream0=40)
-    series = mixing_distance_series(ens, alt, times=[1, 2], cap=40)
+    series = mixing_distance_series(ens, alt, times=[1, 2])
     assert [row["t"] for row in series] == [1.0, 2.0]
     assert all(0.0 <= row["distance"] <= 2.0 for row in series)
     with pytest.raises(EngineError, match="before 3"):
@@ -498,3 +539,15 @@ def test_report_json_round_trip():
     )
     back = EstimatorReport.from_json(report.to_json())
     assert back == report
+
+
+def test_report_json_writes_non_finite_values_as_null():
+    report = EstimatorReport(
+        model_id="toy2d",
+        config_fingerprint="abc",
+        contraction={"gamma": 2.0, "gamma_se": float("nan")},
+        density={"mean_inv_sq_good": [1.5, float("inf"), np.float64("-inf")]},
+    )
+    back = json.loads(report.to_json(), parse_constant=lambda name: pytest.fail(name))
+    assert back["contraction"] == {"gamma": 2.0, "gamma_se": None}
+    assert back["density"]["mean_inv_sq_good"] == [1.5, None, None]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcouple.binding import build_zeta_cascade, chain_vector_field
+from asymcouple.binding import build_zeta_cascade, chain_vector_field, make_binding
 from asymcouple.models import make_chain
 from asymcouple.polynomials import (
     IndexedPolynomial as P,
@@ -190,17 +190,19 @@ def test_compiled_matches_direct(p):
 
 @pytest.mark.parametrize("a_squared", [0.0, 2.0, 5.0])
 def test_compiled_cascade_matches_symbolic_evaluation(a_squared):
-    # the chain's force and zeta maps run through compiled polynomials;
-    # symbolic term-by-term evaluation is their oracle
+    # the chain binding's force and zeta map run through compiled
+    # polynomials; symbolic term-by-term evaluation is their oracle
     model = make_chain(a_squared=a_squared)
     cascade = build_zeta_cascade(model)
+    binding = make_binding(model, cascade)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(40, model.dim)) * 0.8
     y = x + rng.normal(size=(40, model.dim)) * 0.3
-    assign = dict(zip(cascade.var_order, cascade.state_values(x, y).T))
+    xy = np.stack([x, y])
+    assign = dict(zip(cascade.var_order, np.concatenate([x, y - x], axis=-1).T))
     expected = np.stack(
         [evaluate(cascade.g_poly, assign)] + [evaluate(z, assign) for z in cascade.zetas], axis=-1
     )
-    actual = np.concatenate([cascade.force(x, y)[:, None], cascade.zeta_values(x, y)], axis=-1)
+    actual = np.concatenate([binding.force(xy, None), binding.zeta_map(xy)], axis=-1)
     scale = np.maximum(np.max(np.abs(expected), axis=0), 1.0)
     np.testing.assert_array_less(np.abs(actual - expected) / scale, 1e-12)
