@@ -23,6 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,64 +42,18 @@ from .estimators import EstimatorError, EstimatorReport
 from .presets import PRESETS, run_preset
 
 
-def _ensemble_worker(task, binding=None):
-    """Top-level worker so process pools can pickle the task ``(cfg, group,
-    lo, hi)``: paths ``lo..hi-1`` of one of the run's ``_groups``, or the
-    ``BlowUpError`` they raised, which the run weighs against its other
-    spans' (see ``_run_ensemble_jobs``).  A pool worker builds its own
-    model and binding; in the run's own process they are the run's."""
-    cfg, group, lo, hi = task
-    model = cfg.build_model()
-    try:
-        if group == "mixing":
-            # the second start runs on the streams after the ensemble's
-            return run_ensemble(model, cfg.mixing_alt_x0(model), hi - lo,
-                                max(cfg.estimator("mixing_times")), cfg.dt, cfg.seed,
-                                stream0=cfg.ensemble + lo)
-        if group == "lyapunov":
-            return run_ensemble(model, _lyapunov_starts(cfg, model)[lo:hi], hi - lo, 1, cfg.dt,
-                                cfg.seed, stream0=lo)
-        return _ensemble_span(cfg, model, lo, hi, binding)
-    except BlowUpError as exc:
-        return exc
-
-
-def _ensemble_span(cfg, model, lo, hi, binding):
-    """The run's ensemble on streams ``lo..hi-1`` over the ``_spans``:
-    bound pairs over the first span, the ``x`` paths alone after that.
-    Returns the pairs (None when nothing reads them) and the ``x`` paths
-    over the whole run."""
-    x0, y0 = cfg.initial_conditions(model)
-    coupled_units, units = _spans(cfg)
-    records = {"stream0": lo, "record_every": cfg.record_every or None, "dense_units": cfg.units}
-    if not coupled_units:
-        return None, run_ensemble(model, x0, hi - lo, units, cfg.dt, cfg.seed, **records)
-    pairs = run_coupled_ensemble(
-        model, binding or bnd.make_binding(model), x0, y0, hi - lo, coupled_units, cfg.dt, cfg.seed,
-        **records,
-    )
-    x_ens = pairs.x_half()
-    if units > coupled_units:
-        x_ens = x_ens.then(run_ensemble(
-            model, x_ens.states[-1], hi - lo, units - coupled_units, cfg.dt, cfg.seed,
-            start_unit=coupled_units, **records,
-        ))
-    return pairs, x_ens
-
-
-def _spans(cfg: ExperimentConfig) -> tuple[int, int]:
-    """Units of the run's one ensemble: how long the bound pair is read
-    (by the plot data with binding on, and by density), and how long any
-    reader, the ``x`` paths' included, needs it."""
-    coupled = [cfg.units] if cfg.binding else []
-    if cfg.estimator("density"):
-        coupled.append(max(cfg.estimator("density_horizons")) + 1)
-    units = [cfg.units] + coupled
-    if cfg.estimator("axk"):
-        units.append(cfg.estimator("axk_horizon") + 1)
-    if cfg.estimator("mixing"):
-        units.append(max(cfg.estimator("mixing_times")))
-    return max(coupled, default=0), max(units)
+class _Group(NamedTuple):
+    """``n`` paths from ``x0`` (one start, or one per path), path ``i`` on
+    stream ``stream0 + i``, for ``units`` units, bound to copies from one
+    ``y0`` over the first ``coupled_units``; records as ``run_ensemble``'s."""
+    n: int
+    x0: np.ndarray
+    stream0: int
+    units: int
+    coupled_units: int = 0
+    y0: np.ndarray | None = None
+    record_every: int | None = None
+    dense_units: int | None = None
 
 
 # the lyapunov probes are these multiples of x0 (of a unit vector if x0 = 0)
@@ -109,58 +64,98 @@ def _probe_samples(cfg: ExperimentConfig) -> int:
     return min(200, cfg.ensemble)  # paths per lyapunov probe
 
 
-def _lyapunov_starts(cfg: ExperimentConfig, model) -> np.ndarray:
-    """Probe ``i`` of the lyapunov group on its paths ``i*S..(i+1)*S-1``."""
-    x0 = cfg.initial_conditions(model)[0]
-    base = x0 if np.linalg.norm(x0) > 0 else np.ones(model.dim) / np.sqrt(model.dim)
-    return np.repeat([base * s for s in _PROBE_SCALES], _probe_samples(cfg), axis=0)
-
-
-def _groups(cfg: ExperimentConfig) -> list[tuple[str, int]]:
-    """The groups of paths the run integrates after its trajectory, with
-    their path counts: the ensemble, streams ``0..n-1`` from the config's
-    ``(x0, y0)``; mixing's second start, streams ``n..2n-1``; and the
-    lyapunov probes, streams ``0..6S-1``."""
-    groups = [("ensemble", cfg.ensemble)]
+def _groups(cfg: ExperimentConfig, model) -> dict[str, _Group]:
+    """The groups the run integrates after its trajectory, in the order
+    their blow-ups are weighed.  The ensemble (streams ``0..n-1``) is bound
+    while the plot (binding on) or density reads the copy, and its ``x``
+    paths run as long as any reader needs; mixing's second start takes
+    streams ``n..2n-1``, lyapunov probe ``i`` paths ``i*S..(i+1)*S-1``."""
+    x0, y0 = cfg.initial_conditions(model)
+    coupled = [cfg.units] if cfg.binding else []
+    if cfg.estimator("density"):
+        coupled.append(max(cfg.estimator("density_horizons")) + 1)
+    units = [cfg.units] + coupled
+    if cfg.estimator("axk"):
+        units.append(cfg.estimator("axk_horizon") + 1)
     if cfg.estimator("mixing"):
-        groups.append(("mixing", cfg.ensemble))
+        units.append(max(cfg.estimator("mixing_times")))
+    groups = {"ensemble": _Group(cfg.ensemble, x0, 0, max(units), max(coupled, default=0), y0,
+                                 cfg.record_every or None, cfg.units)}
+    if cfg.estimator("mixing"):
+        groups["mixing"] = _Group(cfg.ensemble, cfg.mixing_alt_x0(model), cfg.ensemble,
+                                  max(cfg.estimator("mixing_times")))
     if cfg.estimator("lyapunov"):
-        groups.append(("lyapunov", len(_PROBE_SCALES) * _probe_samples(cfg)))
+        base = x0 if np.linalg.norm(x0) > 0 else np.ones(model.dim) / np.sqrt(model.dim)
+        starts = np.repeat([base * s for s in _PROBE_SCALES], _probe_samples(cfg), axis=0)
+        groups["lyapunov"] = _Group(len(starts), starts, 0, 1)
     return groups
 
 
-def _run_ensemble_jobs(cfg: ExperimentConfig, binding=None) -> dict:
-    """Integrate the run's ``_groups`` of paths as one task list on a worker
-    pool, each group split into at most ``jobs`` spans.  Paths are indexed
-    by noise stream, so the merged groups do not depend on the schedule.
-    The ensemble is recorded every ``record_every`` steps over the first
-    ``units`` units, which the plot data reads, and once a unit after; the
-    other groups once a unit.  Returns the groups by name, the ensemble as
-    its ``x`` paths (``"ensemble"``) and bound pairs (``"pairs"``, None
-    when nothing reads them).  A blow-up raises that of the first group
-    that blew up, at its earliest time over the spans, as the group run as
-    one batch would.  At one job the run's ``binding`` serves the pairs."""
-    groups = _groups(cfg)
-    jobs = min(cfg.jobs, max(n for _, n in groups))
+def _run_span(cfg, model, binding, group: _Group, lo: int, hi: int):
+    """Paths ``lo..hi-1`` of ``group``: bound pairs over its
+    ``coupled_units``, then the ``x`` paths alone up to its ``units``.
+    Returns the pairs (None when the group has no bound span) and the
+    ``x`` paths over the whole group."""
+    x0 = group.x0[lo:hi] if group.x0.ndim == 2 else group.x0
+    n = hi - lo
+    records = {"stream0": group.stream0 + lo, "record_every": group.record_every,
+               "dense_units": group.dense_units}
+    if not group.coupled_units:
+        return None, run_ensemble(model, x0, n, group.units, cfg.dt, cfg.seed, **records)
+    pairs = run_coupled_ensemble(
+        model, binding or bnd.make_binding(model), x0, group.y0, n, group.coupled_units, cfg.dt,
+        cfg.seed, **records,
+    )
+    x_ens = pairs.x_half()
+    if group.units > group.coupled_units:
+        x_ens = x_ens.then(run_ensemble(
+            model, x_ens.states[-1], n, group.units - group.coupled_units, cfg.dt, cfg.seed,
+            start_unit=group.coupled_units, **records,
+        ))
+    return pairs, x_ens
+
+
+def _group_worker(task, binding=None):
+    """Top-level worker so process pools can pickle the task ``(cfg, name,
+    lo, hi)``: paths ``lo..hi-1`` of the run's group ``name``, or the
+    ``BlowUpError`` they raised, which the run weighs against its other
+    spans' (see ``_run_groups``).  A pool worker builds its own model and
+    binding; in the run's own process they are the run's."""
+    cfg, name, lo, hi = task
+    model = cfg.build_model()
+    try:
+        return _run_span(cfg, model, binding, _groups(cfg, model)[name], lo, hi)
+    except BlowUpError as exc:
+        return exc
+
+
+def _run_groups(cfg: ExperimentConfig, binding=None) -> dict:
+    """Integrate the run's ``_groups`` as one task list on a worker pool,
+    each group cut into at most ``jobs`` spans; paths are indexed by noise
+    stream, so the merge does not depend on the schedule.  Returns each
+    group by name as ``(pairs or None, x paths)``.  A blow-up raises that
+    of the first group that blew up, at its earliest time over the spans,
+    as the group run as one batch would."""
+    groups = _groups(cfg, cfg.build_model())
+    jobs = min(cfg.jobs, max(group.n for group in groups.values()))
     tasks = []
-    for group, n in groups:
-        bounds = np.linspace(0, n, min(jobs, n) + 1).astype(int)
-        tasks += [(cfg, group, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    for name, group in groups.items():
+        bounds = np.linspace(0, group.n, min(jobs, group.n) + 1).astype(int)
+        tasks += [(cfg, name, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if jobs == 1:
-        outcomes = [_ensemble_worker(task, binding) for task in tasks]
+        outcomes = [_group_worker(task, binding) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_ensemble_worker, tasks))
+            outcomes = list(pool.map(_group_worker, tasks))
     merged = {}
-    for group, _ in groups:
-        parts = [out for task, out in zip(tasks, outcomes) if task[1] == group]
+    for name in groups:
+        parts = [out for task, out in zip(tasks, outcomes) if task[1] == name]
         blow_ups = [out for out in parts if isinstance(out, BlowUpError)]
         if blow_ups:
             raise min(blow_ups, key=lambda exc: exc.time)
-        if group == "ensemble":
-            pairs, parts = zip(*parts)
-            merged["pairs"] = None if pairs[0] is None else CoupledEnsembleResult.concat(pairs)
-        merged[group] = EnsembleResult.concat(parts)
+        pairs, x_paths = zip(*parts)
+        merged[name] = (None if pairs[0] is None else CoupledEnsembleResult.concat(pairs),
+                        EnsembleResult.concat(x_paths))
     return merged
 
 
@@ -209,25 +204,23 @@ def _write_csv(path: Path, columns, rows, fingerprint):
 
 def _run_estimators(cfg, model, plot_ens, groups, fingerprint) -> EstimatorReport:
     """Every estimator that is on, from the run's merged ``groups`` of
-    paths (see ``_run_ensemble_jobs``) and the ensemble's first ``units``
-    units as plotted."""
+    paths (see ``_run_groups``) and the ensemble's first ``units`` units
+    as plotted."""
     report = EstimatorReport(model_id=model.id, config_fingerprint=fingerprint)
     if isinstance(plot_ens, CoupledEnsembleResult):
         rho_norm = np.linalg.norm(plot_ens.rho, axis=-1).mean(axis=1)
         if cfg.estimator("contraction") and np.all(rho_norm > 0):
             report.contraction = asdict(est.fit_contraction(plot_ens.times, rho_norm))
-    x_ens = groups["ensemble"]
+    pairs, x_ens = groups["ensemble"]
     if cfg.estimator("mixing"):
-        report.distances = est.mixing_distance_series(x_ens, groups["mixing"],
+        report.distances = est.mixing_distance_series(x_ens, groups["mixing"][1],
                                                       cfg.estimator("mixing_times"))
     if cfg.estimator("lyapunov"):
-        report.lyapunov = asdict(est.lyapunov_fit(model, groups["lyapunov"], _probe_samples(cfg)))
+        report.lyapunov = asdict(est.lyapunov_fit(model, groups["lyapunov"][1], _probe_samples(cfg)))
     if cfg.estimator("axk"):
         report.axk = est.axk_table(model, x_ens, cfg.estimator("axk_ks"), cfg.estimator("axk_horizon"))
     if cfg.estimator("density"):
-        report.density = asdict(est.density_diagnostics(
-            model, groups["pairs"], cfg.estimator("density_horizons"),
-        ))
+        report.density = asdict(est.density_diagnostics(model, pairs, cfg.estimator("density_horizons")))
     return report
 
 
@@ -250,20 +243,19 @@ def cmd_run(args) -> int:
         dense_every = next(d for d in range(max(1, spu // 10), 0, -1) if spu % d == 0)
 
     try:
-        # stream 0 of the run, recorded densely, as a run of its own: it is
-        # written before the ensemble, so a blow-up in the ensemble leaves it
+        # stream 0 of the run, recorded densely, as a one-path group of its
+        # own: it is written before the others, so a blow-up in them leaves it
         binding = bnd.make_binding(model) if cfg.binding else None
-        if cfg.binding:
-            traj = run_coupled_ensemble(model, binding, x0, y0, 1, cfg.units,
-                                        cfg.dt, cfg.seed, record_every=dense_every)
-        else:
-            traj = run_ensemble(model, x0, 1, cfg.units, cfg.dt, cfg.seed, record_every=dense_every)
-        _write_csv(out_dir / "trajectory.csv", *_trajectory_table(model, traj), fingerprint)
+        trajectory = _Group(1, x0, 0, cfg.units, cfg.units if cfg.binding else 0, y0, dense_every)
+        pair, path = _run_span(cfg, model, binding, trajectory, 0, 1)
+        _write_csv(out_dir / "trajectory.csv",
+                   *_trajectory_table(model, path if pair is None else pair), fingerprint)
 
         # one ensemble serves the plot data and every estimator that starts
         # at (x0, y0); density needs the bound copy even with binding off
-        groups = _run_ensemble_jobs(cfg, binding)
-        plot_ens = groups["pairs" if cfg.binding else "ensemble"].head(cfg.units)
+        groups = _run_groups(cfg, binding)
+        pairs, x_ens = groups["ensemble"]
+        plot_ens = (pairs if cfg.binding else x_ens).head(cfg.units)
         _write_csv(out_dir / "plot_data.csv", *_plot_table(model, plot_ens), fingerprint)
         report = _run_estimators(cfg, model, plot_ens, groups, fingerprint)
     except BlowUpError as exc:

@@ -232,6 +232,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     ks = cfg.estimator("axk_ks")
     if not ks or not all(k > 0 for k in ks):
         raise ConfigError("[estimators] axk_ks: need at least one level, all > 0")
+    for key in ("mixing_times", "density_horizons", "axk_ks"):
+        if len(set(cfg.estimator(key))) < len(cfg.estimator(key)):
+            raise ConfigError(f"[estimators] {key}: values must be distinct")
     # building the model performs the structural validation
     model = cfg.build_model()
     if model.id == "chain" and model.dim < 4 * model.params["k_star"]:

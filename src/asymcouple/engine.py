@@ -467,16 +467,23 @@ def _run(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
     ``stream0 + i``, its noise drawn a block at a time."""
     if n_traj < 1:
         raise EngineError("n_traj must be positive")
+    if units < 0 or start_unit < 0:
+        raise EngineError(f"units={units} and start_unit={start_unit} must be non-negative")
+    x0 = np.asarray(x0, dtype=float)
+    starts = [x0] if binding is None else [x0, np.asarray(y0, dtype=float)]
+    for start in starts:
+        if start.shape not in ((model.dim,), (n_traj, model.dim)):
+            raise EngineError(f"initial condition has shape {start.shape}, "
+                              f"expected ({model.dim},) or ({n_traj}, {model.dim})")
     scheme = _Scheme(model, dt)
     spu = scheme.steps_per_unit
     skip, steps = start_unit * spu, units * spu
     records = _records(dt, record_every or spu, skip + steps, spu, skip,
                        None if dense_units is None else dense_units * spu)
-    x0 = np.asarray(x0, dtype=float)
     xs = np.broadcast_to(x0, (n_traj, model.dim))
     rhos = None
     if binding is not None:
-        rhos = np.broadcast_to(np.asarray(y0, dtype=float) - x0, (n_traj, model.dim))
+        rhos = np.broadcast_to(starts[1] - x0, (n_traj, model.dim))
     blocks = _noise_blocks(model, dt, seed, range(stream0, stream0 + n_traj), spu, skip, steps)
     return _integrate_batch(model, scheme, xs, blocks, records, binding, rhos)
 

@@ -15,7 +15,7 @@ import pytest
 import asymcouple
 from asymcouple import binding as bnd
 from asymcouple.binding import build_zeta_cascade, make_binding, parse_cascade_dump
-from asymcouple.cli import _run_ensemble_jobs, _trajectory_table, _write_csv, main
+from asymcouple.cli import _run_groups, _trajectory_table, _write_csv, main
 from asymcouple import config
 from asymcouple.config import ConfigError, load_config
 from asymcouple.engine import (
@@ -151,6 +151,11 @@ class TestConfig:
              "[estimators] density_horizons: need"),
             ([(EST, EST + "axk_horizon = -2\n")], None, "[estimators] axk_horizon: must"),
             ([(EST, EST + "axk_ks =\n")], None, "[estimators] axk_ks: need"),
+            ([(EST, EST + "density_horizons = 1 2 2 3 4 5 6\n")], None,
+             "[estimators] density_horizons: values must be distinct"),
+            ([(EST, EST + "mixing_times = 1 3 1\n")], None,
+             "[estimators] mixing_times: values must be distinct"),
+            ([(EST, EST + "axk_ks = 100 1e2\n")], None, "[estimators] axk_ks: values must be distinct"),
             ([(EST, EST + "lyapnuov = on\n")], None, "[estimators] lyapnuov: unknown key"),
             ([("[run]\n", "[run]\nensembel = 6\n")], None, "[run] ensembel: unknown key"),
             ([("[output]", "[estimator]\nlyapunov = on\n\n[output]")], None,
@@ -163,7 +168,8 @@ class TestConfig:
             ([], -3, "[run] jobs: must be at least 1"),
         ],
         ids=["no-alt-x0", "alt-x0-too-long", "negative-mixing-time", "zero-density-horizon",
-             "negative-axk-horizon", "empty-axk-ks", "misspelt-estimator", "misspelt-run-key",
+             "negative-axk-horizon", "empty-axk-ks", "repeated-density-horizon",
+             "repeated-mixing-time", "repeated-axk-level", "misspelt-estimator", "misspelt-run-key",
              "unknown-section", "one-path-lyapunov", "negative-seed", "nan-dt", "jobs-0",
              "jobs-negative"],
     )
@@ -251,8 +257,7 @@ class TestRun:
         path = write_config(tmp_path, binding=binding, units=units, record_every=1)
         text = path.read_text().replace("ensemble = 20", "ensemble = 2")
         path.write_text(text.replace(EST, EST + estimators))
-        groups = _run_ensemble_jobs(load_config(path))
-        pairs, x_ens = groups["pairs"], groups["ensemble"]
+        pairs, x_ens = _run_groups(load_config(path))["ensemble"]
 
         def record_count(span):
             return 500 * min(units, span) + max(span - units, 0) + 1
@@ -273,7 +278,7 @@ class TestRun:
         # start one run on the streams after the ensemble's
         estimators = "lyapunov = on\nmixing = on\nmixing_times = 2\nmixing_alt_x0 = 0.2 0.1\n"
         cfg = load_config(write_model_config(tmp_path, model_id, estimators), jobs=3)
-        groups = _run_ensemble_jobs(cfg)
+        groups = _run_groups(cfg)
         model = cfg.build_model()
         x0 = cfg.initial_conditions(model)[0]
         n, samples = cfg.ensemble, 5
@@ -288,7 +293,7 @@ class TestRun:
         }
         for group, oracle in oracles.items():
             for field in fields(oracle):
-                np.testing.assert_array_equal(getattr(groups[group], field.name),
+                np.testing.assert_array_equal(getattr(groups[group][1], field.name),
                                               getattr(oracle, field.name), err_msg=group)
 
     @pytest.mark.parametrize("binding", ["on", "off"])
@@ -311,8 +316,10 @@ class TestRun:
     @pytest.mark.parametrize("model_id", list(JOBS_MODELS))
     def test_trajectory_is_stream_0_of_the_run(self, tmp_path, model_id, binding):
         # the one-path run on stream 0 is the given-noise integration of
-        # that stream's noise, field for field and row for row
-        cfg = load_config(write_model_config(tmp_path, model_id, binding=binding))
+        # that stream's noise, field for field and row for row, and the
+        # run command writes that integration's table as trajectory.csv
+        path = write_model_config(tmp_path, model_id, binding=binding)
+        cfg = load_config(path)
         model = cfg.build_model()
         x0, y0 = cfg.initial_conditions(model)
         noise = sample_noise(model, cfg.units * round(1 / cfg.dt), cfg.dt, cfg.seed, stream=0)
@@ -331,6 +338,10 @@ class TestRun:
         oracle_columns, oracle_rows = _trajectory_table(model, oracle)
         assert columns == oracle_columns
         assert list(rows) == list(oracle_rows)
+        _write_csv(tmp_path / "oracle.csv", *_trajectory_table(model, oracle), cfg.fingerprint())
+        assert main(["run", "--config", str(path)]) == 0
+        assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
+                == (tmp_path / "oracle.csv").read_bytes())
 
     @pytest.mark.parametrize("binding, estimators, jobs, bindings", [
         ("on", "", 1, 1),

@@ -392,6 +392,25 @@ class TestEnsembles:
         with pytest.raises(EngineError, match="n_traj"):
             run_coupled_ensemble(TOY, make_binding(TOY), np.zeros(2), np.ones(2), 0, 1, 1e-3, seed=25)
 
+    @pytest.mark.parametrize("run, match", [
+        (lambda: run_ensemble(TOY, np.zeros(2), 2, -1, 0.01, 3), "units=-1"),
+        (lambda: run_coupled_ensemble(TOY, make_binding(TOY), np.zeros(2), np.ones(2), 2, -1, 0.01, 3),
+         "units=-1"),
+        (lambda: run_ensemble(TOY, np.zeros(2), 2, 2, 0.01, 3, start_unit=-1), "start_unit=-1"),
+        (lambda: run_ensemble(TOY, np.zeros(3), 2, 2, 0.01, 3), r"shape \(3,\)"),
+        (lambda: run_ensemble(TOY, np.zeros((3, 2)), 2, 2, 0.01, 3), r"shape \(3, 2\)"),
+        (lambda: run_coupled_ensemble(TOY, make_binding(TOY), np.zeros(2), np.ones(3), 2, 2, 0.01, 3),
+         r"shape \(3,\)"),
+        (lambda: run_coupled_ensemble(TOY, make_binding(TOY), np.zeros(2), np.ones((3, 2)), 2, 2,
+                                      0.01, 3), r"shape \(3, 2\)"),
+    ], ids=["negative-units", "negative-units-coupled", "negative-start-unit", "short-x0",
+            "x0-per-path-miscounted", "short-y0", "y0-per-path-miscounted"])
+    def test_bad_run_inputs_rejected(self, run, match):
+        # each would otherwise run from a time whose noise was never
+        # skipped, or die in indexing or in numpy broadcasting
+        with pytest.raises(EngineError, match=match):
+            run()
+
 
 @pytest.mark.parametrize("n_traj", [1, 9])
 @pytest.mark.parametrize("model_id", list(BOUND_PAIRS))

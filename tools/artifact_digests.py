@@ -2,8 +2,10 @@
 
 The artifacts are the stdout and ``report.json`` of all six presets at
 their pinned seeds, and ``report.json``, ``trajectory.csv`` and
-``plot_data.csv`` of the four ``bench/workloads.py`` ``cli-run``
-configs at seeds 3 and 7, each at ``--jobs`` 1 and 2.
+``plot_data.csv`` of ``run`` configs for all four models: the
+``bench/workloads.py`` ``cli-run`` configs at seeds 3 and 7, each at
+``--jobs`` 1 and 2, and the ``EXTRA_RUNS`` below, which reach the path
+groups those skip, each at ``--jobs`` 1 and 3.
 
 Run it at two commits and ``diff`` the output: no line may differ.
 
@@ -27,6 +29,17 @@ from pathlib import Path
 
 SEEDS = (3, 7)
 JOBS = (1, 2)
+# name: (binding, [run] keys, [estimators] keys) of configs that reach
+# mixing's second start, the lyapunov probes, x paths run on past the
+# bound span, record_every, and density with binding off
+EXTRA_RUNS = {
+    "bound-mixing-lyapunov": ("on", "record_every = 20\n",
+                              "lyapunov = on\nmixing = on\nmixing_times = 1 4\n"
+                              "mixing_alt_x0 = 0.2 0.1\naxk = on\naxk_horizon = 5\n"),
+    "unbound-density-axk": ("off", "", "density = on\naxk = on\n"),
+    "unbound-record-every": ("off", "record_every = 50\n", ""),
+}
+EXTRA_JOBS = (1, 3)
 
 
 def _digest(data: str | bytes) -> str:
@@ -45,7 +58,7 @@ def digests(checkout: Path):
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     from asymcouple import cli
     from asymcouple.presets import PRESETS
-    from workloads import ARTIFACTS, MODEL_IDS, cli_config_text
+    from workloads import ARTIFACTS, CLI_MODEL_SECTIONS, CLI_STARTS, MODEL_IDS, cli_config_text
 
     if checkout / "src" not in Path(cli.__file__).resolve().parents:
         raise SystemExit(f"error: asymcouple imported from {cli.__file__}, not {checkout / 'src'}")
@@ -56,16 +69,24 @@ def digests(checkout: Path):
             stdout = _quiet_main(cli, ["reproduce", preset_id, "--out", str(tmp)])
             yield f"preset/{preset_id}/stdout", _digest(stdout)
             yield f"preset/{preset_id}/report.json", _digest((tmp / preset_id / "report.json").read_bytes())
+        runs = [(f"{model_id}/seed={seed}", cli_config_text(model_id, seed), JOBS)
+                for model_id in MODEL_IDS for seed in SEEDS]
         for model_id in MODEL_IDS:
-            for seed in SEEDS:
-                config = tmp / f"{model_id}-{seed}.cfg"
-                config.write_text(cli_config_text(model_id, seed))
-                for jobs in JOBS:
-                    out = tmp / f"{model_id}-{seed}-jobs{jobs}"
-                    _quiet_main(cli, ["run", "--config", str(config), "--jobs", str(jobs), "--out", str(out)])
-                    for artifact in ARTIFACTS:
-                        yield (f"cli/{model_id}/seed={seed}/jobs={jobs}/{artifact}",
-                               _digest((out / artifact).read_bytes()))
+            x0, offset = CLI_STARTS[model_id]
+            for name, (binding, run_keys, estimators) in EXTRA_RUNS.items():
+                text = (f"[model]\n{CLI_MODEL_SECTIONS[model_id]}\n"
+                        "[run]\ndt = 0.002\nunits = 2\nensemble = 7\nseed = 5\n"
+                        f"binding = {binding}\nx0 = {x0}\ny0_offset = {offset}\n{run_keys}\n"
+                        f"[estimators]\ncontraction = on\n{estimators}")
+                runs.append((f"{model_id}/{name}", text, EXTRA_JOBS))
+        for i, (label, text, jobs_values) in enumerate(runs):
+            config = tmp / f"run{i}.cfg"
+            config.write_text(text)
+            for jobs in jobs_values:
+                out = tmp / f"run{i}-jobs{jobs}"
+                _quiet_main(cli, ["run", "--config", str(config), "--jobs", str(jobs), "--out", str(out)])
+                for artifact in ARTIFACTS:
+                    yield f"cli/{label}/jobs={jobs}/{artifact}", _digest((out / artifact).read_bytes())
 
 
 def main(argv=None) -> int:
