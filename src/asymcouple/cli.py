@@ -64,11 +64,22 @@ def _probe_samples(cfg: ExperimentConfig) -> int:
     return min(200, cfg.ensemble)  # paths per lyapunov probe
 
 
+def _dense_every(cfg: ExperimentConfig) -> int:
+    """Steps between the records over the plotted units: ``record_every``,
+    or when it is 0 the densest divisor of the unit interval near a tenth
+    of it."""
+    if cfg.record_every:
+        return cfg.record_every
+    spu = round(1.0 / cfg.dt)
+    return next(d for d in range(max(1, spu // 10), 0, -1) if spu % d == 0)
+
+
 def _groups(cfg: ExperimentConfig, model) -> dict[str, _Group]:
-    """The groups the run integrates after its trajectory, in the order
-    their blow-ups are weighed.  The ensemble (streams ``0..n-1``) is bound
-    while the plot (binding on) or density reads the copy, and its ``x``
-    paths run as long as any reader needs; mixing's second start takes
+    """The groups the run integrates, in the order their blow-ups are
+    weighed.  The ensemble (streams ``0..n-1``) is bound while the plot
+    (binding on) or density reads the copy, and its ``x`` paths run as
+    long as any reader needs, recorded every ``_dense_every`` steps over
+    the plotted units and once a unit after; mixing's second start takes
     streams ``n..2n-1``, lyapunov probe ``i`` paths ``i*S..(i+1)*S-1``."""
     x0, y0 = cfg.initial_conditions(model)
     coupled = [cfg.units] if cfg.binding else []
@@ -80,7 +91,7 @@ def _groups(cfg: ExperimentConfig, model) -> dict[str, _Group]:
     if cfg.estimator("mixing"):
         units.append(max(cfg.estimator("mixing_times")))
     groups = {"ensemble": _Group(cfg.ensemble, x0, 0, max(units), max(coupled, default=0), y0,
-                                 cfg.record_every or None, cfg.units)}
+                                 _dense_every(cfg), cfg.units)}
     if cfg.estimator("mixing"):
         groups["mixing"] = _Group(cfg.ensemble, cfg.mixing_alt_x0(model), cfg.ensemble,
                                   max(cfg.estimator("mixing_times")))
@@ -236,26 +247,28 @@ def cmd_run(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     fingerprint = cfg.fingerprint()
-    spu = round(1.0 / cfg.dt)
-    dense_every = cfg.record_every
-    if not dense_every:
-        # densest divisor of the unit interval near a tenth of it
-        dense_every = next(d for d in range(max(1, spu // 10), 0, -1) if spu % d == 0)
 
     try:
-        # stream 0 of the run, recorded densely, as a one-path group of its
-        # own: it is written before the others, so a blow-up in them leaves it
         binding = bnd.make_binding(model) if cfg.binding else None
-        trajectory = _Group(1, x0, 0, cfg.units, cfg.units if cfg.binding else 0, y0, dense_every)
-        pair, path = _run_span(cfg, model, binding, trajectory, 0, 1)
-        _write_csv(out_dir / "trajectory.csv",
-                   *_trajectory_table(model, path if pair is None else pair), fingerprint)
-
-        # one ensemble serves the plot data and every estimator that starts
-        # at (x0, y0); density needs the bound copy even with binding off
-        groups = _run_groups(cfg, binding)
+        # one ensemble serves the trajectory (its path 0), the plot data and
+        # every estimator that starts at (x0, y0); density needs the bound
+        # copy even with binding off
+        try:
+            groups = _run_groups(cfg, binding)
+        except BlowUpError:
+            # stream 0 alone, as the ensemble's path 0 over the plotted
+            # units: its own blow-up is reported first, and if it has none
+            # its trajectory is written before the groups' blow-up
+            trajectory = _Group(1, x0, 0, cfg.units, cfg.units if cfg.binding else 0, y0,
+                                _dense_every(cfg))
+            pair, path = _run_span(cfg, model, binding, trajectory, 0, 1)
+            _write_csv(out_dir / "trajectory.csv",
+                       *_trajectory_table(model, path if pair is None else pair), fingerprint)
+            raise
         pairs, x_ens = groups["ensemble"]
-        plot_ens = (pairs if cfg.binding else x_ens).head(cfg.units)
+        plotted = (pairs if cfg.binding else x_ens).head(cfg.units)
+        _write_csv(out_dir / "trajectory.csv", *_trajectory_table(model, plotted), fingerprint)
+        plot_ens = plotted if cfg.record_every else plotted.at_units()
         _write_csv(out_dir / "plot_data.csv", *_plot_table(model, plot_ens), fingerprint)
         report = _run_estimators(cfg, model, plot_ens, groups, fingerprint)
     except BlowUpError as exc:

@@ -250,6 +250,13 @@ def _fold_girsanov(g, dw, dt, last):
     return log_density, np.cumsum(g_l2, axis=0), np.logical_or.accumulate(overflow, axis=0)
 
 
+def _first_record(value, records: int) -> np.ndarray:
+    """An array for ``records`` records of ``value``, holding it as record 0."""
+    out = np.empty((records,) + value.shape, value.dtype)
+    out[0] = value
+    return out
+
+
 def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None):
     """The batch stepper.
 
@@ -284,19 +291,23 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
     # noise enters the first n_noise coordinates only
     x_forced, pred_forced = x[..., :k], pred[0, ..., :k]
     n = x.shape[0]
-    x_records = [x.copy()]
+    # every record goes into arrays sized for all of them, so none is held
+    # twice: record 0 now, record ``r`` at its step, the Girsanov records
+    # from ``folded_records`` on at each fold
+    x_records = _first_record(x, len(times))
+    r = 0
     if coupled:
         rho = np.array(rho0, dtype=float, order="C")
         y = np.add(x, rho, out=cur[1])
         zeta_fn = binding.zeta_map
-        rho_records = [rho.copy()]
-        zeta_records = [zeta_fn(cur)] if zeta_fn is not None else None
+        rho_records = _first_record(rho, len(times))
+        zeta_records = _first_record(zeta_fn(cur), len(times)) if zeta_fn is not None else None
         # each step's force waits in one buffer for the fold that sums it
         # into the Girsanov records, at the latest at the end of its block
         forces = np.empty((max(1, _FOLD_BYTES // (8 * n * (3 * k + 10))), n, k))
-        held, kept = 0, []
+        held, kept, folded_records = 0, [], 1
         last = (np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
-        girsanov_records = tuple([value[None]] for value in last)
+        girsanov_records = tuple(_first_record(value, len(times)) for value in last)
     v = lyapunov(model, cur)
     w_cur = v.copy()
     w_sups = []
@@ -345,30 +356,32 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
                     w_cur = v.copy()
                 if step == next_record:
                     next_record = next(next_records, None)
-                    x_records.append(x.copy())
+                    r += 1
+                    x_records[r] = x
                     if coupled:
                         kept.append(held - 1)
-                        rho_records.append(rho.copy())
+                        rho_records[r] = rho
                         if zeta_records is not None:
-                            zeta_records.append(zeta_fn(cur))
+                            zeta_records[r] = zeta_fn(cur)
                 if coupled and (held == len(forces) or j + 1 == len(block)):
                     folded = _fold_girsanov(forces[:held], block[j + 1 - held : j + 1], dt, last)
                     if kept:
-                        for chunks, values in zip(girsanov_records, folded):
-                            chunks.append(values[kept])
+                        for out, values in zip(girsanov_records, folded):
+                            out[folded_records : folded_records + len(kept)] = values[kept]
+                        folded_records += len(kept)
                     last = tuple(values[-1] for values in folded)
                     held, kept = 0, []
 
     # reshape keeps the path axis when no unit interval completed
     w_sups = np.array(w_sups).reshape(-1, len(cur), n).transpose(1, 0, 2).copy()
     if not coupled:
-        return EnsembleResult(times=times, states=np.array(x_records), w_sup=w_sups[0], dt=dt)
-    log_density, g_l2, overflow = (np.concatenate(chunks) for chunks in girsanov_records)
+        return EnsembleResult(times=times, states=x_records, w_sup=w_sups[0], dt=dt)
+    log_density, g_l2, overflow = girsanov_records
     return CoupledEnsembleResult(
         times=times,
-        x=np.array(x_records),
-        rho=np.array(rho_records),
-        zeta=np.array(zeta_records) if zeta_records is not None else None,
+        x=x_records,
+        rho=rho_records,
+        zeta=zeta_records,
         log_density=log_density,
         w_sup_x=w_sups[0],
         w_sup_y=w_sups[1],

@@ -16,7 +16,7 @@ import asymcouple
 from asymcouple import binding as bnd
 from asymcouple.binding import build_zeta_cascade, make_binding, parse_cascade_dump
 from asymcouple.cli import _run_groups, _trajectory_table, _write_csv, main
-from asymcouple import config
+from asymcouple import config, engine
 from asymcouple.config import ConfigError, load_config
 from asymcouple.engine import (
     BlowUpError,
@@ -61,6 +61,17 @@ JOBS_MODELS = {
     "reaction_diffusion": ("id = reaction_diffusion\nmodes_per_component = 16\n",
                            "0.5 0.3 -0.2 0.1", "0.3 -0.3 0.2"),
     "chain": ("id = chain\na_squared = 2.0\n", "0.4 0.3 -0.2 0.1", "0.01 0.0067 -0.005"),
+}
+
+
+# id: (binding, units, estimators, pair_units, x_units) of one-ensemble
+# runs whose bound and x spans are each set by a different reader
+SPAN_CASES = {
+    "density-longest": ("on", 1, "density = on\ndensity_horizons = 1 2 3\n", 4, 4),
+    "binding-then-x": ("on", 1, "axk = on\naxk_horizon = 4\nmixing = on\nmixing_times = 1 3\n"
+                                "mixing_alt_x0 = 0.2 0.1\n", 1, 5),
+    "density-then-x": ("off", 3, "density = on\ndensity_horizons = 1\n", 2, 3),
+    "x-only": ("off", 1, "axk = on\naxk_horizon = 2\n", 0, 3),
 }
 
 
@@ -241,29 +252,28 @@ class TestRun:
                            if (tmp_path / "out" / name).read_bytes() != single[name]]
         assert differ == []
 
-    @pytest.mark.parametrize("binding, units, estimators, pair_units, x_units", [
-        ("on", 1, "density = on\ndensity_horizons = 1 2 3\n", 4, 4),
-        ("on", 1, "axk = on\naxk_horizon = 4\nmixing = on\nmixing_times = 1 3\n"
-                  "mixing_alt_x0 = 0.2 0.1\n", 1, 5),
-        ("off", 3, "density = on\ndensity_horizons = 1\n", 2, 3),
-        ("off", 1, "axk = on\naxk_horizon = 2\n", 0, 3),
-    ], ids=["density-longest", "binding-then-x", "density-then-x", "x-only"])
+    @pytest.mark.parametrize("binding, units, estimators, pair_units, x_units, record_every", [
+        case + (record_every,) for record_every in (1, 0) for case in SPAN_CASES.values()
+    ], ids=list(SPAN_CASES) + [f"{name}-tenths" for name in SPAN_CASES])
     def test_one_ensemble_couples_and_records_only_what_is_read(
-            self, tmp_path, binding, units, estimators, pair_units, x_units):
+            self, tmp_path, binding, units, estimators, pair_units, x_units, record_every):
         # the pair is bound only as long as the plot (binding on) or density
         # reads it; the x paths run as long as any reader needs; records are
-        # every step over the plotted units and once a unit after, so the
+        # every record_every steps over the plotted units (ten a unit, the
+        # trajectory's spacing, when it is 0) and once a unit after, so the
         # record memory does not grow with the estimators' horizons
-        path = write_config(tmp_path, binding=binding, units=units, record_every=1)
+        path = write_config(tmp_path, binding=binding, units=units, record_every=record_every)
         text = path.read_text().replace("ensemble = 20", "ensemble = 2")
         path.write_text(text.replace(EST, EST + estimators))
         pairs, x_ens = _run_groups(load_config(path))["ensemble"]
+        per_unit = 500 // record_every if record_every else 10
 
         def record_count(span):
-            return 500 * min(units, span) + max(span - units, 0) + 1
+            return per_unit * min(units, span) + max(span - units, 0) + 1
 
         assert x_ens.times[-1] == pytest.approx(x_units)
         assert x_ens.states.shape[:2] == (record_count(x_units), 2)
+        np.testing.assert_allclose(x_ens.head(units).times, np.arange(per_unit * units + 1) / per_unit)
         if not pair_units:
             assert pairs is None
             return
@@ -343,6 +353,25 @@ class TestRun:
         assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
                 == (tmp_path / "oracle.csv").read_bytes())
 
+    @pytest.mark.parametrize("binding, estimators", [
+        ("on", ""), ("off", ""), ("off", "density = on\ndensity_horizons = 1\n"),
+    ], ids=["bound", "unbound", "density-only"])
+    def test_stream_0_is_integrated_once(self, tmp_path, monkeypatch, binding, estimators):
+        # the trajectory is the ensemble's path 0: a run that does not blow
+        # up steps no batch of one path
+        batches = []
+
+        def counted(model, scheme, x0, *args, **kwargs):
+            batches.append(len(x0))
+            return integrate_batch(model, scheme, x0, *args, **kwargs)
+
+        integrate_batch = engine._integrate_batch
+        monkeypatch.setattr(engine, "_integrate_batch", counted)
+        path = write_config(tmp_path, binding=binding)
+        path.write_text(path.read_text().replace(EST, EST + estimators))
+        assert main(["run", "--config", str(path), "--jobs", "1"]) == 0
+        assert batches and 1 not in batches
+
     @pytest.mark.parametrize("binding, estimators, jobs, bindings", [
         ("on", "", 1, 1),
         ("off", "density = on\ndensity_horizons = 1\n", 1, 1),
@@ -352,7 +381,7 @@ class TestRun:
     ], ids=["bound", "density-only", "unbound", "bound-2-jobs", "lyapunov-and-mixing"])
     def test_model_and_binding_built_once(self, tmp_path, monkeypatch, binding, estimators, jobs,
                                           bindings):
-        # validation, the trajectory and an in-process worker share one model
+        # validation, the run and an in-process worker share one model
         # and one binding (the chain's cascade is derived once); a pool
         # worker builds its own, in its own process
         built = {"model": 0, "binding": 0}
@@ -495,6 +524,33 @@ class TestRun:
         assert len(reports) == 1
         report = json.loads(reports.pop())
         assert report["status"] == "blow_up" and report["time"] == times[5]
+
+    def test_stream_0_blow_up_is_reported_first(self, tmp_path):
+        # from this start (the first seed, scanning up from 1, at which
+        # stream 0 blows up after another of the eight streams) stream 0
+        # blows up at 0.008 and streams 3, 4, 6 and 7 at 0.007: the run
+        # reports stream 0's time at every --jobs, and writes no trajectory
+        model = make_chain(a_squared=5.0)
+        start = np.zeros(model.dim)
+        start[0] = 44.7
+        times = {}
+        for stream in range(8):
+            try:
+                run_ensemble(model, start, 1, 1, 1e-3, seed=1, stream0=stream)
+            except BlowUpError as exc:
+                times[stream] = exc.time
+        assert times == {0: pytest.approx(0.008), 3: pytest.approx(0.007), 4: pytest.approx(0.007),
+                         6: pytest.approx(0.007), 7: pytest.approx(0.007)}
+        path = tmp_path / "blow.cfg"
+        path.write_text("[model]\nid = chain\na_squared = 5.0\n\n"
+                        "[run]\ndt = 0.001\nunits = 1\nensemble = 8\nseed = 1\nbinding = off\n"
+                        "x0 = 44.7\n")
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", "--config", str(path), "--jobs", jobs, "--out", str(out)]) == 3
+            assert not (out / "trajectory.csv").exists() and not (out / "plot_data.csv").exists()
+            report = json.loads((out / "report.json").read_text())
+            assert report["status"] == "blow_up" and report["time"] == times[0]
 
     def test_estimator_error_exits_3_with_a_report(self, tmp_path, capsys):
         # a far start of the a² = 5 chain: every path's log weight passes the

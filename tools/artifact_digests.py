@@ -5,7 +5,9 @@ their pinned seeds, and ``report.json``, ``trajectory.csv`` and
 ``plot_data.csv`` of ``run`` configs for all four models: the
 ``bench/workloads.py`` ``cli-run`` configs at seeds 3 and 7, each at
 ``--jobs`` 1 and 2, and the ``EXTRA_RUNS`` below, which reach the path
-groups those skip, each at ``--jobs`` 1 and 3.
+groups those skip, and the ``BLOW_UP_RUN``, each at ``--jobs`` 1 and 3.
+A run that blows up writes no ``plot_data.csv``; an artifact a run does
+not write is printed as ``absent``.
 
 Run it at two commits and ``diff`` the output: no line may differ.
 
@@ -40,6 +42,10 @@ EXTRA_RUNS = {
     "unbound-record-every": ("off", "record_every = 50\n", ""),
 }
 EXTRA_JOBS = (1, 3)
+# streams 1 and 5 of the ensemble blow up within the unit, stream 0 does
+# not: its trajectory is replayed alone and written, then the blow-up reported
+BLOW_UP_RUN = ("[model]\nid = chain\na_squared = 5.0\n\n"
+               "[run]\ndt = 0.001\nunits = 1\nensemble = 8\nseed = 25\nbinding = off\nx0 = 44.7\n")
 
 
 def _digest(data: str | bytes) -> str:
@@ -79,6 +85,7 @@ def digests(checkout: Path):
                         f"binding = {binding}\nx0 = {x0}\ny0_offset = {offset}\n{run_keys}\n"
                         f"[estimators]\ncontraction = on\n{estimators}")
                 runs.append((f"{model_id}/{name}", text, EXTRA_JOBS))
+        runs.append(("chain/blow-up", BLOW_UP_RUN, EXTRA_JOBS))
         for i, (label, text, jobs_values) in enumerate(runs):
             config = tmp / f"run{i}.cfg"
             config.write_text(text)
@@ -86,7 +93,9 @@ def digests(checkout: Path):
                 out = tmp / f"run{i}-jobs{jobs}"
                 _quiet_main(cli, ["run", "--config", str(config), "--jobs", str(jobs), "--out", str(out)])
                 for artifact in ARTIFACTS:
-                    yield f"cli/{label}/jobs={jobs}/{artifact}", _digest((out / artifact).read_bytes())
+                    path = out / artifact
+                    yield (f"cli/{label}/jobs={jobs}/{artifact}",
+                           _digest(path.read_bytes()) if path.is_file() else "absent")
 
 
 def main(argv=None) -> int:
