@@ -70,7 +70,6 @@ from .polynomials import (
     evaluate,
     format_polynomial,
     lie_derivative,
-    parse_polynomial,
 )
 
 __version__ = "0.1.0"

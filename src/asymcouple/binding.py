@@ -33,7 +33,6 @@ from .polynomials import (
     compile_polynomial,
     format_polynomial,
     lie_derivative,
-    parse_polynomial,
 )
 
 
@@ -101,10 +100,13 @@ def gl_binding(model: ModelSpec) -> BindingSpec:
                        force=lambda xy, f_xy: gain * (xy[1, ..., :k] - xy[0, ..., :k]))
 
 
-def gl_coupled_diagonal(model: ModelSpec) -> np.ndarray:
-    """Diagonal of the difference-process linear operator with binding on."""
+def gl_coupled_diagonal(model: ModelSpec, binding: BindingSpec) -> np.ndarray:
+    """Diagonal of the difference's linear operator under ``binding``: the spectrum
+    plus ``q_k`` times the force's slope along ``rho_k``, read at the copies ``(0, e_k)``."""
+    k = model.n_noise
+    xy = np.stack([np.zeros((k, model.dim)), np.eye(k, model.dim)])
     diag = model.linear_spectrum.copy()
-    diag[: model.n_noise] = -1.0
+    diag[:k] += model.noise_coeffs * np.diagonal(binding.force(xy, model.nonlinearity(xy)))
     return diag
 
 
@@ -224,12 +226,14 @@ def cascade_shape_ok(cascade: ZetaCascade) -> list[str]:
     """Check the structural invariants of a built cascade.
 
     Returns a list of violation messages (empty when everything holds):
-    unit leading coefficient on ``rho_{k*-l}``, remainder supported on
-    indices ``>= k*-l+1``, a ``rho`` factor in every remainder term, and
-    the stored level-to-level consistency.
+    ``zeta_1 = rho_{k*-1}``, unit leading coefficient on ``rho_{k*-l}``,
+    remainder supported on indices ``>= k*-l+1``, a ``rho`` factor in
+    every remainder term, and the stored level-to-level consistency.
     """
     problems = []
     k = cascade.k_star
+    if cascade.zetas[0] != IndexedPolynomial.variable("rho", k - 1):
+        problems.append("bad zeta_1")
     for level, zeta in enumerate(cascade.zetas, start=1):
         lead = zeta.coefficient(((("rho", k - level), 1),))
         if lead != 1.0:
@@ -269,19 +273,6 @@ def dump_cascade_text(cascade: ZetaCascade) -> str:
     lines.append("[G]")
     lines.append(format_polynomial(cascade.g_poly))
     return "\n".join(lines) + "\n"
-
-
-def parse_cascade_dump(text: str) -> dict[str, IndexedPolynomial]:
-    """Parse a cascade dump back into named polynomials ('zeta 1', 'Q 2', 'G')."""
-    sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = sections.setdefault(stripped[1:-1], [])
-        elif current is not None and stripped and not stripped.startswith("#"):
-            current.append(stripped)
-    return {name: parse_polynomial("\n".join(body)) for name, body in sections.items()}
 
 
 # -- assembly ---------------------------------------------------------------------

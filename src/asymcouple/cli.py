@@ -218,10 +218,9 @@ def _run_estimators(cfg, model, plot_ens, groups, fingerprint) -> EstimatorRepor
     paths (see ``_run_groups``) and the ensemble's first ``units`` units
     as plotted."""
     report = EstimatorReport(model_id=model.id, config_fingerprint=fingerprint)
-    if isinstance(plot_ens, CoupledEnsembleResult):
-        rho_norm = np.linalg.norm(plot_ens.rho, axis=-1).mean(axis=1)
-        if cfg.estimator("contraction") and np.all(rho_norm > 0):
-            report.contraction = asdict(est.fit_contraction(plot_ens.times, rho_norm))
+    if isinstance(plot_ens, CoupledEnsembleResult) and cfg.estimator("contraction"):
+        fit = est.mean_rho_rate(plot_ens)
+        report.contraction = None if fit is None else asdict(fit)
     pairs, x_ens = groups["ensemble"]
     if cfg.estimator("mixing"):
         report.distances = est.mixing_distance_series(x_ens, groups["mixing"][1],

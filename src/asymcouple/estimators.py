@@ -70,6 +70,12 @@ def fit_contraction(times: np.ndarray, values: np.ndarray) -> ContractionFit:
     )
 
 
+def mean_rho_rate(ens: CoupledEnsembleResult) -> ContractionFit | None:
+    """Fitted decay of the path mean of ``|rho|``; ``None`` if that mean is 0 at a record."""
+    mean = np.linalg.norm(ens.rho, axis=-1).mean(axis=1)
+    return fit_contraction(ens.times, mean) if np.all(mean > 0) else None
+
+
 # -- dual-Lipschitz distance ------------------------------------------------------
 
 DL_DEFAULT_CAP = 300
@@ -518,7 +524,3 @@ class EstimatorReport:
     def to_json(self) -> str:
         """Strict JSON (RFC 8259): a non-finite float is written as null."""
         return json.dumps(_finite_or_null(asdict(self)), sort_keys=True, indent=2, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EstimatorReport":
-        return cls(**json.loads(text))

@@ -5,7 +5,7 @@ A variable is a pair ``(family, index)`` such as ``("x", 3)`` or
 integer powers; a polynomial stores ``monomial -> coefficient`` with no
 zero coefficients and canonically sorted monomial keys.  On top of the
 ring operations the module provides Lie derivatives along polynomial
-vector fields, a plain-text dump/parse format and compilation to fast
+vector fields, a lossless plain-text dump format and compilation to fast
 vectorized evaluators.
 
 All values are immutable in practice: operations build new polynomials.
@@ -258,30 +258,6 @@ def format_polynomial(p: IndexedPolynomial) -> str:
         else:
             lines.append(f"{coef!r}")
     return "\n".join(lines)
-
-
-def parse_polynomial(text: str) -> IndexedPolynomial:
-    total = IndexedPolynomial()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "0":
-            continue
-        coef_part, _, body = line.partition("*")
-        coef = float(coef_part.strip())
-        terms: list[tuple[Var, int]] = []
-        if body.strip():
-            for factor in body.split("*"):
-                factor = factor.strip()
-                name, _, rest = factor.partition("[")
-                idx_part, _, pow_part = rest.partition("]")
-                power = 1
-                if pow_part.startswith("^"):
-                    power = int(pow_part[1:])
-                terms.append(((name, int(idx_part)), power))
-        total = total + IndexedPolynomial({tuple(terms): coef})
-    return total
 
 
 # -- compiled evaluation -------------------------------------------------------

@@ -14,7 +14,6 @@ from asymcouple.binding import (
     gl_coupled_diagonal,
     make_binding,
     null_binding,
-    parse_cascade_dump,
 )
 from asymcouple.models import (
     drift,
@@ -25,6 +24,7 @@ from asymcouple.models import (
 )
 from asymcouple.polynomials import IndexedPolynomial as P
 from asymcouple.polynomials import PolynomialError, evaluate, lie_derivative
+from oracles import parse_cascade_dump
 
 
 def force_at(model, x, y):
@@ -76,7 +76,7 @@ class TestGLBinding:
 
     def test_coupled_diagonal_below_gap(self):
         gl = make_ginzburg_landau(modes=32, forced_modes=3)
-        diag = gl_coupled_diagonal(gl)
+        diag = gl_coupled_diagonal(gl, make_binding(gl))
         assert diag.max() <= -gl.params["gap"] + 1e-12
 
     def test_zero_noise_coefficient_rejected(self):
@@ -188,6 +188,13 @@ class TestZetaCascade:
         for a2 in (0.0, 2.0, 5.0):
             cascade = build_zeta_cascade(make_chain(a_squared=a2))
             assert cascade_shape_ok(cascade) == []
+
+    def test_shape_reports_a_bad_zeta_1_with_the_other_problems(self):
+        cascade = build_zeta_cascade(make_chain(a_squared=5.0))
+        cascade.zetas[0] = 2.0 * cascade.zetas[0]
+        problems = cascade_shape_ok(cascade)
+        assert problems[0] == "bad zeta_1"
+        assert "zeta_1: leading rho[2] coefficient is 2.0" in problems
 
     def test_level_recursion_is_lie_derivative_plus_identity(self):
         cascade = build_zeta_cascade(make_chain(a_squared=5.0))

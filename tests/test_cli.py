@@ -14,7 +14,7 @@ import pytest
 
 import asymcouple
 from asymcouple import binding as bnd
-from asymcouple.binding import build_zeta_cascade, make_binding, parse_cascade_dump
+from asymcouple.binding import build_zeta_cascade, make_binding
 from asymcouple.cli import _run_groups, _trajectory_table, _write_csv, main
 from asymcouple import config, engine
 from asymcouple.config import ConfigError, load_config
@@ -28,6 +28,7 @@ from asymcouple.engine import (
     sample_noise,
 )
 from asymcouple.models import make_chain, make_toy2d
+from oracles import parse_cascade_dump
 
 TOY_CONFIG = """\
 [model]

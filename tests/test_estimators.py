@@ -537,7 +537,7 @@ def test_report_json_round_trip():
         contraction={"c": 1.0, "gamma": 2.0, "residual": 0.0},
         distances=[{"t": 1.0, "distance": 0.5}],
     )
-    back = EstimatorReport.from_json(report.to_json())
+    back = EstimatorReport(**json.loads(report.to_json()))
     assert back == report
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from asymcouple.binding import build_zeta_cascade, chain_vector_field, make_binding
 from asymcouple.models import make_chain
+from oracles import parse_polynomial
 from asymcouple.polynomials import (
     IndexedPolynomial as P,
 )
@@ -17,7 +18,6 @@ from asymcouple.polynomials import (
     evaluate,
     format_polynomial,
     lie_derivative,
-    parse_polynomial,
 )
 
 X0 = P.variable("x", 0)
