@@ -312,11 +312,9 @@ def cmd_reproduce(args) -> int:
 
 def cmd_dump_cascade(args) -> int:
     try:
-        if args.a_squared < 0:
-            raise ConfigError("a_squared must be non-negative")
         model = models.make_chain(a_squared=args.a_squared, truncation=args.truncation)
         cascade = bnd.build_zeta_cascade(model)
-    except (ConfigError, models.ModelError, bnd.BindingError) as exc:
+    except (models.ModelError, bnd.BindingError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(bnd.dump_cascade_text(cascade), end="")

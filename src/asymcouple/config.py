@@ -71,10 +71,9 @@ def _bool(text: str) -> bool:
 # [model] keys besides ``id``, per model; its keys are the valid model ids
 _MODEL_KEYS = {
     "toy2d": {},
-    "ginzburg_landau": {"modes": int, "forced_modes": int, "length": _float,
-                        "noise_coeffs": _floats},
-    "reaction_diffusion": {"modes_per_component": int, "length": _float},
-    "chain": {"a_squared": _float, "truncation": int, "lyapunov_power": _float},
+    "ginzburg_landau": {"modes": int, "forced_modes": int, "noise_coeffs": _floats},
+    "reaction_diffusion": {"modes_per_component": int},
+    "chain": {"a_squared": _float, "truncation": int},
 }
 _RUN_KEYS = {"dt": _float, "units": int, "ensemble": int, "seed": int, "binding": _bool,
              "record_every": int, "jobs": int, "x0": _floats, "y0_offset": _floats}

@@ -310,7 +310,8 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
         girsanov_records = tuple(_first_record(value, len(times)) for value in last)
     v = lyapunov(model, cur)
     w_cur = v.copy()
-    w_sups = []
+    # the sup of V over each unit interval, written at the unit's end
+    w_sups = np.empty((len(cur), int(record_steps[-1]) // spu, n))
 
     # blow-ups are detected and reported, not raised by numpy
     with np.errstate(over="ignore", invalid="ignore"):
@@ -352,8 +353,8 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
                 v = lyapunov(model, cur)
                 np.maximum(w_cur, v, out=w_cur)
                 if step % spu == 0:
-                    w_sups.append(w_cur)
-                    w_cur = v.copy()
+                    w_sups[:, step // spu - 1] = w_cur
+                    w_cur[...] = v
                 if step == next_record:
                     next_record = next(next_records, None)
                     r += 1
@@ -372,8 +373,6 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
                     last = tuple(values[-1] for values in folded)
                     held, kept = 0, []
 
-    # reshape keeps the path axis when no unit interval completed
-    w_sups = np.array(w_sups).reshape(-1, len(cur), n).transpose(1, 0, 2).copy()
     if not coupled:
         return EnsembleResult(times=times, states=x_records, w_sup=w_sups[0], dt=dt)
     log_density, g_l2, overflow = girsanov_records
@@ -391,23 +390,37 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
     )
 
 
-def _check_path_inputs(model: ModelSpec, noise: NoisePath, *starts: np.ndarray):
+def _starts(model: ModelSpec, n_traj: int, starts):
+    """The batch's starts of ``x`` and, given a pair ``(x0, y0)``, of
+    ``rho = y0 - x0`` (else None), broadcast to ``(n_traj, dim)``.  Each
+    of ``starts`` is one ``(dim,)`` shared by every path or one
+    ``(n_traj, dim)`` per path."""
+    shape = (n_traj, model.dim)
+    starts = [np.asarray(start, dtype=float) for start in starts]
     for start in starts:
-        if start.shape != (model.dim,):
-            raise EngineError(f"initial condition has shape {start.shape}, expected ({model.dim},)")
+        if start.shape not in ((model.dim,), shape):
+            raise EngineError(f"initial condition has shape {start.shape}, "
+                              f"expected ({model.dim},) or ({n_traj}, {model.dim})")
+    rhos = np.broadcast_to(starts[1] - starts[0], shape) if len(starts) == 2 else None
+    return np.broadcast_to(starts[0], shape), rhos
+
+
+def _integrate_given(model, starts, noise: NoisePath, record_every, binding=None):
+    """One path, or one pair, from ``starts`` under the given noise."""
+    xs, rhos = _starts(model, 1, starts)
     if not np.all(np.isfinite(noise.increments)):
         raise EngineError("noise path has non-finite increments")
+    return _integrate_batch(
+        model, _Scheme(model, noise.dt), xs, [noise.increments[:, None, :]],
+        _records(noise.dt, record_every, noise.steps), binding, rhos,
+    )
 
 
 def integrate(model: ModelSpec, x0: np.ndarray, noise: NoisePath, record_every: int = 1) -> EnsembleResult:
     """Integrate one path: an ensemble of one, recorded at every
-    ``record_every``-th grid time (the spacing must divide the step count)."""
-    x0 = np.asarray(x0, dtype=float)
-    _check_path_inputs(model, noise, x0)
-    return _integrate_batch(
-        model, _Scheme(model, noise.dt), x0[None, :], [noise.increments[:, None, :]],
-        _records(noise.dt, record_every, noise.steps),
-    )
+    ``record_every``-th grid time (the spacing must divide the step count).
+    ``x0`` is ``(dim,)`` or ``(1, dim)``."""
+    return _integrate_given(model, (x0,), noise, record_every)
 
 
 def integrate_coupled(
@@ -423,15 +436,10 @@ def integrate_coupled(
     ``y = x + rho``.
 
     For ``y0 = x0`` the difference stays exactly zero, the force is
-    exactly zero and the Girsanov weight stays exactly one.
+    exactly zero and the Girsanov weight stays exactly one.  ``x0`` and
+    ``y0`` are each ``(dim,)`` or ``(1, dim)``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    _check_path_inputs(model, noise, x0, y0)
-    return _integrate_batch(
-        model, _Scheme(model, noise.dt), x0[None, :], [noise.increments[:, None, :]],
-        _records(noise.dt, record_every, noise.steps), binding, (y0 - x0)[None, :],
-    )
+    return _integrate_given(model, (x0, y0), noise, record_every, binding)
 
 
 def shift_noise(model: ModelSpec, noise: NoisePath, pair: CoupledEnsembleResult,
@@ -474,29 +482,21 @@ def _noise_blocks(model, dt, seed, streams, spu, skip, steps):
         yield rows
 
 
-def _run(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
-         start_unit=0, binding=None, y0=None):
-    """Integrate ``n_traj`` paths as one batch, path ``i`` on noise stream
-    ``stream0 + i``, its noise drawn a block at a time."""
+def _run(model, starts, n_traj, units, dt, seed, stream0, record_every, dense_units,
+         start_unit=0, binding=None):
+    """Integrate ``n_traj`` paths (pairs, given a binding) from ``starts``
+    as one batch, path ``i`` on noise stream ``stream0 + i``, its noise
+    drawn a block at a time."""
     if n_traj < 1:
         raise EngineError("n_traj must be positive")
     if units < 0 or start_unit < 0:
         raise EngineError(f"units={units} and start_unit={start_unit} must be non-negative")
-    x0 = np.asarray(x0, dtype=float)
-    starts = [x0] if binding is None else [x0, np.asarray(y0, dtype=float)]
-    for start in starts:
-        if start.shape not in ((model.dim,), (n_traj, model.dim)):
-            raise EngineError(f"initial condition has shape {start.shape}, "
-                              f"expected ({model.dim},) or ({n_traj}, {model.dim})")
+    xs, rhos = _starts(model, n_traj, starts)
     scheme = _Scheme(model, dt)
     spu = scheme.steps_per_unit
     skip, steps = start_unit * spu, units * spu
     records = _records(dt, record_every or spu, skip + steps, spu, skip,
                        None if dense_units is None else dense_units * spu)
-    xs = np.broadcast_to(x0, (n_traj, model.dim))
-    rhos = None
-    if binding is not None:
-        rhos = np.broadcast_to(starts[1] - x0, (n_traj, model.dim))
     blocks = _noise_blocks(model, dt, seed, range(stream0, stream0 + n_traj), spu, skip, steps)
     return _integrate_batch(model, scheme, xs, blocks, records, binding, rhos)
 
@@ -525,7 +525,8 @@ def run_ensemble(
     units carries on as one longer run would.  All paths step as one
     batch; their noise is drawn a block of at most one unit of steps at a
     time, so its memory does not grow with ``units``."""
-    return _run(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units, start_unit)
+    return _run(model, (x0,), n_traj, units, dt, seed, stream0, record_every, dense_units,
+                start_unit)
 
 
 def run_coupled_ensemble(
@@ -547,5 +548,5 @@ def run_coupled_ensemble(
     ``x0`` and ``y0`` are each one start ``(dim,)`` shared by every pair,
     or one start per pair ``(n_traj, dim)``.  Records are kept as for
     :func:`run_ensemble`."""
-    return _run(model, x0, n_traj, units, dt, seed, stream0, record_every, dense_units,
-                binding=binding, y0=y0)
+    return _run(model, (x0, y0), n_traj, units, dt, seed, stream0, record_every, dense_units,
+                binding=binding)

@@ -352,6 +352,13 @@ def axk_table(
 
 # -- density diagnostics --------------------------------------------------------------
 
+
+def mean_density(log_density: np.ndarray, keep: np.ndarray) -> tuple[float, float, int]:
+    """The mean of the density ``exp(log_density)`` over the paths
+    ``keep``, its standard error and the number of paths kept."""
+    dens = np.exp(log_density[keep])
+    return float(dens.mean()), float(dens.std(ddof=1) / math.sqrt(len(dens))), len(dens)
+
 # the good event's bound on the summed sups of V, in units of V(x0)+V(y0)+m²
 K_GOOD = 20.0
 
@@ -407,10 +414,9 @@ def density_diagnostics(
 
     rows = {k: [] for k in ("md", "se", "inv", "step", "gf")}
     for n in horizons:
-        ld_n = log_density[n][ok]
-        dens = np.exp(ld_n)
-        rows["md"].append(float(dens.mean()))
-        rows["se"].append(float(dens.std(ddof=1) / math.sqrt(len(dens))))
+        mean, se, _ = mean_density(log_density[n], ok)
+        rows["md"].append(mean)
+        rows["se"].append(se)
         good = good_up_to[n - 1] & ok
         rows["gf"].append(float(good.mean()))
         if np.any(good):

@@ -5,11 +5,13 @@ with ``A`` diagonal in the chosen basis:
 
 * ``toy2d``        two coupled double-well modes, noise on the first only;
 * ``ginzburg_landau``  spectral truncation of a 1d stochastic Ginzburg-Landau
-  equation on ``[-L, L]`` with periodic boundary, noise on the first
+  equation on ``[-π, π]`` with periodic boundary, noise on the first
   ``N`` Fourier modes;
-* ``reaction_diffusion``  a two-component system where only the first
-  component is forced (mode-wise white noise across its truncation);
-* ``chain``        nearest-neighbour chain with noise on site 0 only.
+* ``reaction_diffusion``  a two-component system on the same domain
+  where only the first component is forced (mode-wise white noise
+  across its truncation);
+* ``chain``        nearest-neighbour chain with noise on site 0 only,
+  Lyapunov function ``|x|²``.
 
 States are coefficient vectors in the diagonalizing basis; all maps are
 vectorized over leading batch axes.
@@ -26,6 +28,10 @@ import numpy as np
 
 class ModelError(ValueError):
     pass
+
+
+# half-length L of the periodic domain [-L, L] of the Fourier models
+LENGTH = math.pi
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class ModelSpec:
     linear_spectrum: np.ndarray
     nonlinearity: Callable[[np.ndarray], np.ndarray]
     noise_coeffs: np.ndarray  # q_i of coordinate i: the noise forces the first n_noise
-    params: dict
+    params: dict  # what other layers read: GL's gap, the chain's a_squared and k_star
     lyapunov_spec: LyapunovSpec
     aux: dict = field(default_factory=dict, repr=False)
 
@@ -107,10 +113,10 @@ def make_toy2d() -> ModelSpec:
     )
 
 
-# -- real Fourier basis on [-L, L] ------------------------------------------
+# -- real Fourier basis on [-L, L], L = LENGTH -------------------------------
 
 
-def _fourier_basis(n_modes: int, length: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _fourier_basis(n_modes: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Orthonormal real Fourier basis sampled on a uniform periodic grid.
 
     Mode ordering: index 0 is the constant, index 2m-1 is cos(m pi x / L),
@@ -121,18 +127,19 @@ def _fourier_basis(n_modes: int, length: float) -> tuple[np.ndarray, np.ndarray,
     """
     m_max = (n_modes + 1) // 2
     n_grid = 4 * m_max + 4
-    x = -length + (2.0 * length / n_grid) * np.arange(n_grid)
+    x = -LENGTH + (2.0 * LENGTH / n_grid) * np.arange(n_grid)
     basis = np.empty((n_grid, n_modes))
     eigs = np.empty(n_modes)
-    basis[:, 0] = 1.0 / math.sqrt(2.0 * length)
+    basis[:, 0] = 1.0 / math.sqrt(2.0 * LENGTH)
     eigs[0] = 0.0
     for idx in range(1, n_modes):
         m = (idx + 1) // 2
-        freq = m * math.pi / length
+        # m * pi / pi is not m in floating point for some m: keep the quotient
+        freq = m * math.pi / LENGTH
         phase = np.cos(freq * x) if idx % 2 == 1 else np.sin(freq * x)
-        basis[:, idx] = phase / math.sqrt(length)
+        basis[:, idx] = phase / math.sqrt(LENGTH)
         eigs[idx] = -(freq**2)
-    weight = 2.0 * length / n_grid
+    weight = 2.0 * LENGTH / n_grid
     return basis, eigs, weight
 
 
@@ -178,10 +185,10 @@ def _component_rows(state: np.ndarray) -> np.ndarray:
 def make_ginzburg_landau(
     modes: int = 64,
     forced_modes: int = 3,
-    length: float = math.pi,
     noise_coeffs=None,
 ) -> ModelSpec:
-    """Spectral Ginzburg-Landau truncation ``du = (Δu + u - u³)dt + Q dω``.
+    """Spectral Ginzburg-Landau truncation ``du = (Δu + u - u³)dt + Q dω``
+    on ``[-π, π]``.
 
     ``forced_modes`` must cover every mode whose linear rate ``λ_k + 1``
     is non-negative, so that the unforced remainder is uniformly
@@ -192,7 +199,7 @@ def make_ginzburg_landau(
         raise ModelError("need at least two modes")
     if not 1 <= forced_modes < modes:
         raise ModelError("forced_modes must lie in [1, modes)")
-    basis, eigs, weight = _fourier_basis(modes, length)
+    basis, eigs, weight = _fourier_basis(modes)
     spectrum = eigs + 1.0
     if spectrum[forced_modes] >= 0.0:
         raise ModelError(
@@ -217,23 +224,14 @@ def make_ginzburg_landau(
         linear_spectrum=spectrum,
         nonlinearity=nonlin,
         noise_coeffs=noise_coeffs,
-        params={
-            "modes": modes,
-            "forced_modes": forced_modes,
-            "length": length,
-            "gap": gap,
-            "noise_coeffs": [float(q) for q in noise_coeffs],
-        },
+        params={"gap": gap},
         lyapunov_spec=LyapunovSpec(name="l2_norm_pow_p", p=1.0, norm_domination_c=1.0),
         aux={"basis": basis, "synthesis": synthesis, "weight": weight, "laplacian": eigs},
     )
 
 
-def make_reaction_diffusion(
-    modes_per_component: int = 16,
-    length: float = math.pi,
-) -> ModelSpec:
-    """Two-component reaction-diffusion truncation.
+def make_reaction_diffusion(modes_per_component: int = 16) -> ModelSpec:
+    """Two-component reaction-diffusion truncation on ``[-π, π]``.
 
     The state stacks the mode coefficients of ``u`` then ``v``:
 
@@ -244,7 +242,7 @@ def make_reaction_diffusion(
     """
     if modes_per_component < 1:
         raise ModelError("need at least one mode per component")
-    basis, eigs, weight = _fourier_basis(modes_per_component, length)
+    basis, eigs, weight = _fourier_basis(modes_per_component)
     half = modes_per_component
     spectrum = np.concatenate([eigs + 2.0, eigs + 2.0])
 
@@ -261,9 +259,9 @@ def make_reaction_diffusion(
         linear_spectrum=spectrum,
         nonlinearity=nonlin,
         noise_coeffs=np.ones(half),
-        params={"modes_per_component": half, "length": length},
+        params={},
         lyapunov_spec=LyapunovSpec(
-            name="linf_norm", norm_domination_c=math.sqrt(2.0 * length)
+            name="linf_norm", norm_domination_c=math.sqrt(2.0 * LENGTH)
         ),
         aux={"basis": basis, "synthesis": synthesis, "weight": weight, "laplacian": eigs},
     )
@@ -283,14 +281,13 @@ def chain_k_star(a_squared: float) -> int:
     return k
 
 
-def make_chain(
-    a_squared: float = 5.0,
-    truncation: int | None = None,
-    lyapunov_power: float = 2.0,
-) -> ModelSpec:
+def make_chain(a_squared: float = 5.0, truncation: int | None = None) -> ModelSpec:
     """Chain ``dx_0 = (a² x_0 + x_1 - x_0³)dt + dω`` with
     ``dx_k = ((a² - k²) x_k + x_{k-1} + x_{k+1} - x_k³)dt`` for ``k >= 1``
-    and closure ``x_M = 0`` at the truncation boundary."""
+    and closure ``x_M = 0`` at the truncation boundary; its Lyapunov
+    function is ``|x|²``."""
+    if not math.isfinite(a_squared):
+        raise ModelError(f"a_squared must be finite, got {a_squared}")
     if a_squared < 0:
         raise ModelError("a_squared must be non-negative")
     k_star = chain_k_star(a_squared)
@@ -315,15 +312,8 @@ def make_chain(
         linear_spectrum=spectrum,
         nonlinearity=nonlin,
         noise_coeffs=np.array([1.0]),
-        params={
-            "a_squared": a_squared,
-            "k_star": k_star,
-            "truncation": truncation,
-            "lyapunov_power": lyapunov_power,
-        },
-        lyapunov_spec=LyapunovSpec(
-            name="l2_norm_pow_p", p=lyapunov_power, norm_domination_c=1.0
-        ),
+        params={"a_squared": a_squared, "k_star": k_star},
+        lyapunov_spec=LyapunovSpec(name="l2_norm_pow_p", p=2.0, norm_domination_c=1.0),
     )
 
 

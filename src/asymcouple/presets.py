@@ -40,9 +40,6 @@ class PresetOutcome:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, detail: str):
-        self.checks.append(CheckResult(name, bool(passed), detail))
-
     def lines(self) -> list[str]:
         return [
             f"{'PASS' if c.passed else 'FAIL'} {self.preset_id}/{c.name}: {c.detail}"
@@ -263,13 +260,8 @@ def girsanov_measure(cases, seed) -> dict:
     for name, (model, binding, x0, rho0) in cases.items():
         ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 2000, 2, 1e-3, seed,
                                    record_every=1000)
-        dens = np.exp(ens.log_density[-1][~ens.overflow[-1]])
-        out[name] = {
-            "mean": float(dens.mean()),
-            "se": float(dens.std(ddof=1) / math.sqrt(len(dens))),
-            "n": int(len(dens)),
-            "overflowed": int(ens.overflow[-1].sum()),
-        }
+        mean, se, n = est.mean_density(ens.log_density[-1], ~ens.overflow[-1])
+        out[name] = {"mean": mean, "se": se, "n": n, "overflowed": int(ens.overflow[-1].sum())}
     return out
 
 

@@ -16,6 +16,7 @@ from asymcouple.binding import (
     null_binding,
 )
 from asymcouple.models import (
+    LENGTH,
     drift,
     make_chain,
     make_ginzburg_landau,
@@ -119,7 +120,7 @@ class TestRDBinding:
         y = np.zeros(rd.dim)
         x[0], x[half] = 0.7, -0.4       # u1, v1 constants (coefficient scale)
         y[0], y[half] = 1.2, 0.3        # u2, v2
-        amp = math.sqrt(2.0 * rd.params["length"])
+        amp = math.sqrt(2.0 * LENGTH)
 
         def scalar_force(u1, v1, u2, v2):
             ru, rv = u2 - u1, v2 - v1

@@ -178,12 +178,19 @@ class TestConfig:
             ([("dt = 0.002", "dt = nan")], None, "[run] dt: must be finite, got 'nan'"),
             ([], 0, "[run] jobs: must be at least 1"),
             ([], -3, "[run] jobs: must be at least 1"),
+            # the domain is [-π, π] and the chain's V is |x|²: neither is a setting
+            ([("id = toy2d", "id = ginzburg_landau\nlength = 0")], None,
+             "[model] length: unknown key"),
+            ([("id = toy2d", "id = reaction_diffusion\nlength = -1")], None,
+             "[model] length: unknown key"),
+            ([("id = toy2d", "id = chain\nlyapunov_power = 0")], None,
+             "[model] lyapunov_power: unknown key"),
         ],
         ids=["no-alt-x0", "alt-x0-too-long", "negative-mixing-time", "zero-density-horizon",
              "negative-axk-horizon", "empty-axk-ks", "repeated-density-horizon",
              "repeated-mixing-time", "repeated-axk-level", "misspelt-estimator", "misspelt-run-key",
              "unknown-section", "one-path-lyapunov", "negative-seed", "nan-dt", "jobs-0",
-             "jobs-negative"],
+             "jobs-negative", "gl-length", "rd-length", "chain-lyapunov-power"],
     )
     def test_bad_mixing_settings_rejected_before_any_output(
         self, tmp_path, capsys, edits, jobs, match
@@ -651,11 +658,10 @@ class TestPresetsCommand:
     def test_reproduce_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import asymcouple.cli as cli_mod
         from asymcouple.estimators import EstimatorReport
-        from asymcouple.presets import PresetOutcome
+        from asymcouple.presets import CheckResult, PresetOutcome
 
         def failing(seed=None):
-            outcome = PresetOutcome("stub")
-            outcome.add("always-fails", False, "forced failure")
+            outcome = PresetOutcome("stub", [CheckResult("always-fails", False, "forced failure")])
             outcome.report = EstimatorReport(model_id="toy2d", config_fingerprint="stub")
             return outcome
 
@@ -668,11 +674,10 @@ class TestPresetsCommand:
     def test_reproduce_prints_cascade_dump(self, tmp_path, capsys, monkeypatch):
         import asymcouple.cli as cli_mod
         from asymcouple.estimators import EstimatorReport
-        from asymcouple.presets import PresetOutcome
+        from asymcouple.presets import CheckResult, PresetOutcome
 
         def stub(seed=None):
-            outcome = PresetOutcome("stub")
-            outcome.add("ok", True, "fine")
+            outcome = PresetOutcome("stub", [CheckResult("ok", True, "fine")])
             outcome.report = EstimatorReport(
                 model_id="chain",
                 config_fingerprint="stub",
@@ -723,3 +728,10 @@ class TestDumpCascade:
 
     def test_negative_a_squared(self, capsys):
         assert main(["dump-cascade", "--", "-1.0"]) == 2
+
+    @pytest.mark.parametrize("a_squared", ["nan", "inf"])
+    def test_non_finite_a_squared(self, capsys, a_squared):
+        assert main(["dump-cascade", a_squared]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: a_squared must be finite")
+        assert captured.out == ""

@@ -412,6 +412,29 @@ class TestEnsembles:
             run()
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+def test_given_noise_starts_are_checked_as_an_ensemble_of_ones(coupled):
+    # a (1, dim) start runs as the (dim,) start does; a (2, dim) one is
+    # refused with the message run_ensemble gives for one path
+    noise = sample_noise(TOY, 200, 1e-3, seed=2)
+    binding = make_binding(TOY)
+
+    def run(x0, y0):
+        return integrate_coupled(TOY, binding, x0, y0, noise) if coupled else integrate(TOY, x0, noise)
+
+    x0, y0 = np.array([1.0, 0.5]), np.array([0.7, 0.2])
+    flat, rows = run(x0, y0), run(x0[None], y0[None])
+    for field in fields(flat):
+        np.testing.assert_array_equal(getattr(rows, field.name), getattr(flat, field.name))
+    message = re.escape("initial condition has shape (2, 2), expected (2,) or (1, 2)")
+    with pytest.raises(EngineError, match=message):
+        run_ensemble(TOY, np.zeros((2, 2)), 1, 1, 1e-3, seed=0)
+    bad = [(np.zeros((2, 2)), y0)] + ([(x0, np.zeros((2, 2)))] if coupled else [])
+    for starts in bad:
+        with pytest.raises(EngineError, match=message):
+            run(*starts)
+
+
 @pytest.mark.parametrize("n_traj", [1, 9])
 @pytest.mark.parametrize("model_id", list(BOUND_PAIRS))
 def test_uncoupled_run_is_the_x_half_of_the_coupled_run(model_id, n_traj):

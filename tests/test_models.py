@@ -7,6 +7,7 @@ import pytest
 
 from asymcouple.binding import chain_vector_field
 from asymcouple.models import (
+    LENGTH,
     ModelError,
     _in_row_blocks,
     chain_k_star,
@@ -87,6 +88,12 @@ class TestChain:
         with pytest.raises(ModelError, match="damped"):
             make_chain(a_squared=30.0, truncation=3)
 
+    @pytest.mark.parametrize("a_squared", [math.nan, math.inf])
+    def test_non_finite_a_squared(self, a_squared):
+        # k* of a non-finite a² is undefined
+        with pytest.raises(ModelError, match="a_squared must be finite"):
+            make_chain(a_squared=a_squared)
+
     def test_truncation_insensitivity_of_low_sites(self):
         # sites beyond k* are strongly damped, so widening the truncation
         # barely moves the resolved part of a trajectory
@@ -111,14 +118,14 @@ class TestLyapunov:
     def test_rd_constant_functions(self):
         # u ≡ 2 and v ≡ -3 have sup norms 2 and 3
         rd = make_reaction_diffusion(modes_per_component=8)
-        amp = math.sqrt(2.0 * rd.params["length"])
+        amp = math.sqrt(2.0 * LENGTH)
         state = np.zeros(rd.dim)
         state[0] = 2.0 * amp
         state[8] = -3.0 * amp
         assert lyapunov(rd, state) == pytest.approx(5.0, rel=1e-12)
 
     def test_chain_squared_norm(self):
-        model = make_chain(a_squared=5.0, lyapunov_power=2.0)
+        model = make_chain(a_squared=5.0)
         state = np.zeros(model.dim)
         state[0] = 1.0
         state[1] = 1.0
