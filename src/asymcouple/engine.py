@@ -26,9 +26,12 @@ The noise forces the first ``n_noise`` coordinates, so the increment
 and the shift ``Q G`` are added to that block alone.
 
 A step reads only its own increment, so an ensemble runs as one batch
-whose noise is drawn a block of at most one unit of steps at a time into
-one reused buffer: the noise held is paths × noise dims × block steps ×
-8 bytes, whatever the run's length.
+whose noise is drawn a block of at most one unit of steps and at most
+``_NOISE_BLOCK_BYTES`` (1 MiB) at a time into one reused buffer: the
+noise held is paths × noise dims × block steps × 8 bytes, whatever the
+run's length.  Blocks this small are cheap because the stepper's
+largest per-step workspace, a compiled polynomial's, is itself evaluated
+in fixed path blocks (``polynomials.PATH_BLOCK``).
 """
 
 from __future__ import annotations
@@ -459,8 +462,9 @@ def shift_noise(model: ModelSpec, noise: NoisePath, pair: CoupledEnsembleResult,
 
 # -- ensembles ----------------------------------------------------------------
 
-# the most bytes of one block of a run's noise, all paths over at most a unit
-_NOISE_BLOCK_BYTES = 1 << 26
+# the most bytes of one block of a run's noise, all paths over at most a
+# unit; 2000 one-noise paths get 65-step blocks
+_NOISE_BLOCK_BYTES = 1 << 20
 
 
 def _noise_blocks(model, dt, seed, streams, spu, skip, steps):

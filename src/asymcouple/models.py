@@ -269,6 +269,11 @@ def make_reaction_diffusion(modes_per_component: int = 16) -> ModelSpec:
 
 # -- nearest-neighbour chain -------------------------------------------------
 
+# the largest k* a chain may have: the derived force grows about fourfold
+# with each level of the cascade (8337 terms at k* = 6, 31288 at 7), so
+# a² is capped at K_STAR_MAX² - 3 = 33, the last a² with k* = K_STAR_MAX
+K_STAR_MAX = 6
+
 
 def chain_k_star(a_squared: float) -> int:
     """First site index whose linear damping clears the margin:
@@ -285,11 +290,14 @@ def make_chain(a_squared: float = 5.0, truncation: int | None = None) -> ModelSp
     """Chain ``dx_0 = (a² x_0 + x_1 - x_0³)dt + dω`` with
     ``dx_k = ((a² - k²) x_k + x_{k-1} + x_{k+1} - x_k³)dt`` for ``k >= 1``
     and closure ``x_M = 0`` at the truncation boundary; its Lyapunov
-    function is ``|x|²``."""
+    function is ``|x|²``.  ``a_squared`` lies in ``[0, K_STAR_MAX² - 3]``."""
     if not math.isfinite(a_squared):
         raise ModelError(f"a_squared must be finite, got {a_squared}")
     if a_squared < 0:
         raise ModelError("a_squared must be non-negative")
+    if a_squared > K_STAR_MAX**2 - 3.0:
+        raise ModelError(f"a_squared must be at most {K_STAR_MAX**2 - 3} (k* at most {K_STAR_MAX}), "
+                         f"got {a_squared}")
     k_star = chain_k_star(a_squared)
     if truncation is None:
         truncation = 4 * k_star

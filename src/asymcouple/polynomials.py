@@ -263,6 +263,11 @@ def format_polynomial(p: IndexedPolynomial) -> str:
 # -- compiled evaluation -------------------------------------------------------
 
 
+# the most path columns one trie walk takes at a time: a node table and
+# term gather of a few hundred nodes stay within about 1 MB at any batch
+PATH_BLOCK = 256
+
+
 @dataclass
 class CompiledPolynomial:
     """Prefix-trie form for fast vectorized evaluation.
@@ -274,8 +279,11 @@ class CompiledPolynomial:
     (``factors[d - 1]``).  Evaluation runs node rows by path columns, one
     multiply per level, then a row-wise ``vecdot`` of the contiguous
     ``(paths, terms)`` products with ``coeffs``, so each path's value
-    depends on that path alone.  ``evaluate(values)`` takes an array
-    whose last axis enumerates ``var_order`` and keeps the other axes.
+    depends on that path alone.  The paths go through in blocks of at
+    most ``PATH_BLOCK`` columns, so the workspace does not grow with the
+    batch, and the values are those of one walk over all of them.
+    ``evaluate(values)`` takes an array whose last axis enumerates
+    ``var_order`` and keeps the other axes.
     """
 
     var_order: tuple[Var, ...]
@@ -290,16 +298,20 @@ class CompiledPolynomial:
             raise PolynomialError(
                 f"expected {len(self.var_order)} variable values, got {values.shape[-1]}"
             )
-        columns = np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
-        nodes = np.empty((1 + sum(map(len, self.parents)), columns.shape[1]))
-        nodes[0] = 1.0
-        lo = 1
-        for parent, factor in zip(self.parents, self.factors):
-            hi = lo + len(parent)
-            np.multiply(nodes.take(parent, axis=0), columns.take(factor, axis=0), out=nodes[lo:hi])
-            lo = hi
-        products = np.ascontiguousarray(nodes.take(self.term_nodes, axis=0).T)
-        return np.vecdot(products, self.coeffs).reshape(values.shape[:-1])
+        rows = values.reshape(-1, values.shape[-1])
+        out = np.empty(len(rows))
+        for start in range(0, len(rows), PATH_BLOCK):
+            columns = np.ascontiguousarray(rows[start : start + PATH_BLOCK].T)
+            nodes = np.empty((1 + sum(map(len, self.parents)), columns.shape[1]))
+            nodes[0] = 1.0
+            lo = 1
+            for parent, factor in zip(self.parents, self.factors):
+                hi = lo + len(parent)
+                np.multiply(nodes.take(parent, axis=0), columns.take(factor, axis=0), out=nodes[lo:hi])
+                lo = hi
+            products = np.ascontiguousarray(nodes.take(self.term_nodes, axis=0).T)
+            out[start : start + PATH_BLOCK] = np.vecdot(products, self.coeffs)
+        return out.reshape(values.shape[:-1])
 
 
 def compile_polynomial(p: IndexedPolynomial, var_order: Iterable[Var]) -> CompiledPolynomial:

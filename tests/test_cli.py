@@ -454,6 +454,15 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_a_squared_above_the_k_star_ceiling_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # refused before the cascade is derived, and before any file is written
+        monkeypatch.setattr(bnd, "build_zeta_cascade", lambda *a, **k: pytest.fail("cascade derived"))
+        path = write_model_config(tmp_path, "chain")
+        path.write_text(path.read_text().replace("a_squared = 2.0", "a_squared = 1e12"))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "a_squared must be at most 33" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_blow_up_exit_code(self, tmp_path, capsys):
         path = tmp_path / "blow.cfg"
         path.write_text(
@@ -728,6 +737,13 @@ class TestDumpCascade:
 
     def test_negative_a_squared(self, capsys):
         assert main(["dump-cascade", "--", "-1.0"]) == 2
+
+    def test_a_squared_above_the_k_star_ceiling(self, capsys, monkeypatch):
+        monkeypatch.setattr(bnd, "build_zeta_cascade", lambda *a, **k: pytest.fail("cascade derived"))
+        assert main(["dump-cascade", "1e12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: a_squared must be at most 33 (k* at most 6)")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("a_squared", ["nan", "inf"])
     def test_non_finite_a_squared(self, capsys, a_squared):

@@ -633,7 +633,9 @@ def test_noise_blocks_stay_within_a_unit_and_the_budget(budget_rows, monkeypatch
     shapes, sizes, buffers = zip(*blocks)
     assert sum(shape[0] for shape in shapes) == units * spu
     assert {shape[1:] for shape in shapes} == {(n, TOY.n_noise)}
-    assert max(shape[0] for shape in shapes) == min(spu, budget_rows or spu)
+    # unset, the budget rule sets the rows: 1 MiB // (8 * 2000 * 1) = 65
+    budget_rule = engine._NOISE_BLOCK_BYTES // (8 * n * TOY.n_noise)
+    assert max(shape[0] for shape in shapes) == min(spu, budget_rows or budget_rule)
     assert max(sizes) <= engine._NOISE_BLOCK_BYTES
     assert len(set(buffers)) == 1
 

@@ -88,6 +88,13 @@ class TestChain:
         with pytest.raises(ModelError, match="damped"):
             make_chain(a_squared=30.0, truncation=3)
 
+    def test_a_squared_ceiling(self):
+        # k* = 6 up to a² = 33; beyond, refused before k* is computed
+        assert make_chain(a_squared=33.0).params["k_star"] == 6
+        for a_squared in (33.01, 1e12, 1.7e308):
+            with pytest.raises(ModelError, match=r"a_squared must be at most 33 \(k\* at most 6\)"):
+                make_chain(a_squared=a_squared)
+
     @pytest.mark.parametrize("a_squared", [math.nan, math.inf])
     def test_non_finite_a_squared(self, a_squared):
         # k* of a non-finite a² is undefined

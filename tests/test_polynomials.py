@@ -1,5 +1,7 @@
 """Sparse indexed polynomials: arithmetic, Lie derivatives, text format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from asymcouple.polynomials import (
     IndexedPolynomial as P,
 )
 from asymcouple.polynomials import (
+    PATH_BLOCK,
     PolynomialError,
     PolyVectorField,
     compile_polynomial,
@@ -206,3 +209,37 @@ def test_compiled_cascade_matches_symbolic_evaluation(a_squared):
     actual = np.concatenate([binding.force(xy, None), binding.zeta_map(xy)], axis=-1)
     scale = np.maximum(np.max(np.abs(expected), axis=0), 1.0)
     np.testing.assert_array_less(np.abs(actual - expected) / scale, 1e-12)
+
+
+@pytest.mark.parametrize("paths", [1, PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 1, 3 * PATH_BLOCK + 7])
+@pytest.mark.parametrize("which", ["force", "zeta"])
+def test_path_blocks_give_each_path_its_own_value(which, paths):
+    # a batch goes through in blocks of PATH_BLOCK paths; each path's value
+    # is bit for bit that path evaluated alone, whatever the batch's width
+    cascade = build_zeta_cascade(make_chain(a_squared=2.0))
+    poly = cascade.g_poly if which == "force" else cascade.zetas[-1]
+    compiled = compile_polynomial(poly, cascade.var_order)
+    values = np.random.default_rng(paths).normal(size=(paths, len(cascade.var_order))) * 0.8
+    alone = np.concatenate([compiled.evaluate(row[None]) for row in values])
+    np.testing.assert_array_equal(compiled.evaluate(values), alone)
+    np.testing.assert_array_equal(compiled.evaluate(np.stack([values, values[::-1]])),
+                                  np.stack([alone, alone[::-1]]))
+
+
+def test_a_chain_force_call_works_in_a_fixed_space():
+    # the trie's node table and term products are held for one path block
+    # at a time, so a wider batch adds only its inputs and outputs
+    model = make_chain(a_squared=2.0)
+    binding = make_binding(model)
+    rng = np.random.default_rng(7)
+    peaks = {}
+    for paths in (2000, 8000):
+        xy = rng.normal(size=(2, paths, model.dim)) * 0.5
+        binding.force(xy, None)
+        tracemalloc.start()
+        try:
+            binding.force(xy, None)
+            peaks[paths] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[8000] - peaks[2000]) / 6000 < 1024
