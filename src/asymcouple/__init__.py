@@ -51,11 +51,9 @@ from .measures import (
     subtract,
 )
 from .models import (
-    LyapunovSpec,
     ModelError,
     ModelSpec,
     chain_k_star,
-    drift,
     lyapunov,
     make_chain,
     make_ginzburg_landau,

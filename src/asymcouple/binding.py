@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import ModelSpec
+from .models import ModelSpec, make_chain
 from .polynomials import (
     IndexedPolynomial,
     PolyVectorField,
@@ -149,7 +149,8 @@ class ZetaCascade:
     ``zetas[l-1]`` is ``zeta_l = rho_{k*-l} + Q_l`` for ``l = 1..k*``;
     ``q_polys[l]`` holds ``Q_l`` (``Q_1 = 0``) together with the closing
     ``Q_{k*+1}``; ``g_poly`` is the force with
-    ``d zeta_{k*}/dt = -zeta_{k*}`` along the coupled flow.  The cascade
+    ``d zeta_{k*}/dt = -zeta_{k*}`` along the coupled flow, ``field`` the
+    flow's first ``min(truncation, 2 k* + 1)`` sites.  The cascade
     evaluates nothing: :func:`make_binding` compiles it.
     """
 
@@ -186,6 +187,11 @@ def build_zeta_cascade(model: ModelSpec) -> ZetaCascade:
     leading difference component one site closer to the forced end:
     ``zeta_{l+1} = L zeta_l + zeta_l``.  At the last level the force is
     read off as ``G = -zeta_{k*} - L zeta_{k*}``.
+
+    ``zeta_{k*}`` reaches site ``2 k* - 2`` and ``L`` one site further,
+    so the derivatives are taken on the chain cut at ``2 k* + 1`` sites:
+    the same polynomials as on all ``M`` sites, at a cost that does not
+    grow with ``M``.
     """
     if model.id != "chain":
         raise BindingError("build_zeta_cascade requires a chain model")
@@ -193,8 +199,8 @@ def build_zeta_cascade(model: ModelSpec) -> ZetaCascade:
     m = model.dim
     if m < k_star + 2:
         raise BindingError(f"truncation overflow: need at least {k_star + 2} sites, have {m}")
-    fld = chain_vector_field(model)
     a2 = model.params["a_squared"]
+    fld = chain_vector_field(make_chain(a2, truncation=min(m, 2 * k_star + 1)))
     c1 = a2 - (k_star - 1) ** 2
 
     zetas = [IndexedPolynomial.variable("rho", k_star - 1)]
@@ -287,7 +293,7 @@ def make_binding(model: ModelSpec, cascade: ZetaCascade | None = None) -> Bindin
     if model.id == "ginzburg_landau":
         return gl_binding(model)
     if model.id == "reaction_diffusion":
-        return zeta_binding(model, model.aux["laplacian"] - 1.0)
+        return zeta_binding(model, model.params["laplacian"] - 1.0)
     if model.id == "chain":
         if cascade is None:
             cascade = build_zeta_cascade(model)

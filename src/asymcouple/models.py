@@ -1,26 +1,29 @@
-"""Finite-dimensional model definitions: drift, noise map, Lyapunov function.
+"""Finite-dimensional model definitions.
 
-Four systems are provided, all in the shape ``dx = (A x + F(x)) dt + Q dω``
-with ``A`` diagonal in the chosen basis:
+A model is its linear spectrum, its noise map, the ``params`` other
+layers read, and two batched maps: the nonlinearity ``F`` and the
+Lyapunov function ``V``.  Four systems are provided, all in the shape
+``dx = (A x + F(x)) dt + Q dω`` with ``A`` diagonal in the chosen basis:
 
-* ``toy2d``        two coupled double-well modes, noise on the first only;
+* ``toy2d``        two coupled double-well modes, noise on the first only,
+  Lyapunov function ``|x|²``;
 * ``ginzburg_landau``  spectral truncation of a 1d stochastic Ginzburg-Landau
   equation on ``[-π, π]`` with periodic boundary, noise on the first
-  ``N`` Fourier modes;
+  ``N`` Fourier modes, Lyapunov function ``|x|``;
 * ``reaction_diffusion``  a two-component system on the same domain
   where only the first component is forced (mode-wise white noise
-  across its truncation);
+  across its truncation), Lyapunov function ``sup|u| + sup|v|``;
 * ``chain``        nearest-neighbour chain with noise on site 0 only,
   Lyapunov function ``|x|²``.
 
-States are coefficient vectors in the diagonalizing basis; all maps are
-vectorized over leading batch axes.
+States are coefficient vectors in the diagonalizing basis; both maps
+take a batch of states ``(..., dim)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,58 +37,33 @@ class ModelError(ValueError):
 LENGTH = math.pi
 
 
-@dataclass(frozen=True)
-class LyapunovSpec:
-    """Which Lyapunov function the model carries.
-
-    ``norm_domination_c`` records a constant with
-    ``||x|| <= c (1 + V(x))`` on the truncated state space.
-    """
-
-    name: str  # one of: linf_norm, l2_norm_pow_p
-    p: float = 1.0
-    norm_domination_c: float = 1.0
-
-
 @dataclass
 class ModelSpec:
+    """A model: its linear spectrum, noise map and ``params``, and two
+    batched maps over states ``(..., dim)``, the nonlinearity and the
+    Lyapunov function V."""
+
     id: str
     dim: int
     linear_spectrum: np.ndarray
-    nonlinearity: Callable[[np.ndarray], np.ndarray]
+    nonlinearity: Callable[[np.ndarray], np.ndarray]  # (..., dim) -> (..., dim)
+    lyapunov: Callable[[np.ndarray], np.ndarray]  # (..., dim) -> (...)
     noise_coeffs: np.ndarray  # q_i of coordinate i: the noise forces the first n_noise
-    params: dict  # what other layers read: GL's gap, the chain's a_squared and k_star
-    lyapunov_spec: LyapunovSpec
-    aux: dict = field(default_factory=dict, repr=False)
+    params: dict  # what other layers read: GL's gap, RD's laplacian, the chain's a_squared and k_star
 
     @property
     def n_noise(self) -> int:
         return len(self.noise_coeffs)
 
 
-def drift(model: ModelSpec, state: np.ndarray) -> np.ndarray:
-    """Full deterministic drift ``A x + F(x)``."""
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1] != model.dim:
-        raise ModelError(f"state has length {state.shape[-1]}, expected {model.dim}")
-    if not np.all(np.isfinite(state)):
-        raise ModelError("non-finite state")
-    return model.linear_spectrum * state + model.nonlinearity(state)
-
-
 def lyapunov(model: ModelSpec, state: np.ndarray) -> np.ndarray:
     """Evaluate the model's Lyapunov function V on a (batch of) state(s)."""
-    state = np.asarray(state, dtype=float)
-    spec = model.lyapunov_spec
-    if spec.name == "l2_norm_pow_p":
-        return np.sqrt((state * state).sum(-1)) ** spec.p
-    if spec.name == "linf_norm":
-        synthesis = model.aux["synthesis"]
-        # u and v rows synthesized in one call
-        grid = _in_row_blocks(_component_rows(state), lambda blocks: blocks @ synthesis)
-        sup = np.abs(grid).max(axis=-1)
-        return sup[..., 0] + sup[..., 1]
-    raise ModelError(f"unknown Lyapunov spec {spec.name!r}")
+    return model.lyapunov(np.asarray(state, dtype=float))
+
+
+def _squared_norm(x: np.ndarray) -> np.ndarray:
+    """V = |x|², the toy's and the chain's Lyapunov function."""
+    return np.sqrt((x * x).sum(-1)) ** 2.0
 
 
 # -- toy model ------------------------------------------------------------
@@ -107,9 +85,9 @@ def make_toy2d() -> ModelSpec:
         dim=2,
         linear_spectrum=np.array([2.0, 2.0]),
         nonlinearity=nonlin,
+        lyapunov=_squared_norm,
         noise_coeffs=np.array([1.0]),
         params={},
-        lyapunov_spec=LyapunovSpec(name="l2_norm_pow_p", p=2.0, norm_domination_c=1.0),
     )
 
 
@@ -223,10 +201,9 @@ def make_ginzburg_landau(
         dim=modes,
         linear_spectrum=spectrum,
         nonlinearity=nonlin,
+        lyapunov=lambda u: np.sqrt((u * u).sum(-1)),
         noise_coeffs=noise_coeffs,
         params={"gap": gap},
-        lyapunov_spec=LyapunovSpec(name="l2_norm_pow_p", p=1.0, norm_domination_c=1.0),
-        aux={"basis": basis, "synthesis": synthesis, "weight": weight, "laplacian": eigs},
     )
 
 
@@ -253,17 +230,20 @@ def make_reaction_diffusion(modes_per_component: int = 16) -> ModelSpec:
         uv = _component_rows(state)
         return (uv[..., ::-1, :] - _spectral_cube(uv, synthesis, basis, weight)).reshape(state.shape)
 
+    def sup_norms(state):
+        # sup |u| + sup |v|: u and v rows synthesized in one call
+        grid = _in_row_blocks(_component_rows(state), lambda blocks: blocks @ synthesis)
+        sup = np.abs(grid).max(axis=-1)
+        return sup[..., 0] + sup[..., 1]
+
     return ModelSpec(
         id="reaction_diffusion",
         dim=2 * half,
         linear_spectrum=spectrum,
         nonlinearity=nonlin,
+        lyapunov=sup_norms,
         noise_coeffs=np.ones(half),
-        params={},
-        lyapunov_spec=LyapunovSpec(
-            name="linf_norm", norm_domination_c=math.sqrt(2.0 * LENGTH)
-        ),
-        aux={"basis": basis, "synthesis": synthesis, "weight": weight, "laplacian": eigs},
+        params={"laplacian": eigs},
     )
 
 
@@ -319,9 +299,9 @@ def make_chain(a_squared: float = 5.0, truncation: int | None = None) -> ModelSp
         dim=truncation,
         linear_spectrum=spectrum,
         nonlinearity=nonlin,
+        lyapunov=_squared_norm,
         noise_coeffs=np.array([1.0]),
         params={"a_squared": a_squared, "k_star": k_star},
-        lyapunov_spec=LyapunovSpec(name="l2_norm_pow_p", p=2.0, norm_domination_c=1.0),
     )
 
 

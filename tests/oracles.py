@@ -1,11 +1,27 @@
-"""Test oracles: parsers of the polynomial and cascade text dumps.
+"""Test oracles: a model's full drift, and parsers of the polynomial and
+cascade text dumps.
 
-The library writes these dumps (``format_polynomial``,
-``dump_cascade_text``) but never reads them; the tests parse them back
-to check that the text is lossless.
+The stepper integrates the linear part exactly and never forms the
+drift ``A x + F(x)``; the tests use it to state what a binding force or
+a dissipativity bound means.  The library writes the dumps
+(``format_polynomial``, ``dump_cascade_text``) but never reads them; the
+tests parse them back to check that the text is lossless.
 """
 
+import numpy as np
+
+from asymcouple.models import ModelError, ModelSpec
 from asymcouple.polynomials import IndexedPolynomial
+
+
+def drift(model: ModelSpec, state: np.ndarray) -> np.ndarray:
+    """Full deterministic drift ``A x + F(x)``."""
+    state = np.asarray(state, dtype=float)
+    if state.shape[-1] != model.dim:
+        raise ModelError(f"state has length {state.shape[-1]}, expected {model.dim}")
+    if not np.all(np.isfinite(state)):
+        raise ModelError("non-finite state")
+    return model.linear_spectrum * state + model.nonlinearity(state)
 
 
 def parse_polynomial(text: str) -> IndexedPolynomial:

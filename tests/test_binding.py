@@ -10,6 +10,7 @@ from asymcouple.binding import (
     BindingError,
     build_zeta_cascade,
     cascade_shape_ok,
+    chain_vector_field,
     dump_cascade_text,
     gl_coupled_diagonal,
     make_binding,
@@ -17,7 +18,7 @@ from asymcouple.binding import (
 )
 from asymcouple.models import (
     LENGTH,
-    drift,
+    chain_k_star,
     make_chain,
     make_ginzburg_landau,
     make_reaction_diffusion,
@@ -25,7 +26,7 @@ from asymcouple.models import (
 )
 from asymcouple.polynomials import IndexedPolynomial as P
 from asymcouple.polynomials import PolynomialError, evaluate, lie_derivative
-from oracles import parse_cascade_dump
+from oracles import drift, parse_cascade_dump
 
 
 def force_at(model, x, y):
@@ -98,7 +99,7 @@ class TestRDBinding:
         rd = make_reaction_diffusion(modes_per_component=8)
         binding = make_binding(rd)
         half = rd.dim // 2
-        lap = rd.aux["laplacian"]
+        lap = rd.params["laplacian"]
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.normal(size=rd.dim) * 0.5
@@ -139,7 +140,7 @@ class TestRDBinding:
         # reduces to the scalar formula with the Laplacian eigenvalue
         rd = make_reaction_diffusion(modes_per_component=8)
         half = rd.dim // 2
-        lap = rd.aux["laplacian"]
+        lap = rd.params["laplacian"]
         j = 3
         eps = 1e-4
         x = np.zeros(rd.dim)
@@ -165,7 +166,7 @@ class TestRDBinding:
         rho = y - x
         zeta = rho[..., :half] + 3.0 * rho[..., half:]
         delta = rd.linear_spectrum * rho + rd.nonlinearity(y) - rd.nonlinearity(x)
-        expected = (rd.aux["laplacian"] - 1.0) * zeta - (delta[..., :half] + 3.0 * delta[..., half:])
+        expected = (rd.params["laplacian"] - 1.0) * zeta - (delta[..., :half] + 3.0 * delta[..., half:])
         np.testing.assert_array_equal(force_at(rd, x, y), expected)
 
 
@@ -254,6 +255,23 @@ class TestZetaCascade:
         assert small.g_poly == large.g_poly
         for z_small, z_large in zip(small.zetas, large.zetas):
             assert z_small == z_large
+
+    @pytest.mark.parametrize("a2", [0.0, 2.0, 5.0])
+    def test_the_cut_chain_derives_what_every_site_derives(self, a2):
+        # the cascade is derived on the first 2 k* + 1 sites; the Lie
+        # derivatives along the field over all M sites give the same polynomials
+        k_star = chain_k_star(a2)
+        for m in (2 * k_star, 2 * k_star + 2, 4 * k_star + 5):
+            model = make_chain(a_squared=a2, truncation=m)
+            full = chain_vector_field(model)
+            zetas = [P.variable("rho", k_star - 1)]
+            for _ in range(1, k_star):
+                zetas.append(lie_derivative(zetas[-1], full) + zetas[-1])
+            cascade = build_zeta_cascade(model)
+            assert cascade.zetas == zetas
+            assert cascade.g_poly == -zetas[-1] - lie_derivative(zetas[-1], full)
+            assert cascade.truncation == m
+            assert cascade.field.truncation == min(m, 2 * k_star + 1)
 
     def test_awkward_coefficients_warn(self):
         with warnings.catch_warnings(record=True) as caught:

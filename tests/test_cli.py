@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -734,6 +735,19 @@ class TestDumpCascade:
         assert parsed["G"] == cascade.g_poly
         for level, zeta in enumerate(cascade.zetas, start=1):
             assert parsed[f"zeta {level}"] == zeta
+
+    def test_a_wide_truncation_prints_the_cascade_of_4_k_star_sites(self, capsys):
+        # the cascade reaches the first 2 k* sites, so beyond the header the
+        # dump at M = 200000 is the one at M = 4 k* = 12, and as quick to derive
+        start = time.perf_counter()
+        assert main(["dump-cascade", "2.0", "--truncation", "200000"]) == 0
+        elapsed = time.perf_counter() - start
+        wide = capsys.readouterr().out.splitlines()
+        assert main(["dump-cascade", "2.0", "--truncation", "12"]) == 0
+        narrow = capsys.readouterr().out.splitlines()
+        assert "truncation=200000" in wide[0] and "truncation=12" in narrow[0]
+        assert wide[1:] == narrow[1:]
+        assert elapsed < 20.0
 
     def test_negative_a_squared(self, capsys):
         assert main(["dump-cascade", "--", "-1.0"]) == 2

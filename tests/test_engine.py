@@ -25,7 +25,6 @@ from asymcouple.engine import (
     shift_noise,
 )
 from asymcouple.models import (
-    LyapunovSpec,
     ModelSpec,
     lyapunov,
     make_chain,
@@ -68,9 +67,9 @@ def scalar_model(rate=-1.0):
         dim=1,
         linear_spectrum=np.array([rate]),
         nonlinearity=lambda x: np.zeros_like(x),
+        lyapunov=lambda x: np.sqrt((x * x).sum(-1)),
         noise_coeffs=np.array([1.0]),
         params={},
-        lyapunov_spec=LyapunovSpec(name="l2_norm_pow_p"),
     )
 
 
@@ -378,6 +377,27 @@ class TestEnsembles:
         v0 = lyapunov(TOY, x0)
         assert ens.w_sup[0].mean() <= 3.0 * v0 + 4.0
 
+
+    def test_w_sups_are_the_running_max_of_the_model_lyapunov_map(self):
+        # a model's own V, not a norm the engine picks, is what the W sups track
+        model = ModelSpec(
+            id="toy2d",
+            dim=2,
+            linear_spectrum=TOY.linear_spectrum,
+            nonlinearity=TOY.nonlinearity,
+            lyapunov=lambda x: 4.0 * (x * x).sum(-1),
+            noise_coeffs=np.array([1.0]),
+            params={},
+        )
+        x0, y0 = np.array([1.0, 0.5]), np.array([0.6, 0.8])
+        ens = run_ensemble(model, x0, 3, 2, 1e-2, seed=21, record_every=1)
+        pair = run_coupled_ensemble(model, make_binding(model), x0, y0, 3, 2, 1e-2, seed=21,
+                                    record_every=1)
+        for w_sup, states in ((ens.w_sup, ens.states), (pair.w_sup_x, pair.x),
+                              (pair.w_sup_y, pair.y)):
+            v = 4.0 * (states * states).sum(-1)
+            running_max = np.stack([v[u * 100 : (u + 1) * 100 + 1].max(axis=0) for u in range(2)])
+            np.testing.assert_array_equal(w_sup, running_max)
 
     def test_zero_units_keep_the_path_axis(self):
         x0 = np.array([1.0, 0.5])

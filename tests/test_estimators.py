@@ -33,7 +33,7 @@ from asymcouple.estimators import (
     lyapunov_fit,
     mixing_distance_series,
 )
-from asymcouple.models import LyapunovSpec, ModelSpec, lyapunov, make_model, make_toy2d
+from asymcouple.models import ModelSpec, lyapunov, make_model, make_toy2d
 
 TOY = make_toy2d()
 
@@ -357,9 +357,9 @@ class TestLyapunovFit:
             dim=1,
             linear_spectrum=np.array([-1.0]),
             nonlinearity=lambda x: np.zeros_like(x),
+            lyapunov=lambda x: np.sqrt((x * x).sum(-1)),
             noise_coeffs=np.array([1e-12]),
             params={},
-            lyapunov_spec=LyapunovSpec(name="l2_norm_pow_p"),
         )
         probes = [np.array([v]) for v in (0.0, 0.5, 1.0, 2.0, 4.0)]
         fit = probe_fit(model, probes, 4, dt=1e-3, seed=6)
