@@ -16,7 +16,6 @@ from .binding import (
     dump_cascade_text,
     gl_binding,
     make_binding,
-    null_binding,
     zeta_binding,
 )
 from .engine import (
@@ -65,7 +64,6 @@ from .polynomials import (
     IndexedPolynomial,
     PolynomialError,
     PolyVectorField,
-    evaluate,
     format_polynomial,
     lie_derivative,
 )

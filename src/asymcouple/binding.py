@@ -315,12 +315,3 @@ def make_binding(model: ModelSpec, cascade: ZetaCascade | None = None) -> Bindin
                            zeta_map=zeta_map)
     raise BindingError(f"no binding construction for model {model.id!r}")
 
-
-def null_binding(model: ModelSpec) -> BindingSpec:
-    """Zero force: the coupled pair degenerates to two independent copies
-    driven by the same noise.  Useful as a diagnostic null case."""
-
-    def force(xy, f_xy):
-        return np.zeros(xy.shape[1:-1] + (model.n_noise,))
-
-    return BindingSpec(model_id=model.id, force=force)

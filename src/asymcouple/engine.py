@@ -99,14 +99,14 @@ _TIME_TOL = 1e-9
 
 class _PathBatch:
     """A batch of paths.  Per-path arrays carry the record (for the W sups,
-    the unit interval) on axis 0 and the path on axis 1; ``times`` and
-    ``dt`` are shared by all paths.  Records may be denser over the first
+    the unit interval) on axis 0 and the path on axis 1; ``times`` is
+    shared by all paths.  Records may be denser over the first
     units than over the rest."""
 
     _UNIT_FIELDS = ("w_sup", "w_sup_x", "w_sup_y")
 
     @classmethod
-    def _join(cls, parts, per_record, per_unit, shared=("dt",)):
+    def _join(cls, parts, per_record, per_unit, shared=()):
         """One batch built field by field from ``parts``: ``per_record`` or
         ``per_unit`` (for the W sups) maps the parts' arrays to the new
         one; the ``shared`` fields and the absent ones are the first part's."""
@@ -152,7 +152,7 @@ class _PathBatch:
         if len(parts) == 1:
             return parts[0]
         along_paths = partial(np.concatenate, axis=1)
-        return cls._join(parts, along_paths, along_paths, shared=("times", "dt"))
+        return cls._join(parts, along_paths, along_paths, shared=("times",))
 
 
 @dataclass
@@ -160,7 +160,6 @@ class EnsembleResult(_PathBatch):
     times: np.ndarray
     states: np.ndarray        # (records, n_traj, dim)
     w_sup: np.ndarray         # (units, n_traj)
-    dt: float
 
 
 @dataclass
@@ -174,7 +173,6 @@ class CoupledEnsembleResult(_PathBatch):
     w_sup_y: np.ndarray
     g_l2: np.ndarray          # (records, n_traj) running sum of ||G||² dt
     overflow: np.ndarray      # (records, n_traj) bool, sticky
-    dt: float
 
     @property
     def y(self) -> np.ndarray:
@@ -182,7 +180,7 @@ class CoupledEnsembleResult(_PathBatch):
 
     def x_half(self) -> EnsembleResult:
         """The ``x`` paths alone: bit for bit the uncoupled run on the same streams."""
-        return EnsembleResult(times=self.times, states=self.x, w_sup=self.w_sup_x, dt=self.dt)
+        return EnsembleResult(times=self.times, states=self.x, w_sup=self.w_sup_x)
 
 
 class _Scheme:
@@ -377,7 +375,7 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
                     held, kept = 0, []
 
     if not coupled:
-        return EnsembleResult(times=times, states=x_records, w_sup=w_sups[0], dt=dt)
+        return EnsembleResult(times=times, states=x_records, w_sup=w_sups[0])
     log_density, g_l2, overflow = girsanov_records
     return CoupledEnsembleResult(
         times=times,
@@ -389,7 +387,6 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
         w_sup_y=w_sups[1],
         g_l2=g_l2,
         overflow=overflow,
-        dt=dt,
     )
 
 

@@ -226,11 +226,6 @@ def dual_lipschitz_distance(
     )
 
 
-def dirac_dl_distance(separation: float) -> float:
-    """Closed form for two point masses at Euclidean distance d: 2d/(2+d)."""
-    return 2.0 * separation / (2.0 + separation)
-
-
 def bootstrap_null_quantile(
     sample_a: np.ndarray,
     sample_b: np.ndarray,

@@ -21,8 +21,6 @@ import numpy as np
 Var = tuple[str, int]
 Monomial = tuple[tuple[Var, int], ...]
 
-COEFF_EPS = 0.0  # exact: only coefficients that are exactly 0.0 are dropped
-
 
 class PolynomialError(ValueError):
     pass
@@ -59,7 +57,7 @@ class IndexedPolynomial:
                 mono = _canon(mono)
                 coef = float(coef)
                 acc[mono] = acc.get(mono, 0.0) + coef
-        self._terms = {m: c for m, c in sorted(acc.items(), key=lambda kv: _mono_sort_key(kv[0])) if c != COEFF_EPS}
+        self._terms = {m: c for m, c in sorted(acc.items(), key=lambda kv: _mono_sort_key(kv[0])) if c != 0.0}
 
     # -- constructors ------------------------------------------------------
 
@@ -83,19 +81,11 @@ class IndexedPolynomial:
     def variables(self) -> set[Var]:
         return {v for mono in self._terms for v, _ in mono}
 
-    def indices(self) -> set[int]:
-        return {i for _, i in self.variables()}
-
     def max_index(self) -> int | None:
-        idx = self.indices()
-        return max(idx) if idx else None
+        return max((i for _, i in self.variables()), default=None)
 
     def min_index(self) -> int | None:
-        idx = self.indices()
-        return min(idx) if idx else None
-
-    def degree(self) -> int:
-        return max((_mono_degree(m) for m in self._terms), default=0)
+        return min((i for _, i in self.variables()), default=None)
 
     def coefficient(self, monomial: Iterable[tuple[Var, int]]) -> float:
         return self._terms.get(_canon(monomial), 0.0)
@@ -172,24 +162,6 @@ def _as_poly(value) -> IndexedPolynomial:
     if isinstance(value, (int, float)):
         return IndexedPolynomial.constant(value)
     raise PolynomialError(f"cannot coerce {value!r} to a polynomial")
-
-
-def evaluate(p: IndexedPolynomial, assignment: Mapping[Var, float]):
-    """Evaluate by direct summation of monomials.
-
-    Values may be scalars or numpy arrays of a common broadcastable
-    shape.  Raises :class:`PolynomialError` on unbound variables.
-    """
-    missing = p.variables() - set(assignment)
-    if missing:
-        raise PolynomialError(f"unbound variable(s): {sorted(missing)}")
-    total = 0.0
-    for mono, coef in p._terms.items():
-        term = coef
-        for var, power in mono:
-            term = term * assignment[var] ** power
-        total = total + term
-    return total
 
 
 @dataclass(frozen=True)

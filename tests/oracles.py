@@ -1,17 +1,37 @@
-"""Test oracles: a model's full drift, and parsers of the polynomial and
-cascade text dumps.
+"""Test oracles: slow, plain references for the library's fast paths.
 
-The stepper integrates the linear part exactly and never forms the
-drift ``A x + F(x)``; the tests use it to state what a binding force or
-a dissipativity bound means.  The library writes the dumps
-(``format_polynomial``, ``dump_cascade_text``) but never reads them; the
-tests parse them back to check that the text is lossless.
+Each is written the obvious way and read only by the tests:
+
+- ``drift``: the full drift ``A x + F(x)``, which the stepper never
+  forms (it integrates the linear part exactly); it states what a
+  binding force or a dissipativity bound means.
+- ``parse_polynomial`` and ``parse_cascade_dump``: read back the dumps
+  the library writes but never reads (``format_polynomial``,
+  ``dump_cascade_text``), to check that the text is lossless.
+- ``evaluate``: term-by-term evaluation of a symbolic polynomial; it
+  pins ``CompiledPolynomial.evaluate`` (and with it the chain's force
+  and zeta maps) and, through finite differences, ``lie_derivative``.
+- ``dirac_dl_distance``: the closed form for two point masses; it pins
+  ``dual_lipschitz_distance``.
+- ``force_at``: a binding force at the copies ``(x, y)``, as the stepper
+  evaluates it; it pins ``shift_noise`` and the stepper's Girsanov sums.
+- ``girsanov_sums``: the log weight, ``||G||² dt`` and the overflow flag
+  summed step by step; it pins the stepper's folded sums.
+- ``constant_binding``: a force that is one constant everywhere.  Its
+  zero case unbinds the pair (the copies share the noise and nothing
+  joins them): the presets' negative controls and the density-one
+  checks.  A nonzero constant gives a closed-form log weight.
+- ``linear_model``: a diagonal linear system with no nonlinearity,
+  whose flow the exponential stepper integrates exactly; it pins the
+  stepper and ``lyapunov_fit``.
 """
 
 import numpy as np
 
+from asymcouple import engine
+from asymcouple.binding import BindingSpec
 from asymcouple.models import ModelError, ModelSpec
-from asymcouple.polynomials import IndexedPolynomial
+from asymcouple.polynomials import IndexedPolynomial, PolynomialError
 
 
 def drift(model: ModelSpec, state: np.ndarray) -> np.ndarray:
@@ -22,6 +42,79 @@ def drift(model: ModelSpec, state: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(state)):
         raise ModelError("non-finite state")
     return model.linear_spectrum * state + model.nonlinearity(state)
+
+
+def linear_model(spectrum, noise_coeffs) -> ModelSpec:
+    """``dx = A x dt + Q dω`` with ``A = diag(spectrum)``, noise on the
+    first ``len(noise_coeffs)`` coordinates and ``V = |x|``: the B = 0
+    member of the linear-Gaussian family ``A x + B x``."""
+    spectrum = np.asarray(spectrum, dtype=float)
+    return ModelSpec(
+        id="linear",
+        dim=len(spectrum),
+        linear_spectrum=spectrum,
+        nonlinearity=lambda x: np.zeros_like(x),
+        lyapunov=lambda x: np.sqrt((x * x).sum(-1)),
+        noise_coeffs=np.asarray(noise_coeffs, dtype=float),
+        params={},
+    )
+
+
+def constant_binding(model: ModelSpec, value: float = 0.0) -> BindingSpec:
+    """The force ``G = value`` on every forced coordinate, at every pair."""
+    return BindingSpec(
+        model_id=model.id,
+        force=lambda xy, f_xy: np.full(xy.shape[1:-1] + (model.n_noise,), value),
+    )
+
+
+def force_at(model: ModelSpec, binding: BindingSpec, x, y) -> np.ndarray:
+    """The binding force at the copies ``(x, y)``, as the stepper
+    evaluates it: on the stacked copies and the nonlinearity there."""
+    xy = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+    return binding.force(xy, model.nonlinearity(xy))
+
+
+def girsanov_sums(force: np.ndarray, increments: np.ndarray, dt: float):
+    """The log weight ``Σ G·Δω - |G|² dt/2``, the running ``Σ |G|² dt`` and
+    the sticky flag ``|log weight| > engine.LOG_DENSITY_OVERFLOW``, summed
+    in a plain loop over the steps' forces ``(steps, n_noise)`` and
+    increments; each array holds its value before the first step as
+    record 0."""
+    running_log, running_l2, flag = 0.0, 0.0, False
+    log_density, g_l2, overflow = [0.0], [0.0], [False]
+    for g, dw in zip(force, increments):
+        g_sq = float((g**2).sum())
+        running_log += float((g * dw).sum()) - 0.5 * g_sq * dt
+        running_l2 += g_sq * dt
+        flag = flag or abs(running_log) > engine.LOG_DENSITY_OVERFLOW
+        log_density.append(running_log)
+        g_l2.append(running_l2)
+        overflow.append(flag)
+    return np.array(log_density), np.array(g_l2), np.array(overflow)
+
+
+def evaluate(p: IndexedPolynomial, assignment):
+    """Evaluate by direct summation of monomials.
+
+    Values may be scalars or numpy arrays of a common broadcastable
+    shape.  Raises :class:`PolynomialError` on unbound variables.
+    """
+    missing = p.variables() - set(assignment)
+    if missing:
+        raise PolynomialError(f"unbound variable(s): {sorted(missing)}")
+    total = 0.0
+    for mono, coef in p.terms.items():
+        term = coef
+        for var, power in mono:
+            term = term * assignment[var] ** power
+        total = total + term
+    return total
+
+
+def dirac_dl_distance(separation: float) -> float:
+    """Closed form for two point masses at Euclidean distance d: 2d/(2+d)."""
+    return 2.0 * separation / (2.0 + separation)
 
 
 def parse_polynomial(text: str) -> IndexedPolynomial:

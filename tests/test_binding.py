@@ -14,7 +14,6 @@ from asymcouple.binding import (
     dump_cascade_text,
     gl_coupled_diagonal,
     make_binding,
-    null_binding,
 )
 from asymcouple.models import (
     LENGTH,
@@ -25,25 +24,20 @@ from asymcouple.models import (
     make_toy2d,
 )
 from asymcouple.polynomials import IndexedPolynomial as P
-from asymcouple.polynomials import PolynomialError, evaluate, lie_derivative
-from oracles import drift, parse_cascade_dump
-
-
-def force_at(model, x, y):
-    """The model's binding force at the copies ``(x, y)``, as the stepper
-    evaluates it: on the stacked copies and the nonlinearity there."""
-    xy = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-    return make_binding(model).force(xy, model.nonlinearity(xy))
+from asymcouple.polynomials import PolynomialError, lie_derivative
+from oracles import constant_binding, drift, evaluate, force_at, parse_cascade_dump
 
 
 class TestToyBinding:
     def test_diagonal_vanishes(self):
+        toy = make_toy2d()
         x = np.array([0.7, -0.3])
-        assert np.all(force_at(make_toy2d(), x, x) == 0.0)
+        assert np.all(force_at(toy, make_binding(toy), x, x) == 0.0)
 
     def test_reference_value(self):
         # x = 0, y = (0, 1): zeta = 3, parts give G = -13 + 3 = -10
-        g = force_at(make_toy2d(), np.array([0.0, 0.0]), np.array([0.0, 1.0]))
+        toy = make_toy2d()
+        g = force_at(toy, make_binding(toy), np.array([0.0, 0.0]), np.array([0.0, 1.0]))
         assert g == pytest.approx([-10.0])
 
     def test_forces_linear_contraction_of_zeta(self):
@@ -55,7 +49,7 @@ class TestToyBinding:
         for _ in range(50):
             x = rng.normal(size=2)
             y = rng.normal(size=2)
-            g = force_at(toy, x, y)
+            g = force_at(toy, binding, x, y)
             rho_dot = drift(toy, y) - drift(toy, x) + np.array([g[0], 0.0])
             zeta = (y - x)[0] + 3.0 * (y - x)[1]
             assert binding.zeta_map(np.stack([x, y])) == pytest.approx([zeta], abs=0.0)
@@ -66,7 +60,7 @@ class TestGLBinding:
     def test_diagonal_vanishes(self):
         gl = make_ginzburg_landau(modes=16)
         u = np.random.default_rng(1).normal(size=16)
-        np.testing.assert_array_equal(force_at(gl, u, u), np.zeros(gl.n_noise))
+        np.testing.assert_array_equal(force_at(gl, make_binding(gl), u, u), np.zeros(gl.n_noise))
 
     def test_mode_zero_formula(self):
         # lambda_0 = 0, q_0 = 1, rho_0 = 0.5 -> G_0 = -(2+0)/1 * 0.5
@@ -74,7 +68,7 @@ class TestGLBinding:
         x = np.zeros(16)
         y = np.zeros(16)
         y[0] = 0.5
-        assert force_at(gl, x, y)[0] == pytest.approx(-1.0)
+        assert force_at(gl, make_binding(gl), x, y)[0] == pytest.approx(-1.0)
 
     def test_coupled_diagonal_below_gap(self):
         gl = make_ginzburg_landau(modes=32, forced_modes=3)
@@ -92,7 +86,7 @@ class TestRDBinding:
     def test_diagonal_vanishes(self):
         rd = make_reaction_diffusion(modes_per_component=8)
         x = np.random.default_rng(2).normal(size=rd.dim)
-        np.testing.assert_allclose(force_at(rd, x, x), np.zeros(rd.n_noise), atol=0.0)
+        np.testing.assert_allclose(force_at(rd, make_binding(rd), x, x), np.zeros(rd.n_noise), atol=0.0)
 
     def test_forces_damped_heat_equation_for_zeta(self):
         # with the force included, d zeta/dt = (Δ - 1) zeta mode by mode
@@ -104,7 +98,7 @@ class TestRDBinding:
         for _ in range(20):
             x = rng.normal(size=rd.dim) * 0.5
             y = rng.normal(size=rd.dim) * 0.5
-            g = force_at(rd, x, y)
+            g = force_at(rd, binding, x, y)
             rho_dot = drift(rd, y) - drift(rd, x)
             rho_dot[:half] += g
             zeta = binding.zeta_map(np.stack([x, y]))
@@ -131,7 +125,7 @@ class TestRDBinding:
             return -zeta - (du + 3.0 * dv)
 
         expected = scalar_force(x[0] / amp, x[half] / amp, y[0] / amp, y[half] / amp)
-        got = force_at(rd, x, y)
+        got = force_at(rd, make_binding(rd), x, y)
         assert got[0] / amp == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(got[1:], 0.0, atol=1e-12)
 
@@ -153,7 +147,7 @@ class TestRDBinding:
         du = (lap[j] + 2.0) * ru + rv
         dv = (lap[j] + 2.0) * rv + ru
         expected = (lap[j] - 1.0) * zeta - (du + 3.0 * dv)
-        assert force_at(rd, x, y)[j] == pytest.approx(expected, rel=1e-6)
+        assert force_at(rd, make_binding(rd), x, y)[j] == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize("batch", [1, 7, 300])
     def test_one_stacked_call_equals_two_nonlinearity_calls(self, batch):
@@ -167,7 +161,7 @@ class TestRDBinding:
         zeta = rho[..., :half] + 3.0 * rho[..., half:]
         delta = rd.linear_spectrum * rho + rd.nonlinearity(y) - rd.nonlinearity(x)
         expected = (rd.params["laplacian"] - 1.0) * zeta - (delta[..., :half] + 3.0 * delta[..., half:])
-        np.testing.assert_array_equal(force_at(rd, x, y), expected)
+        np.testing.assert_array_equal(force_at(rd, make_binding(rd), x, y), expected)
 
 
 class TestZetaCascade:
@@ -227,7 +221,7 @@ class TestZetaCascade:
         model = make_chain(a_squared=5.0)
         binding = make_binding(model, build_zeta_cascade(model))
         x = np.random.default_rng(5).normal(size=model.dim)
-        assert force_at(model, x, x) == pytest.approx([0.0], abs=0.0)
+        assert force_at(model, binding, x, x) == pytest.approx([0.0], abs=0.0)
         # a state narrower than the cascade's truncation is rejected
         with pytest.raises(PolynomialError, match="variable values"):
             binding.force(np.stack([x[:4], x[:4]]), None)
@@ -309,7 +303,7 @@ class TestDiagonalVanishing:
             states = rng.normal(size=(1000, model.dim)) * rng.choice(
                 [0.3, 1.0, 3.0], size=(1000, 1)
             )
-            force = force_at(model, states, states)
+            force = force_at(model, make_binding(model), states, states)
             assert np.all(force == 0.0)
 
     def test_growth_bound_exponents_per_model(self):
@@ -337,7 +331,7 @@ class TestDiagonalVanishing:
 
 def test_null_binding_is_zero():
     toy = make_toy2d()
-    spec = null_binding(toy)
+    spec = constant_binding(toy)
     assert np.all(spec.force(np.stack([np.ones(2), np.zeros(2)]), None) == 0.0)
 
 

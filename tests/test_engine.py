@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from asymcouple import engine
-from asymcouple.binding import BindingSpec, make_binding, null_binding
+from asymcouple.binding import BindingSpec, make_binding
 from asymcouple.engine import (
     BlowUpError,
     CoupledEnsembleResult,
@@ -32,6 +32,7 @@ from asymcouple.models import (
     make_reaction_diffusion,
     make_toy2d,
 )
+from oracles import constant_binding, force_at, girsanov_sums, linear_model
 
 TOY = make_toy2d()
 
@@ -44,13 +45,6 @@ BOUND_PAIRS = {
 }
 
 
-def force_at(model, binding, x, y):
-    """The binding force at the copies ``(x, y)``: on the stacked copies
-    and the model's nonlinearity there, as the stepper evaluates it."""
-    xy = np.stack([x, y])
-    return binding.force(xy, model.nonlinearity(xy))
-
-
 def bound_pair(model_id, model=None):
     factory, x_head, off_head = BOUND_PAIRS[model_id]
     model = model or factory()
@@ -59,18 +53,6 @@ def bound_pair(model_id, model=None):
     y0 = x0.copy()
     y0[: len(off_head)] += off_head
     return model, x0, y0
-
-
-def scalar_model(rate=-1.0):
-    return ModelSpec(
-        id="toy2d",
-        dim=1,
-        linear_spectrum=np.array([rate]),
-        nonlinearity=lambda x: np.zeros_like(x),
-        lyapunov=lambda x: np.sqrt((x * x).sum(-1)),
-        noise_coeffs=np.array([1.0]),
-        params={},
-    )
 
 
 class TestSampleNoise:
@@ -107,7 +89,7 @@ class TestSampleNoise:
 
 class TestIntegrate:
     def test_exact_linear_decay(self):
-        model = scalar_model(-1.0)
+        model = linear_model([-1.0], [1.0])
         noise = NoisePath(dt=1e-3, increments=np.zeros((1000, 1)))
         traj = integrate(model, np.array([1.0]), noise, record_every=1000)
         assert traj.states[-1, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-13)
@@ -223,27 +205,21 @@ class TestCoupled:
 
 class TestGirsanov:
     def test_null_binding_density_one(self):
-        binding = null_binding(TOY)
+        binding = constant_binding(TOY)
         noise = sample_noise(TOY, 500, 1e-3, seed=8)
         traj = integrate_coupled(TOY, binding, np.zeros(2), np.ones(2), noise)
         assert traj.log_density[-1, 0] == 0.0
 
     def test_constant_force_closed_form(self):
         c = 0.7
-        const = BindingSpec(
-            model_id="toy2d",
-            force=lambda xy, f_xy: np.full(xy.shape[1:-1] + (1,), c),
-        )
+        const = constant_binding(TOY, c)
         noise = sample_noise(TOY, 1000, 1e-3, seed=9)
         traj = integrate_coupled(TOY, const, np.zeros(2), np.zeros(2), noise)
         omega_1 = noise.increments[:, 0].sum()
         assert traj.log_density[-1, 0] == pytest.approx(c * omega_1 - c**2 / 2.0, rel=1e-12)
 
     def test_overflow_flagged(self):
-        huge = BindingSpec(
-            model_id="toy2d",
-            force=lambda xy, f_xy: np.full(xy.shape[1:-1] + (1,), 2000.0),
-        )
+        huge = constant_binding(TOY, 2000.0)
         noise = sample_noise(TOY, 1000, 1e-3, seed=10)
         traj = integrate_coupled(TOY, huge, np.zeros(2), np.zeros(2), noise)
         assert traj.overflow[-1, 0]
@@ -271,7 +247,7 @@ class TestGirsanov:
 
 class TestShiftNoise:
     def test_zero_force_is_identity(self):
-        binding = null_binding(TOY)
+        binding = constant_binding(TOY)
         noise = sample_noise(TOY, 200, 1e-3, seed=12)
         traj = integrate_coupled(TOY, binding, np.zeros(2), np.ones(2), noise)
         shifted = shift_noise(TOY, noise, traj, binding)
@@ -334,15 +310,9 @@ def test_shift_noise_applies_the_force_the_stepper_applied(model_id):
     assert np.abs(force).max() > 0.0
     shifted = shift_noise(model, noise, pair, binding)
     np.testing.assert_array_equal(shifted.increments, noise.increments + force * noise.dt)
-    log_density, g_l2 = np.zeros(noise.steps), np.zeros(noise.steps)
-    running_log, running_l2 = 0.0, 0.0
-    for k in range(noise.steps):
-        g_sq = float((force[k] ** 2).sum())
-        running_log += float((force[k] * noise.increments[k]).sum()) - 0.5 * g_sq * noise.dt
-        running_l2 += g_sq * noise.dt
-        log_density[k], g_l2[k] = running_log, running_l2
-    np.testing.assert_array_equal(pair.log_density[1:, 0], log_density)
-    np.testing.assert_array_equal(pair.g_l2[1:, 0], g_l2)
+    log_density, g_l2, _ = girsanov_sums(force, noise.increments, noise.dt)
+    np.testing.assert_array_equal(pair.log_density[:, 0], log_density)
+    np.testing.assert_array_equal(pair.g_l2[:, 0], g_l2)
 
 
 class TestEnsembles:
@@ -540,7 +510,7 @@ def assert_paths_equal(joined, whole, where, first=0):
     path ``first`` on."""
     for field in fields(whole):
         got, value = getattr(joined, field.name), getattr(whole, field.name)
-        if field.name not in ("times", "dt") and value is not None:
+        if field.name != "times" and value is not None:
             value = value[:, first : first + got.shape[1]]
         np.testing.assert_array_equal(got, value, err_msg=f"{where}: {field.name}")
 
@@ -671,14 +641,6 @@ def fold_bytes(model, n_paths, rows):
     return 8 * n_paths * (3 * model.n_noise + 10) * rows
 
 
-def constant_pair():
-    force = BindingSpec(
-        model_id="toy2d",
-        force=lambda xy, f_xy: np.full(xy.shape[1:-1] + (1,), 3.0),
-    )
-    return TOY, force, np.array([1.0, 0.5]), np.array([1.2, 0.4])
-
-
 @pytest.mark.parametrize("model_id", [*BOUND_PAIRS, "constant"])
 def test_girsanov_folds_equal_a_step_by_step_sum(model_id, monkeypatch):
     # the stepper buffers each step's force and folds the Girsanov sums a
@@ -690,7 +652,8 @@ def test_girsanov_folds_equal_a_step_by_step_sum(model_id, monkeypatch):
     # crosses it and comes back: the flag must stay set.  Dropping the
     # carry of any running sum or of the flag into a fold fails this test.
     if model_id == "constant":
-        model, binding, x0, y0 = constant_pair()
+        model, binding = TOY, constant_binding(TOY, 3.0)
+        x0, y0 = np.array([1.0, 0.5]), np.array([1.2, 0.4])
     else:
         model, x0, y0 = bound_pair(model_id)
         binding = make_binding(model)
@@ -714,16 +677,8 @@ def test_girsanov_folds_equal_a_step_by_step_sum(model_id, monkeypatch):
     for i in range(n):
         noise = sample_noise(model, steps, dt, seed=41, stream=i)
         force = force_at(model, binding, pairs.x[:-1, i], pairs.y[:-1, i])
-        running_log, running_l2, flag = 0.0, 0.0, False
-        expected = {"log_density": [0.0], "g_l2": [0.0], "overflow": [False]}
-        for k in range(steps):
-            g_sq = float((force[k] ** 2).sum())
-            running_log += float((force[k] * noise.increments[k]).sum()) - 0.5 * g_sq * dt
-            running_l2 += g_sq * dt
-            flag = flag or abs(running_log) > engine.LOG_DENSITY_OVERFLOW
-            for name, value in zip(expected, (running_log, running_l2, flag)):
-                expected[name].append(value)
-        for name, values in expected.items():
+        expected = girsanov_sums(force, noise.increments, dt)
+        for name, values in zip(("log_density", "g_l2", "overflow"), expected):
             np.testing.assert_array_equal(getattr(pairs, name)[:, i], values,
                                           err_msg=f"path {i}: {name}")
     if model_id == "constant":

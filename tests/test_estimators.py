@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from asymcouple import estimators
-from asymcouple.binding import BindingSpec, make_binding, null_binding
+from asymcouple.binding import make_binding
 from asymcouple.engine import EngineError, run_coupled_ensemble, run_ensemble
 from asymcouple.estimators import (
     DL_DEFAULT_CAP,
@@ -27,13 +27,13 @@ from asymcouple.estimators import (
     binding_growth_exponents,
     bootstrap_null_quantile,
     density_diagnostics,
-    dirac_dl_distance,
     dual_lipschitz_distance,
     fit_contraction,
     lyapunov_fit,
     mixing_distance_series,
 )
-from asymcouple.models import ModelSpec, lyapunov, make_model, make_toy2d
+from asymcouple.models import lyapunov, make_model, make_toy2d
+from oracles import constant_binding, dirac_dl_distance, linear_model
 
 TOY = make_toy2d()
 
@@ -352,15 +352,7 @@ def probe_fit(model, probes, samples, dt, seed):
 class TestLyapunovFit:
     def test_deterministic_linear_flow(self):
         # dx/dt = -x with V = |x|: the one-unit map scales V by e^{-1}
-        model = ModelSpec(
-            id="toy2d",
-            dim=1,
-            linear_spectrum=np.array([-1.0]),
-            nonlinearity=lambda x: np.zeros_like(x),
-            lyapunov=lambda x: np.sqrt((x * x).sum(-1)),
-            noise_coeffs=np.array([1e-12]),
-            params={},
-        )
+        model = linear_model([-1.0], [1e-12])
         probes = [np.array([v]) for v in (0.0, 0.5, 1.0, 2.0, 4.0)]
         fit = probe_fit(model, probes, 4, dt=1e-3, seed=6)
         assert fit.a == pytest.approx(math.exp(-1.0), abs=1e-6)
@@ -476,7 +468,7 @@ def _coupled(binding, x0, y0, n_traj, units, seed, record_every=None):
 
 class TestDensityDiagnostics:
     def test_null_binding_is_exact(self):
-        ens = _coupled(null_binding(TOY), np.zeros(2), np.ones(2), 50, 4, seed=11)
+        ens = _coupled(constant_binding(TOY), np.zeros(2), np.ones(2), 50, 4, seed=11)
         diag = density_diagnostics(TOY, ens, horizons=[1, 2, 3])
         assert diag.mean_density == [1.0, 1.0, 1.0]
         assert diag.mean_inv_sq_good == [1.0, 1.0, 1.0]
@@ -495,7 +487,7 @@ class TestDensityDiagnostics:
         assert diag.gamma2_hat is not None and diag.gamma2_hat > 0.0
 
     def test_bad_horizons(self):
-        ens = _coupled(null_binding(TOY), np.zeros(2), np.ones(2), 5, 1, seed=0)
+        ens = _coupled(constant_binding(TOY), np.zeros(2), np.ones(2), 5, 1, seed=0)
         with pytest.raises(EstimatorError):
             density_diagnostics(TOY, ens, horizons=[0])
         with pytest.raises(EngineError, match="before 2"):
@@ -506,10 +498,7 @@ class TestDensityDiagnostics:
         # a constant force G = 22 takes G²/2 = 242 per unit off the log
         # weight, so every path passes |log D| = 700 near t = 2.9: overflows
         # after the horizon's last unit must not count
-        const = BindingSpec(
-            model_id="toy2d",
-            force=lambda xy, f_xy: np.full(xy.shape[1:-1] + (1,), 22.0),
-        )
+        const = constant_binding(TOY, 22.0)
         x0 = np.array([1.0, 0.5])
         run = partial(_coupled, const, x0, x0, 20, seed=14, record_every=record_every)
         short, long = run(2), run(4)

@@ -19,8 +19,7 @@ from asymcouple.models import (
     make_reaction_diffusion,
     make_toy2d,
 )
-from asymcouple.polynomials import evaluate
-from oracles import drift
+from oracles import drift, evaluate
 
 
 def chain_drift_oracle(a2, x):

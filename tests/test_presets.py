@@ -1,9 +1,9 @@
 """Preset rules: negative controls that must FAIL, and every threshold pinned.
 
 A control runs a gate's own measurement, at the gate's own starts and
-pinned seed, with the binding force switched off (``null_binding``'s
-zero force; the model's own zeta map is kept so the zeta checks still
-read).  The copies then share the noise and nothing binds them, so a
+pinned seed, with the binding force switched off (the zero force of
+``oracles.constant_binding``; the model's own zeta map is kept so the
+zeta checks still read).  The copies then share the noise and nothing binds them, so a
 check of the paper's contraction mechanism must FAIL.
 
 Not pinned here, because they PASS or barely FAIL unbound at their
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from asymcouple import presets
-from asymcouple.binding import BindingSpec, null_binding
+from asymcouple.binding import BindingSpec
 from asymcouple.presets import (
     chain_rule,
     girsanov_rule,
@@ -28,6 +28,7 @@ from asymcouple.presets import (
     rd_rule,
     toy_rule,
 )
+from oracles import constant_binding
 
 
 class _Measured(Exception):
@@ -35,7 +36,7 @@ class _Measured(Exception):
 
 
 def _unbound(model, binding):
-    return BindingSpec(model.id, null_binding(model).force, binding.zeta_map)
+    return BindingSpec(model.id, constant_binding(model).force, binding.zeta_map)
 
 
 def unbound_numbers(monkeypatch, preset_id, measure_name):
