@@ -16,6 +16,14 @@ cascading Lie derivatives down the nearest-neighbour structure until the
 forced site is reached.  The cascade is built for the same truncated
 system the integrator runs, so its identities hold for the simulated
 dynamics by construction.
+
+The force-free coupled field is the chain's own field on each copy, so
+every cascade variable is the difference of one single-chain polynomial
+at the two copies: with ``L`` the Lie derivative along the chain and
+``Z_l = (1 + L)^(l-1) x_{k*-1}``, ``zeta_l = Z_l(y) - Z_l(x)`` and
+``G = Z_{k*+1}(x) - Z_{k*+1}(y)``.  The chain's force and zeta map
+evaluate these ``Z_l`` on the stacked copies (28 terms at a² = 2 and
+479 at k* = 6, against the 130 and 8337 of the coupled ``G``).
 """
 
 from __future__ import annotations
@@ -151,7 +159,10 @@ class ZetaCascade:
     ``Q_{k*+1}``; ``g_poly`` is the force with
     ``d zeta_{k*}/dt = -zeta_{k*}`` along the coupled flow, ``field`` the
     flow's first ``min(truncation, 2 k* + 1)`` sites.  The cascade
-    evaluates nothing: :func:`make_binding` compiles it.
+    evaluates nothing.  Its coupled polynomials are what ``dump-cascade``
+    prints and :func:`cascade_shape_ok` checks; :func:`make_binding`
+    compiles instead the single-chain ``Z_l`` along ``field``'s x rows,
+    of which they are the differences at the two copies.
     """
 
     a_squared: float
@@ -299,19 +310,23 @@ def make_binding(model: ModelSpec, cascade: ZetaCascade | None = None) -> Bindin
             cascade = build_zeta_cascade(model)
         if cascade.truncation != model.dim or cascade.a_squared != model.params["a_squared"]:
             raise BindingError("cascade was built for different chain parameters")
-        g = compile_polynomial(cascade.g_poly, cascade.var_order)
-        zetas = [compile_polynomial(z, cascade.var_order) for z in cascade.zetas]
+        # Z_1 .. Z_{k*+1} of the module docstring; they read only x rows
+        sites = cascade.field.truncation
+        levels = [IndexedPolynomial.variable("x", cascade.k_star - 1)]
+        for _ in range(cascade.k_star):
+            levels.append(lie_derivative(levels[-1], cascade.field) + levels[-1])
+        order = tuple(("x", i) for i in range(sites))
+        levels = [compile_polynomial(z, order) for z in levels]
 
-        def state(xy):
-            # the cascade's variables (x, rho) with rho = y - x
-            return np.concatenate([xy[0], xy[1] - xy[0]], axis=-1)
-
-        def zeta_map(xy):
-            values = state(xy)
-            return np.stack([z.evaluate(values) for z in zetas], axis=-1)
+        def rise(level, xy):
+            # Z(y) - Z(x) for one compiled level, read on the stacked copies
+            if xy.shape[-1] != model.dim:
+                raise BindingError(f"expected states of width {model.dim}, got {xy.shape[-1]}")
+            z = level.evaluate(xy[..., :sites])
+            return z[1] - z[0]
 
         return BindingSpec(model_id=model.id,
-                           force=lambda xy, f_xy: g.evaluate(state(xy))[..., None],
-                           zeta_map=zeta_map)
+                           force=lambda xy, f_xy: -rise(levels[-1], xy)[..., None],
+                           zeta_map=lambda xy: np.stack([rise(z, xy) for z in levels[:-1]], axis=-1))
     raise BindingError(f"no binding construction for model {model.id!r}")
 

@@ -8,9 +8,10 @@ Each is written the obvious way and read only by the tests:
 - ``parse_polynomial`` and ``parse_cascade_dump``: read back the dumps
   the library writes but never reads (``format_polynomial``,
   ``dump_cascade_text``), to check that the text is lossless.
-- ``evaluate``: term-by-term evaluation of a symbolic polynomial; it
-  pins ``CompiledPolynomial.evaluate`` (and with it the chain's force
-  and zeta maps) and, through finite differences, ``lie_derivative``.
+- ``evaluate``: term-by-term evaluation of a symbolic polynomial, in
+  floats or exactly in fractions; it pins ``CompiledPolynomial.evaluate``
+  (and with it the chain's force and zeta maps, also against exact
+  rationals) and, through finite differences, ``lie_derivative``.
 - ``dirac_dl_distance``: the closed form for two point masses; it pins
   ``dual_lipschitz_distance``.
 - ``force_at``: a binding force at the copies ``(x, y)``, as the stepper
@@ -25,6 +26,8 @@ Each is written the obvious way and read only by the tests:
   whose flow the exponential stepper integrates exactly; it pins the
   stepper and ``lyapunov_fit``.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -98,14 +101,17 @@ def evaluate(p: IndexedPolynomial, assignment):
     """Evaluate by direct summation of monomials.
 
     Values may be scalars or numpy arrays of a common broadcastable
-    shape.  Raises :class:`PolynomialError` on unbound variables.
+    shape.  On :class:`fractions.Fraction` values the evaluation is
+    exact: the coefficients are taken as fractions too.  Raises
+    :class:`PolynomialError` on unbound variables.
     """
     missing = p.variables() - set(assignment)
     if missing:
         raise PolynomialError(f"unbound variable(s): {sorted(missing)}")
-    total = 0.0
+    exact = any(isinstance(value, Fraction) for value in assignment.values())
+    total = Fraction(0) if exact else 0.0
     for mono, coef in p.terms.items():
-        term = coef
+        term = Fraction(coef) if exact else coef
         for var, power in mono:
             term = term * assignment[var] ** power
         total = total + term

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from asymcouple.models import (
     make_toy2d,
 )
 from asymcouple.polynomials import IndexedPolynomial as P
-from asymcouple.polynomials import PolynomialError, lie_derivative
+from asymcouple.polynomials import lie_derivative
 from oracles import constant_binding, drift, evaluate, force_at, parse_cascade_dump
 
 
@@ -222,9 +223,59 @@ class TestZetaCascade:
         binding = make_binding(model, build_zeta_cascade(model))
         x = np.random.default_rng(5).normal(size=model.dim)
         assert force_at(model, binding, x, x) == pytest.approx([0.0], abs=0.0)
-        # a state narrower than the cascade's truncation is rejected
-        with pytest.raises(PolynomialError, match="variable values"):
-            binding.force(np.stack([x[:4], x[:4]]), None)
+        # the force reads the first 2 k* + 1 sites, yet a state narrower or
+        # wider than the chain is rejected
+        for width in (4, model.dim - 1, model.dim + 1):
+            state = np.resize(x, width)
+            with pytest.raises(BindingError, match=f"width {model.dim}, got {width}"):
+                binding.force(np.stack([state, state]), None)
+            with pytest.raises(BindingError, match=f"width {model.dim}, got {width}"):
+                binding.zeta_map(np.stack([state, state]))
+
+    @pytest.mark.parametrize("a2", [0.0, 2.0, 5.0, 7.0])
+    def test_coupled_cascade_is_a_difference_of_single_chain_polynomials(self, a2):
+        # the force-free coupled field is the chain's field on each copy, so
+        # with Z_l = (1 + L)^(l-1) x_{k*-1} along the chain's x rows,
+        # zeta_l = Z_l(x + rho) - Z_l(x) and G = Z_{k*+1}(x) - Z_{k*+1}(x + rho)
+        # term for term; at integer a² every coefficient is an integer, so
+        # the float polynomials agree exactly
+        cascade = build_zeta_cascade(make_chain(a_squared=a2))
+        levels = [P.variable("x", cascade.k_star - 1)]
+        for _ in range(cascade.k_star):
+            levels.append(lie_derivative(levels[-1], cascade.field) + levels[-1])
+        for poly in levels + cascade.zetas + [cascade.g_poly]:
+            assert all(c == round(c) for c in poly.terms.values())
+        for level, zeta in enumerate(cascade.zetas, start=1):
+            assert zeta == _at_second_copy(levels[level - 1]) - levels[level - 1]
+        assert cascade.g_poly == levels[-1] - _at_second_copy(levels[-1])
+
+    @pytest.mark.parametrize("a2", [0.0, 2.0, 5.0])
+    def test_force_is_accurate_against_exact_rationals(self, a2):
+        # the stepper carries (x, rho) and hands the force y = fl(x + rho);
+        # the coupled G evaluated exactly at the stepper's own (x, rho) is
+        # the reference, down to separations at the rounding of x
+        from asymcouple.engine import run_coupled_ensemble
+
+        model = make_chain(a_squared=a2)
+        cascade = build_zeta_cascade(model)
+        binding = make_binding(model, cascade)
+        x0 = np.zeros(model.dim)
+        x0[:5] = [0.4, 0.3, -0.2, 0.1, 0.05]
+        y0 = x0.copy()
+        y0[:5] += [0.2, 0.1, -0.08, 0.05, 0.03]
+        ens = run_coupled_ensemble(model, binding, x0, y0, 3, 2, 1e-3, seed=31, record_every=250)
+        x = ens.x.reshape(-1, model.dim)
+        direction = ens.rho.reshape(-1, model.dim)
+        direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+        worst = 0.0
+        for size in (1e-2, 1e-6, 1e-10, 1e-14):
+            rho = size * direction
+            g = force_at(model, binding, x, x + rho)[:, 0]
+            for xi, rhoi, gi in zip(x, rho, g):
+                assign = {("x", i): Fraction(v) for i, v in enumerate(xi)}
+                assign.update({("rho", i): Fraction(v) for i, v in enumerate(rhoi)})
+                worst = max(worst, abs(gi - float(evaluate(cascade.g_poly, assign))))
+        assert worst <= 1e-12
 
     def test_cascade_model_mismatch_rejected(self):
         cascade = build_zeta_cascade(make_chain(a_squared=5.0))
@@ -278,6 +329,17 @@ class TestZetaCascade:
             warnings.simplefilter("always")
             build_zeta_cascade(make_chain(a_squared=5.0))
         assert not caught
+
+
+def _at_second_copy(p):
+    """``p`` with every ``x_i`` replaced by ``x_i + rho_i``, expanded."""
+    total = P()
+    for mono, coef in p.terms.items():
+        term = P.constant(coef)
+        for (_, i), power in mono:
+            term = term * (P.variable("x", i) + P.variable("rho", i)) ** power
+        total = total + term
+    return total
 
 
 @pytest.mark.parametrize("model", [make_toy2d(), make_reaction_diffusion(modes_per_component=8)],

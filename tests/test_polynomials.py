@@ -189,7 +189,7 @@ def test_compiled_matches_direct(p):
     np.testing.assert_allclose(compiled.evaluate(values), direct, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("a_squared", [0.0, 2.0, 5.0])
+@pytest.mark.parametrize("a_squared", [0.0, 2.0, 5.0, 14.0, 33.0])
 def test_compiled_cascade_matches_symbolic_evaluation(a_squared):
     # the chain binding's force and zeta map run through compiled
     # polynomials; symbolic term-by-term evaluation is their oracle
@@ -226,18 +226,21 @@ def test_path_blocks_give_each_path_its_own_value(which, paths):
 
 def test_a_chain_force_call_works_in_a_fixed_space():
     # the trie's node table and term products are held for one path block
-    # at a time, so a wider batch adds only its inputs and outputs
-    model = make_chain(a_squared=2.0)
-    binding = make_binding(model)
-    rng = np.random.default_rng(7)
-    peaks = {}
-    for paths in (2000, 8000):
-        xy = rng.normal(size=(2, paths, model.dim)) * 0.5
-        binding.force(xy, None)
-        tracemalloc.start()
-        try:
+    # at a time, so a wider batch adds only its inputs and outputs; one
+    # block's workspace stays small up to the largest cascade, k* = 6
+    for a_squared in (2.0, 33.0):
+        model = make_chain(a_squared=a_squared)
+        binding = make_binding(model)
+        rng = np.random.default_rng(7)
+        peaks = {}
+        for paths in (PATH_BLOCK, 2000, 8000):
+            xy = rng.normal(size=(2, paths, model.dim)) * 0.5
             binding.force(xy, None)
-            peaks[paths] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert (peaks[8000] - peaks[2000]) / 6000 < 1024
+            tracemalloc.start()
+            try:
+                binding.force(xy, None)
+                peaks[paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[PATH_BLOCK] <= 8 * 2**20, f"a² = {a_squared}: {peaks[PATH_BLOCK]} B"
+        assert (peaks[8000] - peaks[2000]) / 6000 < 1024, f"a² = {a_squared}"
