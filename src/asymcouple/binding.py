@@ -11,23 +11,24 @@ The toy and reaction-diffusion systems share one construction
 (:func:`zeta_binding`): the force makes the linear combination
 ``zeta = rho_u + 3 rho_v`` of the difference obey an explicit linear
 contraction.  Ginzburg-Landau cancels the non-contracting linear rates
-mode by mode; the chain derives its scalar force symbolically by
-cascading Lie derivatives down the nearest-neighbour structure until the
-forced site is reached.  The cascade is built for the same truncated
-system the integrator runs, so its identities hold for the simulated
-dynamics by construction.
-
-The force-free coupled field is the chain's own field on each copy, so
-every cascade variable is the difference of one single-chain polynomial
-at the two copies: with ``L`` the Lie derivative along the chain and
-``Z_l = (1 + L)^(l-1) x_{k*-1}``, ``zeta_l = Z_l(y) - Z_l(x)`` and
-``G = Z_{k*+1}(x) - Z_{k*+1}(y)``.  The chain's force and zeta map
-evaluate these ``Z_l`` on the stacked copies (28 terms at a² = 2 and
-479 at k* = 6, against the 130 and 8337 of the coupled ``G``).
+mode by mode.  The chain derives its scalar force symbolically, by
+cascading Lie derivatives ``L`` along the chain down the
+nearest-neighbour structure until the forced site is reached: one
+derivation gives the levels ``Z_l = (1 + L)^(l-1) x_{k*-1}``.  The
+force-free coupled field is the chain's own field on each copy, so the
+cascade variables are ``zeta_l = Z_l(y) - Z_l(x)`` and the force is
+``G = Z_{k*+1}(x) - Z_{k*+1}(y)``; the force and zeta map evaluate the
+``Z_l`` on the stacked copies (28 terms at a² = 2 and 479 at k* = 6,
+against the 130 and 8337 of the expanded coupled ``G``).  The levels are
+derived for the same truncated system the integrator runs, so their
+identities hold for the simulated dynamics by construction.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -122,121 +123,112 @@ def gl_coupled_diagonal(model: ModelSpec, binding: BindingSpec) -> np.ndarray:
 
 
 def chain_vector_field(model: ModelSpec) -> PolyVectorField:
-    """Joint drift field of the coupled chain in the variables (x_i, rho_i).
-
-    The second copy is eliminated through ``y = x + rho``; the binding
-    force is left out (it is what the cascade will construct), and the
-    boundary is closed with ``x_M = rho_M = 0``.
-    """
-    if model.id != "chain":
-        raise BindingError("chain_vector_field requires a chain model")
+    """Drift field of the chain in its site variables ``x_i``, with the
+    boundary closed by ``x_M = 0``."""
     a2 = model.params["a_squared"]
     m = model.dim
-    xv = [IndexedPolynomial.variable("x", i) for i in range(m)]
-    rv = [IndexedPolynomial.variable("rho", i) for i in range(m)]
-    zero = IndexedPolynomial()
-    rows: dict[tuple[str, int], IndexedPolynomial] = {}
-    for i in range(m):
-        left_x = xv[i - 1] if i >= 1 else zero
-        right_x = xv[i + 1] if i + 1 < m else zero
-        rows[("x", i)] = (a2 - i**2) * xv[i] + left_x + right_x - xv[i] ** 3
-        left_r = rv[i - 1] if i >= 1 else zero
-        right_r = rv[i + 1] if i + 1 < m else zero
-        # rho * (x² + x y + y²) with y = x + rho
-        cubic = rv[i] * (3 * xv[i] ** 2 + 3 * xv[i] * rv[i] + rv[i] ** 2)
-        rows[("rho", i)] = (a2 - i**2) * rv[i] + left_r + right_r - cubic
-    return PolyVectorField(rows=rows, truncation=m)
+    # xv[-1] = xv[m] = 0 closes both ends
+    xv = [IndexedPolynomial.variable("x", i) for i in range(m)] + [IndexedPolynomial()]
+    return PolyVectorField(
+        rows={("x", i): (a2 - i**2) * xv[i] + xv[i - 1] + xv[i + 1] - xv[i] ** 3 for i in range(m)},
+        truncation=m,
+    )
+
+
+def _chain_levels(model: ModelSpec) -> tuple[list[IndexedPolynomial], PolyVectorField]:
+    """``Z_1 .. Z_{k*+1}``, by ``Z_{l+1} = L Z_l + Z_l`` from ``Z_1 = x_{k*-1}``,
+    and the field of the chain cut at ``2 k* + 1`` sites that ``L`` runs along.
+
+    ``Z_{k*}`` reaches site ``2 k* - 2`` and ``L`` one site further, so the
+    cut chain gives the polynomials of all ``M`` sites at a cost that does
+    not grow with ``M``.  Warns if a coefficient is not a multiple of 2⁻¹⁶
+    or exceeds 2⁴⁰.
+    """
+    if model.id != "chain":
+        raise BindingError("the zeta cascade requires a chain model")
+    k_star, m = model.params["k_star"], model.dim
+    if m < k_star + 2:
+        raise BindingError(f"truncation overflow: need at least {k_star + 2} sites, have {m}")
+    fld = chain_vector_field(make_chain(model.params["a_squared"], truncation=min(m, 2 * k_star + 1)))
+    levels = [IndexedPolynomial.variable("x", k_star - 1)]
+    for _ in range(k_star):
+        levels.append(lie_derivative(levels[-1], fld) + levels[-1])
+    awkward = [c for z in levels for c in z.terms.values()
+               if abs(c) > 2.0**40 or c * 2.0**16 != round(c * 2.0**16)]
+    if awkward:
+        warnings.warn(f"cascade coefficient {awkward[0]!r} is not a small dyadic rational; "
+                      "symbolic identities may carry rounding error", stacklevel=3)
+    return levels, fld
+
+
+@functools.cache
+def _splits(i: int, p: int) -> tuple:
+    """``(C(p, k), rho_i^k, x_i^(p-k))`` for ``k = 0..p``, as monomial parts."""
+    return tuple((math.comb(p, k), ((("rho", i), k),) if k else (),
+                  ((("x", i), p - k),) if p > k else ()) for k in range(p + 1))
+
+
+def _copy_difference(level: IndexedPolynomial) -> dict:
+    """The terms of ``level(x + rho) - level(x)``: each ``x_i^p`` of a
+    monomial splits into ``C(p, k) rho_i^k x_i^(p-k)``, and the split with
+    every ``k = 0``, ``level(x)``, cancels.  No two split terms share a
+    monomial, so each coefficient is one product of its source's with an
+    integer."""
+    terms = {}
+    for mono, coef in level.terms.items():
+        splits = itertools.product(*(_splits(i, p) for (_, i), p in mono))
+        for split in itertools.islice(splits, 1, None):
+            weight, rho, x = 1, (), ()
+            for factor_weight, factor_rho, factor_x in split:
+                weight *= factor_weight
+                rho += factor_rho
+                x += factor_x
+            terms[rho + x] = coef * weight
+    return terms
 
 
 @dataclass
 class ZetaCascade:
-    """Recursively derived contraction variables for the chain, as
-    symbolic polynomials in the variables ``var_order`` (the ``x_i``, then
-    the ``rho_i``).
+    """The chain's contraction variables and force, as symbolic polynomials
+    in the sites ``x_i`` and the differences ``rho_i = y_i - x_i``.
 
-    ``zetas[l-1]`` is ``zeta_l = rho_{k*-l} + Q_l`` for ``l = 1..k*``;
-    ``q_polys[l]`` holds ``Q_l`` (``Q_1 = 0``) together with the closing
-    ``Q_{k*+1}``; ``g_poly`` is the force with
-    ``d zeta_{k*}/dt = -zeta_{k*}`` along the coupled flow, ``field`` the
-    flow's first ``min(truncation, 2 k* + 1)`` sites.  The cascade
-    evaluates nothing.  Its coupled polynomials are what ``dump-cascade``
-    prints and :func:`cascade_shape_ok` checks; :func:`make_binding`
-    compiles instead the single-chain ``Z_l`` along ``field``'s x rows,
-    of which they are the differences at the two copies.
+    ``levels`` holds ``Z_1 .. Z_{k*+1}``, derived along ``field``, the
+    chain cut at ``min(truncation, 2 k* + 1)`` sites.  ``zetas[l-1]`` is
+    ``zeta_l = Z_l(x + rho) - Z_l(x) = rho_{k*-l} + Q_l`` for ``l = 1..k*``;
+    ``q_polys`` holds ``Q_1 = 0 .. Q_{k*}`` and the closing ``Q_{k*+1} =
+    zeta_{k*+1} - zeta_{k*}``; ``g_poly`` is ``G = -zeta_{k*+1}``.  The
+    cascade evaluates nothing: ``dump-cascade`` prints it and
+    :func:`cascade_shape_ok` checks it; :func:`make_binding` compiles the
+    same levels.
     """
 
     a_squared: float
     truncation: int
     k_star: int
     c1: float
+    levels: list[IndexedPolynomial]
     zetas: list[IndexedPolynomial]
     q_polys: dict[int, IndexedPolynomial]
     g_poly: IndexedPolynomial
     field: PolyVectorField
-    var_order: tuple
-
-
-def _warn_on_awkward_coefficients(polys):
-    """Warn once if a coefficient is not a multiple of 2⁻¹⁶ or exceeds 2⁴⁰."""
-    scale = float(1 << 16)
-    for poly in polys:
-        for coef in poly.terms.values():
-            if abs(coef) > 2.0**40 or coef * scale != round(coef * scale):
-                warnings.warn(
-                    f"cascade coefficient {coef!r} is not a small dyadic rational; "
-                    "symbolic identities may carry rounding error",
-                    stacklevel=3,
-                )
-                return
 
 
 def build_zeta_cascade(model: ModelSpec) -> ZetaCascade:
     """Derive the chain's contraction variables and its binding force.
 
-    Starting from ``zeta_1 = rho_{k*-1}`` each level adds the Lie
-    derivative along the force-free coupled field, which shifts the
-    leading difference component one site closer to the forced end:
-    ``zeta_{l+1} = L zeta_l + zeta_l``.  At the last level the force is
-    read off as ``G = -zeta_{k*} - L zeta_{k*}``.
-
-    ``zeta_{k*}`` reaches site ``2 k* - 2`` and ``L`` one site further,
-    so the derivatives are taken on the chain cut at ``2 k* + 1`` sites:
-    the same polynomials as on all ``M`` sites, at a cost that does not
-    grow with ``M``.
+    The force-free coupled field is the chain's field on each copy, so
+    ``zeta_l = Z_l(x + rho) - Z_l(x)`` obeys ``zeta_{l+1} = L zeta_l +
+    zeta_l`` along it, and the force ``G = -zeta_{k*} - L zeta_{k*} =
+    -zeta_{k*+1}`` gives ``d zeta_{k*}/dt = -zeta_{k*}``.
     """
-    if model.id != "chain":
-        raise BindingError("build_zeta_cascade requires a chain model")
-    k_star = model.params["k_star"]
-    m = model.dim
-    if m < k_star + 2:
-        raise BindingError(f"truncation overflow: need at least {k_star + 2} sites, have {m}")
-    a2 = model.params["a_squared"]
-    fld = chain_vector_field(make_chain(a2, truncation=min(m, 2 * k_star + 1)))
-    c1 = a2 - (k_star - 1) ** 2
-
-    zetas = [IndexedPolynomial.variable("rho", k_star - 1)]
-    for _ in range(1, k_star):
-        zetas.append(lie_derivative(zetas[-1], fld) + zetas[-1])
-    q_polys = {
-        level: zetas[level - 1] - IndexedPolynomial.variable("rho", k_star - level)
-        for level in range(1, k_star + 1)
-    }
-    q_polys[k_star + 1] = lie_derivative(zetas[-1], fld)
-    g_poly = -zetas[-1] - q_polys[k_star + 1]
-    _warn_on_awkward_coefficients(zetas + [g_poly])
-
-    var_order = tuple(("x", i) for i in range(m)) + tuple(("rho", i) for i in range(m))
-    return ZetaCascade(
-        a_squared=a2,
-        truncation=m,
-        k_star=k_star,
-        c1=c1,
-        zetas=zetas,
-        q_polys=q_polys,
-        g_poly=g_poly,
-        field=fld,
-        var_order=var_order,
-    )
+    levels, fld = _chain_levels(model)
+    k, a2 = model.params["k_star"], model.params["a_squared"]
+    *zetas, top = [IndexedPolynomial(_copy_difference(z)) for z in levels]
+    q_polys = {level: zeta - IndexedPolynomial.variable("rho", k - level)
+               for level, zeta in enumerate(zetas, start=1)}
+    q_polys[k + 1] = top - zetas[-1]
+    return ZetaCascade(a_squared=a2, truncation=model.dim, k_star=k, c1=a2 - (k - 1) ** 2,
+                       levels=levels, zetas=zetas, q_polys=q_polys, g_poly=-top, field=fld)
 
 
 def cascade_shape_ok(cascade: ZetaCascade) -> list[str]:
@@ -245,30 +237,32 @@ def cascade_shape_ok(cascade: ZetaCascade) -> list[str]:
     Returns a list of violation messages (empty when everything holds):
     ``zeta_1 = rho_{k*-1}``, unit leading coefficient on ``rho_{k*-l}``,
     remainder supported on indices ``>= k*-l+1``, a ``rho`` factor in
-    every remainder term, and the stored level-to-level consistency.
+    every remainder term and in ``G``, the level recursion ``Z_{l+1} =
+    L Z_l + Z_l``, and each stored ``zeta_l`` and ``G`` as its level's
+    difference at the two copies.
     """
     problems = []
-    k = cascade.k_star
+    k, levels = cascade.k_star, cascade.levels
     if cascade.zetas[0] != IndexedPolynomial.variable("rho", k - 1):
         problems.append("bad zeta_1")
     for level, zeta in enumerate(cascade.zetas, start=1):
         lead = zeta.coefficient(((("rho", k - level), 1),))
         if lead != 1.0:
             problems.append(f"zeta_{level}: leading rho[{k - level}] coefficient is {lead}")
-        q = cascade.q_polys[level]
-        min_idx = q.min_index()
+        min_idx = cascade.q_polys[level].min_index()
         if min_idx is not None and min_idx < k - level + 1:
             problems.append(f"Q_{level} touches index {min_idx} < {k - level + 1}")
-        for mono in q.terms:
+        if lie_derivative(levels[level - 1], cascade.field) + levels[level - 1] != levels[level]:
+            problems.append(f"Z_{level + 1} != L Z_{level} + Z_{level}")
+        if zeta.terms != _copy_difference(levels[level - 1]):
+            problems.append(f"zeta_{level} != Z_{level}(x + rho) - Z_{level}(x)")
+    if cascade.g_poly.terms != {mono: -coef for mono, coef in _copy_difference(levels[k]).items()}:
+        problems.append(f"G != Z_{k + 1}(x) - Z_{k + 1}(x + rho)")
+    remainders = [(f"Q_{level}", cascade.q_polys[level]) for level in range(1, k + 1)]
+    for name, poly in remainders + [("G", cascade.g_poly)]:
+        for mono in poly.terms:
             if not any(fam == "rho" for (fam, _), _ in mono):
-                problems.append(f"Q_{level} has a term without a rho factor: {mono}")
-    for level in range(1, k):
-        expected = lie_derivative(cascade.zetas[level - 1], cascade.field) + cascade.zetas[level - 1]
-        if expected != cascade.zetas[level]:
-            problems.append(f"zeta_{level + 1} != L zeta_{level} + zeta_{level}")
-    for mono in cascade.g_poly.terms:
-        if not any(fam == "rho" for (fam, _), _ in mono):
-            problems.append(f"G has a term without a rho factor: {mono}")
+                problems.append(f"{name} has a term without a rho factor: {mono}")
     return problems
 
 
@@ -295,7 +289,7 @@ def dump_cascade_text(cascade: ZetaCascade) -> str:
 # -- assembly ---------------------------------------------------------------------
 
 
-def make_binding(model: ModelSpec, cascade: ZetaCascade | None = None) -> BindingSpec:
+def make_binding(model: ModelSpec) -> BindingSpec:
     """Build the model's binding; raises if the construction is ill-posed."""
     if np.any(model.noise_coeffs == 0.0):
         raise BindingError("binding force undefined: a forced mode has q = 0")
@@ -306,15 +300,8 @@ def make_binding(model: ModelSpec, cascade: ZetaCascade | None = None) -> Bindin
     if model.id == "reaction_diffusion":
         return zeta_binding(model, model.params["laplacian"] - 1.0)
     if model.id == "chain":
-        if cascade is None:
-            cascade = build_zeta_cascade(model)
-        if cascade.truncation != model.dim or cascade.a_squared != model.params["a_squared"]:
-            raise BindingError("cascade was built for different chain parameters")
-        # Z_1 .. Z_{k*+1} of the module docstring; they read only x rows
-        sites = cascade.field.truncation
-        levels = [IndexedPolynomial.variable("x", cascade.k_star - 1)]
-        for _ in range(cascade.k_star):
-            levels.append(lie_derivative(levels[-1], cascade.field) + levels[-1])
+        levels, fld = _chain_levels(model)
+        sites = fld.truncation
         order = tuple(("x", i) for i in range(sites))
         levels = [compile_polynomial(z, order) for z in levels]
 

@@ -36,13 +36,11 @@ def _canon(monomial: Iterable[tuple[Var, int]]) -> Monomial:
     return tuple(sorted(acc.items()))
 
 
-def _mono_degree(monomial: Monomial) -> int:
-    return sum(p for _, p in monomial)
-
-
-def _mono_sort_key(monomial: Monomial):
-    # graded lexicographic: total degree first, then the variable tuple
-    return (_mono_degree(monomial), monomial)
+def _sorted_terms(acc: dict[Monomial, float]) -> dict[Monomial, float]:
+    """The nonzero terms of ``acc`` in graded lexicographic order: total
+    degree first, then the variable tuple."""
+    order = sorted(acc, key=lambda mono: (sum(p for _, p in mono), mono))
+    return {m: acc[m] for m in order if acc[m] != 0.0}
 
 
 class IndexedPolynomial:
@@ -57,7 +55,14 @@ class IndexedPolynomial:
                 mono = _canon(mono)
                 coef = float(coef)
                 acc[mono] = acc.get(mono, 0.0) + coef
-        self._terms = {m: c for m, c in sorted(acc.items(), key=lambda kv: _mono_sort_key(kv[0])) if c != 0.0}
+        self._terms = _sorted_terms(acc)
+
+    @classmethod
+    def _of(cls, acc: dict[Monomial, float]) -> "IndexedPolynomial":
+        # terms whose monomials are canonical already
+        poly = cls.__new__(cls)
+        poly._terms = _sorted_terms(acc)
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -108,12 +113,12 @@ class IndexedPolynomial:
         acc = dict(self._terms)
         for mono, coef in other._terms.items():
             acc[mono] = acc.get(mono, 0.0) + coef
-        return IndexedPolynomial(acc)
+        return IndexedPolynomial._of(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IndexedPolynomial":
-        return IndexedPolynomial({m: -c for m, c in self._terms.items()})
+        return IndexedPolynomial._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "IndexedPolynomial":
         return self + (-_as_poly(other))
@@ -123,14 +128,14 @@ class IndexedPolynomial:
 
     def __mul__(self, other) -> "IndexedPolynomial":
         if isinstance(other, (int, float)):
-            return IndexedPolynomial({m: c * other for m, c in self._terms.items()})
+            return IndexedPolynomial._of({m: c * float(other) for m, c in self._terms.items()})
         other = _as_poly(other)
         acc: dict[Monomial, float] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _canon(m1 + m2)
                 acc[mono] = acc.get(mono, 0.0) + c1 * c2
-        return IndexedPolynomial(acc)
+        return IndexedPolynomial._of(acc)
 
     __rmul__ = __mul__
 
@@ -149,11 +154,10 @@ class IndexedPolynomial:
         for mono, coef in self._terms.items():
             for i, (v, p) in enumerate(mono):
                 if v == var:
-                    rest = mono[:i] + ((v, p - 1),) + mono[i + 1 :]
-                    rest = _canon(rest)
+                    rest = mono[:i] + (((v, p - 1),) if p > 1 else ()) + mono[i + 1 :]
                     acc[rest] = acc.get(rest, 0.0) + coef * p
                     break
-        return IndexedPolynomial(acc)
+        return IndexedPolynomial._of(acc)
 
 
 def _as_poly(value) -> IndexedPolynomial:
@@ -197,13 +201,11 @@ class PolyVectorField:
 
 def lie_derivative(p: IndexedPolynomial, f: PolyVectorField) -> IndexedPolynomial:
     """Directional derivative of ``p`` along ``f``: sum of (dp/dv) * f(v)."""
-    result = IndexedPolynomial()
+    acc: dict[Monomial, float] = {}
     for var in sorted(p.variables()):
-        dp = p.partial(var)
-        if dp.is_zero():
-            continue
-        result = result + dp * f.row(var)
-    return result
+        for mono, coef in (p.partial(var) * f.row(var))._terms.items():
+            acc[mono] = acc.get(mono, 0.0) + coef
+    return IndexedPolynomial._of(acc)
 
 
 # -- text dump format ---------------------------------------------------------

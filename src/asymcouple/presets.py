@@ -235,7 +235,7 @@ def chain_cascade(seed: int = 14) -> PresetOutcome:
     for a2 in (0.0, 2.0, 5.0):
         model = models.make_chain(a_squared=a2)
         cascade = bnd.build_zeta_cascade(model)
-        chains[a2] = (model, cascade, bnd.make_binding(model, cascade))
+        chains[a2] = (model, cascade, bnd.make_binding(model))
     # modest separations: the derived force amplifies the difference through
     # a large transient before the cascade contraction takes over, and the
     # amplification constant grows fast with a²

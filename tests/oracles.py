@@ -22,9 +22,13 @@ Each is written the obvious way and read only by the tests:
   zero case unbinds the pair (the copies share the noise and nothing
   joins them): the presets' negative controls and the density-one
   checks.  A nonzero constant gives a closed-form log weight.
-- ``linear_model``: a diagonal linear system with no nonlinearity,
-  whose flow the exponential stepper integrates exactly; it pins the
-  stepper and ``lyapunov_fit``.
+- ``linear_model``, ``linear_step`` and ``linear_law``: a linear system
+  ``A x + B x`` with ``A`` diagonal, on which the stepper is an exact
+  linear recursion, and the exact Gaussian law of that recursion; they
+  pin the stepper and ``lyapunov_fit``.
+- ``coupled_chain_field``: the force-free drift of the coupled chain in
+  ``(x, rho)``; Lie derivatives along it are the coupled cascade that
+  ``build_zeta_cascade`` computes by substitution instead.
 """
 
 from fractions import Fraction
@@ -34,7 +38,7 @@ import numpy as np
 from asymcouple import engine
 from asymcouple.binding import BindingSpec
 from asymcouple.models import ModelError, ModelSpec
-from asymcouple.polynomials import IndexedPolynomial, PolynomialError
+from asymcouple.polynomials import IndexedPolynomial, PolynomialError, PolyVectorField
 
 
 def drift(model: ModelSpec, state: np.ndarray) -> np.ndarray:
@@ -47,20 +51,69 @@ def drift(model: ModelSpec, state: np.ndarray) -> np.ndarray:
     return model.linear_spectrum * state + model.nonlinearity(state)
 
 
-def linear_model(spectrum, noise_coeffs) -> ModelSpec:
-    """``dx = A x dt + Q dω`` with ``A = diag(spectrum)``, noise on the
-    first ``len(noise_coeffs)`` coordinates and ``V = |x|``: the B = 0
-    member of the linear-Gaussian family ``A x + B x``."""
+def linear_model(spectrum, noise_coeffs, coupling=None) -> ModelSpec:
+    """``dx = (A + B) x dt + Q dω`` with ``A = diag(spectrum)``, the
+    coupling ``B`` (zero if None) as the nonlinearity ``F(x) = B x``,
+    noise on the first ``len(noise_coeffs)`` coordinates and ``V = |x|``."""
     spectrum = np.asarray(spectrum, dtype=float)
+    coupling = None if coupling is None else np.asarray(coupling, dtype=float)
     return ModelSpec(
         id="linear",
         dim=len(spectrum),
         linear_spectrum=spectrum,
-        nonlinearity=lambda x: np.zeros_like(x),
+        nonlinearity=lambda x: np.zeros_like(x) if coupling is None else x @ coupling.T,
         lyapunov=lambda x: np.sqrt((x * x).sum(-1)),
         noise_coeffs=np.asarray(noise_coeffs, dtype=float),
         params={},
     )
+
+
+def linear_step(model: ModelSpec, dt: float):
+    """``(M, N)`` of the stepper's step ``x' = M x + N Δω`` on a linear
+    model: ``M = E + ½ W1 B (I + E + W1 B)`` and ``N = (I + ½ W1 B) W1/dt
+    diag(q)`` on the forced coordinates, with ``E = diag(e^{s dt})`` and
+    ``W1 = diag((e^{s dt} - 1)/s)``."""
+    s, dim, k = model.linear_spectrum, model.dim, model.n_noise
+    coupling = model.nonlinearity(np.eye(dim)).T
+    e = np.diag(np.exp(s * dt))
+    w1 = np.diag(np.where(s != 0.0, np.expm1(s * dt) / np.where(s != 0.0, s, 1.0), dt))
+    half = np.eye(dim) + 0.5 * w1 @ coupling
+    m = e + 0.5 * w1 @ coupling @ (np.eye(dim) + e + w1 @ coupling)
+    return m, half @ (w1 / dt)[:, :k] * model.noise_coeffs
+
+
+def linear_law(model: ModelSpec, x0, dt: float, steps: int):
+    """The exact mean ``Mⁿ x0`` and covariance ``Σ_k M^k N Nᵀ (M^k)ᵀ dt``
+    of the stepper's state after ``steps`` steps from ``x0``."""
+    m, n = linear_step(model, dt)
+    mean, cov, power = np.asarray(x0, dtype=float), np.zeros((model.dim,) * 2), np.eye(model.dim)
+    for _ in range(steps):
+        mean = m @ mean
+        cov += power @ n @ n.T @ power.T * dt
+        power = m @ power
+    return mean, cov
+
+
+def coupled_chain_field(model: ModelSpec) -> PolyVectorField:
+    """Joint force-free drift of the coupled chain in the variables
+    ``(x_i, rho_i)``: the second copy is eliminated through ``y = x + rho``
+    and the boundary is closed with ``x_M = rho_M = 0``."""
+    a2 = model.params["a_squared"]
+    m = model.dim
+    xv = [IndexedPolynomial.variable("x", i) for i in range(m)]
+    rv = [IndexedPolynomial.variable("rho", i) for i in range(m)]
+    zero = IndexedPolynomial()
+    rows = {}
+    for i in range(m):
+        left_x = xv[i - 1] if i >= 1 else zero
+        right_x = xv[i + 1] if i + 1 < m else zero
+        rows[("x", i)] = (a2 - i**2) * xv[i] + left_x + right_x - xv[i] ** 3
+        left_r = rv[i - 1] if i >= 1 else zero
+        right_r = rv[i + 1] if i + 1 < m else zero
+        # rho * (x² + x y + y²) with y = x + rho
+        cubic = rv[i] * (3 * xv[i] ** 2 + 3 * xv[i] * rv[i] + rv[i] ** 2)
+        rows[("rho", i)] = (a2 - i**2) * rv[i] + left_r + right_r - cubic
+    return PolyVectorField(rows=rows, truncation=m)
 
 
 def constant_binding(model: ModelSpec, value: float = 0.0) -> BindingSpec:

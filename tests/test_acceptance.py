@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import asymcouple as ac
-from asymcouple.binding import chain_vector_field, make_binding
+from asymcouple.binding import make_binding
 from asymcouple.engine import (
     NoisePath,
     integrate,
@@ -38,7 +38,7 @@ from asymcouple.models import (
 )
 from asymcouple.polynomials import IndexedPolynomial, lie_derivative
 from asymcouple.presets import run_preset
-from oracles import evaluate
+from oracles import coupled_chain_field, evaluate
 
 
 def report(criterion, passed, detail):
@@ -208,7 +208,7 @@ def test_criterion_9_numerics_suite():
 
     # Lie derivative vs central differences at second order in h
     model = make_chain(a_squared=5.0)
-    field = chain_vector_field(model)
+    field = coupled_chain_field(model)
     p = (
         IndexedPolynomial.variable("rho", 2) * IndexedPolynomial.variable("x", 2) ** 2
         + IndexedPolynomial.variable("rho", 1) * IndexedPolynomial.variable("x", 3)

@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from asymcouple import binding as bnd
 from asymcouple.binding import (
     BindingError,
     build_zeta_cascade,
     cascade_shape_ok,
-    chain_vector_field,
     dump_cascade_text,
     gl_coupled_diagonal,
     make_binding,
@@ -26,7 +26,18 @@ from asymcouple.models import (
 )
 from asymcouple.polynomials import IndexedPolynomial as P
 from asymcouple.polynomials import lie_derivative
-from oracles import constant_binding, drift, evaluate, force_at, parse_cascade_dump
+from oracles import constant_binding, coupled_chain_field, drift, evaluate, force_at, parse_cascade_dump
+
+
+def coupled_cascade(model):
+    """The coupled derivation: ``zeta_1 = rho_{k*-1}`` and ``zeta_{l+1} =
+    L zeta_l + zeta_l`` along the oracle (x, rho) field over all of the
+    chain's sites, closed by ``G = -zeta_{k*} - L zeta_{k*}``."""
+    field, k_star = coupled_chain_field(model), model.params["k_star"]
+    zetas = [P.variable("rho", k_star - 1)]
+    for _ in range(1, k_star):
+        zetas.append(lie_derivative(zetas[-1], field) + zetas[-1])
+    return zetas, -zetas[-1] - lie_derivative(zetas[-1], field)
 
 
 class TestToyBinding:
@@ -193,14 +204,33 @@ class TestZetaCascade:
         assert problems[0] == "bad zeta_1"
         assert "zeta_1: leading rho[2] coefficient is 2.0" in problems
 
+    @pytest.mark.parametrize("level", ["zeta", "Z", "G"])
+    def test_shape_reports_a_mutated_level_zeta_or_force(self, level):
+        cascade = build_zeta_cascade(make_chain(a_squared=5.0))
+        x3 = P.variable("x", 3)
+        if level == "zeta":
+            cascade.zetas[1] = cascade.zetas[1] + P.variable("rho", 3) * x3
+            expected = "zeta_2 != Z_2(x + rho) - Z_2(x)"
+        elif level == "Z":
+            cascade.levels[1] = cascade.levels[1] + x3**2
+            expected = "Z_2 != L Z_1 + Z_1"
+        else:
+            cascade.g_poly = cascade.g_poly + 0.5 * P.variable("rho", 0)
+            expected = "G != Z_4(x) - Z_4(x + rho)"
+        assert expected in cascade_shape_ok(cascade)
+
     def test_level_recursion_is_lie_derivative_plus_identity(self):
         cascade = build_zeta_cascade(make_chain(a_squared=5.0))
+        field = coupled_chain_field(make_chain(a_squared=5.0))
         for level in range(1, cascade.k_star):
             expected = (
-                lie_derivative(cascade.zetas[level - 1], cascade.field)
+                lie_derivative(cascade.zetas[level - 1], field)
                 + cascade.zetas[level - 1]
             )
             assert cascade.zetas[level] == expected
+        for level in range(1, cascade.k_star + 1):
+            z = cascade.levels[level - 1]
+            assert cascade.levels[level] == lie_derivative(z, cascade.field) + z
 
     def test_force_closes_the_cascade(self):
         # with the force added, the top variable satisfies d zeta/dt = -zeta:
@@ -208,19 +238,20 @@ class TestZetaCascade:
         # rho_0 row with unit coefficient)
         model = make_chain(a_squared=5.0)
         cascade = build_zeta_cascade(model)
+        field = coupled_chain_field(model)
         rng = np.random.default_rng(4)
-        order = cascade.var_order
+        order = tuple(field.rows)
         for _ in range(20):
             values = rng.normal(size=len(order)) * 0.5
             assign = dict(zip(order, values))
-            drift_part = evaluate(lie_derivative(cascade.zetas[-1], cascade.field), assign)
+            drift_part = evaluate(lie_derivative(cascade.zetas[-1], field), assign)
             g = evaluate(cascade.g_poly, assign)
             zeta = evaluate(cascade.zetas[-1], assign)
             assert drift_part + g == pytest.approx(-zeta, rel=1e-9, abs=1e-9)
 
     def test_chain_binding_diagonal_and_errors(self):
         model = make_chain(a_squared=5.0)
-        binding = make_binding(model, build_zeta_cascade(model))
+        binding = make_binding(model)
         x = np.random.default_rng(5).normal(size=model.dim)
         assert force_at(model, binding, x, x) == pytest.approx([0.0], abs=0.0)
         # the force reads the first 2 k* + 1 sites, yet a state narrower or
@@ -232,22 +263,17 @@ class TestZetaCascade:
             with pytest.raises(BindingError, match=f"width {model.dim}, got {width}"):
                 binding.zeta_map(np.stack([state, state]))
 
-    @pytest.mark.parametrize("a2", [0.0, 2.0, 5.0, 7.0])
+    @pytest.mark.parametrize("a2", [0.0, 2.0, 2.5, 5.0, 7.0, 14.0])
     def test_coupled_cascade_is_a_difference_of_single_chain_polynomials(self, a2):
-        # the force-free coupled field is the chain's field on each copy, so
-        # with Z_l = (1 + L)^(l-1) x_{k*-1} along the chain's x rows,
-        # zeta_l = Z_l(x + rho) - Z_l(x) and G = Z_{k*+1}(x) - Z_{k*+1}(x + rho)
-        # term for term; at integer a² every coefficient is an integer, so
-        # the float polynomials agree exactly
-        cascade = build_zeta_cascade(make_chain(a_squared=a2))
-        levels = [P.variable("x", cascade.k_star - 1)]
-        for _ in range(cascade.k_star):
-            levels.append(lie_derivative(levels[-1], cascade.field) + levels[-1])
-        for poly in levels + cascade.zetas + [cascade.g_poly]:
-            assert all(c == round(c) for c in poly.terms.values())
-        for level, zeta in enumerate(cascade.zetas, start=1):
-            assert zeta == _at_second_copy(levels[level - 1]) - levels[level - 1]
-        assert cascade.g_poly == levels[-1] - _at_second_copy(levels[-1])
+        # the cascade is Z_l(x + rho) - Z_l(x) of the single-chain levels; the
+        # Lie derivation along the coupled (x, rho) field is an independent
+        # route to the same polynomials, and at these a² every coefficient
+        # is a small dyadic rational, so the float polynomials agree exactly
+        model = make_chain(a_squared=a2)
+        cascade = build_zeta_cascade(model)
+        zetas, g_poly = coupled_cascade(model)
+        assert cascade.zetas == zetas
+        assert cascade.g_poly == g_poly
 
     @pytest.mark.parametrize("a2", [0.0, 2.0, 5.0])
     def test_force_is_accurate_against_exact_rationals(self, a2):
@@ -258,7 +284,7 @@ class TestZetaCascade:
 
         model = make_chain(a_squared=a2)
         cascade = build_zeta_cascade(model)
-        binding = make_binding(model, cascade)
+        binding = make_binding(model)
         x0 = np.zeros(model.dim)
         x0[:5] = [0.4, 0.3, -0.2, 0.1, 0.05]
         y0 = x0.copy()
@@ -276,12 +302,6 @@ class TestZetaCascade:
                 assign.update({("rho", i): Fraction(v) for i, v in enumerate(rhoi)})
                 worst = max(worst, abs(gi - float(evaluate(cascade.g_poly, assign))))
         assert worst <= 1e-12
-
-    def test_cascade_model_mismatch_rejected(self):
-        cascade = build_zeta_cascade(make_chain(a_squared=5.0))
-        other = make_chain(a_squared=2.0)
-        with pytest.raises(BindingError, match="different chain parameters"):
-            make_binding(other, cascade)
 
     def test_dump_round_trip(self):
         cascade = build_zeta_cascade(make_chain(a_squared=5.0))
@@ -308,38 +328,36 @@ class TestZetaCascade:
         k_star = chain_k_star(a2)
         for m in (2 * k_star, 2 * k_star + 2, 4 * k_star + 5):
             model = make_chain(a_squared=a2, truncation=m)
-            full = chain_vector_field(model)
-            zetas = [P.variable("rho", k_star - 1)]
-            for _ in range(1, k_star):
-                zetas.append(lie_derivative(zetas[-1], full) + zetas[-1])
+            zetas, g_poly = coupled_cascade(model)
             cascade = build_zeta_cascade(model)
             assert cascade.zetas == zetas
-            assert cascade.g_poly == -zetas[-1] - lie_derivative(zetas[-1], full)
+            assert cascade.g_poly == g_poly
             assert cascade.truncation == m
             assert cascade.field.truncation == min(m, 2 * k_star + 1)
 
     def test_awkward_coefficients_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build_zeta_cascade(make_chain(a_squared=0.3))
-        assert any("dyadic" in str(w.message) for w in caught)
+        for build in (build_zeta_cascade, make_binding):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build(make_chain(a_squared=0.3))
+            assert ["dyadic" in str(w.message) for w in caught] == [True], build.__name__
+
+    @pytest.mark.parametrize("a2", [2.0, 33.0])
+    def test_make_binding_derives_no_coupled_cascade(self, a2, monkeypatch):
+        # the force and zeta map compile the single-chain levels alone
+        model = make_chain(a_squared=a2)
+        monkeypatch.setattr(bnd, "build_zeta_cascade", lambda *a, **k: pytest.fail("cascade derived"))
+        monkeypatch.setattr(bnd, "_copy_difference", lambda *a, **k: pytest.fail("copies substituted"))
+        binding = make_binding(model)
+        xy = np.random.default_rng(9).normal(size=(2, 3, model.dim)) * 0.5
+        assert binding.force(xy, None).shape == (3, 1)
+        assert binding.zeta_map(xy).shape == (3, model.params["k_star"])
 
     def test_exact_coefficients_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             build_zeta_cascade(make_chain(a_squared=5.0))
         assert not caught
-
-
-def _at_second_copy(p):
-    """``p`` with every ``x_i`` replaced by ``x_i + rho_i``, expanded."""
-    total = P()
-    for mono, coef in p.terms.items():
-        term = P.constant(coef)
-        for (_, i), power in mono:
-            term = term * (P.variable("x", i) + P.variable("rho", i)) ** power
-        total = total + term
-    return total
 
 
 @pytest.mark.parametrize("model", [make_toy2d(), make_reaction_diffusion(modes_per_component=8)],
@@ -403,8 +421,7 @@ def test_top_cascade_variable_satisfies_its_ode_along_paths():
     from asymcouple.engine import run_coupled_ensemble
 
     model = make_chain(a_squared=5.0)
-    cascade = build_zeta_cascade(model)
-    binding = make_binding(model, cascade)
+    binding = make_binding(model)
     x0 = np.zeros(model.dim)
     x0[:5] = [0.4, 0.3, -0.2, 0.1, 0.05]
     y0 = x0.copy()
@@ -424,8 +441,8 @@ def test_cascade_levels_agree_with_their_differential_form():
     from asymcouple.engine import run_coupled_ensemble
 
     model = make_chain(a_squared=5.0)
-    cascade = build_zeta_cascade(model)
-    binding = make_binding(model, cascade)
+    k_star = model.params["k_star"]
+    binding = make_binding(model)
     x0 = np.zeros(model.dim)
     x0[:5] = [0.4, 0.3, -0.2, 0.1, 0.05]
     y0 = x0.copy()
@@ -434,7 +451,7 @@ def test_cascade_levels_agree_with_their_differential_form():
     ens = run_coupled_ensemble(model, binding, x0, y0, 1, 2, 1e-3, seed=30, record_every=10)
     zeta = ens.zeta[:, 0, :]  # (records, k_star)
     decay = np.exp(-dt_rec)
-    for level in range(cascade.k_star - 1):
+    for level in range(k_star - 1):
         source = zeta[:, level + 1]
         integrated = np.empty(len(zeta))
         integrated[0] = zeta[0, level]

@@ -458,6 +458,7 @@ class TestRun:
     def test_a_squared_above_the_k_star_ceiling_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # refused before the cascade is derived, and before any file is written
         monkeypatch.setattr(bnd, "build_zeta_cascade", lambda *a, **k: pytest.fail("cascade derived"))
+        monkeypatch.setattr(bnd, "_chain_levels", lambda *a, **k: pytest.fail("levels derived"))
         path = write_model_config(tmp_path, "chain")
         path.write_text(path.read_text().replace("a_squared = 2.0", "a_squared = 1e12"))
         assert main(["run", "--config", str(path)]) == 2
@@ -754,6 +755,7 @@ class TestDumpCascade:
 
     def test_a_squared_above_the_k_star_ceiling(self, capsys, monkeypatch):
         monkeypatch.setattr(bnd, "build_zeta_cascade", lambda *a, **k: pytest.fail("cascade derived"))
+        monkeypatch.setattr(bnd, "_chain_levels", lambda *a, **k: pytest.fail("levels derived"))
         assert main(["dump-cascade", "1e12"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: a_squared must be at most 33 (k* at most 6)")

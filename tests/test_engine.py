@@ -32,7 +32,14 @@ from asymcouple.models import (
     make_reaction_diffusion,
     make_toy2d,
 )
-from oracles import constant_binding, force_at, girsanov_sums, linear_model
+from oracles import (
+    constant_binding,
+    force_at,
+    girsanov_sums,
+    linear_law,
+    linear_model,
+    linear_step,
+)
 
 TOY = make_toy2d()
 
@@ -162,6 +169,41 @@ class TestIntegrate:
         for n in range(3):
             assert traj.w_sup[n, 0] >= v_at_units[n] - 1e-12
             assert traj.w_sup[n, 0] >= v_at_units[n + 1] - 1e-12
+
+
+class TestLinearLaw:
+    # spectrum (-1, -0.5), B sends x0 into x1, noise on x0: the stepper is
+    # the exact recursion x' = M x + N dω, so its law is known exactly
+    MODEL = linear_model([-1.0, -0.5], [1.0], coupling=[[0.0, 0.0], [1.0, 0.0]])
+    DT = 1e-3
+
+    def test_the_noise_free_path_is_the_law_mean(self):
+        steps, x0 = 4000, np.array([1.0, 0.5])
+        noise = NoisePath(dt=self.DT, increments=np.zeros((steps, 1)))
+        end = integrate(self.MODEL, x0, noise, record_every=steps).states[-1, 0]
+        mean, _ = linear_law(self.MODEL, x0, self.DT, steps)
+        np.testing.assert_allclose(end, mean, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("j", [0, 17, 399])
+    def test_one_unit_increment_at_step_j_moves_the_path_by_m_power_n(self, j):
+        steps = 400
+        increments = np.zeros((steps, 1))
+        increments[j] = 1.0
+        end = integrate(self.MODEL, np.zeros(2), NoisePath(dt=self.DT, increments=increments),
+                        record_every=steps).states[-1, 0]
+        m, n = linear_step(self.MODEL, self.DT)
+        np.testing.assert_allclose(end, np.linalg.matrix_power(m, steps - 1 - j) @ n[:, 0],
+                                   rtol=1e-12, atol=0.0)
+
+    def test_a_streamed_ensemble_matches_the_law(self):
+        paths, units, dt, x0 = 4000, 2, 1e-2, np.array([1.0, -0.5])
+        states = run_ensemble(self.MODEL, x0, paths, units, dt, seed=17).states[-1]
+        mean, cov = linear_law(self.MODEL, x0, dt, round(units / dt))
+        mean_se = np.sqrt(np.diag(cov) / paths)
+        assert np.all(np.abs(states.mean(axis=0) - mean) <= 4.0 * mean_se), (states.mean(axis=0), mean)
+        # a Gaussian sample covariance entry has variance (Σ_ii Σ_jj + Σ_ij²) / (n - 1)
+        cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / (paths - 1))
+        assert np.all(np.abs(np.cov(states.T) - cov) <= 4.0 * cov_se), (np.cov(states.T), cov)
 
 
 class TestCoupled:

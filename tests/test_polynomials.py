@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcouple.binding import build_zeta_cascade, chain_vector_field, make_binding
+from asymcouple.binding import build_zeta_cascade, make_binding
 from asymcouple.models import make_chain
-from oracles import evaluate, parse_polynomial
+from oracles import coupled_chain_field, evaluate, parse_polynomial
 from asymcouple.polynomials import (
     IndexedPolynomial as P,
 )
@@ -92,7 +92,7 @@ class TestLieDerivative:
         # rho[2] along the coupled chain field must produce exactly
         # c1 rho[2] + rho[3] + rho[1] - rho[2](3x² + 3x rho + rho²) at site 2
         model = make_chain(a_squared=5.0)
-        field = chain_vector_field(model)
+        field = coupled_chain_field(model)
         x2 = P.variable("x", 2)
         got = lie_derivative(P.variable("rho", 2), field)
         expected = (
@@ -131,7 +131,7 @@ def test_leibniz_rule(p, q):
 
 def test_lie_derivative_matches_finite_differences():
     model = make_chain(a_squared=5.0)
-    field = chain_vector_field(model)
+    field = coupled_chain_field(model)
     rng = np.random.default_rng(3)
     p = (
         P.variable("rho", 2) * P.variable("x", 2) ** 2
@@ -158,7 +158,7 @@ def test_lie_derivative_matches_finite_differences():
 
 def test_index_locality_of_chain_field():
     model = make_chain(a_squared=5.0)
-    field = chain_vector_field(model)
+    field = coupled_chain_field(model)
     p = P.variable("rho", 2) + P.variable("x", 3) * P.variable("rho", 3)
     lie = lie_derivative(p, field)
     assert lie.min_index() >= p.min_index() - 1
@@ -189,18 +189,23 @@ def test_compiled_matches_direct(p):
     np.testing.assert_allclose(compiled.evaluate(values), direct, rtol=1e-12, atol=1e-12)
 
 
+def _coupled_order(sites):
+    """The coupled cascade's variables: the ``x_i``, then the ``rho_i``."""
+    return tuple(("x", i) for i in range(sites)) + tuple(("rho", i) for i in range(sites))
+
+
 @pytest.mark.parametrize("a_squared", [0.0, 2.0, 5.0, 14.0, 33.0])
 def test_compiled_cascade_matches_symbolic_evaluation(a_squared):
     # the chain binding's force and zeta map run through compiled
     # polynomials; symbolic term-by-term evaluation is their oracle
     model = make_chain(a_squared=a_squared)
     cascade = build_zeta_cascade(model)
-    binding = make_binding(model, cascade)
+    binding = make_binding(model)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(40, model.dim)) * 0.8
     y = x + rng.normal(size=(40, model.dim)) * 0.3
     xy = np.stack([x, y])
-    assign = dict(zip(cascade.var_order, np.concatenate([x, y - x], axis=-1).T))
+    assign = dict(zip(_coupled_order(model.dim), np.concatenate([x, y - x], axis=-1).T))
     expected = np.stack(
         [evaluate(cascade.g_poly, assign)] + [evaluate(z, assign) for z in cascade.zetas], axis=-1
     )
@@ -216,8 +221,9 @@ def test_path_blocks_give_each_path_its_own_value(which, paths):
     # is bit for bit that path evaluated alone, whatever the batch's width
     cascade = build_zeta_cascade(make_chain(a_squared=2.0))
     poly = cascade.g_poly if which == "force" else cascade.zetas[-1]
-    compiled = compile_polynomial(poly, cascade.var_order)
-    values = np.random.default_rng(paths).normal(size=(paths, len(cascade.var_order))) * 0.8
+    order = _coupled_order(cascade.truncation)
+    compiled = compile_polynomial(poly, order)
+    values = np.random.default_rng(paths).normal(size=(paths, len(order))) * 0.8
     alone = np.concatenate([compiled.evaluate(row[None]) for row in values])
     np.testing.assert_array_equal(compiled.evaluate(values), alone)
     np.testing.assert_array_equal(compiled.evaluate(np.stack([values, values[::-1]])),

@@ -1,7 +1,8 @@
 """Print one ``name sha256`` line per artifact the README promises byte-identical.
 
 The artifacts are the stdout and ``report.json`` of all six presets at
-their pinned seeds, and ``report.json``, ``trajectory.csv`` and
+their pinned seeds, the ``dump-cascade`` stdout at the ``CASCADE_A2``
+values (default truncation), and ``report.json``, ``trajectory.csv`` and
 ``plot_data.csv`` of ``run`` configs for all four models: the
 ``bench/workloads.py`` ``cli-run`` configs at seeds 3 and 7, each at
 ``--jobs`` 1 and 2, and the ``EXTRA_RUNS`` below, which reach the path
@@ -30,6 +31,8 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (3, 7)
+# every k* from 2 to 6, and a² = 2.5, whose coefficients are not integers
+CASCADE_A2 = ("0", "2", "2.5", "5", "7", "14", "33")
 JOBS = (1, 2)
 # name: (binding, [run] keys, [estimators] keys) of configs that reach
 # mixing's second start, the lyapunov probes, x paths run on past the
@@ -75,6 +78,8 @@ def digests(checkout: Path):
             stdout = _quiet_main(cli, ["reproduce", preset_id, "--out", str(tmp)])
             yield f"preset/{preset_id}/stdout", _digest(stdout)
             yield f"preset/{preset_id}/report.json", _digest((tmp / preset_id / "report.json").read_bytes())
+        for a_squared in CASCADE_A2:
+            yield f"dump-cascade/{a_squared}/stdout", _digest(_quiet_main(cli, ["dump-cascade", a_squared]))
         runs = [(f"{model_id}/seed={seed}", cli_config_text(model_id, seed), JOBS)
                 for model_id in MODEL_IDS for seed in SEEDS]
         for model_id in MODEL_IDS:
