@@ -45,7 +45,8 @@ from .presets import PRESETS, run_preset
 class _Group(NamedTuple):
     """``n`` paths from ``x0`` (one start, or one per path), path ``i`` on
     stream ``stream0 + i``, for ``units`` units, bound to copies from one
-    ``y0`` over the first ``coupled_units``; records as ``run_ensemble``'s."""
+    ``y0`` over the first ``coupled_units``; records and W sups as
+    ``run_ensemble``'s."""
     n: int
     x0: np.ndarray
     stream0: int
@@ -54,6 +55,7 @@ class _Group(NamedTuple):
     y0: np.ndarray | None = None
     record_every: int | None = None
     dense_units: int | None = None
+    w_sups: bool = False
 
 
 # the lyapunov probes are these multiples of x0 (of a unit vector if x0 = 0)
@@ -79,7 +81,8 @@ def _groups(cfg: ExperimentConfig, model) -> dict[str, _Group]:
     weighed.  The ensemble (streams ``0..n-1``) is bound while the plot
     (binding on) or density reads the copy, and its ``x`` paths run as
     long as any reader needs, recorded every ``_dense_every`` steps over
-    the plotted units and once a unit after; mixing's second start takes
+    the plotted units and once a unit after, with the W sups that axk
+    and density read, if either is on; mixing's second start takes
     streams ``n..2n-1``, lyapunov probe ``i`` paths ``i*S..(i+1)*S-1``."""
     x0, y0 = cfg.initial_conditions(model)
     coupled = [cfg.units] if cfg.binding else []
@@ -90,8 +93,9 @@ def _groups(cfg: ExperimentConfig, model) -> dict[str, _Group]:
         units.append(cfg.estimator("axk_horizon") + 1)
     if cfg.estimator("mixing"):
         units.append(max(cfg.estimator("mixing_times")))
+    w_sups = bool(cfg.estimator("axk") or cfg.estimator("density"))
     groups = {"ensemble": _Group(cfg.ensemble, x0, 0, max(units), max(coupled, default=0), y0,
-                                 _dense_every(cfg), cfg.units)}
+                                 _dense_every(cfg), cfg.units, w_sups)}
     if cfg.estimator("mixing"):
         groups["mixing"] = _Group(cfg.ensemble, cfg.mixing_alt_x0(model), cfg.ensemble,
                                   max(cfg.estimator("mixing_times")))
@@ -110,7 +114,7 @@ def _run_span(cfg, model, binding, group: _Group, lo: int, hi: int):
     x0 = group.x0[lo:hi] if group.x0.ndim == 2 else group.x0
     n = hi - lo
     records = {"stream0": group.stream0 + lo, "record_every": group.record_every,
-               "dense_units": group.dense_units}
+               "dense_units": group.dense_units, "w_sups": group.w_sups}
     if not group.coupled_units:
         return None, run_ensemble(model, x0, n, group.units, cfg.dt, cfg.seed, **records)
     pairs = run_coupled_ensemble(
@@ -145,8 +149,9 @@ def _run_groups(cfg: ExperimentConfig, binding=None) -> dict:
     each group cut into at most ``jobs`` spans; paths are indexed by noise
     stream, so the merge does not depend on the schedule.  Returns each
     group by name as ``(pairs or None, x paths)``.  A blow-up raises that
-    of the first group that blew up, at its earliest time over the spans,
-    as the group run as one batch would."""
+    of the first group that blew up, at its earliest time over the spans
+    and on the lowest stream at that time, as the group run as one batch
+    would."""
     groups = _groups(cfg, cfg.build_model())
     jobs = min(cfg.jobs, max(group.n for group in groups.values()))
     tasks = []
@@ -163,7 +168,7 @@ def _run_groups(cfg: ExperimentConfig, binding=None) -> dict:
         parts = [out for task, out in zip(tasks, outcomes) if task[1] == name]
         blow_ups = [out for out in parts if isinstance(out, BlowUpError)]
         if blow_ups:
-            raise min(blow_ups, key=lambda exc: exc.time)
+            raise min(blow_ups, key=lambda exc: (exc.time, exc.stream))
         pairs, x_paths = zip(*parts)
         merged[name] = (None if pairs[0] is None else CoupledEnsembleResult.concat(pairs),
                         EnsembleResult.concat(x_paths))
@@ -271,7 +276,9 @@ def cmd_run(args) -> int:
         _write_csv(out_dir / "plot_data.csv", *_plot_table(model, plot_ens), fingerprint)
         report = _run_estimators(cfg, model, plot_ens, groups, fingerprint)
     except BlowUpError as exc:
-        failure, message = {"status": "blow_up", "time": exc.time}, str(exc)
+        failure = {"status": "blow_up", "time": exc.time, "stream": exc.stream, "step": exc.step,
+                   "component": exc.component}
+        message = str(exc)
     except EstimatorError as exc:
         failure = {"status": "estimator_error", "message": str(exc)}
         message = f"estimator error: {exc}"

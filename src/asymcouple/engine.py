@@ -25,6 +25,12 @@ the last fold, add in the order of a step-by-step sum.
 The noise forces the first ``n_noise`` coordinates, so the increment
 and the shift ``Q G`` are added to that block alone.
 
+The sups of the Lyapunov function over each unit interval (the W sups)
+are read only by the excursion and density estimators, so a run tracks
+them, one Lyapunov call on both copies per step, only when asked
+(``w_sups``); otherwise it makes no Lyapunov call and its W-sup fields
+are None.
+
 A step reads only its own increment, so an ensemble runs as one batch
 whose noise is drawn a block of at most one unit of steps and at most
 ``_NOISE_BLOCK_BYTES`` (1 MiB) at a time into one reused buffer: the
@@ -53,15 +59,21 @@ class EngineError(ValueError):
 
 
 class BlowUpError(RuntimeError):
-    """Integration produced a non-finite state."""
+    """Integration produced a non-finite state: at ``time``, grid step
+    ``step`` counted from time 0, on noise stream ``stream`` (the lowest
+    of the paths non-finite at that step; 0 for a given noise path),
+    whose first non-finite coordinate of ``x``, or else of ``rho``, is
+    ``component``."""
 
-    def __init__(self, time: float):
-        super().__init__(f"blow-up at t={time:.6g}")
-        self.time = time
+    def __init__(self, time: float, stream: int | None = None, step: int | None = None,
+                 component: int | None = None):
+        where = "" if stream is None else f" on stream {stream}, step {step}, component {component}"
+        super().__init__(f"blow-up at t={time:.6g}{where}")
+        self.time, self.stream, self.step, self.component = time, stream, step, component
 
     def __reduce__(self):
-        # rebuild from the time, not the message, when crossing a process pool
-        return type(self), (self.time,)
+        # rebuild from the fields, not the message, when crossing a process pool
+        return type(self), (self.time, self.stream, self.step, self.component)
 
 
 @dataclass
@@ -109,11 +121,15 @@ class _PathBatch:
     def _join(cls, parts, per_record, per_unit, shared=()):
         """One batch built field by field from ``parts``: ``per_record`` or
         ``per_unit`` (for the W sups) maps the parts' arrays to the new
-        one; the ``shared`` fields and the absent ones are the first part's."""
+        one; the ``shared`` fields and the absent ones are the first part's.
+        A field absent from some parts only is refused."""
         out = {}
         for field in fields(cls):
             values = [getattr(part, field.name) for part in parts]
-            if field.name in shared or values[0] is None:
+            absent = sum(value is None for value in values)
+            if 0 < absent < len(values):
+                raise EngineError(f"{field.name} is held by some of the batches only")
+            if field.name in shared or absent:
                 out[field.name] = values[0]
             else:
                 out[field.name] = (per_unit if field.name in cls._UNIT_FIELDS else per_record)(values)
@@ -125,8 +141,9 @@ class _PathBatch:
 
     def head(self, units: int):
         """The batch over its first ``units`` time units: records up to
-        time ``units`` and the W sups of those intervals.  Integration is
-        sequential, so this is bit for bit the shorter run."""
+        time ``units`` and the W sups of those intervals (None if the
+        run did not track them).  Integration is sequential, so this is
+        bit for bit the shorter run."""
         if units > round(float(self.times[-1])):
             raise EngineError(f"the batch ends at t={float(self.times[-1]):g}, before {units}")
         stop = int(np.searchsorted(self.times, units + _TIME_TOL, side="right"))
@@ -159,7 +176,7 @@ class _PathBatch:
 class EnsembleResult(_PathBatch):
     times: np.ndarray
     states: np.ndarray        # (records, n_traj, dim)
-    w_sup: np.ndarray         # (units, n_traj)
+    w_sup: np.ndarray | None  # (units, n_traj), None unless tracked
 
 
 @dataclass
@@ -169,8 +186,8 @@ class CoupledEnsembleResult(_PathBatch):
     rho: np.ndarray
     zeta: np.ndarray | None   # (records, n_traj, n_zeta)
     log_density: np.ndarray   # (records, n_traj)
-    w_sup_x: np.ndarray       # (units, n_traj)
-    w_sup_y: np.ndarray
+    w_sup_x: np.ndarray | None  # (units, n_traj), None unless tracked
+    w_sup_y: np.ndarray | None
     g_l2: np.ndarray          # (records, n_traj) running sum of ||G||² dt
     overflow: np.ndarray      # (records, n_traj) bool, sticky
 
@@ -258,7 +275,17 @@ def _first_record(value, records: int) -> np.ndarray:
     return out
 
 
-def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None):
+def _blow_up(time: float, step: int, x, rho) -> BlowUpError:
+    """The error of a step that left ``x`` or ``rho`` (None if uncoupled)
+    non-finite: its lowest such path, and that path's first non-finite
+    coordinate of ``x``, or else of ``rho``."""
+    bad = [~np.isfinite(a) for a in (x, rho) if a is not None]
+    path = int(np.flatnonzero(np.logical_or.reduce([b.any(axis=-1) for b in bad]))[0])
+    component = next(int(np.flatnonzero(b[path])[0]) for b in bad if b[path].any())
+    return BlowUpError(time, path, step, component)
+
+
+def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None, w_sups=True):
     """The batch stepper.
 
     Always steps ``x`` under the increments, which ``blocks`` yields as
@@ -266,10 +293,12 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
     the records exactly, recording at the steps and times ``records``
     (step 0 and the last step among them).  Given a binding it also
     steps the difference ``rho`` from ``rho0`` with the binding drift and
-    tracks the Girsanov log weight, ``||G||²``, the overflow flag,
-    ``zeta`` and the W sups of ``y``; the weight, ``||G||²`` and the flag
-    are recorded as of each record.  Returns an :class:`EnsembleResult`
-    or a :class:`CoupledEnsembleResult`.
+    tracks the Girsanov log weight, ``||G||²``, the overflow flag and
+    ``zeta``; the weight, ``||G||²`` and the flag are recorded as of each
+    record.  With ``w_sups`` it tracks the W sups of ``x`` (and ``y``).
+    Returns an :class:`EnsembleResult` or a
+    :class:`CoupledEnsembleResult`.  A blow-up raises a
+    :class:`BlowUpError` whose stream is the path's index in the batch.
     """
     record_steps, times = records
     if record_steps[0] != 0:
@@ -283,8 +312,8 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
     coupled = binding is not None
     # the copies' rows at the step start (x, then y = x + rho) and at the
     # predictor stage, so that one nonlinearity call per stage, and one
-    # Lyapunov call per step, serves both; C order keeps every row
-    # reduction in one summation order
+    # Lyapunov call per step when the W sups are tracked, serves both;
+    # C order keeps every row reduction in one summation order
     cur = np.empty((2 if coupled else 1,) + np.shape(x0))
     pred = np.empty_like(cur)
     x = cur[0]
@@ -309,10 +338,12 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
         held, kept, folded_records = 0, [], 1
         last = (np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
         girsanov_records = tuple(_first_record(value, len(times)) for value in last)
-    v = lyapunov(model, cur)
-    w_cur = v.copy()
-    # the sup of V over each unit interval, written at the unit's end
-    w_sups = np.empty((len(cur), int(record_steps[-1]) // spu, n))
+    sups = (None, None)
+    if w_sups:
+        w_cur = lyapunov(model, cur).copy()
+        # the sup of V over each unit interval, written at the unit's end
+        sups = np.empty((len(cur), int(record_steps[-1]) // spu, n))
+    step0 = round(float(times[0]) / dt)
 
     # blow-ups are detected and reported, not raised by numpy
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,15 +378,17 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
 
                 if not np.isfinite(x).all() or (coupled and not np.isfinite(rho).all()):
                     # the time of the run, which a continued run starts after 0
-                    raise BlowUpError(float(times[0]) + step * dt)
+                    raise _blow_up(float(times[0]) + step * dt, step0 + step, x,
+                                   rho if coupled else None)
 
                 if coupled:
                     np.add(x, rho, out=y)
-                v = lyapunov(model, cur)
-                np.maximum(w_cur, v, out=w_cur)
-                if step % spu == 0:
-                    w_sups[:, step // spu - 1] = w_cur
-                    w_cur[...] = v
+                if w_sups:
+                    v = lyapunov(model, cur)
+                    np.maximum(w_cur, v, out=w_cur)
+                    if step % spu == 0:
+                        sups[:, step // spu - 1] = w_cur
+                        w_cur[...] = v
                 if step == next_record:
                     next_record = next(next_records, None)
                     r += 1
@@ -375,7 +408,7 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
                     held, kept = 0, []
 
     if not coupled:
-        return EnsembleResult(times=times, states=x_records, w_sup=w_sups[0])
+        return EnsembleResult(times=times, states=x_records, w_sup=sups[0])
     log_density, g_l2, overflow = girsanov_records
     return CoupledEnsembleResult(
         times=times,
@@ -383,8 +416,8 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
         rho=rho_records,
         zeta=zeta_records,
         log_density=log_density,
-        w_sup_x=w_sups[0],
-        w_sup_y=w_sups[1],
+        w_sup_x=sups[0],
+        w_sup_y=sups[1],
         g_l2=g_l2,
         overflow=overflow,
     )
@@ -484,10 +517,10 @@ def _noise_blocks(model, dt, seed, streams, spu, skip, steps):
 
 
 def _run(model, starts, n_traj, units, dt, seed, stream0, record_every, dense_units,
-         start_unit=0, binding=None):
+         start_unit=0, binding=None, w_sups=True):
     """Integrate ``n_traj`` paths (pairs, given a binding) from ``starts``
     as one batch, path ``i`` on noise stream ``stream0 + i``, its noise
-    drawn a block at a time."""
+    drawn a block at a time; the W sups are tracked if ``w_sups``."""
     if n_traj < 1:
         raise EngineError("n_traj must be positive")
     if units < 0 or start_unit < 0:
@@ -499,7 +532,10 @@ def _run(model, starts, n_traj, units, dt, seed, stream0, record_every, dense_un
     records = _records(dt, record_every or spu, skip + steps, spu, skip,
                        None if dense_units is None else dense_units * spu)
     blocks = _noise_blocks(model, dt, seed, range(stream0, stream0 + n_traj), spu, skip, steps)
-    return _integrate_batch(model, scheme, xs, blocks, records, binding, rhos)
+    try:
+        return _integrate_batch(model, scheme, xs, blocks, records, binding, rhos, w_sups)
+    except BlowUpError as exc:
+        raise BlowUpError(exc.time, stream0 + exc.stream, exc.step, exc.component) from None
 
 
 def run_ensemble(
@@ -513,6 +549,7 @@ def run_ensemble(
     record_every: int | None = None,
     dense_units: int | None = None,
     start_unit: int = 0,
+    w_sups: bool = True,
 ) -> EnsembleResult:
     """Integrate ``n_traj`` independent paths from ``x0`` for ``units``
     time units; trajectory ``i`` uses noise stream ``stream0 + i``.
@@ -525,9 +562,12 @@ def run_ensemble(
     continued from the last record of an earlier run over ``start_unit``
     units carries on as one longer run would.  All paths step as one
     batch; their noise is drawn a block of at most one unit of steps at a
-    time, so its memory does not grow with ``units``."""
+    time, so its memory does not grow with ``units``.  The W sups are
+    tracked, one Lyapunov call per step, only if ``w_sups``: otherwise
+    ``w_sup`` is None.  A blow-up raises a :class:`BlowUpError` that
+    names the stream."""
     return _run(model, (x0,), n_traj, units, dt, seed, stream0, record_every, dense_units,
-                start_unit)
+                start_unit, w_sups=w_sups)
 
 
 def run_coupled_ensemble(
@@ -542,12 +582,13 @@ def run_coupled_ensemble(
     stream0: int = 0,
     record_every: int | None = None,
     dense_units: int | None = None,
+    w_sups: bool = True,
 ) -> CoupledEnsembleResult:
     """Integrate ``n_traj`` bound pairs from ``(x0, y0)`` for ``units``
     time units; pair ``i`` uses noise stream ``stream0 + i``.
 
     ``x0`` and ``y0`` are each one start ``(dim,)`` shared by every pair,
-    or one start per pair ``(n_traj, dim)``.  Records are kept as for
-    :func:`run_ensemble`."""
+    or one start per pair ``(n_traj, dim)``.  Records and the W sups are
+    kept as for :func:`run_ensemble`."""
     return _run(model, (x0, y0), n_traj, units, dt, seed, stream0, record_every, dense_units,
-                binding=binding)
+                binding=binding, w_sups=w_sups)

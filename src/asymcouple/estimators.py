@@ -328,6 +328,8 @@ def axk_table(
     """
     if horizon < 0:
         raise EstimatorError("horizon must be non-negative")
+    if ens.w_sup is None:
+        raise EstimatorError("axk reads the W sups: the ensemble must be run with w_sups=True")
     if horizon == 0:
         return [{"k": float(k), "frequency": 1.0, "bound": 1.0} for k in ks]
     v0 = float(lyapunov(model, ens.states[0, 0]))
@@ -393,6 +395,8 @@ def density_diagnostics(
     horizons = sorted(int(n) for n in horizons)
     if not horizons or horizons[0] < 1:
         raise EstimatorError("horizons must be positive integers")
+    if ens.w_sup_x is None:
+        raise EstimatorError("density reads the W sups: the pairs must be run with w_sups=True")
     units = horizons[-1] + 1
     ens = ens.head(units).at_units()
     log_density = ens.log_density  # row n: time n

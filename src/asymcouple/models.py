@@ -289,9 +289,20 @@ def make_chain(a_squared: float = 5.0, truncation: int | None = None) -> ModelSp
     spectrum = a_squared - sites.astype(float) ** 2
 
     def nonlin(x):
-        out = -(x * x * x)
-        out[..., 1:] += x[..., :-1]
-        out[..., :-1] += x[..., 1:]
+        x = np.ascontiguousarray(x)
+        out = x * x
+        out *= x
+        np.negative(out, out=out)
+        # out[..., 1:] += x[..., :-1], then out[..., :-1] += x[..., 1:], each
+        # as one contiguous pass over the rows laid end to end; a pass also
+        # adds across the row ends, into its edge column, which is put back
+        flat_out, flat_x = out.ravel(), x.ravel()
+        kept = out[..., 0].copy()
+        flat_out[1:] += flat_x[:-1]
+        out[..., 0] = kept
+        kept = out[..., -1].copy()
+        flat_out[:-1] += flat_x[1:]
+        out[..., -1] = kept
         return out
 
     return ModelSpec(

@@ -71,7 +71,8 @@ def _envelope_margin(values, scale, rate, times, dt) -> float:
 
 def toy_measure(model, binding, x0, rho0, seed) -> dict:
     dt = 1e-3
-    ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 200, 5, dt, seed, record_every=50)
+    ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 200, 5, dt, seed, record_every=50,
+                               w_sups=False)
     return {
         "zeta_rel_err_max": _zeta_decay_deviation(ens.zeta[:, :, 0], ens.times, 2.0),
         "dt": dt,
@@ -105,7 +106,8 @@ def toy_contraction(seed: int = 11) -> PresetOutcome:
 
 def gl_measure(model, binding, x0, rho0, seed) -> dict:
     dt, gap = 1e-3, model.params["gap"]
-    ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 50, 3, dt, seed, record_every=25)
+    ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 50, 3, dt, seed, record_every=25,
+                               w_sups=False)
     rho_norm = np.linalg.norm(ens.rho, axis=-1)
     scale = float(np.linalg.norm(rho0))
     return {
@@ -149,7 +151,8 @@ def gl_gap(seed: int = 12) -> PresetOutcome:
 
 def rd_measure(model, binding, x0, rho0, seed) -> dict:
     half, dt = model.dim // 2, 1e-3
-    ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 50, 3, dt, seed, record_every=25)
+    ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 50, 3, dt, seed, record_every=25,
+                               w_sups=False)
     zeta_sq0 = float((ens.zeta[0, 0] ** 2).sum())
     zeta_sq = (ens.zeta**2).sum(axis=-1)
     rho_v_sq = (ens.rho[:, :, half:] ** 2).sum(axis=-1).mean(axis=1)
@@ -191,13 +194,14 @@ def chain_measure(chains, x0, rho0, seed) -> dict:
     heads, zero-padded to each chain's truncation."""
     model, _, binding = chains[5.0]
     dt, xa, ra = 1e-3, _pad(x0, model.dim), _pad(rho0, model.dim)
-    ens = run_coupled_ensemble(model, binding, xa, xa + ra, 20, 2, dt, seed, record_every=25)
+    ens = run_coupled_ensemble(model, binding, xa, xa + ra, 20, 2, dt, seed, record_every=25,
+                               w_sups=False)
     rates = {}
     for a2, (model, _, binding) in chains.items():
         xa, ra = _pad(x0, model.dim), _pad(rho0, model.dim)
         # ten units: the fitted rate must see past the transient hump
         e = run_coupled_ensemble(model, binding, xa, xa + ra, 20, 10, dt, seed + 1,
-                                 record_every=1000)
+                                 record_every=1000, w_sups=False)
         rates[a2] = est.mean_rho_rate(e).gamma
     return {
         "k_star": {a2: models.chain_k_star(a2) for a2 in chains},
@@ -259,7 +263,7 @@ def girsanov_measure(cases, seed) -> dict:
     out = {}
     for name, (model, binding, x0, rho0) in cases.items():
         ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 2000, 2, 1e-3, seed,
-                                   record_every=1000)
+                                   record_every=1000, w_sups=False)
         mean, se, n = est.mean_density(ens.log_density[-1], ~ens.overflow[-1])
         out[name] = {"mean": mean, "se": se, "n": n, "overflowed": int(ens.overflow[-1].sum())}
     return out
@@ -300,8 +304,8 @@ def mixing_measure(cases, seed) -> dict:
     dt, n_side = 2e-3, 300
     out = {}
     for name, (model, xa, xb) in cases.items():
-        ens_a = run_ensemble(model, xa, n_side, times[-1], dt, seed, stream0=0)
-        ens_b = run_ensemble(model, xb, n_side, times[-1], dt, seed, stream0=n_side)
+        ens_a = run_ensemble(model, xa, n_side, times[-1], dt, seed, stream0=0, w_sups=False)
+        ens_b = run_ensemble(model, xb, n_side, times[-1], dt, seed, stream0=n_side, w_sups=False)
         values = [row["distance"] for row in est.mixing_distance_series(ens_a, ens_b, times)]
         floor = est.bootstrap_null_quantile(
             ens_a.states[-1], ens_b.states[-1], n_boot=12, cap=150, seed=seed

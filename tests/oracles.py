@@ -29,6 +29,8 @@ Each is written the obvious way and read only by the tests:
 - ``coupled_chain_field``: the force-free drift of the coupled chain in
   ``(x, rho)``; Lie derivatives along it are the coupled cascade that
   ``build_zeta_cascade`` computes by substitution instead.
+- ``chain_nonlinearity``: the chain's nonlinearity as two sliced
+  neighbour sums; it pins the contiguous passes of ``make_chain``'s.
 """
 
 from fractions import Fraction
@@ -114,6 +116,15 @@ def coupled_chain_field(model: ModelSpec) -> PolyVectorField:
         cubic = rv[i] * (3 * xv[i] ** 2 + 3 * xv[i] * rv[i] + rv[i] ** 2)
         rows[("rho", i)] = (a2 - i**2) * rv[i] + left_r + right_r - cubic
     return PolyVectorField(rows=rows, truncation=m)
+
+
+def chain_nonlinearity(x: np.ndarray) -> np.ndarray:
+    """``-x_k³ + x_{k-1} + x_{k+1}`` with ``x_{-1} = x_M = 0``: the left
+    neighbours added first, then the right ones."""
+    out = -(x * x * x)
+    out[..., 1:] += x[..., :-1]
+    out[..., :-1] += x[..., 1:]
+    return out
 
 
 def constant_binding(model: ModelSpec, value: float = 0.0) -> BindingSpec:

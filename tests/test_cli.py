@@ -16,7 +16,7 @@ import pytest
 import asymcouple
 from asymcouple import binding as bnd
 from asymcouple.binding import build_zeta_cascade, make_binding
-from asymcouple.cli import _run_groups, _trajectory_table, _write_csv, main
+from asymcouple.cli import _groups, _run_groups, _trajectory_table, _write_csv, main
 from asymcouple import config, engine
 from asymcouple.config import ConfigError, load_config
 from asymcouple.engine import (
@@ -74,6 +74,8 @@ SPAN_CASES = {
                                 "mixing_alt_x0 = 0.2 0.1\n", 1, 5),
     "density-then-x": ("off", 3, "density = on\ndensity_horizons = 1\n", 2, 3),
     "x-only": ("off", 1, "axk = on\naxk_horizon = 2\n", 0, 3),
+    "no-sup-reader": ("on", 1, "lyapunov = on\nmixing = on\nmixing_times = 1 3\n"
+                               "mixing_alt_x0 = 0.2 0.1\n", 1, 3),
 }
 
 
@@ -270,12 +272,21 @@ class TestRun:
         # reads it; the x paths run as long as any reader needs; records are
         # every record_every steps over the plotted units (ten a unit, the
         # trajectory's spacing, when it is 0) and once a unit after, so the
-        # record memory does not grow with the estimators' horizons
+        # record memory does not grow with the estimators' horizons; the W
+        # sups are tracked by the ensemble alone, and only for axk or density
         path = write_config(tmp_path, binding=binding, units=units, record_every=record_every)
         text = path.read_text().replace("ensemble = 20", "ensemble = 2")
         path.write_text(text.replace(EST, EST + estimators))
-        pairs, x_ens = _run_groups(load_config(path))["ensemble"]
+        cfg = load_config(path)
+        groups = _run_groups(cfg)
+        pairs, x_ens = groups["ensemble"]
         per_unit = 500 // record_every if record_every else 10
+        w_sups = "axk" in estimators or "density" in estimators
+        assert {name: group.w_sups for name, group in _groups(cfg, cfg.build_model()).items()} == {
+            name: w_sups and name == "ensemble" for name in groups}
+        assert (x_ens.w_sup is not None) == w_sups
+        for name, (_, x_paths) in groups.items():
+            assert name == "ensemble" or x_paths.w_sup is None, name
 
         def record_count(span):
             return per_unit * min(units, span) + max(span - units, 0) + 1
@@ -289,12 +300,14 @@ class TestRun:
         assert pairs.times[-1] == pytest.approx(pair_units)
         assert pairs.rho.shape[:2] == (record_count(pair_units), 2)
         np.testing.assert_array_equal(pairs.x, x_ens.head(pair_units).states)
+        assert (pairs.w_sup_x is not None) == (pairs.w_sup_y is not None) == w_sups
 
     @pytest.mark.parametrize("model_id", list(JOBS_MODELS))
     def test_pooled_groups_keep_their_streams(self, tmp_path, model_id):
         # split over three workers, the probe group is probe i's own run on
         # streams i*S..(i+1)*S-1 (S = 5 paths a probe), and mixing's second
-        # start one run on the streams after the ensemble's
+        # start one run on the streams after the ensemble's; neither tracks
+        # the W sups, which no reader of theirs reads
         estimators = "lyapunov = on\nmixing = on\nmixing_times = 2\nmixing_alt_x0 = 0.2 0.1\n"
         cfg = load_config(write_model_config(tmp_path, model_id, estimators), jobs=3)
         groups = _run_groups(cfg)
@@ -304,11 +317,12 @@ class TestRun:
         probes = [x0 * s for s in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
         oracles = {
             "lyapunov": EnsembleResult.concat([
-                run_ensemble(model, probe, samples, 1, cfg.dt, cfg.seed, stream0=i * samples)
+                run_ensemble(model, probe, samples, 1, cfg.dt, cfg.seed, stream0=i * samples,
+                             w_sups=False)
                 for i, probe in enumerate(probes)
             ]),
             "mixing": run_ensemble(model, cfg.mixing_alt_x0(model), n, 2, cfg.dt, cfg.seed,
-                                   stream0=n),
+                                   stream0=n, w_sups=False),
         }
         for group, oracle in oracles.items():
             for field in fields(oracle):
@@ -511,21 +525,24 @@ class TestRun:
     @pytest.mark.parametrize("group", ["ensemble", "second-start"])
     def test_blow_up_report_is_the_same_at_every_jobs(self, tmp_path, group):
         # from this start streams 1 and 5 blow up, at 0.008 and 0.007, and
-        # streams 8 and 15 at 0.007: one batch raises the earliest, and so
-        # must every split of the paths, in the ensemble (streams 0..7) and
-        # in mixing's second start (8..15), which now also runs before
-        # plot_data.csv is written
+        # streams 8 and 15 at 0.007: one batch raises the earliest, on the
+        # lowest stream at that time, and so must every split of the paths,
+        # in the ensemble (streams 0..7: stream 5, before stream 1) and in
+        # mixing's second start (8..15: stream 8), which now also runs
+        # before plot_data.csv is written
         model = make_chain(a_squared=5.0)
         start = np.zeros(model.dim)
         start[0] = 44.7
-        times = {}
+        errors = {}
         for stream in range(16):
             try:
                 run_ensemble(model, start, 1, 1, 1e-3, seed=25, stream0=stream)
             except BlowUpError as exc:
-                times[stream] = exc.time
+                errors[stream] = exc
+        times = {stream: exc.time for stream, exc in errors.items()}
         assert times == {1: pytest.approx(0.008), 5: pytest.approx(0.007),
                          8: pytest.approx(0.007), 15: pytest.approx(0.007)}
+        first = errors[5 if group == "ensemble" else 8]
         text = ("[model]\nid = chain\na_squared = 5.0\n\n"
                 "[run]\ndt = 0.001\nunits = 1\nensemble = 8\nseed = 25\nbinding = off\n")
         if group == "ensemble":
@@ -543,6 +560,9 @@ class TestRun:
         assert len(reports) == 1
         report = json.loads(reports.pop())
         assert report["status"] == "blow_up" and report["time"] == times[5]
+        assert (report["stream"], report["step"], report["component"]) == (
+            first.stream, first.step, first.component)
+        assert first.step == 7
 
     def test_stream_0_blow_up_is_reported_first(self, tmp_path):
         # from this start (the first seed, scanning up from 1, at which
@@ -570,6 +590,7 @@ class TestRun:
             assert not (out / "trajectory.csv").exists() and not (out / "plot_data.csv").exists()
             report = json.loads((out / "report.json").read_text())
             assert report["status"] == "blow_up" and report["time"] == times[0]
+            assert report["stream"] == 0 and report["step"] == 8
 
     def test_estimator_error_exits_3_with_a_report(self, tmp_path, capsys):
         # a far start of the a² = 5 chain: every path's log weight passes the

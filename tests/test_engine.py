@@ -135,13 +135,15 @@ class TestIntegrate:
         assert 0 < err.value.time <= 0.2
 
     def test_a_continued_run_blows_up_at_the_run_time(self):
-        # from unit 2 on, a blow-up within the unit is reported after t = 2
+        # from unit 2 on, a blow-up within the unit is reported after t = 2,
+        # at a step counted from time 0
         model = make_chain(a_squared=5.0)
         x0 = np.zeros(model.dim)
         x0[0] = 60.0
         with pytest.raises(BlowUpError) as err:
             run_ensemble(model, x0, 1, 1, 1e-3, seed=1, start_unit=2)
         assert 2 < err.value.time <= 2.2
+        assert err.value.time == pytest.approx(err.value.step * 1e-3)
 
     def test_blow_up_survives_a_pickle_round_trip(self):
         # a process pool sends a worker's exception back pickled
@@ -149,6 +151,9 @@ class TestIntegrate:
         assert isinstance(err, BlowUpError)
         assert err.time == 0.123
         assert str(err) == "blow-up at t=0.123"
+        err = pickle.loads(pickle.dumps(BlowUpError(0.123, stream=5, step=123, component=2)))
+        assert (err.time, err.stream, err.step, err.component) == (0.123, 5, 123, 2)
+        assert str(err) == "blow-up at t=0.123 on stream 5, step 123, component 2"
 
     def test_dt_must_divide_the_unit(self):
         noise = NoisePath(dt=3e-3, increments=np.zeros((10, 1)))
@@ -161,6 +166,39 @@ class TestIntegrate:
         noise = NoisePath(dt=1e-3, increments=np.zeros((1000, 1)))
         with pytest.raises(EngineError, match="record_every"):
             integrate(TOY, np.zeros(2), noise, record_every=300)
+
+    # spectrum 700 on the coordinates in ``unstable``: from 1e3 there a
+    # step multiplies by e^7, and the state overflows at step 101
+    @staticmethod
+    def exploding(unstable):
+        spectrum = np.full(4, -1.0)
+        spectrum[list(unstable)] = 700.0
+        return linear_model(spectrum, [1.0])
+
+    def test_a_blow_up_names_its_stream_step_and_component(self):
+        # paths 2 and 3 overflow in coordinate 2 at the first non-finite
+        # step, path 1 (from 1, not 1e3) one step later: the lowest of the
+        # first, on its stream, is reported
+        model = self.exploding([2])
+        starts = np.zeros((5, 4))
+        starts[1, 2], starts[2:4, 2] = 1.0, 1e3
+        with pytest.raises(BlowUpError) as err:
+            run_ensemble(model, starts, 5, 2, 1e-2, seed=1, stream0=10, w_sups=False)
+        assert (err.value.stream, err.value.step, err.value.component) == (12, 101, 2)
+        assert err.value.time == pytest.approx(1.01)
+        assert "on stream 12, step 101, component 2" in str(err.value)
+
+    def test_a_blow_up_names_x_before_rho(self):
+        # x overflows in coordinate 2 and rho in 1 at the same step: the
+        # component is x's; where x stays finite, rho's is reported
+        model = self.exploding([1, 2])
+        binding = constant_binding(model)
+        x0, offset = np.zeros(4), np.zeros(4)
+        x0[2], offset[1] = 1e3, 1e3
+        for starts, component in (((x0, x0 + offset), 2), ((np.zeros(4), offset), 1)):
+            with pytest.raises(BlowUpError) as err:
+                run_coupled_ensemble(model, binding, *starts, 3, 2, 1e-2, seed=1, stream0=4)
+            assert (err.value.stream, err.value.step, err.value.component) == (4, 101, component)
 
     def test_w_sup_dominates_interval_start(self):
         noise = sample_noise(TOY, 3000, 1e-3, seed=4)
@@ -359,7 +397,8 @@ def test_shift_noise_applies_the_force_the_stepper_applied(model_id):
 
 class TestEnsembles:
     def test_matches_single_trajectories_bitwise(self):
-        ens = run_ensemble(TOY, np.array([0.5, -0.5]), 3, 2, 1e-3, seed=17, record_every=500)
+        ens = run_ensemble(TOY, np.array([0.5, -0.5]), 3, 2, 1e-3, seed=17, record_every=500,
+                           w_sups=True)
         for i in range(3):
             noise = sample_noise(TOY, 2000, 1e-3, seed=17, stream=i)
             traj = integrate(TOY, np.array([0.5, -0.5]), noise, record_every=500)
@@ -385,7 +424,7 @@ class TestEnsembles:
 
     def test_w_sup_mean_bounded(self):
         x0 = np.array([2.0, 1.0])
-        ens = run_ensemble(TOY, x0, 200, 1, 1e-3, seed=20)
+        ens = run_ensemble(TOY, x0, 200, 1, 1e-3, seed=20, w_sups=True)
         v0 = lyapunov(TOY, x0)
         assert ens.w_sup[0].mean() <= 3.0 * v0 + 4.0
 
@@ -402,9 +441,9 @@ class TestEnsembles:
             params={},
         )
         x0, y0 = np.array([1.0, 0.5]), np.array([0.6, 0.8])
-        ens = run_ensemble(model, x0, 3, 2, 1e-2, seed=21, record_every=1)
+        ens = run_ensemble(model, x0, 3, 2, 1e-2, seed=21, record_every=1, w_sups=True)
         pair = run_coupled_ensemble(model, make_binding(model), x0, y0, 3, 2, 1e-2, seed=21,
-                                    record_every=1)
+                                    record_every=1, w_sups=True)
         for w_sup, states in ((ens.w_sup, ens.states), (pair.w_sup_x, pair.x),
                               (pair.w_sup_y, pair.y)):
             v = 4.0 * (states * states).sum(-1)
@@ -413,8 +452,9 @@ class TestEnsembles:
 
     def test_zero_units_keep_the_path_axis(self):
         x0 = np.array([1.0, 0.5])
-        ens = run_ensemble(TOY, x0, 4, 0, 1e-3, seed=24)
-        pair = run_coupled_ensemble(TOY, make_binding(TOY), x0, x0 + 0.1, 4, 0, 1e-3, seed=24)
+        ens = run_ensemble(TOY, x0, 4, 0, 1e-3, seed=24, w_sups=True)
+        pair = run_coupled_ensemble(TOY, make_binding(TOY), x0, x0 + 0.1, 4, 0, 1e-3, seed=24,
+                                    w_sups=True)
         assert ens.w_sup.shape == pair.w_sup_x.shape == pair.w_sup_y.shape == (0, 4)
         assert ens.states.shape == pair.x.shape == (1, 4, 2)
 
@@ -474,8 +514,9 @@ def test_uncoupled_run_is_the_x_half_of_the_coupled_run(model_id, n_traj):
     # uncoupled paths equal the x half of the coupled ones bit for bit
     model, x0, y0 = bound_pair(model_id)
     binding = make_binding(model)
-    ens = run_ensemble(model, x0, n_traj, 1, 2e-3, seed=23, record_every=50)
-    pair = run_coupled_ensemble(model, binding, x0, y0, n_traj, 1, 2e-3, seed=23, record_every=50)
+    ens = run_ensemble(model, x0, n_traj, 1, 2e-3, seed=23, record_every=50, w_sups=True)
+    pair = run_coupled_ensemble(model, binding, x0, y0, n_traj, 1, 2e-3, seed=23, record_every=50,
+                                w_sups=True)
     np.testing.assert_array_equal(ens.states, pair.x)
     np.testing.assert_array_equal(ens.w_sup, pair.w_sup_x)
     noise = sample_noise(model, 500, 2e-3, seed=23, stream=n_traj)
@@ -608,8 +649,9 @@ def test_streamed_runs_equal_the_one_draw_oracle(model_id, budget_rows, monkeypa
     spu = round(1 / dt)
     if budget_rows is not None:
         monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", block_rows(model, n, budget_rows))
-    ens = run_ensemble(model, x0, n, units, dt, seed=33, record_every=50)
-    pairs = run_coupled_ensemble(model, binding, x0, y0, n, units, dt, seed=33, record_every=50)
+    ens = run_ensemble(model, x0, n, units, dt, seed=33, record_every=50, w_sups=True)
+    pairs = run_coupled_ensemble(model, binding, x0, y0, n, units, dt, seed=33, record_every=50,
+                                 w_sups=True)
     noises = [sample_noise(model, units * spu, dt, seed=33, stream=i) for i in range(n)]
     paths = [integrate(model, x0, noise, record_every=50) for noise in noises]
     assert_paths_equal(ens, EnsembleResult.concat(paths), "uncoupled run")
@@ -619,7 +661,7 @@ def test_streamed_runs_equal_the_one_draw_oracle(model_id, budget_rows, monkeypa
         first = 10 * start_unit  # the record at time start_unit
         starts = np.stack([path.states[first, 0] for path in paths])
         later = run_ensemble(model, starts, n, units - start_unit, dt, seed=33, record_every=50,
-                             start_unit=start_unit)
+                             start_unit=start_unit, w_sups=True)
         for i, path in enumerate(paths):
             where = f"continued at {start_unit}, path {i}"
             np.testing.assert_allclose(later.times, path.times[first:], rtol=0, atol=1e-12)
@@ -670,6 +712,94 @@ def test_noise_blocks_stay_within_a_unit_and_the_budget(budget_rows, monkeypatch
     assert max(shape[0] for shape in shapes) == min(spu, budget_rows or budget_rule)
     assert max(sizes) <= engine._NOISE_BLOCK_BYTES
     assert len(set(buffers)) == 1
+
+
+UNIT_FIELDS = ("w_sup", "w_sup_x", "w_sup_y")
+
+
+def assert_sups_off(off, on, where):
+    """``off`` holds no W sups and every other field of ``on``, bit for bit."""
+    for field in fields(on):
+        if field.name in UNIT_FIELDS:
+            assert getattr(off, field.name) is None, f"{where}: {field.name}"
+        else:
+            np.testing.assert_array_equal(getattr(off, field.name), getattr(on, field.name),
+                                          err_msg=f"{where}: {field.name}")
+
+
+@pytest.mark.parametrize("model_id", list(BOUND_PAIRS))
+def test_runs_without_w_sups_change_nothing_else(model_id):
+    # the W sups are read by axk and density alone: a run that skips them
+    # makes the same paths, weights and flags bit for bit, and a run that
+    # keeps them has, per unit, the running max of the model's V over
+    # every step, on x and on y = x + rho
+    model, x0, y0 = bound_pair(model_id)
+    binding = make_binding(model)
+    units, dt, spu = 2, 1e-2, 100
+    for run in (partial(run_ensemble, model, x0), partial(run_coupled_ensemble, model, binding, x0, y0)):
+        on, off = (run(3, units, dt, seed=43, record_every=1, w_sups=flag) for flag in (True, False))
+        assert_sups_off(off, on, run.func.__name__)
+        copies = ((on.w_sup, on.states),) if run.func is run_ensemble else (
+            (on.w_sup_x, on.x), (on.w_sup_y, on.y))
+        for w_sup, states in copies:
+            v = lyapunov(model, states)
+            running_max = np.stack([v[u * spu : (u + 1) * spu + 1].max(axis=0) for u in range(units)])
+            np.testing.assert_array_equal(w_sup, running_max)
+
+
+def test_a_run_without_w_sups_makes_no_lyapunov_call():
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return (x * x).sum(-1)
+
+    model = ModelSpec(id="toy2d", dim=2, linear_spectrum=TOY.linear_spectrum,
+                      nonlinearity=TOY.nonlinearity, lyapunov=counted,
+                      noise_coeffs=np.array([1.0]), params={})
+    binding = make_binding(model)
+    x0, y0 = np.array([1.0, 0.5]), np.array([0.6, 0.8])
+    for w_sups, per_run in ((False, []), (True, [(1, 3, 2)] * 201)):
+        calls.clear()
+        run_ensemble(model, x0, 3, 2, 1e-2, seed=44, w_sups=w_sups)
+        uncoupled = list(calls)
+        run_coupled_ensemble(model, binding, x0, y0, 3, 2, 1e-2, seed=44, w_sups=w_sups)
+        assert uncoupled == per_run
+        assert calls[len(uncoupled):] == [(2,) + shape[1:] for shape in per_run]
+
+
+def test_batches_without_w_sups_carry_none_through():
+    # head, at_units, x_half, then and concat hold None where the run kept
+    # no sups, and every other field as with sups; parts that disagree on
+    # the sups are refused
+    model, x0, y0 = bound_pair("toy2d")
+    binding = make_binding(model)
+
+    def joined(w_sups):
+        pair = partial(run_coupled_ensemble, model, binding, x0, y0, dt=2e-3, seed=45,
+                       record_every=50, w_sups=w_sups)
+        first, second = pair(3, 2), pair(2, 2, stream0=3)
+        later = run_ensemble(model, first.x[-1], 3, 1, 2e-3, seed=45, record_every=50,
+                             start_unit=2, w_sups=w_sups)
+        return first, later, {
+            "head": first.head(1),
+            "at_units": first.at_units(),
+            "x_half": first.x_half(),
+            "then": first.x_half().then(later),
+            "concat": CoupledEnsembleResult.concat([first, second]),
+            "concat x halves": EnsembleResult.concat([first.x_half(), second.x_half()]),
+        }
+
+    on_first, on_later, on = joined(True)
+    off_first, off_later, off = joined(False)
+    for name, batch in off.items():
+        assert_sups_off(batch, on[name], name)
+    with pytest.raises(EngineError, match="w_sup_x is held by some of the batches only"):
+        CoupledEnsembleResult.concat([on_first, off_first])
+    with pytest.raises(EngineError, match="w_sup is held by some of the batches only"):
+        off_first.x_half().then(on_later)
+    with pytest.raises(EngineError, match="w_sup is held by some of the batches only"):
+        EnsembleResult.concat([off_first.x_half(), on_first.x_half()])
 
 
 def test_a_force_of_the_wrong_shape_is_refused():

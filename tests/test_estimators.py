@@ -454,6 +454,11 @@ class TestAxk:
         with pytest.raises(EngineError, match="before 4"):
             axk_table(TOY, ens, ks=[1.0], horizon=3)
 
+    def test_an_ensemble_without_w_sups_is_refused(self):
+        ens = run_ensemble(TOY, np.zeros(2), 4, 2, 2e-3, seed=8, w_sups=False)
+        with pytest.raises(EstimatorError, match="axk reads the W sups"):
+            axk_table(TOY, ens, [1.0], horizon=1)
+
     def test_large_k_captures_almost_everything(self):
         x0 = np.array([1.0, 0.5])
         ens = run_ensemble(TOY, x0, 300, 3, 2e-3, seed=10)
@@ -461,9 +466,9 @@ class TestAxk:
         assert rows[0]["frequency"] >= 0.999
 
 
-def _coupled(binding, x0, y0, n_traj, units, seed, record_every=None):
+def _coupled(binding, x0, y0, n_traj, units, seed, record_every=None, w_sups=True):
     return run_coupled_ensemble(TOY, binding, np.asarray(x0, float), np.asarray(y0, float),
-                                n_traj, units, 2e-3, seed, record_every=record_every)
+                                n_traj, units, 2e-3, seed, record_every=record_every, w_sups=w_sups)
 
 
 class TestDensityDiagnostics:
@@ -485,6 +490,11 @@ class TestDensityDiagnostics:
         inv = diag.mean_inv_sq_good
         assert np.mean(inv[-3:]) <= 2.0 * np.mean(inv[:3]) + 0.5
         assert diag.gamma2_hat is not None and diag.gamma2_hat > 0.0
+
+    def test_pairs_without_w_sups_are_refused(self):
+        ens = _coupled(constant_binding(TOY), np.zeros(2), np.ones(2), 5, 2, seed=0, w_sups=False)
+        with pytest.raises(EstimatorError, match="density reads the W sups"):
+            density_diagnostics(TOY, ens, horizons=[1])
 
     def test_bad_horizons(self):
         ens = _coupled(constant_binding(TOY), np.zeros(2), np.ones(2), 5, 1, seed=0)

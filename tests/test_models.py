@@ -19,7 +19,7 @@ from asymcouple.models import (
     make_reaction_diffusion,
     make_toy2d,
 )
-from oracles import drift, evaluate
+from oracles import chain_nonlinearity, drift, evaluate
 
 
 def chain_drift_oracle(a2, x):
@@ -81,6 +81,30 @@ class TestChain:
             [evaluate(field.rows[("x", i)], assign) for i in range(model.dim)], axis=-1
         )
         np.testing.assert_allclose(drift(model, xs), poly_drift, atol=1e-12)
+
+    @pytest.mark.parametrize("a_squared", [0.0, 2.0, 33.0])
+    def test_nonlinearity_is_bitwise_the_slice_formulation(self, a_squared):
+        # the neighbour sums run as contiguous passes over the rows laid end
+        # to end, with the edge columns put back: the same additions in the
+        # same order as the two sliced sums, bit for bit, also on signed
+        # zeros, infinities and nan, across the row ends of every batch
+        # shape, and on a transposed (not C-contiguous) batch
+        model = make_chain(a_squared=a_squared)
+        m = model.dim
+        rng = np.random.default_rng(5)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e-300])
+        batch = rng.normal(size=(2, 7, m))
+        batch.reshape(-1)[rng.choice(batch.size, 3 * len(special), replace=False)] = np.repeat(special, 3)
+        batch[1, 3, 0], batch[1, 3, -1] = -0.0, np.inf  # on the row ends
+        inputs = {"(dim,)": batch[0, 0], "(n, dim)": batch[0], "(2, n, dim)": batch,
+                  "transposed": np.ascontiguousarray(batch[1].T).T}
+        for name, x in inputs.items():
+            before = x.copy()
+            with np.errstate(all="ignore"):
+                got, expected = model.nonlinearity(x), chain_nonlinearity(x)
+            assert got.shape == expected.shape == x.shape, name
+            assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), name
+            assert before.tobytes() == x.tobytes(), f"{name}: the input was written"
 
     def test_truncation_validation(self):
         with pytest.raises(ModelError, match="too small"):

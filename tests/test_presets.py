@@ -15,6 +15,9 @@ The threshold tests feed each rule hand-built numbers at its bound and
 one ``np.nextafter`` step past it, so no threshold can move silently.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -209,3 +212,14 @@ class TestThresholds:
             "decay-rising": (False, "distances 0.500, 0.750; noise floor 0.250; fitted rate 1.000"),
             "decay-flat": (False, "distances 0.500, 0.500; noise floor 0.250; fitted rate 0.000"),
         }
+
+
+def test_no_preset_tracks_the_w_sups():
+    # no preset reads a W sup, so each of its eight ensembles (toy, gl, rd,
+    # chain twice, girsanov, mixing twice) is run without them
+    tree = ast.parse(Path(presets.__file__).read_text())
+    runs = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("run_ensemble", "run_coupled_ensemble")]
+    flags = [next((ast.literal_eval(k.value) for k in node.keywords if k.arg == "w_sups"), None)
+             for node in runs]
+    assert flags == [False] * 8
