@@ -106,11 +106,11 @@ def _groups(cfg: ExperimentConfig, model) -> dict[str, _Group]:
     return groups
 
 
-def _run_span(cfg, model, binding, group: _Group, lo: int, hi: int):
+def _run_span(cfg, model, group: _Group, lo: int, hi: int):
     """Paths ``lo..hi-1`` of ``group``: bound pairs over its
-    ``coupled_units``, then the ``x`` paths alone up to its ``units``.
-    Returns the pairs (None when the group has no bound span) and the
-    ``x`` paths over the whole group."""
+    ``coupled_units``, under a binding built for them, then the ``x``
+    paths alone up to its ``units``.  Returns the pairs (None when the
+    group has no bound span) and the ``x`` paths over the whole group."""
     x0 = group.x0[lo:hi] if group.x0.ndim == 2 else group.x0
     n = hi - lo
     records = {"stream0": group.stream0 + lo, "record_every": group.record_every,
@@ -118,7 +118,7 @@ def _run_span(cfg, model, binding, group: _Group, lo: int, hi: int):
     if not group.coupled_units:
         return None, run_ensemble(model, x0, n, group.units, cfg.dt, cfg.seed, **records)
     pairs = run_coupled_ensemble(
-        model, binding or bnd.make_binding(model), x0, group.y0, n, group.coupled_units, cfg.dt,
+        model, bnd.make_binding(model), x0, group.y0, n, group.coupled_units, cfg.dt,
         cfg.seed, **records,
     )
     x_ens = pairs.x_half()
@@ -130,21 +130,21 @@ def _run_span(cfg, model, binding, group: _Group, lo: int, hi: int):
     return pairs, x_ens
 
 
-def _group_worker(task, binding=None):
+def _group_worker(task):
     """Top-level worker so process pools can pickle the task ``(cfg, name,
     lo, hi)``: paths ``lo..hi-1`` of the run's group ``name``, or the
     ``BlowUpError`` they raised, which the run weighs against its other
-    spans' (see ``_run_groups``).  A pool worker builds its own model and
-    binding; in the run's own process they are the run's."""
+    spans' (see ``_run_groups``).  The model is the config's, built once
+    per process; a bound span builds its own binding."""
     cfg, name, lo, hi = task
     model = cfg.build_model()
     try:
-        return _run_span(cfg, model, binding, _groups(cfg, model)[name], lo, hi)
+        return _run_span(cfg, model, _groups(cfg, model)[name], lo, hi)
     except BlowUpError as exc:
         return exc
 
 
-def _run_groups(cfg: ExperimentConfig, binding=None) -> dict:
+def _run_groups(cfg: ExperimentConfig) -> dict:
     """Integrate the run's ``_groups`` as one task list on a worker pool,
     each group cut into at most ``jobs`` spans; paths are indexed by noise
     stream, so the merge does not depend on the schedule.  Returns each
@@ -159,7 +159,7 @@ def _run_groups(cfg: ExperimentConfig, binding=None) -> dict:
         bounds = np.linspace(0, group.n, min(jobs, group.n) + 1).astype(int)
         tasks += [(cfg, name, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if jobs == 1:
-        outcomes = [_group_worker(task, binding) for task in tasks]
+        outcomes = [_group_worker(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_group_worker, tasks))
@@ -253,19 +253,18 @@ def cmd_run(args) -> int:
     fingerprint = cfg.fingerprint()
 
     try:
-        binding = bnd.make_binding(model) if cfg.binding else None
         # one ensemble serves the trajectory (its path 0), the plot data and
         # every estimator that starts at (x0, y0); density needs the bound
         # copy even with binding off
         try:
-            groups = _run_groups(cfg, binding)
+            groups = _run_groups(cfg)
         except BlowUpError:
             # stream 0 alone, as the ensemble's path 0 over the plotted
             # units: its own blow-up is reported first, and if it has none
             # its trajectory is written before the groups' blow-up
             trajectory = _Group(1, x0, 0, cfg.units, cfg.units if cfg.binding else 0, y0,
                                 _dense_every(cfg))
-            pair, path = _run_span(cfg, model, binding, trajectory, 0, 1)
+            pair, path = _run_span(cfg, model, trajectory, 0, 1)
             _write_csv(out_dir / "trajectory.csv",
                        *_trajectory_table(model, path if pair is None else pair), fingerprint)
             raise

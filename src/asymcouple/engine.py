@@ -18,7 +18,7 @@ The log Girsanov weight accumulates the left-point (Ito) sums
 ``G · Δω - ||G||² dt / 2``; left-point evaluation keeps the exponential
 exactly mean-one over fresh noise.  Each step's ``G`` waits in one
 buffer, bounded by ``_FOLD_BYTES`` with the fold's temporaries, and the
-sums are folded over the buffered steps when it is full and at the end
+sums are folded over it at each record, when it is full and at the end
 of each noise block: cumulative sums down the steps, carried on from
 the last fold, add in the order of a step-by-step sum.
 
@@ -202,7 +202,7 @@ class CoupledEnsembleResult(_PathBatch):
 
 class _Scheme:
     """Per-(model, dt) step weights for the exponential two-stage scheme,
-    and the steps per unit interval, over which the W sups are taken."""
+    and the steps per unit interval, which ``dt`` must divide."""
 
     def __init__(self, model: ModelSpec, dt: float):
         if dt <= 0:
@@ -214,7 +214,7 @@ class _Scheme:
         self.w_noise = self.w1 / dt
         self.steps_per_unit = round(1.0 / dt)
         if abs(self.steps_per_unit * dt - 1.0) >= 1e-9:
-            raise EngineError("dt must divide the unit interval for W tracking")
+            raise EngineError("dt must divide the unit interval (unit records, noise blocks)")
 
 
 def _records(dt: float, record_every: int, stop: int, unit: int | None = None, start: int = 0,
@@ -253,19 +253,19 @@ _FOLD_BYTES = 1 << 16
 
 
 def _fold_girsanov(g, dw, dt, last):
-    """The log weight, ``||G||² dt`` and the overflow flag after each of
-    the buffered steps with forces ``g`` and increments ``dw``, carried
-    on from ``last``, their values before the first of them.  The
-    cumulative sums add in the order of a step-by-step sum."""
+    """The log weight, ``||G||² dt`` and the overflow flag after the last
+    of the buffered steps with forces ``g`` and increments ``dw``,
+    carried on from ``last``, their values before the first of them:
+    the last rows of cumulative sums, which add in the order of a
+    step-by-step sum (``np.sum`` adds pairwise)."""
     g_sq = (g**2).sum(axis=-1)
     log_density = (g * dw).sum(axis=-1) - 0.5 * g_sq * dt
     g_l2 = g_sq * dt
     log_density[0] += last[0]
     g_l2[0] += last[1]
     log_density = np.cumsum(log_density, axis=0)
-    overflow = np.abs(log_density) > LOG_DENSITY_OVERFLOW
-    overflow[0] |= last[2]
-    return log_density, np.cumsum(g_l2, axis=0), np.logical_or.accumulate(overflow, axis=0)
+    overflow = last[2] | (np.abs(log_density) > LOG_DENSITY_OVERFLOW).any(axis=0)
+    return log_density[-1], np.cumsum(g_l2, axis=0)[-1], overflow
 
 
 def _first_record(value, records: int) -> np.ndarray:
@@ -294,8 +294,8 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
     (step 0 and the last step among them).  Given a binding it also
     steps the difference ``rho`` from ``rho0`` with the binding drift and
     tracks the Girsanov log weight, ``||G||²``, the overflow flag and
-    ``zeta``; the weight, ``||G||²`` and the flag are recorded as of each
-    record.  With ``w_sups`` it tracks the W sups of ``x`` (and ``y``).
+    ``zeta``; each record, the first three folded up to it, is written
+    at its step.  With ``w_sups`` it tracks the W sups of ``x`` (and ``y``).
     Returns an :class:`EnsembleResult` or a
     :class:`CoupledEnsembleResult`.  A blow-up raises a
     :class:`BlowUpError` whose stream is the path's index in the batch.
@@ -303,8 +303,7 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
     record_steps, times = records
     if record_steps[0] != 0:
         raise EngineError("records must start at step 0")
-    next_records = iter(int(s) for s in record_steps[1:])
-    next_record = next(next_records, None)
+    record_steps = record_steps.tolist()
     spu = scheme.steps_per_unit
     e, w1, half_w1, dt = scheme.exp_factor, scheme.w1, 0.5 * scheme.w1, scheme.dt
     k, q, wq = model.n_noise, model.noise_coeffs, scheme.w_noise[: model.n_noise]
@@ -322,8 +321,7 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
     x_forced, pred_forced = x[..., :k], pred[0, ..., :k]
     n = x.shape[0]
     # every record goes into arrays sized for all of them, so none is held
-    # twice: record 0 now, record ``r`` at its step, the Girsanov records
-    # from ``folded_records`` on at each fold
+    # twice: record 0 now, record ``r`` at its step
     x_records = _first_record(x, len(times))
     r = 0
     if coupled:
@@ -332,23 +330,23 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
         zeta_fn = binding.zeta_map
         rho_records = _first_record(rho, len(times))
         zeta_records = _first_record(zeta_fn(cur), len(times)) if zeta_fn is not None else None
-        # each step's force waits in one buffer for the fold that sums it
-        # into the Girsanov records, at the latest at the end of its block
+        # each step's force waits in one buffer for the fold that sums it, at
+        # the next record, or sooner if the buffer fills or its block ends
         forces = np.empty((max(1, _FOLD_BYTES // (8 * n * (3 * k + 10))), n, k))
-        held, kept, folded_records = 0, [], 1
+        held = 0
         last = (np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
         girsanov_records = tuple(_first_record(value, len(times)) for value in last)
     sups = (None, None)
     if w_sups:
         w_cur = lyapunov(model, cur).copy()
         # the sup of V over each unit interval, written at the unit's end
-        sups = np.empty((len(cur), int(record_steps[-1]) // spu, n))
+        sups = np.empty((len(cur), record_steps[-1] // spu, n))
     step0 = round(float(times[0]) / dt)
 
     # blow-ups are detected and reported, not raised by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         step = 0
-        for block in _blocks_of(blocks, int(record_steps[-1])):
+        for block in _blocks_of(blocks, record_steps[-1]):
             for j, dw in enumerate(block):
                 forcing = wq * (q * dw)
                 f1 = f(cur)
@@ -389,23 +387,19 @@ def _integrate_batch(model, scheme, x0, blocks, records, binding=None, rho0=None
                     if step % spu == 0:
                         sups[:, step // spu - 1] = w_cur
                         w_cur[...] = v
-                if step == next_record:
-                    next_record = next(next_records, None)
+                record = step == record_steps[r + 1]
+                if coupled and (record or held == len(forces) or j + 1 == len(block)):
+                    last = _fold_girsanov(forces[:held], block[j + 1 - held : j + 1], dt, last)
+                    held = 0
+                if record:
                     r += 1
                     x_records[r] = x
                     if coupled:
-                        kept.append(held - 1)
                         rho_records[r] = rho
                         if zeta_records is not None:
                             zeta_records[r] = zeta_fn(cur)
-                if coupled and (held == len(forces) or j + 1 == len(block)):
-                    folded = _fold_girsanov(forces[:held], block[j + 1 - held : j + 1], dt, last)
-                    if kept:
-                        for out, values in zip(girsanov_records, folded):
-                            out[folded_records : folded_records + len(kept)] = values[kept]
-                        folded_records += len(kept)
-                    last = tuple(values[-1] for values in folded)
-                    held, kept = 0, []
+                        for out, value in zip(girsanov_records, last):
+                            out[r] = value
 
     if not coupled:
         return EnsembleResult(times=times, states=x_records, w_sup=sups[0])

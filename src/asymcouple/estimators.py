@@ -352,9 +352,12 @@ def axk_table(
 
 def mean_density(log_density: np.ndarray, keep: np.ndarray) -> tuple[float, float, int]:
     """The mean of the density ``exp(log_density)`` over the paths
-    ``keep``, its standard error and the number of paths kept."""
+    ``keep`` (NaN if none), its standard error (NaN below two paths) and
+    the number of paths kept."""
     dens = np.exp(log_density[keep])
-    return float(dens.mean()), float(dens.std(ddof=1) / math.sqrt(len(dens))), len(dens)
+    n = len(dens)
+    se = float(dens.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    return float(dens.mean()) if n else math.nan, se, n
 
 # the good event's bound on the summed sups of V, in units of V(x0)+V(y0)+m²
 K_GOOD = 20.0
@@ -419,7 +422,8 @@ def density_diagnostics(
         good = good_up_to[n - 1] & ok
         rows["gf"].append(float(good.mean()))
         if np.any(good):
-            rows["inv"].append(float(np.exp(-2.0 * log_density[n][good]).mean()))
+            with np.errstate(over="ignore"):  # past the float range: inf, written as null
+                rows["inv"].append(float(np.exp(-2.0 * log_density[n][good]).mean()))
             step = np.exp(log_density[n + 1][good] - log_density[n][good])
             rows["step"].append(float(((1.0 - step) ** 2).mean()))
         else:

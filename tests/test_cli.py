@@ -79,6 +79,21 @@ SPAN_CASES = {
 }
 
 
+def count_builds(monkeypatch) -> dict:
+    """Counts, kept up to date, of the models and bindings built from here on."""
+    built = {"model": 0, "binding": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(config, "make_model", counted("model", config.make_model))
+    monkeypatch.setattr(bnd, "make_binding", counted("binding", bnd.make_binding))
+    return built
+
+
 def write_config(tmp_path, offset="0.4 -0.2", name="exp.cfg", **extra):
     text = TOY_CONFIG.format(offset=offset, out=tmp_path / "out")
     for key, value in extra.items():
@@ -399,27 +414,34 @@ class TestRun:
         ("on", "", 1, 1),
         ("off", "density = on\ndensity_horizons = 1\n", 1, 1),
         ("off", "", 1, 0),
-        ("on", "density = on\ndensity_horizons = 1\n", 2, 1),
+        ("on", "density = on\ndensity_horizons = 1\n", 2, 0),
         ("on", "lyapunov = on\nmixing = on\nmixing_alt_x0 = 0.2 0.1\n", 1, 1),
     ], ids=["bound", "density-only", "unbound", "bound-2-jobs", "lyapunov-and-mixing"])
     def test_model_and_binding_built_once(self, tmp_path, monkeypatch, binding, estimators, jobs,
                                           bindings):
-        # validation, the run and an in-process worker share one model
-        # and one binding (the chain's cascade is derived once); a pool
-        # worker builds its own, in its own process
-        built = {"model": 0, "binding": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                built[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(config, "make_model", counted("model", config.make_model))
-        monkeypatch.setattr(bnd, "make_binding", counted("binding", bnd.make_binding))
+        # validation, the run and an in-process worker share one model; a
+        # bound span builds the binding it integrates with, in the process
+        # that runs it, so the run's own process builds none at --jobs 2
+        built = count_builds(monkeypatch)
         path = write_model_config(tmp_path, "chain", estimators, binding=binding)
         assert main(["run", "--config", str(path), "--jobs", str(jobs)]) == 0
         assert built == {"model": 1, "binding": bindings}
+
+    def test_a_bound_blow_up_builds_a_binding_per_span(self, tmp_path, monkeypatch):
+        # streams 1 and 5 of the bound ensemble blow up: the ensemble span
+        # builds one binding and the replay of stream 0, which writes its
+        # bound trajectory, builds another
+        built = count_builds(monkeypatch)
+        path = tmp_path / "blow.cfg"
+        path.write_text("[model]\nid = chain\na_squared = 5.0\n\n"
+                        "[run]\ndt = 0.001\nunits = 1\nensemble = 8\nseed = 25\nbinding = on\n"
+                        "x0 = 44.7\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--jobs", "1", "--out", str(out)]) == 3
+        assert built == {"model": 1, "binding": 2}
+        assert "rho_norm" in (out / "trajectory.csv").read_text().splitlines()[0]
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "blow_up" and report["stream"] == 5
 
     def test_trajectory_csv_shape(self, tmp_path):
         binding = make_binding(TOY)
@@ -591,6 +613,23 @@ class TestRun:
             report = json.loads((out / "report.json").read_text())
             assert report["status"] == "blow_up" and report["time"] == times[0]
             assert report["stream"] == 0 and report["step"] == 8
+
+    def test_density_of_one_kept_path_writes_nulls(self, tmp_path):
+        # one of the two paths overflows and the other's weight falls to
+        # about 1e-260: its standard error over one path and its inverse
+        # square, past the float range, are written as null, with no
+        # numpy warning (the suite turns warnings into errors)
+        path = tmp_path / "underflow.cfg"
+        path.write_text("[model]\nid = toy2d\n\n"
+                        "[run]\ndt = 0.001\nunits = 1\nensemble = 2\nseed = 2\nx0 = 1.0 0.5\n"
+                        "y0_offset = -2.5 -2.0\n\n[estimators]\ndensity = on\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--jobs", "1", "--out", str(out)]) == 0
+        density = json.loads((out / "report.json").read_text())["density"]
+        assert density["n_overflow"] == 1
+        assert all(0.0 < mean < 1e-250 for mean in density["mean_density"])
+        assert density["mean_density_se"] == [None] * len(density["horizons"])
+        assert density["mean_inv_sq_good"] == [None] * len(density["horizons"])
 
     def test_estimator_error_exits_3_with_a_report(self, tmp_path, capsys):
         # a far start of the a² = 5 chain: every path's log weight passes the

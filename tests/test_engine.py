@@ -1,5 +1,6 @@
 """Integrator correctness: exactness, coupling semantics, Girsanov weights."""
 
+import itertools
 import math
 import pickle
 import re
@@ -815,47 +816,66 @@ def fold_bytes(model, n_paths, rows):
 
 @pytest.mark.parametrize("model_id", [*BOUND_PAIRS, "constant"])
 def test_girsanov_folds_equal_a_step_by_step_sum(model_id, monkeypatch):
-    # the stepper buffers each step's force and folds the Girsanov sums a
-    # few steps at a time; with folds of 3 steps they cut across records
-    # and unit ends (a unit is 500 steps), and the log weight, ||G||² dt and
-    # the sticky overflow flag must still be, bit for bit, the sums of a
-    # plain step-by-step loop over the force at the recorded pair.  The
-    # overflow bound is lowered so that the constant force's log weight
-    # crosses it and comes back: the flag must stay set.  Dropping the
-    # carry of any running sum or of the flag into a fold fails this test.
+    # the stepper buffers each step's force and folds the Girsanov sums at
+    # each record, when its buffer (3 steps here) is full and at the end of
+    # each noise block (7 steps here, cutting across records and unit
+    # ends); the log weight, ||G||² dt and the sticky overflow flag written
+    # into each record must be, bit for bit, the sums of a plain
+    # step-by-step loop over the force at the pair recorded at every step.
+    # The overflow bound is lowered so that the constant force's log
+    # weight crosses it and comes back: the flag must stay set.  Dropping
+    # the carry of any running sum or of the flag into a fold fails this test.
     if model_id == "constant":
         model, binding = TOY, constant_binding(TOY, 3.0)
         x0, y0 = np.array([1.0, 0.5]), np.array([1.2, 0.4])
     else:
         model, x0, y0 = bound_pair(model_id)
         binding = make_binding(model)
-    n, units, dt = 2, 2, 2e-3
+    units, dt, buffer, block = 2, 2e-3, 3, 7
     steps = units * round(1 / dt)
-    monkeypatch.setattr(engine, "_FOLD_BYTES", fold_bytes(model, n, 3))
     monkeypatch.setattr(engine, "LOG_DENSITY_OVERFLOW", 1.0)
     folds = []
     fold = engine._fold_girsanov
 
     def spy(g, dw, *args):
-        folds.append(len(g))
+        folds.append(dw.copy())
         return fold(g, dw, *args)
 
     monkeypatch.setattr(engine, "_fold_girsanov", spy)
-    pairs = run_coupled_ensemble(model, binding, x0, y0, n, units, dt, seed=41, record_every=1)
-    assert max(folds) == 3 and folds.count(2) == units and sum(folds) == steps
-    thin = run_coupled_ensemble(model, binding, x0, y0, n, units, dt, seed=41, record_every=4)
-    for name in ("log_density", "g_l2", "overflow"):
-        np.testing.assert_array_equal(getattr(thin, name), getattr(pairs, name)[::4], err_msg=name)
-    for i in range(n):
-        noise = sample_noise(model, steps, dt, seed=41, stream=i)
-        force = force_at(model, binding, pairs.x[:-1, i], pairs.y[:-1, i])
-        expected = girsanov_sums(force, noise.increments, dt)
-        for name, values in zip(("log_density", "g_l2", "overflow"), expected):
-            np.testing.assert_array_equal(getattr(pairs, name)[:, i], values,
-                                          err_msg=f"path {i}: {name}")
-    if model_id == "constant":
-        flagged_below = pairs.overflow & (np.abs(pairs.log_density) <= 1.0)
-        assert flagged_below.any(axis=0).all()
+    for record_every, n in itertools.product((1, 4), (1, 2)):
+        monkeypatch.setattr(engine, "_FOLD_BYTES", fold_bytes(model, n, buffer))
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", 8 * n * model.n_noise * block)
+        folds.clear()
+        pairs = run_coupled_ensemble(model, binding, x0, y0, n, units, dt, seed=41,
+                                     record_every=record_every)
+        # each fold ends at a record, a full buffer or a block end, takes
+        # no record before its last step, and the folds take every step's
+        # increments once, in order
+        lengths = np.array([len(dw) for dw in folds])
+        ends = np.cumsum(lengths)
+        at_record, full, block_end = ends % record_every == 0, lengths == buffer, ends % block == 0
+        assert (at_record | full | block_end).all()
+        assert ((ends - 1) // record_every == (ends - lengths) // record_every).all()
+        if record_every > 1:
+            assert (full & ~at_record).any() and (block_end & ~full & ~at_record).any()
+        noise = [sample_noise(model, steps, dt, seed=41, stream=i) for i in range(n)]
+        np.testing.assert_array_equal(np.concatenate(folds),
+                                      np.stack([path.increments for path in noise], axis=1))
+
+        dense = pairs if record_every == 1 else run_coupled_ensemble(
+            model, binding, x0, y0, n, units, dt, seed=41, record_every=1)
+        for name in ("x", "rho", "log_density", "g_l2", "overflow"):
+            np.testing.assert_array_equal(getattr(pairs, name),
+                                          getattr(dense, name)[::record_every], err_msg=name)
+        for i in range(n):
+            force = force_at(model, binding, dense.x[:-1, i], dense.y[:-1, i])
+            expected = girsanov_sums(force, noise[i].increments, dt)
+            for name, values in zip(("log_density", "g_l2", "overflow"), expected):
+                np.testing.assert_array_equal(getattr(dense, name)[:, i], values,
+                                              err_msg=f"{n} paths, path {i}: {name}")
+        if model_id == "constant":
+            flagged_below = dense.overflow & (np.abs(dense.log_density) <= 1.0)
+            assert flagged_below.any(axis=0).all()
 
 
 @pytest.mark.parametrize("n_traj", [1, 3, 9])

@@ -30,6 +30,7 @@ from asymcouple.estimators import (
     dual_lipschitz_distance,
     fit_contraction,
     lyapunov_fit,
+    mean_density,
     mixing_distance_series,
 )
 from asymcouple.models import lyapunov, make_model, make_toy2d
@@ -516,6 +517,15 @@ class TestDensityDiagnostics:
         expected = density_diagnostics(TOY, short, horizons=[1])
         assert density_diagnostics(TOY, long, horizons=[1]) == expected
         assert expected.n_overflow == 0
+
+    def test_mean_density_of_fewer_than_two_kept_paths(self):
+        # one kept path has no standard error and none has no mean either,
+        # with no numpy warning (the suite turns warnings into errors)
+        log_density = np.array([np.log(2.0), 800.0])
+        mean, se, n = mean_density(log_density, np.array([True, False]))
+        assert (mean, n) == (2.0, 1) and math.isnan(se)
+        mean, se, n = mean_density(log_density, np.zeros(2, dtype=bool))
+        assert math.isnan(mean) and math.isnan(se) and n == 0
 
 
 def test_mixing_series_shape():

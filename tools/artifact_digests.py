@@ -6,7 +6,8 @@ values (default truncation), and ``report.json``, ``trajectory.csv`` and
 ``plot_data.csv`` of ``run`` configs for all four models: the
 ``bench/workloads.py`` ``cli-run`` configs at seeds 3 and 7, each at
 ``--jobs`` 1 and 2, and the ``EXTRA_RUNS`` below, which reach the path
-groups those skip, and the ``BLOW_UP_RUN``, each at ``--jobs`` 1 and 3.
+groups those skip, the ``BLOW_UP_RUN`` and the ``UNDERFLOW_RUN``, each at
+``--jobs`` 1 and 3.
 A run that blows up writes no ``plot_data.csv``; an artifact a run does
 not write is printed as ``absent``.
 
@@ -49,6 +50,12 @@ EXTRA_JOBS = (1, 3)
 # not: its trajectory is replayed alone and written, then the blow-up reported
 BLOW_UP_RUN = ("[model]\nid = chain\na_squared = 5.0\n\n"
                "[run]\ndt = 0.001\nunits = 1\nensemble = 8\nseed = 25\nbinding = off\nx0 = 44.7\n")
+# one of the two density paths overflows and the other's weight falls
+# to about 1e-260: one path is kept, so the density's standard error is
+# NaN and its inverse square past the float range; both are written as null
+UNDERFLOW_RUN = ("[model]\nid = toy2d\n\n"
+                 "[run]\ndt = 0.001\nunits = 1\nensemble = 2\nseed = 2\nx0 = 1.0 0.5\n"
+                 "y0_offset = -2.5 -2.0\n\n[estimators]\ndensity = on\n")
 
 
 def _digest(data: str | bytes) -> str:
@@ -91,6 +98,7 @@ def digests(checkout: Path):
                         f"[estimators]\ncontraction = on\n{estimators}")
                 runs.append((f"{model_id}/{name}", text, EXTRA_JOBS))
         runs.append(("chain/blow-up", BLOW_UP_RUN, EXTRA_JOBS))
+        runs.append(("toy2d/density-underflow", UNDERFLOW_RUN, EXTRA_JOBS))
         for i, (label, text, jobs_values) in enumerate(runs):
             config = tmp / f"run{i}.cfg"
             config.write_text(text)
