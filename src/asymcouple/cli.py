@@ -306,11 +306,10 @@ def cmd_reproduce(args) -> int:
     outcome = run_preset(args.experiment, seed=args.seed)
     out_dir = Path(os.environ.get("ASYMCOUPLE_OUT") or args.out or "out") / args.experiment
     out_dir.mkdir(parents=True, exist_ok=True)
-    if outcome.report is not None:
-        cascade_text = outcome.report.extras.get("cascade_text")
-        if cascade_text:
-            print(cascade_text)
-        (out_dir / "report.json").write_text(outcome.report.to_json() + "\n")
+    cascade_text = outcome.report.extras.get("cascade_text")
+    if cascade_text:
+        print(cascade_text)
+    (out_dir / "report.json").write_text(outcome.report.to_json() + "\n")
     for line in outcome.lines():
         print(line)
     return 0 if outcome.passed else 1

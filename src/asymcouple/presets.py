@@ -1,18 +1,20 @@
-"""Pinned reproduction experiments, one per headline property.
+"""Pinned reproduction experiments, one record (``_Gate``) per headline property.
 
-Each preset is a measurement and a rule.  The measurement takes the
-model, the binding, the starts (``x0`` and ``rho0 = y0 - x0``) and the
-seed and returns a dict of numbers; the rule, a pure function of those,
-returns one named PASS/FAIL check per claim.  A test hands a measurement
-a control binding, such as a zero force, to show that its rule can fail.
-All seeds and starts are pinned; where a choice is load-bearing (the
-mixing starts, the chain separations) the docstring says why.
+A record holds its pinned seed, summary and cases, its sizes (paths, units,
+dt and record spacing of every run), a measurement (cases, sizes and seed in;
+a dict of numbers out), a rule (those numbers in; one named PASS/FAIL check
+per claim out) and its report.  A coupled case is ``(model, binding, x0,
+rho0)`` with ``rho0 = y0 - x0``; a mixing case is ``(model, xa, xb)``.  A
+negative control is another set of cases passed to a gate's own measurement.
+Where a pinned start is load-bearing, its cases builder says why.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,27 +35,31 @@ class CheckResult:
 @dataclass
 class PresetOutcome:
     preset_id: str
-    checks: list[CheckResult] = field(default_factory=list)
-    report: EstimatorReport | None = None
+    checks: list[CheckResult]
+    report: EstimatorReport
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
-        return [
-            f"{'PASS' if c.passed else 'FAIL'} {self.preset_id}/{c.name}: {c.detail}"
-            for c in self.checks
-        ]
+        return [f"{'PASS' if c.passed else 'FAIL'} {self.preset_id}/{c.name}: {c.detail}"
+                for c in self.checks]
+
+
+def _coupled(case, run: dict, seed: int):
+    """The bound ensemble of ``case`` at the sizes ``run``."""
+    model, binding, x0, rho0 = case
+    return run_coupled_ensemble(model, binding, x0, x0 + rho0, seed=seed, w_sups=False, **run)
 
 
 def _pad(values, dim):
     return np.pad(np.asarray(values, dtype=float), (0, dim - len(values)))
 
 
-def _outcome(preset_id, checks, model_id, seed, **report) -> PresetOutcome:
-    fingerprint = f"preset:{preset_id}:seed={seed}"
-    return PresetOutcome(preset_id, checks, EstimatorReport(model_id, fingerprint, **report))
+def _bound(model, x0, rho0) -> tuple:
+    """A coupled case under ``model``'s binding, its starts zero-padded."""
+    return model, bnd.make_binding(model), _pad(x0, model.dim), _pad(rho0, model.dim)
 
 
 def _zeta_decay_deviation(zeta, times, rate) -> float:
@@ -69,14 +75,26 @@ def _envelope_margin(values, scale, rate, times, dt) -> float:
     return float((values / envelope[:, None]).max())
 
 
-def toy_measure(model, binding, x0, rho0, seed) -> dict:
-    dt = 1e-3
-    ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 200, 5, dt, seed, record_every=50,
-                               w_sups=False)
+def _report(keys, cases, m, seed) -> dict:
+    """A coupled gate's report: the numbers named by ``keys``, its contraction
+    fit if measured, and the fitted force growth of its last case's binding."""
+    *_, (model, binding, _, _) = cases.values()
+    extras = {k: m[k] for k in keys}
+    extras["growth_fit"] = est.binding_growth_exponents(model, binding, seed=seed)
+    return {"model_id": model.id, "contraction": m.get("contraction"), "extras": extras}
+
+
+def _toy_cases() -> dict:
+    return {"toy2d": _bound(models.make_toy2d(), [1.0, 0.5], [1.0, -0.5])}
+
+
+def toy_measure(cases, sizes, seed) -> dict:
+    """Exact decay of the bound combination; contraction rate of the difference."""
+    (case,), run = cases.values(), sizes["run"]
+    ens = _coupled(case, run, seed)
     return {
         "zeta_rel_err_max": _zeta_decay_deviation(ens.zeta[:, :, 0], ens.times, 2.0),
-        "dt": dt,
-        "ensemble": 200,
+        "dt": run["dt"], "ensemble": run["n_traj"],
         "contraction": asdict(est.mean_rho_rate(ens)),
     }
 
@@ -92,30 +110,23 @@ def toy_rule(m: dict) -> list[CheckResult]:
     ]
 
 
-def toy_contraction(seed: int = 11) -> PresetOutcome:
-    """Coupled toy-model run: exact exponential decay of the bound
-    combination and the fitted contraction rate of the difference."""
-    model = models.make_toy2d()
-    binding = bnd.make_binding(model)
-    m = toy_measure(model, binding, np.array([1.0, 0.5]), np.array([1.0, -0.5]), seed)
-    extras = {k: m[k] for k in ("zeta_rel_err_max", "dt", "ensemble")}
-    extras["growth_fit"] = est.binding_growth_exponents(model, binding, seed=seed)
-    return _outcome("toy-contraction", toy_rule(m), model.id, seed,
-                    contraction=m["contraction"], extras=extras)
+def _gl_cases() -> dict:
+    model = models.make_ginzburg_landau(modes=64, forced_modes=3, noise_coeffs=[1.0, 0.6, 0.6])
+    return {model.id: _bound(model, [0.4, 0.8, -0.3, 0.2, -0.1],
+                             [0.7, -0.4, 0.5, 0.0, 0.0, 0.3, 0.0, -0.2])}
 
 
-def gl_measure(model, binding, x0, rho0, seed) -> dict:
-    dt, gap = 1e-3, model.params["gap"]
-    ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 50, 3, dt, seed, record_every=25,
-                               w_sups=False)
-    rho_norm = np.linalg.norm(ens.rho, axis=-1)
+def gl_measure(cases, sizes, seed) -> dict:
+    """Per-trajectory contraction of the difference at the spectral gap."""
+    (case,), run = cases.values(), sizes["run"]
+    (model, binding, _, rho0), ens = case, _coupled(case, run, seed)
+    gap, rho_norm = model.params["gap"], np.linalg.norm(ens.rho, axis=-1)
     scale = float(np.linalg.norm(rho0))
     return {
         "gap": gap,
         "diagonal_max": float(bnd.gl_coupled_diagonal(model, binding).max()),
-        "pathwise_margin": _envelope_margin(rho_norm, scale, gap, ens.times, dt),
-        "dt": dt,
-        "ensemble": 50,
+        "pathwise_margin": _envelope_margin(rho_norm, scale, gap, ens.times, run["dt"]),
+        "dt": run["dt"], "ensemble": run["n_traj"],
         "contraction": asdict(est.mean_rho_rate(ens)),
     }
 
@@ -135,34 +146,28 @@ def gl_rule(m: dict) -> list[CheckResult]:
     ]
 
 
-def gl_gap(seed: int = 12) -> PresetOutcome:
-    """Spectral Ginzburg-Landau: per-trajectory contraction of the
-    difference at the configured spectral gap."""
-    model = models.make_ginzburg_landau(modes=64, forced_modes=3, noise_coeffs=[1.0, 0.6, 0.6])
-    x0 = _pad([0.4, 0.8, -0.3, 0.2, -0.1], model.dim)
-    rho0 = _pad([0.7, -0.4, 0.5, 0.0, 0.0, 0.3, 0.0, -0.2], model.dim)
-    binding = bnd.make_binding(model)
-    m = gl_measure(model, binding, x0, rho0, seed)
-    extras = {k: m[k] for k in ("gap", "pathwise_margin", "dt", "ensemble")}
-    extras["growth_fit"] = est.binding_growth_exponents(model, binding, seed=seed)
-    return _outcome("gl-gap", gl_rule(m), model.id, seed,
-                    contraction=m["contraction"], extras=extras)
+def _rd_cases() -> dict:
+    model = models.make_reaction_diffusion(modes_per_component=16)
+    half = model.dim // 2
+    x0 = np.concatenate([_pad([0.5, 0.3, -0.2, 0.1], half), _pad([-0.4, 0.2, 0.1], half)])
+    rho0 = np.concatenate([_pad([0.3, -0.3, 0.2], half), _pad([0.2, 0.15, -0.1], half)])
+    return {model.id: _bound(model, x0, rho0)}
 
 
-def rd_measure(model, binding, x0, rho0, seed) -> dict:
-    half, dt = model.dim // 2, 1e-3
-    ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 50, 3, dt, seed, record_every=25,
-                               w_sups=False)
+def rd_measure(cases, sizes, seed) -> dict:
+    """Damped-heat decay of the bound combination; bound on the unforced part."""
+    (case,), run = cases.values(), sizes["run"]
+    (model, _, _, rho0), ens = case, _coupled(case, run, seed)
+    half = model.dim // 2
     zeta_sq0 = float((ens.zeta[0, 0] ** 2).sum())
     zeta_sq = (ens.zeta**2).sum(axis=-1)
     rho_v_sq = (ens.rho[:, :, half:] ** 2).sum(axis=-1).mean(axis=1)
     bound = (float((rho0[half:] ** 2).sum()) + 0.5 * (1.0 + zeta_sq0)) * np.exp(-ens.times)
     return {
         "zeta_sq0": zeta_sq0,
-        "zeta_pathwise_margin": _envelope_margin(zeta_sq, zeta_sq0, 1.0, ens.times, dt),
+        "zeta_pathwise_margin": _envelope_margin(zeta_sq, zeta_sq0, 1.0, ens.times, run["dt"]),
         "rho_v_bound_margin": float((rho_v_sq / bound).max()),
-        "dt": dt,
-        "ensemble": 50,
+        "dt": run["dt"], "ensemble": run["n_traj"],
     }
 
 
@@ -176,40 +181,30 @@ def rd_rule(m: dict) -> list[CheckResult]:
     ]
 
 
-def rd_zeta(seed: int = 13) -> PresetOutcome:
-    """Reaction-diffusion pair: mode-wise damped-heat decay of the bound
-    combination, plus the ensemble bound on the unforced component."""
-    model = models.make_reaction_diffusion(modes_per_component=16)
-    half = model.dim // 2
-    x0 = np.concatenate([_pad([0.5, 0.3, -0.2, 0.1], half), _pad([-0.4, 0.2, 0.1], half)])
-    rho0 = np.concatenate([_pad([0.3, -0.3, 0.2], half), _pad([0.2, 0.15, -0.1], half)])
-    binding = bnd.make_binding(model)
-    m = rd_measure(model, binding, x0, rho0, seed)
-    extras = {**m, "growth_fit": est.binding_growth_exponents(model, binding, seed=seed)}
-    return _outcome("rd-zeta", rd_rule(m), model.id, seed, extras=extras)
+def _chain_cases() -> dict:
+    """One case per a².  The separations are modest: the derived force
+    amplifies the difference through a large transient before the cascade
+    contraction takes over, and the amplification grows fast with a²."""
+    x0, rho0 = [0.4, 0.3, -0.2, 0.1, 0.05], [0.2, 0.1, -0.08, 0.05, 0.03]
+    return {a2: _bound(models.make_chain(a_squared=a2), x0, rho0) for a2 in (0.0, 2.0, 5.0)}
 
 
-def chain_measure(chains, x0, rho0, seed) -> dict:
-    """``chains`` maps a² to ``(model, cascade, binding)``; the starts are
-    heads, zero-padded to each chain's truncation."""
-    model, _, binding = chains[5.0]
-    dt, xa, ra = 1e-3, _pad(x0, model.dim), _pad(rho0, model.dim)
-    ens = run_coupled_ensemble(model, binding, xa, xa + ra, 20, 2, dt, seed, record_every=25,
-                               w_sups=False)
-    rates = {}
-    for a2, (model, _, binding) in chains.items():
-        xa, ra = _pad(x0, model.dim), _pad(rho0, model.dim)
-        # ten units: the fitted rate must see past the transient hump
-        e = run_coupled_ensemble(model, binding, xa, xa + ra, 20, 10, dt, seed + 1,
-                                 record_every=1000, w_sups=False)
-        rates[a2] = est.mean_rho_rate(e).gamma
+def chain_measure(cases, sizes, seed) -> dict:
+    """Cascade invariants and the difference's decay rate per a², and the
+    exact decay of the final cascade variable on the last case."""
+    cascades = {a2: bnd.build_zeta_cascade(model) for a2, (model, *_) in cases.items()}
+    *_, last = cases
+    ens = _coupled(cases[last], sizes["run"], seed)
+    rates = {a2: est.mean_rho_rate(_coupled(case, sizes["rates"], seed + 1)).gamma
+             for a2, case in cases.items()}
     return {
-        "k_star": {a2: models.chain_k_star(a2) for a2 in chains},
-        "shape": {a2: bnd.cascade_shape_ok(cascade) for a2, (_, cascade, _) in chains.items()},
+        "k_star": {a2: models.chain_k_star(a2) for a2 in cases},
+        "shape": {a2: bnd.cascade_shape_ok(cascade) for a2, cascade in cascades.items()},
         "zeta_kstar0": float(ens.zeta[0, 0, -1]),
         "zeta_rel_err_max": _zeta_decay_deviation(ens.zeta[:, :, -1], ens.times, 1.0),
-        "dt": dt,
+        "dt": sizes["run"]["dt"],
         "decay_rates": rates,
+        "cascade_text": bnd.dump_cascade_text(cascades[last]),
     }
 
 
@@ -231,42 +226,28 @@ def chain_rule(m: dict) -> list[CheckResult]:
     ]
 
 
-def chain_cascade(seed: int = 14) -> PresetOutcome:
-    """Chain with noise on one site: symbolic cascade invariants, exact
-    decay of the final cascade variable, positive difference decay across
-    the catalogue of coupling strengths."""
-    chains = {}
-    for a2 in (0.0, 2.0, 5.0):
-        model = models.make_chain(a_squared=a2)
-        cascade = bnd.build_zeta_cascade(model)
-        chains[a2] = (model, cascade, bnd.make_binding(model))
-    # modest separations: the derived force amplifies the difference through
-    # a large transient before the cascade contraction takes over, and the
-    # amplification constant grows fast with a²
-    x0, rho0 = [0.4, 0.3, -0.2, 0.1, 0.05], [0.2, 0.1, -0.08, 0.05, 0.03]
-    m = chain_measure(chains, x0, rho0, seed)
-    model, cascade, binding = chains[5.0]
-    extras = {
-        "k_star": {str(k): v for k, v in m["k_star"].items()},
-        "zeta_rel_err_max": m["zeta_rel_err_max"],
-        "decay_rates": {str(k): v for k, v in m["decay_rates"].items()},
-        "cascade_text": bnd.dump_cascade_text(cascade),
-        "growth_fit": est.binding_growth_exponents(model, binding, seed=seed),
-    }
-    return _outcome("chain-cascade", chain_rule(m), "chain", seed, extras=extras)
+def _girsanov_cases() -> dict:
+    """A non-degenerate and a one-noise model.  The chain separation is small
+    on purpose: the derived force amplifies differences so strongly that O(1)
+    separations push the quadratic variation of the log weight past exp's range."""
+    return {"toy2d": _bound(models.make_toy2d(), [1.0, 0.5], [0.3, -0.2]),
+            "chain": _bound(models.make_chain(a_squared=2.0), [0.4, 0.3, -0.2, 0.1],
+                            [0.01, 0.0067, -0.005, 0.0033])}
 
 
-def girsanov_measure(cases, seed) -> dict:
-    """``cases`` maps a name to ``(model, binding, x0, y0 - x0)``; per
-    case, the mean path density at t = 2 over 2000 pairs, its standard
-    error, and the paths kept and overflowed."""
+def girsanov_measure(cases, sizes, seed) -> dict:
+    """Per case, the mean path density at the horizon and its standard error."""
     out = {}
-    for name, (model, binding, x0, rho0) in cases.items():
-        ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 2000, 2, 1e-3, seed,
-                                   record_every=1000, w_sups=False)
+    for name, case in cases.items():
+        ens = _coupled(case, sizes["run"], seed)
         mean, se, n = est.mean_density(ens.log_density[-1], ~ens.overflow[-1])
         out[name] = {"mean": mean, "se": se, "n": n, "overflowed": int(ens.overflow[-1].sum())}
     return out
+
+
+def _girsanov_report(cases, m, seed) -> dict:
+    extras = {name: {k: c[k] for k in ("mean", "se", "n")} for name, c in m.items()}
+    return {"model_id": "toy2d+chain", "extras": extras}
 
 
 def girsanov_rule(m: dict) -> list[CheckResult]:
@@ -279,40 +260,48 @@ def girsanov_rule(m: dict) -> list[CheckResult]:
     ]
 
 
-def girsanov_martingale(seed: int = 15) -> PresetOutcome:
-    """Mean path-density over fresh noise must sit at one (within Monte
-    Carlo resolution) for both a non-degenerate and a one-noise model."""
-    # the chain separation is small on purpose: the derived force amplifies
-    # differences so strongly that O(1) separations push the quadratic
-    # variation of the log weight past the exp range
-    toy, chain = models.make_toy2d(), models.make_chain(a_squared=2.0)
-    cases = {
-        "toy2d": (toy, bnd.make_binding(toy), np.array([1.0, 0.5]), np.array([0.3, -0.2])),
-        "chain": (chain, bnd.make_binding(chain), _pad([0.4, 0.3, -0.2, 0.1], chain.dim),
-                  _pad([0.01, 0.0067, -0.005, 0.0033], chain.dim)),
+def _mixing_cases() -> dict:
+    """Getting a measurable law difference inside the integer-time window
+    takes care: relaxation at the bottom of a well runs much faster than
+    one time unit, so same-well starts are statistically identical by
+    t = 1.  The starts below therefore differ in slowly decaying ways:
+    the toy and reaction-diffusion pairs put the second start near the
+    saddle (its ensemble settles later and splits its well mass), the
+    Ginzburg-Landau pair straddles the wells with noise strong enough to
+    hop on desk timescales, and the chain runs at a² = 0 where the
+    forced site relaxes anharmonically at an order-one rate.
+    """
+    sqrt2pi = math.sqrt(2.0 * math.pi)
+    gl = models.make_ginzburg_landau(modes=64, forced_modes=3, noise_coeffs=[2.2, 1.54, 1.54])
+    rd = models.make_reaction_diffusion(modes_per_component=16)
+    rd_well = np.concatenate([_pad([math.sqrt(3.0) * sqrt2pi], rd.dim // 2)] * 2)
+    chain = models.make_chain(a_squared=0.0)
+    return {
+        "toy2d": (models.make_toy2d(), np.array([1.5, 1.5]), np.array([0.25, 0.25])),
+        "ginzburg_landau": (gl, _pad([sqrt2pi, 0.4], gl.dim), _pad([-sqrt2pi, 0.0, 0.4], gl.dim)),
+        "reaction_diffusion": (rd, rd_well, np.zeros(rd.dim)),
+        "chain": (chain, _pad([1.2, 0.4], chain.dim), _pad([-0.8, 0.2, 0.1], chain.dim)),
     }
-    m = girsanov_measure(cases, seed)
-    extras = {name: {k: c[k] for k in ("mean", "se", "n")} for name, c in m.items()}
-    return _outcome("girsanov-martingale", girsanov_rule(m), "toy2d+chain", seed, extras=extras)
 
 
-def mixing_measure(cases, seed) -> dict:
-    """``cases`` maps a name to ``(model, xa, xb)``; per case, the law
-    distance of two uncoupled ensembles of 300 paths at t = 1..8, the
-    two-sample noise floor at t = 8 and the distances' fitted rate."""
-    times = list(range(1, 9))
-    dt, n_side = 2e-3, 300
+def mixing_measure(cases, sizes, seed) -> dict:
+    """Per case, the law distance of two uncoupled ensembles at ``times``,
+    the two-sample noise floor at the last and the distances' fitted rate."""
+    times, n, dt = list(sizes["times"]), sizes["n_traj"], sizes["dt"]
     out = {}
     for name, (model, xa, xb) in cases.items():
-        ens_a = run_ensemble(model, xa, n_side, times[-1], dt, seed, stream0=0, w_sups=False)
-        ens_b = run_ensemble(model, xb, n_side, times[-1], dt, seed, stream0=n_side, w_sups=False)
+        ens_a = run_ensemble(model, xa, n, times[-1], dt, seed, stream0=0, w_sups=False)
+        ens_b = run_ensemble(model, xb, n, times[-1], dt, seed, stream0=n, w_sups=False)
         values = [row["distance"] for row in est.mixing_distance_series(ens_a, ens_b, times)]
-        floor = est.bootstrap_null_quantile(
-            ens_a.states[-1], ens_b.states[-1], n_boot=12, cap=150, seed=seed
-        )
+        floor = est.bootstrap_null_quantile(ens_a.states[-1], ens_b.states[-1], seed=seed,
+                                            n_boot=sizes["n_boot"], cap=sizes["boot_cap"])
         gamma = est.fit_contraction(times, values).gamma
         out[name] = {"times": times, "distances": values, "floor": floor, "gamma": gamma}
     return out
+
+
+def _mixing_report(cases, m, seed) -> dict:
+    return {"model_id": "all", "distances": [{"model": k, **v} for k, v in m.items()]}
 
 
 def mixing_rule(m: dict) -> list[CheckResult]:
@@ -326,54 +315,66 @@ def mixing_rule(m: dict) -> list[CheckResult]:
     return checks
 
 
-def mixing_distance(seed: int = 16) -> PresetOutcome:
-    """Law distance between two starts decays with a positive rate for
-    all four models (monotone up to the two-sample noise floor).
+class _Gate(NamedTuple):
+    """One preset; ``run_preset`` checks ``rule(measure(cases(), sizes, seed))``."""
 
-    Getting a measurable law difference inside the integer-time window
-    takes care: relaxation at the bottom of a well runs much faster than
-    one time unit, so same-well starts are statistically identical by
-    t = 1.  The starts below therefore differ in slowly decaying ways:
-    the toy and reaction-diffusion pairs put the second start near the
-    saddle (its ensemble settles later and splits its well mass), the
-    Ginzburg-Landau pair straddles the wells with noise strong enough to
-    hop on desk timescales, and the chain runs at a² = 0 where the
-    forced site relaxes anharmonically at an order-one rate.
-    """
-    sqrt2pi = math.sqrt(2.0 * math.pi)
-    gl = models.make_ginzburg_landau(
-        modes=64, forced_modes=3, noise_coeffs=[2.2, 1.54, 1.54]
-    )
-    rd = models.make_reaction_diffusion(modes_per_component=16)
-    rd_half = rd.dim // 2
-    rd_amp = math.sqrt(3.0) * sqrt2pi
-    rd_well = np.concatenate([_pad([rd_amp], rd_half), _pad([rd_amp], rd_half)])
-    chain = models.make_chain(a_squared=0.0)
-    cases = {
-        "toy2d": (models.make_toy2d(), np.array([1.5, 1.5]), np.array([0.25, 0.25])),
-        "ginzburg_landau": (
-            gl,
-            _pad([sqrt2pi, 0.4], gl.dim),
-            _pad([-sqrt2pi, 0.0, 0.4], gl.dim),
-        ),
-        "reaction_diffusion": (rd, rd_well, np.zeros(rd.dim)),
-        "chain": (chain, _pad([1.2, 0.4], chain.dim), _pad([-0.8, 0.2, 0.1], chain.dim)),
-    }
-    m = mixing_measure(cases, seed)
-    return _outcome("mixing-distance", mixing_rule(m), "all", seed,
-                    distances=[{"model": k, **v} for k, v in m.items()])
+    seed: int
+    summary: str
+    cases: Callable[[], dict]
+    sizes: dict
+    measure: Callable[[dict, dict, int], dict]
+    rule: Callable[[dict], list[CheckResult]]
+    report: Callable[[dict, dict, int], dict]  # (cases, numbers, seed) -> fields
 
 
-PRESETS = {
-    "toy-contraction": (toy_contraction, "coupled toy model: exact zeta decay + difference rate"),
-    "gl-gap": (gl_gap, "Ginzburg-Landau: pathwise contraction at the spectral gap"),
-    "rd-zeta": (rd_zeta, "reaction-diffusion: damped-heat zeta decay + component bound"),
-    "chain-cascade": (chain_cascade, "chain: cascade invariants and derived-force decay"),
-    "girsanov-martingale": (girsanov_martingale, "mean path density equals one"),
-    "mixing-distance": (mixing_distance, "law distance between two starts decays, all models"),
+_GATES = {
+    "toy-contraction": _Gate(
+        11, "coupled toy model: exact zeta decay + difference rate", _toy_cases,
+        {"run": dict(n_traj=200, units=5, dt=1e-3, record_every=50)},
+        toy_measure, toy_rule, partial(_report, ("zeta_rel_err_max", "dt", "ensemble"))),
+    "gl-gap": _Gate(
+        12, "Ginzburg-Landau: pathwise contraction at the spectral gap", _gl_cases,
+        {"run": dict(n_traj=50, units=3, dt=1e-3, record_every=25)},
+        gl_measure, gl_rule, partial(_report, ("gap", "pathwise_margin", "dt", "ensemble"))),
+    "rd-zeta": _Gate(
+        13, "reaction-diffusion: damped-heat zeta decay + component bound", _rd_cases,
+        {"run": dict(n_traj=50, units=3, dt=1e-3, record_every=25)}, rd_measure, rd_rule,
+        partial(_report, ("zeta_sq0", "zeta_pathwise_margin", "rho_v_bound_margin", "dt",
+                          "ensemble"))),
+    "chain-cascade": _Gate(
+        14, "chain: cascade invariants and derived-force decay", _chain_cases,
+        # ten units for the rates: the fit must see past the transient hump
+        {"run": dict(n_traj=20, units=2, dt=1e-3, record_every=25),
+         "rates": dict(n_traj=20, units=10, dt=1e-3, record_every=1000)}, chain_measure,
+        chain_rule, partial(_report, ("k_star", "zeta_rel_err_max", "decay_rates",
+                                      "cascade_text"))),
+    "girsanov-martingale": _Gate(
+        15, "mean path density equals one", _girsanov_cases,
+        {"run": dict(n_traj=2000, units=2, dt=1e-3, record_every=1000)},
+        girsanov_measure, girsanov_rule, _girsanov_report),
+    "mixing-distance": _Gate(
+        16, "law distance between two starts decays, all models", _mixing_cases,
+        {"times": range(1, 9), "dt": 2e-3, "n_traj": 300, "n_boot": 12, "boot_cap": 150},
+        mixing_measure, mixing_rule, _mixing_report),
 }
 
 
 def run_preset(preset_id: str, seed: int | None = None) -> PresetOutcome:
-    fn, _ = PRESETS[preset_id]
-    return fn() if seed is None else fn(seed=seed)
+    gate = _GATES[preset_id]
+    seed = gate.seed if seed is None else seed
+    cases = gate.cases()
+    m = gate.measure(cases, gate.sizes, seed)
+    report = EstimatorReport(config_fingerprint=f"preset:{preset_id}:seed={seed}",
+                             **gate.report(cases, m, seed))
+    return PresetOutcome(preset_id, gate.rule(m), report)
+
+
+def _pinned(preset_id: str):
+    def preset(seed: int = _GATES[preset_id].seed) -> PresetOutcome:
+        return run_preset(preset_id, seed)
+
+    return preset
+
+
+PRESETS = {pid: (_pinned(pid), gate.summary) for pid, gate in _GATES.items()}
+mixing_distance = PRESETS["mixing-distance"][0]  # bench/workloads.py reads it by name

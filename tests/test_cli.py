@@ -732,9 +732,8 @@ class TestPresetsCommand:
         from asymcouple.presets import CheckResult, PresetOutcome
 
         def failing(seed=None):
-            outcome = PresetOutcome("stub", [CheckResult("always-fails", False, "forced failure")])
-            outcome.report = EstimatorReport(model_id="toy2d", config_fingerprint="stub")
-            return outcome
+            return PresetOutcome("stub", [CheckResult("always-fails", False, "forced failure")],
+                                 EstimatorReport(model_id="toy2d", config_fingerprint="stub"))
 
         monkeypatch.setenv("ASYMCOUPLE_OUT", str(tmp_path))
         monkeypatch.setitem(cli_mod.PRESETS, "stub", (failing, "stub"))
@@ -748,13 +747,11 @@ class TestPresetsCommand:
         from asymcouple.presets import CheckResult, PresetOutcome
 
         def stub(seed=None):
-            outcome = PresetOutcome("stub", [CheckResult("ok", True, "fine")])
-            outcome.report = EstimatorReport(
+            return PresetOutcome("stub", [CheckResult("ok", True, "fine")], EstimatorReport(
                 model_id="chain",
                 config_fingerprint="stub",
                 extras={"cascade_text": "[zeta 1]\n1.0 * rho[2]\n"},
-            )
-            return outcome
+            ))
 
         monkeypatch.setenv("ASYMCOUPLE_OUT", str(tmp_path))
         monkeypatch.setitem(cli_mod.PRESETS, "stub", (stub, "stub"))

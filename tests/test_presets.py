@@ -1,15 +1,18 @@
 """Preset rules: negative controls that must FAIL, and every threshold pinned.
 
-A control runs a gate's own measurement, at the gate's own starts and
-pinned seed, with the binding force switched off (the zero force of
-``oracles.constant_binding``; the model's own zeta map is kept so the
-zeta checks still read).  The copies then share the noise and nothing binds them, so a
-check of the paper's contraction mechanism must FAIL.
+A control is a set of cases passed to a gate's own measurement, at the
+gate's own pinned seed and sizes.  Each control here runs the gate's
+cases, or other starts, with the binding force switched off (the zero
+force of ``oracles.constant_binding``; the model's own zeta map is kept
+so the zeta checks still read).  The copies then share the noise and
+nothing binds them, so a check of the paper's contraction mechanism must
+FAIL.
 
-Not pinned here, because they PASS or barely FAIL unbound at their
-current starts: toy-contraction's ``mean-difference-rate`` (the pair
-starts in one well, where dissipation alone joins the copies) and
-chain-cascade's ``rho-decay-rates`` (only its a² = 2 rate goes negative).
+Not pinned here, because they PASS or barely FAIL unbound at the
+presets' own starts: toy-contraction's ``mean-difference-rate`` from its
+in-well pair (where dissipation alone joins the copies; the pair from
+opposite wells is pinned instead) and chain-cascade's ``rho-decay-rates``
+(only its a² = 2 rate goes negative).
 
 The threshold tests feed each rule hand-built numbers at its bound and
 one ``np.nextafter`` step past it, so no threshold can move silently.
@@ -24,44 +27,46 @@ import pytest
 from asymcouple import presets
 from asymcouple.binding import BindingSpec
 from asymcouple.presets import (
+    chain_measure,
     chain_rule,
     girsanov_rule,
+    gl_measure,
     gl_rule,
     mixing_rule,
+    rd_measure,
     rd_rule,
+    toy_measure,
     toy_rule,
 )
 from oracles import constant_binding
 
 
-class _Measured(Exception):
-    pass
+def unbound(cases):
+    """``cases`` with every binding force replaced by zero."""
+    return {name: (model, BindingSpec(model.id, constant_binding(model).force, binding.zeta_map),
+                   *starts)
+            for name, (model, binding, *starts) in cases.items()}
 
 
-def _unbound(model, binding):
-    return BindingSpec(model.id, constant_binding(model).force, binding.zeta_map)
+def opposite_wells(cases):
+    """The toy pair from x0 = (1.0, 0.5) and y0 = (-1.0, -0.5).
+
+    The starts lie in the basins of the opposite wells ±(√3, √3) of
+    U(x) = -(x0² + x1²) - x0 x1 + (x0⁴ + x1⁴)/4.  The barrier between them
+    is ΔU = 4, so unbound copies under shared noise stay apart for about
+    e⁸ time units, far beyond the gate's 5-unit horizon.
+    """
+    ((model, binding, _, _),) = cases.values()
+    return {model.id: (model, binding, np.array([1.0, 0.5]), np.array([-2.0, -1.0]))}
 
 
-def unbound_numbers(monkeypatch, preset_id, measure_name):
-    """The numbers of ``preset_id``'s measurement as the preset calls it,
-    at its pinned seed, with every binding force replaced by zero."""
-    measure = getattr(presets, measure_name)
-    numbers = {}
+# a control's other starts, by the name after its preset id
+OTHER_STARTS = {"opposite-wells": opposite_wells}
 
-    def spy(first, *rest):
-        if measure_name == "chain_measure":
-            chains = {a2: (m, c, _unbound(m, b)) for a2, (m, c, b) in first.items()}
-            numbers.update(measure(chains, *rest))
-        else:
-            binding, *rest = rest
-            numbers.update(measure(first, _unbound(first, binding), *rest))
-        # stop before the report: a zero force has no growth to fit
-        raise _Measured
 
-    monkeypatch.setattr(presets, measure_name, spy)
-    with pytest.raises(_Measured):
-        presets.run_preset(preset_id)
-    return numbers
+def measured(gate, cases):
+    """The verdicts of ``gate``'s rule on its measurement of ``cases``."""
+    return verdicts(gate.rule(gate.measure(cases, gate.sizes, gate.seed)))
 
 
 def verdicts(checks):
@@ -69,20 +74,35 @@ def verdicts(checks):
 
 
 @pytest.mark.parametrize(
-    "preset_id, measure_name, rule, failing",
+    "control, measure, rule, failing",
     [
-        ("toy-contraction", "toy_measure", toy_rule, ["zeta-exponential-decay"]),
-        ("gl-gap", "gl_measure", gl_rule,
+        ("toy-contraction", toy_measure, toy_rule, ["zeta-exponential-decay"]),
+        ("gl-gap", gl_measure, gl_rule,
          ["coupled-diagonal", "pathwise-contraction", "measured-rate"]),
-        ("rd-zeta", "rd_measure", rd_rule, ["zeta-l2-pathwise", "rho-v-ensemble-bound"]),
-        ("chain-cascade", "chain_measure", chain_rule, ["zeta-kstar-decay"]),
+        ("rd-zeta", rd_measure, rd_rule, ["zeta-l2-pathwise", "rho-v-ensemble-bound"]),
+        ("chain-cascade", chain_measure, chain_rule, ["zeta-kstar-decay"]),
+        ("toy-contraction/opposite-wells", toy_measure, toy_rule,
+         ["zeta-exponential-decay", "mean-difference-rate"]),
     ],
 )
-def test_unbound_control_fails(monkeypatch, preset_id, measure_name, rule, failing):
-    checks = verdicts(rule(unbound_numbers(monkeypatch, preset_id, measure_name)))
+def test_unbound_control_fails(control, measure, rule, failing):
+    preset_id, _, starts = control.partition("/")
+    gate = presets._GATES[preset_id]
+    assert (gate.measure, gate.rule) == (measure, rule)
+    cases = OTHER_STARTS[starts](gate.cases()) if starts else gate.cases()
+    checks = measured(gate, unbound(cases))
     for name in failing:
         passed, detail = checks[name]
-        assert not passed, f"{preset_id}/{name} passes with the binding off: {detail}"
+        assert not passed, f"{control}/{name} passes with the binding off: {detail}"
+
+
+def test_opposite_wells_pass_bound():
+    # the same starts with the binding on: the control tests the binding, not the start
+    gate = presets._GATES["toy-contraction"]
+    checks = measured(gate, opposite_wells(gate.cases()))
+    assert {name: passed for name, (passed, _) in checks.items()} == {
+        "zeta-exponential-decay": True, "mean-difference-rate": True,
+    }, checks
 
 
 def up(x):
@@ -215,11 +235,11 @@ class TestThresholds:
 
 
 def test_no_preset_tracks_the_w_sups():
-    # no preset reads a W sup, so each of its eight ensembles (toy, gl, rd,
-    # chain twice, girsanov, mixing twice) is run without them
+    # no preset reads a W sup, so each of its three ensemble calls (the one
+    # that every coupled run goes through, and mixing's two starts) runs without them
     tree = ast.parse(Path(presets.__file__).read_text())
     runs = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) in ("run_ensemble", "run_coupled_ensemble")]
     flags = [next((ast.literal_eval(k.value) for k in node.keywords if k.arg == "w_sups"), None)
              for node in runs]
-    assert flags == [False] * 8
+    assert flags == [False] * 3
