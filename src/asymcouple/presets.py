@@ -1,9 +1,9 @@
 """Pinned reproduction experiments, one record (``_Gate``) per headline property.
 
 A record holds its pinned seed, summary and cases, its sizes (paths, units,
-dt and record spacing of every run), a measurement (cases, sizes and seed in;
-a dict of numbers out), a rule (those numbers in; one named PASS/FAIL check
-per claim out) and its report.  A coupled case is ``(model, binding, x0,
+dt and record spacing in time units of every run), a measurement (cases,
+sizes and seed in; a dict of numbers out), a rule (those numbers in; one
+named PASS/FAIL check per claim out) and its report.  A coupled case is ``(model, binding, x0,
 rho0)`` with ``rho0 = y0 - x0``; a mixing case is ``(model, xa, xb)``.  A
 negative control is another set of cases passed to a gate's own measurement.
 Where a pinned start is load-bearing, its cases builder says why.
@@ -21,8 +21,15 @@ import numpy as np
 from . import binding as bnd
 from . import estimators as est
 from . import models
-from .engine import run_coupled_ensemble, run_ensemble
+from .engine import EngineError, run_coupled_ensemble, run_ensemble
 from .estimators import EstimatorReport
+
+# the largest relative deviation a bound combination may take from its
+# exact decay, and the growth rate of the pathwise envelopes' allowance
+# 1 + ENVELOPE_SLOPE t, both held at their values for dt = 1e-3 whatever a
+# run's dt: a coarser step must not buy a looser check
+ZETA_DECAY_TOL = 1e-2
+ENVELOPE_SLOPE = 1e-2
 
 
 @dataclass
@@ -47,10 +54,21 @@ class PresetOutcome:
                 for c in self.checks]
 
 
+def _record_every(run: dict) -> int:
+    """``run``'s record spacing in steps of its dt, which must divide the
+    spacing (the engine checks that it divides the unit)."""
+    dt, spacing = run["dt"], run["spacing"]
+    every = round(spacing / dt)
+    if every < 1 or abs(every * dt - spacing) >= 1e-9:
+        raise EngineError(f"dt={dt:g} must divide the record spacing {spacing:g}")
+    return every
+
+
 def _coupled(case, run: dict, seed: int):
     """The bound ensemble of ``case`` at the sizes ``run``."""
     model, binding, x0, rho0 = case
-    return run_coupled_ensemble(model, binding, x0, x0 + rho0, seed=seed, w_sups=False, **run)
+    return run_coupled_ensemble(model, binding, x0, x0 + rho0, run["n_traj"], run["units"],
+                                run["dt"], seed, record_every=_record_every(run), w_sups=False)
 
 
 def _pad(values, dim):
@@ -69,10 +87,20 @@ def _zeta_decay_deviation(zeta, times, rate) -> float:
     return float(np.abs(zeta / target - 1.0)[1:].max())
 
 
-def _envelope_margin(values, scale, rate, times, dt) -> float:
-    """Largest ratio of ``values`` (records, paths) to ``scale exp(-rate t) (1 + 10 dt t)``."""
-    envelope = scale * np.exp(-rate * times) * (1.0 + 10.0 * dt * times)
+def _envelope_margin(values, scale, rate, times) -> float:
+    """Largest ratio of ``values`` (records, paths) to the envelope
+    ``scale exp(-rate t) (1 + ENVELOPE_SLOPE t)``."""
+    envelope = scale * np.exp(-rate * times) * (1.0 + ENVELOPE_SLOPE * times)
     return float((values / envelope[:, None]).max())
+
+
+def _rho_v_bound_margin(ens, rho0, half) -> float:
+    """Largest ratio of the ensemble mean of ``|rho_v(t)|^2`` (the
+    coordinates from ``half`` on) to ``(|rho_v(0)|^2 + (1 + |zeta(0)|^2)/2) exp(-t)``."""
+    rho_v_sq = (ens.rho[:, :, half:] ** 2).sum(axis=-1).mean(axis=1)
+    zeta_sq0 = float((ens.zeta[0, 0] ** 2).sum())
+    bound = (float((rho0[half:] ** 2).sum()) + 0.5 * (1.0 + zeta_sq0)) * np.exp(-ens.times)
+    return float((rho_v_sq / bound).max())
 
 
 def _report(keys, cases, m, seed) -> dict:
@@ -100,7 +128,7 @@ def toy_measure(cases, sizes, seed) -> dict:
 
 
 def toy_rule(m: dict) -> list[CheckResult]:
-    worst, allowed, gamma = m["zeta_rel_err_max"], 10.0 * m["dt"], m["contraction"]["gamma"]
+    worst, allowed, gamma = m["zeta_rel_err_max"], ZETA_DECAY_TOL, m["contraction"]["gamma"]
     return [
         CheckResult("zeta-exponential-decay", worst <= allowed,
                     f"max relative deviation of zeta(t)/zeta(0) from exp(-2t): {worst:.3e} "
@@ -125,7 +153,7 @@ def gl_measure(cases, sizes, seed) -> dict:
     return {
         "gap": gap,
         "diagonal_max": float(bnd.gl_coupled_diagonal(model, binding).max()),
-        "pathwise_margin": _envelope_margin(rho_norm, scale, gap, ens.times, run["dt"]),
+        "pathwise_margin": _envelope_margin(rho_norm, scale, gap, ens.times),
         "dt": run["dt"], "ensemble": run["n_traj"],
         "contraction": asdict(est.mean_rho_rate(ens)),
     }
@@ -158,15 +186,12 @@ def rd_measure(cases, sizes, seed) -> dict:
     """Damped-heat decay of the bound combination; bound on the unforced part."""
     (case,), run = cases.values(), sizes["run"]
     (model, _, _, rho0), ens = case, _coupled(case, run, seed)
-    half = model.dim // 2
     zeta_sq0 = float((ens.zeta[0, 0] ** 2).sum())
-    zeta_sq = (ens.zeta**2).sum(axis=-1)
-    rho_v_sq = (ens.rho[:, :, half:] ** 2).sum(axis=-1).mean(axis=1)
-    bound = (float((rho0[half:] ** 2).sum()) + 0.5 * (1.0 + zeta_sq0)) * np.exp(-ens.times)
     return {
         "zeta_sq0": zeta_sq0,
-        "zeta_pathwise_margin": _envelope_margin(zeta_sq, zeta_sq0, 1.0, ens.times, run["dt"]),
-        "rho_v_bound_margin": float((rho_v_sq / bound).max()),
+        "zeta_pathwise_margin": _envelope_margin((ens.zeta**2).sum(axis=-1), zeta_sq0, 1.0,
+                                                 ens.times),
+        "rho_v_bound_margin": _rho_v_bound_margin(ens, rho0, model.dim // 2),
         "dt": run["dt"], "ensemble": run["n_traj"],
     }
 
@@ -202,7 +227,6 @@ def chain_measure(cases, sizes, seed) -> dict:
         "shape": {a2: bnd.cascade_shape_ok(cascade) for a2, cascade in cascades.items()},
         "zeta_kstar0": float(ens.zeta[0, 0, -1]),
         "zeta_rel_err_max": _zeta_decay_deviation(ens.zeta[:, :, -1], ens.times, 1.0),
-        "dt": sizes["run"]["dt"],
         "decay_rates": rates,
         "cascade_text": bnd.dump_cascade_text(cascades[last]),
     }
@@ -210,7 +234,7 @@ def chain_measure(cases, sizes, seed) -> dict:
 
 def chain_rule(m: dict) -> list[CheckResult]:
     details = [f"a²={a2}: {', '.join(found)}" for a2, found in m["shape"].items() if found]
-    z0, worst, allowed = m["zeta_kstar0"], m["zeta_rel_err_max"], 10.0 * m["dt"]
+    z0, worst, allowed = m["zeta_kstar0"], m["zeta_rel_err_max"], ZETA_DECAY_TOL
     return [
         CheckResult("k-star-values", m["k_star"] == {0.0: 2, 2.0: 3, 5.0: 3},
                     f"first damped site index per a²: {m['k_star']}"),
@@ -327,34 +351,37 @@ class _Gate(NamedTuple):
     report: Callable[[dict, dict, int], dict]  # (cases, numbers, seed) -> fields
 
 
+# Each run's dt is the largest that keeps its records at their times and
+# is within the refinement budget of ``tools/refine_dt.py``; the chain's
+# rates run keeps 1e-3, where none of the larger candidates is.
 _GATES = {
     "toy-contraction": _Gate(
         11, "coupled toy model: exact zeta decay + difference rate", _toy_cases,
-        {"run": dict(n_traj=200, units=5, dt=1e-3, record_every=50)},
+        {"run": dict(n_traj=200, units=5, dt=2.5e-3, spacing=0.05)},
         toy_measure, toy_rule, partial(_report, ("zeta_rel_err_max", "dt", "ensemble"))),
     "gl-gap": _Gate(
         12, "Ginzburg-Landau: pathwise contraction at the spectral gap", _gl_cases,
-        {"run": dict(n_traj=50, units=3, dt=1e-3, record_every=25)},
+        {"run": dict(n_traj=50, units=3, dt=5e-3, spacing=0.025)},
         gl_measure, gl_rule, partial(_report, ("gap", "pathwise_margin", "dt", "ensemble"))),
     "rd-zeta": _Gate(
         13, "reaction-diffusion: damped-heat zeta decay + component bound", _rd_cases,
-        {"run": dict(n_traj=50, units=3, dt=1e-3, record_every=25)}, rd_measure, rd_rule,
+        {"run": dict(n_traj=50, units=3, dt=5e-3, spacing=0.025)}, rd_measure, rd_rule,
         partial(_report, ("zeta_sq0", "zeta_pathwise_margin", "rho_v_bound_margin", "dt",
                           "ensemble"))),
     "chain-cascade": _Gate(
         14, "chain: cascade invariants and derived-force decay", _chain_cases,
         # ten units for the rates: the fit must see past the transient hump
-        {"run": dict(n_traj=20, units=2, dt=1e-3, record_every=25),
-         "rates": dict(n_traj=20, units=10, dt=1e-3, record_every=1000)}, chain_measure,
+        {"run": dict(n_traj=20, units=2, dt=5e-3, spacing=0.025),
+         "rates": dict(n_traj=20, units=10, dt=1e-3, spacing=1.0)}, chain_measure,
         chain_rule, partial(_report, ("k_star", "zeta_rel_err_max", "decay_rates",
                                       "cascade_text"))),
     "girsanov-martingale": _Gate(
         15, "mean path density equals one", _girsanov_cases,
-        {"run": dict(n_traj=2000, units=2, dt=1e-3, record_every=1000)},
+        {"run": dict(n_traj=2000, units=2, dt=1e-2, spacing=1.0)},
         girsanov_measure, girsanov_rule, _girsanov_report),
     "mixing-distance": _Gate(
         16, "law distance between two starts decays, all models", _mixing_cases,
-        {"times": range(1, 9), "dt": 2e-3, "n_traj": 300, "n_boot": 12, "boot_cap": 150},
+        {"times": range(1, 9), "dt": 2e-2, "n_traj": 300, "n_boot": 12, "boot_cap": 150},
         mixing_measure, mixing_rule, _mixing_report),
 }
 

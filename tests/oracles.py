@@ -25,7 +25,9 @@ Each is written the obvious way and read only by the tests:
 - ``linear_model``, ``linear_step`` and ``linear_law``: a linear system
   ``A x + B x`` with ``A`` diagonal, on which the stepper is an exact
   linear recursion, and the exact Gaussian law of that recursion; they
-  pin the stepper and ``lyapunov_fit``.
+  pin the stepper and ``lyapunov_fit``.  ``continuous_law`` is the exact
+  Gaussian law of the system itself; its gap to ``linear_law`` is the
+  scheme's weak error on the linear part.
 - ``coupled_chain_field``: the force-free drift of the coupled chain in
   ``(x, rho)``; Lie derivatives along it are the coupled cascade that
   ``build_zeta_cascade`` computes by substitution instead.
@@ -36,6 +38,7 @@ Each is written the obvious way and read only by the tests:
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import expm
 
 from asymcouple import engine
 from asymcouple.binding import BindingSpec
@@ -94,6 +97,19 @@ def linear_law(model: ModelSpec, x0, dt: float, steps: int):
         cov += power @ n @ n.T @ power.T * dt
         power = m @ power
     return mean, cov
+
+
+def continuous_law(model: ModelSpec, x0, t: float):
+    """The exact mean ``e^{Ct} x0`` and covariance ``∫_0^t e^{Cs} S Sᵀ e^{Cᵀs} ds``
+    of ``dx = C x dt + S dω`` at time ``t``, with ``C = A + B`` and ``S`` the
+    noise coefficients on the forced coordinates; the covariance from Van
+    Loan's block exponential of ``[[-C, S Sᵀ], [0, Cᵀ]] t``."""
+    dim, k = model.dim, model.n_noise
+    c = np.diag(model.linear_spectrum) + model.nonlinearity(np.eye(dim)).T
+    s = np.zeros((dim, k))
+    s[:k] = np.diag(model.noise_coeffs)
+    block = expm(np.block([[-c, s @ s.T], [np.zeros((dim, dim)), c.T]]) * t)
+    return expm(c * t) @ np.asarray(x0, dtype=float), block[dim:, dim:].T @ block[:dim, dim:]
 
 
 def coupled_chain_field(model: ModelSpec) -> PolyVectorField:

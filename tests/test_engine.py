@@ -35,6 +35,7 @@ from asymcouple.models import (
 )
 from oracles import (
     constant_binding,
+    continuous_law,
     force_at,
     girsanov_sums,
     linear_law,
@@ -243,6 +244,32 @@ class TestLinearLaw:
         # a Gaussian sample covariance entry has variance (Σ_ii Σ_jj + Σ_ij²) / (n - 1)
         cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / (paths - 1))
         assert np.all(np.abs(np.cov(states.T) - cov) <= 4.0 * cov_se), (np.cov(states.T), cov)
+
+    def test_the_weak_error_is_second_order(self):
+        # the gap from the discrete law to the system's own, over dt = 1e-2,
+        # 5e-3 and 2.5e-3, shrinks by the factor 4 of a second-order scheme
+        t, x0 = 2.0, np.array([1.0, -0.5])
+        mean, cov = continuous_law(self.MODEL, x0, t)
+        gaps = []
+        for dt in (1e-2, 5e-3, 2.5e-3):
+            mean_d, cov_d = linear_law(self.MODEL, x0, dt, round(t / dt))
+            gaps.append([np.abs(mean_d - mean).max(), np.abs(cov_d - cov).max()])
+        ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+        assert np.all((3.8 <= ratios) & (ratios <= 4.2)), (gaps, ratios)
+
+    @pytest.mark.parametrize("dt", [1e-2, 5e-3, 2.5e-3])
+    def test_the_stationary_variance_ratio(self, dt):
+        # a forced mode of rate s alone: the scheme's stationary variance is
+        # (2 / s dt) tanh(s dt / 2) = 1 - (s dt)²/12 + O(dt⁴) of the true one;
+        # s = -62 is reaction-diffusion's fastest forced mode
+        s, t = -62.0, 1.0
+        model = linear_model([s], [1.0])
+        _, discrete = linear_law(model, [0.0], dt, round(t / dt))
+        _, exact = continuous_law(model, [0.0], t)
+        ratio = discrete[0, 0] / exact[0, 0]
+        h = s * dt
+        assert ratio == pytest.approx(2.0 / h * math.tanh(h / 2.0), rel=1e-12)
+        assert abs(ratio - (1.0 - h * h / 12.0)) <= h**4 / 100.0
 
 
 class TestCoupled:

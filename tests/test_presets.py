@@ -15,7 +15,10 @@ opposite wells is pinned instead) and chain-cascade's ``rho-decay-rates``
 (only its a² = 2 rate goes negative).
 
 The threshold tests feed each rule hand-built numbers at its bound and
-one ``np.nextafter`` step past it, so no threshold can move silently.
+one ``np.nextafter`` step past it, so no threshold can move silently; the
+zeta tolerance and the envelopes are held whatever a run's dt.  The
+record tests pin every coupled run's record times, which a change of dt
+must keep.
 """
 
 import ast
@@ -26,6 +29,7 @@ import pytest
 
 from asymcouple import presets
 from asymcouple.binding import BindingSpec
+from asymcouple.engine import EngineError
 from asymcouple.presets import (
     chain_measure,
     chain_rule,
@@ -114,18 +118,24 @@ def down(x):
 
 
 class TestThresholds:
+    # no threshold moves with a run's dt: 1e-3, 5e-3 and 2e-2 span the
+    # presets' steps
+    DTS = (1e-3, 5e-3, 2e-2)
+
     def test_toy(self):
-        allowed = 10.0 * 1e-3
-        at = verdicts(toy_rule({"zeta_rel_err_max": allowed, "dt": 1e-3,
-                                "contraction": {"gamma": 0.9}}))
-        past = verdicts(toy_rule({"zeta_rel_err_max": up(allowed), "dt": 1e-3,
-                                  "contraction": {"gamma": down(0.9)}}))
-        assert at == {
-            "zeta-exponential-decay": (True, "max relative deviation of zeta(t)/zeta(0) "
-                                             "from exp(-2t): 1.000e-02 (allowed 1.0e-02)"),
-            "mean-difference-rate": (True, "fitted decay rate of mean |rho|: 0.900 (needs >= 0.9)"),
-        }
-        assert [passed for passed, _ in past.values()] == [False, False]
+        allowed = 1e-2
+        for dt in self.DTS:
+            at = verdicts(toy_rule({"zeta_rel_err_max": allowed, "dt": dt,
+                                    "contraction": {"gamma": 0.9}}))
+            past = verdicts(toy_rule({"zeta_rel_err_max": up(allowed), "dt": dt,
+                                      "contraction": {"gamma": down(0.9)}}))
+            assert at == {
+                "zeta-exponential-decay": (True, "max relative deviation of zeta(t)/zeta(0) "
+                                                 "from exp(-2t): 1.000e-02 (allowed 1.0e-02)"),
+                "mean-difference-rate": (True, "fitted decay rate of mean |rho|: 0.900 "
+                                               "(needs >= 0.9)"),
+            }, dt
+            assert [passed for passed, _ in past.values()] == [False, False], dt
 
     def test_gl(self):
         numbers = {"gap": 1.0, "diagonal_max": -1.0 + 1e-12, "pathwise_margin": 1.0 + 1e-9,
@@ -146,6 +156,15 @@ class TestThresholds:
         }
         assert [passed for passed, _ in past.values()] == [False, False, False]
 
+    def test_envelope(self):
+        # the envelope at t is 1 + 0.01 t; no run's dt enters it
+        times = np.linspace(0.0, 3.0, 121)
+        envelope = 2.0 * np.exp(-1.5 * times) * (1.0 + 0.01 * times)
+        values = np.repeat(envelope[:, None], 3, axis=1)
+        assert presets._envelope_margin(values, 2.0, 1.5, times) == 1.0
+        values[-1, 1] = up(values[-1, 1])
+        assert presets._envelope_margin(values, 2.0, 1.5, times) > 1.0
+
     def test_rd(self):
         at = verdicts(rd_rule({"zeta_pathwise_margin": 1.0 + 1e-9, "rho_v_bound_margin": 1.0}))
         past = verdicts(rd_rule({"zeta_pathwise_margin": up(1.0 + 1e-9),
@@ -159,36 +178,39 @@ class TestThresholds:
         assert [passed for passed, _ in past.values()] == [False, False]
 
     @staticmethod
-    def chain_numbers(**changes):
+    def chain_numbers(dt=5e-3, **changes):
         numbers = {
             "k_star": {0.0: 2, 2.0: 3, 5.0: 3},
             "shape": {0.0: [], 2.0: [], 5.0: []},
             "zeta_kstar0": up(0.1),
-            "zeta_rel_err_max": 10.0 * 1e-3,
-            "dt": 1e-3,
+            "zeta_rel_err_max": 1e-2,
+            "dt": dt,
             "decay_rates": {0.0: up(0.0), 2.0: 1.0, 5.0: 1.0},
         }
         return verdicts(chain_rule({**numbers, **changes}))
 
     def test_chain(self):
-        assert self.chain_numbers() == {
-            "k-star-values": (True, "first damped site index per a²: {0.0: 2, 2.0: 3, 5.0: 3}"),
-            "cascade-shape": (True, "leading terms, index ranges, rho factors, and level "
-                                    "recursion all hold for a² in {0, 2, 5}"),
-            "zeta-kstar-decay": (True, "zeta_k*(0)=0.100; max relative deviation from exp(-t): "
-                                       "1.000e-02 (allowed 1.0e-02)"),
-            "rho-decay-rates": (True, "fitted decay rates of mean |rho|: a²=0.0: 0.000, "
-                                      "a²=2.0: 1.000, a²=5.0: 1.000"),
-        }
-        for changes, name in [
-            ({"k_star": {0.0: 2, 2.0: 2, 5.0: 3}}, "k-star-values"),
-            ({"zeta_kstar0": 0.1}, "zeta-kstar-decay"),
-            ({"zeta_kstar0": -0.1}, "zeta-kstar-decay"),
-            ({"zeta_rel_err_max": up(10.0 * 1e-3)}, "zeta-kstar-decay"),
-            ({"decay_rates": {0.0: 0.0, 2.0: 1.0, 5.0: 1.0}}, "rho-decay-rates"),
-        ]:
-            failed = [n for n, (passed, _) in self.chain_numbers(**changes).items() if not passed]
-            assert failed == [name], changes
+        for dt in self.DTS:
+            assert self.chain_numbers(dt) == {
+                "k-star-values": (True, "first damped site index per a²: "
+                                        "{0.0: 2, 2.0: 3, 5.0: 3}"),
+                "cascade-shape": (True, "leading terms, index ranges, rho factors, and level "
+                                        "recursion all hold for a² in {0, 2, 5}"),
+                "zeta-kstar-decay": (True, "zeta_k*(0)=0.100; max relative deviation from "
+                                           "exp(-t): 1.000e-02 (allowed 1.0e-02)"),
+                "rho-decay-rates": (True, "fitted decay rates of mean |rho|: a²=0.0: 0.000, "
+                                          "a²=2.0: 1.000, a²=5.0: 1.000"),
+            }, dt
+            for changes, name in [
+                ({"k_star": {0.0: 2, 2.0: 2, 5.0: 3}}, "k-star-values"),
+                ({"zeta_kstar0": 0.1}, "zeta-kstar-decay"),
+                ({"zeta_kstar0": -0.1}, "zeta-kstar-decay"),
+                ({"zeta_rel_err_max": up(1e-2)}, "zeta-kstar-decay"),
+                ({"decay_rates": {0.0: 0.0, 2.0: 1.0, 5.0: 1.0}}, "rho-decay-rates"),
+            ]:
+                failed = [n for n, (passed, _) in self.chain_numbers(dt, **changes).items()
+                          if not passed]
+                assert failed == [name], (dt, changes)
 
     def test_chain_shape_reports_every_problem(self):
         shape = {0.0: [], 2.0: ["bad zeta_1"], 5.0: ["bad zeta_1", "Q_2 touches index 0 < 1"]}
@@ -232,6 +254,43 @@ class TestThresholds:
             "decay-rising": (False, "distances 0.500, 0.750; noise floor 0.250; fitted rate 1.000"),
             "decay-flat": (False, "distances 0.500, 0.500; noise floor 0.250; fitted rate 0.000"),
         }
+
+
+# every coupled run's record times as (units, spacing), which a change of dt must keep
+RECORDS = {
+    ("toy-contraction", "run"): (5, 0.05),
+    ("gl-gap", "run"): (3, 0.025),
+    ("rd-zeta", "run"): (3, 0.025),
+    ("chain-cascade", "run"): (2, 0.025),
+    ("chain-cascade", "rates"): (10, 1.0),
+    ("girsanov-martingale", "run"): (2, 1.0),
+}
+
+
+def test_every_coupled_run_is_pinned():
+    runs = {(pid, key) for pid, gate in presets._GATES.items()
+            for key, run in gate.sizes.items() if isinstance(run, dict)}
+    assert runs == set(RECORDS)
+
+
+@pytest.mark.parametrize("preset_id, key", RECORDS)
+def test_records_stay_at_their_times(preset_id, key):
+    gate = presets._GATES[preset_id]
+    run = gate.sizes[key]
+    units, spacing = RECORDS[preset_id, key]
+    dt, every = run["dt"], presets._record_every(run)
+    assert (run["units"], run["spacing"]) == (units, spacing)
+    assert abs(round(1.0 / dt) * dt - 1.0) < 1e-12 and abs(every * dt - spacing) < 1e-12
+    *_, case = gate.cases().values()
+    times = presets._coupled(case, {**run, "n_traj": 1}, gate.seed).times
+    np.testing.assert_allclose(times, spacing * np.arange(round(units / spacing) + 1),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dt, spacing", [(1e-2, 0.025), (3e-3, 1.0), (5e-3, 0.0)])
+def test_a_dt_off_the_record_grid_is_refused(dt, spacing):
+    with pytest.raises(EngineError, match="must divide the record spacing"):
+        presets._record_every({"dt": dt, "spacing": spacing})
 
 
 def test_no_preset_tracks_the_w_sups():
