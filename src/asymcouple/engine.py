@@ -37,7 +37,9 @@ whose noise is drawn a block of at most one unit of steps and at most
 noise held is paths × noise dims × block steps × 8 bytes, whatever the
 run's length.  Blocks this small are cheap because the stepper's
 largest per-step workspace, a compiled polynomial's, is itself evaluated
-in fixed path blocks (``polynomials.PATH_BLOCK``).
+in fixed path blocks (``polynomials.PATH_BLOCK``).  A run given a finer
+``noise_dt`` draws its increments at that step and sums them to its own;
+the cap holds the drawn block, which then covers that many fewer steps.
 """
 
 from __future__ import annotations
@@ -491,41 +493,60 @@ def shift_noise(model: ModelSpec, noise: NoisePath, pair: CoupledEnsembleResult,
 _NOISE_BLOCK_BYTES = 1 << 20
 
 
-def _noise_blocks(model, dt, seed, streams, spu, skip, steps):
+def _noise_blocks(model, dt, seed, streams, spu, skip, steps, factor=1):
     """The streams' increments from step ``skip`` (whole units, drawn and
     dropped a unit at a time) on, ``steps`` of them, as ``(block, paths,
-    n_noise)`` views of one reused buffer.  Draws are sequential, so each
-    stream's rows are those of its one :func:`sample_noise` draw."""
+    n_noise)`` views of one reused buffer.  Each is the sum of ``factor``
+    increments drawn at ``dt``, so a step is ``factor`` times ``dt``, and a
+    unit ``spu`` steps.  Draws are sequential, so each stream's drawn rows
+    are those of its one :func:`sample_noise` draw at ``dt``."""
     rngs = [_rng_for(seed, s) for s in streams]
     shape, scale = (len(rngs), model.n_noise), math.sqrt(dt)
     for rng in rngs:
         for _ in range(skip // spu):
-            rng.normal(0.0, scale, (spu, shape[1]))
-    block = max(1, min(spu, steps, _NOISE_BLOCK_BYTES // max(1, 8 * math.prod(shape))))
-    buffer = np.empty((block,) + shape)
+            rng.normal(0.0, scale, (spu * factor, shape[1]))
+    block = max(1, min(spu, steps, _NOISE_BLOCK_BYTES // max(1, 8 * factor * math.prod(shape))))
+    buffer = np.empty((block * factor,) + shape)
+    summed = np.empty((block,) + shape) if factor > 1 else None
     for lo in range(0, steps, block):
-        rows = buffer[: min(block, steps - lo)]
+        rows = buffer[: min(block, steps - lo) * factor]
         for i, rng in enumerate(rngs):
             rows[:, i] = rng.normal(0.0, scale, (len(rows), shape[1]))
+        if factor > 1:
+            rows = np.sum(rows.reshape((-1, factor) + shape), axis=1,
+                          out=summed[: len(rows) // factor])
         yield rows
 
 
+def _factor(dt: float, noise_dt: float | None) -> int:
+    """How many increments drawn at ``noise_dt`` make one step of ``dt``."""
+    if noise_dt is None:
+        return 1
+    factor = round(dt / noise_dt) if noise_dt > 0 else 0
+    if factor < 1 or abs(factor * noise_dt - dt) > 1e-9 * dt:
+        raise EngineError(f"noise_dt={noise_dt:g} must divide dt={dt:g}")
+    return factor
+
+
 def _run(model, starts, n_traj, units, dt, seed, stream0, record_every, dense_units,
-         start_unit=0, binding=None, w_sups=True):
+         start_unit=0, binding=None, w_sups=True, noise_dt=None):
     """Integrate ``n_traj`` paths (pairs, given a binding) from ``starts``
     as one batch, path ``i`` on noise stream ``stream0 + i``, its noise
-    drawn a block at a time; the W sups are tracked if ``w_sups``."""
+    drawn a block at a time (at ``noise_dt`` and summed to steps of
+    ``dt``, if given); the W sups are tracked if ``w_sups``."""
     if n_traj < 1:
         raise EngineError("n_traj must be positive")
     if units < 0 or start_unit < 0:
         raise EngineError(f"units={units} and start_unit={start_unit} must be non-negative")
     xs, rhos = _starts(model, n_traj, starts)
     scheme = _Scheme(model, dt)
+    factor = _factor(dt, noise_dt)
     spu = scheme.steps_per_unit
     skip, steps = start_unit * spu, units * spu
     records = _records(dt, record_every or spu, skip + steps, spu, skip,
                        None if dense_units is None else dense_units * spu)
-    blocks = _noise_blocks(model, dt, seed, range(stream0, stream0 + n_traj), spu, skip, steps)
+    blocks = _noise_blocks(model, noise_dt or dt, seed, range(stream0, stream0 + n_traj), spu,
+                           skip, steps, factor)
     try:
         return _integrate_batch(model, scheme, xs, blocks, records, binding, rhos, w_sups)
     except BlowUpError as exc:
@@ -544,6 +565,7 @@ def run_ensemble(
     dense_units: int | None = None,
     start_unit: int = 0,
     w_sups: bool = True,
+    noise_dt: float | None = None,
 ) -> EnsembleResult:
     """Integrate ``n_traj`` independent paths from ``x0`` for ``units``
     time units; trajectory ``i`` uses noise stream ``stream0 + i``.
@@ -558,10 +580,13 @@ def run_ensemble(
     batch; their noise is drawn a block of at most one unit of steps at a
     time, so its memory does not grow with ``units``.  The W sups are
     tracked, one Lyapunov call per step, only if ``w_sups``: otherwise
-    ``w_sup`` is None.  A blow-up raises a :class:`BlowUpError` that
-    names the stream."""
+    ``w_sup`` is None.  Given ``noise_dt``, which must divide ``dt``, each
+    stream's increments are drawn at ``noise_dt`` and each step takes the
+    sum of the ``dt / noise_dt`` inside it, so runs at several ``dt`` share
+    one Brownian path per stream; without it they are drawn at ``dt``.  A
+    blow-up raises a :class:`BlowUpError` that names the stream."""
     return _run(model, (x0,), n_traj, units, dt, seed, stream0, record_every, dense_units,
-                start_unit, w_sups=w_sups)
+                start_unit, w_sups=w_sups, noise_dt=noise_dt)
 
 
 def run_coupled_ensemble(
@@ -577,12 +602,13 @@ def run_coupled_ensemble(
     record_every: int | None = None,
     dense_units: int | None = None,
     w_sups: bool = True,
+    noise_dt: float | None = None,
 ) -> CoupledEnsembleResult:
     """Integrate ``n_traj`` bound pairs from ``(x0, y0)`` for ``units``
     time units; pair ``i`` uses noise stream ``stream0 + i``.
 
     ``x0`` and ``y0`` are each one start ``(dim,)`` shared by every pair,
-    or one start per pair ``(n_traj, dim)``.  Records and the W sups are
-    kept as for :func:`run_ensemble`."""
+    or one start per pair ``(n_traj, dim)``.  Records, the W sups and the
+    noise at ``noise_dt`` are as for :func:`run_ensemble`."""
     return _run(model, (x0, y0), n_traj, units, dt, seed, stream0, record_every, dense_units,
-                binding=binding, w_sups=w_sups)
+                binding=binding, w_sups=w_sups, noise_dt=noise_dt)

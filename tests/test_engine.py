@@ -742,6 +742,80 @@ def test_noise_blocks_stay_within_a_unit_and_the_budget(budget_rows, monkeypatch
     assert len(set(buffers)) == 1
 
 
+def test_the_budget_holds_the_drawn_block_of_a_finer_noise(monkeypatch):
+    # drawn at half the step, a block of the same bytes covers half the steps
+    n, units, dt = 2000, 2, 2e-3
+    rows = []
+    stepper = engine._integrate_batch
+
+    def spy(model, scheme, x0, noise, *args):
+        def seen():
+            for block in noise:
+                rows.append(len(block))
+                yield block
+        return stepper(model, scheme, x0, seen(), *args)
+
+    monkeypatch.setattr(engine, "_integrate_batch", spy)
+    run_ensemble(TOY, np.array([0.5, -0.5]), n, units, dt, seed=34, start_unit=1, noise_dt=dt / 2)
+    assert sum(rows) == units * round(1 / dt)
+    # 1 MiB // (8 * 2 * 2000 * 1) = 32 steps of 2 drawn increments each
+    assert max(rows) == engine._NOISE_BLOCK_BYTES // (8 * 2 * n * TOY.n_noise) == 32
+
+
+def run_pair(model_id, coupled, **kwargs):
+    """An ensemble of ``model_id``'s bound pair, or of its ``x`` alone."""
+    model, x0, y0 = bound_pair(model_id)
+    if coupled:
+        return run_coupled_ensemble(model, make_binding(model), x0, y0, w_sups=True, **kwargs)
+    return run_ensemble(model, x0, w_sups=True, **kwargs)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("model_id", list(BOUND_PAIRS))
+def test_noise_drawn_at_the_step_is_the_default_noise(model_id, coupled):
+    run = partial(run_pair, model_id, coupled, n_traj=3, units=1, dt=2e-3, seed=36, record_every=50)
+    assert_paths_equal(run(noise_dt=2e-3), run(), "noise_dt=dt")
+
+
+@pytest.mark.parametrize("budget_rows", [None, 7], ids=["unit-blocks", "7-step-blocks"])
+@pytest.mark.parametrize("model_id", list(BOUND_PAIRS))
+def test_a_step_takes_the_sum_of_the_finer_increments_inside_it(model_id, budget_rows, monkeypatch):
+    # a run at dt on noise drawn at dt/2 is, path by path, the given-noise
+    # pair on that stream's one draw at dt/2 summed in pairs (two terms
+    # have one sum), also with blocks that cut across the unit intervals
+    model, x0, y0 = bound_pair(model_id)
+    binding = make_binding(model)
+    n, units, dt = 3, 2, 2e-3
+    if budget_rows is not None:
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", block_rows(model, n, budget_rows))
+    pairs = run_coupled_ensemble(model, binding, x0, y0, n, units, dt, seed=37, record_every=50,
+                                 w_sups=True, noise_dt=dt / 2)
+    for i in range(n):
+        fine = sample_noise(model, 2 * units * round(1 / dt), dt / 2, seed=37, stream=i)
+        summed = NoisePath(dt, fine.increments[0::2] + fine.increments[1::2])
+        pair = integrate_coupled(model, binding, x0, y0, summed, record_every=50)
+        assert_paths_equal(pair, pairs, f"path {i}", first=i)
+
+
+@pytest.mark.parametrize("model_id", ["toy2d", "chain"])
+def test_a_run_on_finer_noise_continues_from_its_last_record(model_id, monkeypatch):
+    # start_unit skips twice the draws per unit, as the longer run drew them
+    model, x0, _ = bound_pair(model_id)
+    monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", block_rows(model, 3, 7))
+    run = partial(run_ensemble, model, n_traj=3, dt=2e-3, seed=38, record_every=50, w_sups=True,
+                  noise_dt=1e-3)
+    whole, head = run(x0, units=3), run(x0, units=1)
+    later = run(head.states[-1], units=2, start_unit=1)
+    assert_batches_equal(head.then(later), whole, "continued at 1")
+
+
+@pytest.mark.parametrize("noise_dt", [3e-3, 2e-2, 0.0], ids=["not-a-divisor", "coarser", "zero"])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_a_noise_dt_that_does_not_divide_dt_is_refused(noise_dt, coupled):
+    with pytest.raises(EngineError, match=f"noise_dt={noise_dt:g} must divide dt=0.01"):
+        run_pair("toy2d", coupled, n_traj=2, units=1, dt=1e-2, seed=39, noise_dt=noise_dt)
+
+
 UNIT_FIELDS = ("w_sup", "w_sup_x", "w_sup_y")
 
 

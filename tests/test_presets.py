@@ -11,8 +11,12 @@ FAIL.
 Not pinned here, because they PASS or barely FAIL unbound at the
 presets' own starts: toy-contraction's ``mean-difference-rate`` from its
 in-well pair (where dissipation alone joins the copies; the pair from
-opposite wells is pinned instead) and chain-cascade's ``rho-decay-rates``
-(only its a² = 2 rate goes negative).
+opposite wells is pinned instead) and chain-cascade's ``rho-decay-rates``.
+Unbound, every chain rate but a² = 2's is positive, and that one is
+bimodal over the noise: about +2.7 when every pair joins under the
+shared noise, slightly negative when some stay apart.  At the pinned
+seed it reads +2.72, so the check PASSes unbound; it needs starts that
+an unbound copy cannot join.
 
 The threshold tests feed each rule hand-built numbers at its bound and
 one ``np.nextafter`` step past it, so no threshold can move silently; the
@@ -29,7 +33,8 @@ import pytest
 
 from asymcouple import presets
 from asymcouple.binding import BindingSpec
-from asymcouple.engine import EngineError
+from asymcouple.engine import EngineError, run_coupled_ensemble
+from asymcouple.estimators import mean_rho_rate
 from asymcouple.presets import (
     chain_measure,
     chain_rule,
@@ -267,6 +272,10 @@ RECORDS = {
 }
 
 
+# runs also made at dt/2 for a Richardson value, whose records must stay there too
+HALVED = {("chain-cascade", "rates")}
+
+
 def test_every_coupled_run_is_pinned():
     runs = {(pid, key) for pid, gate in presets._GATES.items()
             for key, run in gate.sizes.items() if isinstance(run, dict)}
@@ -278,13 +287,33 @@ def test_records_stay_at_their_times(preset_id, key):
     gate = presets._GATES[preset_id]
     run = gate.sizes[key]
     units, spacing = RECORDS[preset_id, key]
-    dt, every = run["dt"], presets._record_every(run)
     assert (run["units"], run["spacing"]) == (units, spacing)
-    assert abs(round(1.0 / dt) * dt - 1.0) < 1e-12 and abs(every * dt - spacing) < 1e-12
     *_, case = gate.cases().values()
-    times = presets._coupled(case, {**run, "n_traj": 1}, gate.seed).times
-    np.testing.assert_allclose(times, spacing * np.arange(round(units / spacing) + 1),
-                               rtol=0.0, atol=1e-12)
+    halved = [{**run, "dt": run["dt"] / 2}] if (preset_id, key) in HALVED else []
+    for level in [run, *halved]:
+        dt, every = level["dt"], presets._record_every(level)
+        assert abs(round(1.0 / dt) * dt - 1.0) < 1e-12 and abs(every * dt - spacing) < 1e-12
+        times = presets._coupled(case, {**level, "n_traj": 1}, gate.seed).times
+        np.testing.assert_allclose(times, spacing * np.arange(round(units / spacing) + 1),
+                                   rtol=0.0, atol=1e-12, err_msg=f"dt={dt:g}")
+
+
+def test_the_chain_rate_is_the_richardson_value_of_its_two_runs():
+    # the rate checked is r_f + (r_f - r_c)/3 of the pair run at dt on the
+    # noise drawn at dt/2 (r_c) and the pair run at dt/2 (r_f); both are reported
+    gate = presets._GATES["chain-cascade"]
+    cases = {0.0: gate.cases()[0.0]}
+    sizes = {"run": {**gate.sizes["run"], "n_traj": 1, "units": 1},
+             "rates": {**gate.sizes["rates"], "n_traj": 2, "units": 2}}
+    m = chain_measure(cases, sizes, gate.seed)
+    model, binding, x0, rho0 = cases[0.0]
+    dt = sizes["rates"]["dt"]
+    r_c, r_f = (mean_rho_rate(run_coupled_ensemble(
+        model, binding, x0, x0 + rho0, 2, 2, level, gate.seed + 1, record_every=round(1 / level),
+        noise_dt=dt / 2)).gamma for level in (dt, dt / 2))
+    assert r_c != r_f
+    assert m["level_rates"] == {0.0: {f"{dt:g}": r_c, f"{dt / 2:g}": r_f}}
+    assert m["decay_rates"] == {0.0: r_f + (r_f - r_c) / 3}
 
 
 @pytest.mark.parametrize("dt, spacing", [(1e-2, 0.025), (3e-3, 1.0), (5e-3, 0.0)])

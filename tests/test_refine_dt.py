@@ -1,5 +1,7 @@
 """``tools/refine_dt.py`` refines the gates' own noise: at coarsening
-factor 1 its joined ensemble is ``run_coupled_ensemble``'s, bit for bit."""
+factor 1 its level is ``run_coupled_ensemble``'s on the same streams,
+bit for bit.  That a coarser level sums the same draws is the engine's
+``noise_dt`` (``tests/test_engine.py``)."""
 
 import importlib.util
 from dataclasses import fields
@@ -7,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-from asymcouple import presets
 from asymcouple.engine import run_coupled_ensemble
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "refine_dt.py"
@@ -22,15 +23,15 @@ def load_tool():
 
 def test_factor_one_is_the_ensemble_on_the_same_streams():
     tool = load_tool()
-    gate = presets._GATES["toy-contraction"]
-    (case,) = gate.cases().values()
+    levels = tool._Levels("toy-contraction", "run", 0, False)
+    levels.sizes, levels.n_traj = {**levels.sizes, "units": 1}, 2
+    ((name, case),) = levels.cases.items()
     model, binding, x0, rho0 = case
-    spacing = gate.sizes["run"]["spacing"]
-    joined = tool.joined(case, tool.fine_noises(model, 1, gate.seed, 2), 1, spacing)
-    every = round(spacing / tool.FINE_DT)
-    ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 2, 1, tool.FINE_DT, gate.seed,
-                               record_every=every)
+    every = round(levels.spacing / tool.FINE_DT)
+    ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 2, 1, tool.FINE_DT, levels.seed,
+                               record_every=every, w_sups=False)
+    level = levels(tool.FINE_DT)[name]
     assert len(ens.times) == 21
     for field in fields(ens):
-        np.testing.assert_array_equal(getattr(joined, field.name), getattr(ens, field.name),
+        np.testing.assert_array_equal(getattr(level, field.name), getattr(ens, field.name),
                                       err_msg=field.name, strict=True)

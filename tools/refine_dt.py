@@ -7,18 +7,15 @@ It runs every preset but mixing-distance unless some are named, and
 prints one table per run of a gate (chain-cascade has two, its ``run``
 and its ``rates``) and the dt each run may take.
 
-Common noise.  Every path's noise is drawn once, at ``FINE_DT``, from
-the gate's own seed and the path's stream, as the gate's ensemble draws
-it.  A level dt = 2^j ``FINE_DT`` takes each of its increments as the
-sum of 2^j fine ones, as criterion 9's Richardson check does.  A coupled
-gate's paths are drawn by ``sample_noise``, integrated one at a time by
-``integrate_coupled`` at the gate's record spacing and joined by
-``CoupledEnsembleResult.concat``; at ``FINE_DT`` itself the joined
-ensemble is ``run_coupled_ensemble``'s, bit for bit.  The mixing gate's
-two uncoupled ensembles (300 paths a side, 8 units) are stepped as one
-batch each, by the engine's batch stepper on the coarsened blocks.  The
-levels thus differ by the step alone.  ``PATHS`` says how many paths
-each gate gets here; the gate's own count may be larger.
+Common noise.  Every path's noise is drawn at ``FINE_DT`` from the
+gate's own seed and the path's stream, as the gate's ensemble draws it.
+A level dt = 2^j ``FINE_DT`` takes each of its increments as the sum of
+2^j fine ones, as criterion 9's Richardson check does: each level is the
+gate's own ensemble call (``presets._coupled``, or the mixing gate's two
+``run_ensemble`` calls) given ``noise_dt=FINE_DT``, one batch at the
+gate's record spacing.  At ``FINE_DT`` itself it is the gate's run, bit
+for bit.  The levels thus differ by the step alone.  ``PATHS`` says how
+many paths each gate gets here; the gate's own count may be larger.
 
 The numbers are the gate's own, computed with the helpers its
 measurement uses (``presets._zeta_decay_deviation``,
@@ -43,6 +40,10 @@ a fraction of it:
   noise floor, the scale on which its rule compares them.  Fraction
   1/10, as for a statistical number.  Its fitted rate is printed, not
   budgeted: it is a function of the distances.
+- The chain's rates run checks the Richardson value of its fitted rate,
+  ``R(dt) = v(dt/2) + (v(dt/2) - v(dt))/3``, which reads two levels.
+  A statistic, budgeted as one: ``R(dt)`` against ``R(dt/2)``.  The
+  rate at each level is printed, not budgeted.
 
 The difference is taken from dt to dt/2 (``d1``); the one from dt/2 to
 dt/4 (``d2``) shows whether it shrinks at the scheme's order.  The
@@ -64,7 +65,8 @@ a tenth of itself.  The means are printed beside it; their differences
 are sampling noise of mean zero.
 
 A candidate is one of ``CANDIDATES`` that divides the unit and the
-run's record spacing, so every record stays at its time.  The largest
+run's record spacing, so every record stays at its time, and whose
+finest level read is no finer than ``FINE_DT``.  The largest
 within budget on every number is proposed, with the candidates tried
 from the largest down; a level that blows up is out of budget.  If none
 is within budget, the run keeps its dt.
@@ -83,16 +85,9 @@ if __name__ == "__main__":  # run as a script from a source checkout
 
 import numpy as np  # noqa: E402
 
-from asymcouple import engine, presets  # noqa: E402
+from asymcouple import presets  # noqa: E402
 from asymcouple import estimators as est  # noqa: E402
-from asymcouple.engine import (  # noqa: E402
-    BlowUpError,
-    CoupledEnsembleResult,
-    EngineError,
-    NoisePath,
-    integrate_coupled,
-    sample_noise,
-)
+from asymcouple.engine import BlowUpError, EngineError, run_ensemble  # noqa: E402
 
 FINE_DT = 6.25e-4
 CANDIDATES = (2e-2, 1e-2, 5e-3, 2.5e-3)
@@ -100,58 +95,12 @@ PATHS = {"toy-contraction": 100, "gl-gap": 50, "rd-zeta": 50, "chain-cascade": 2
          "girsanov-martingale": 200, "mixing-distance": 300}
 FRACTION = {"statistic": 0.1, "pathwise": 0.25, "se": 0.1, "floor": 0.1}
 BOOTSTRAP = 200
-# the most fine increments of one drawn block of a mixing ensemble
-_BLOCK_VALUES = 1 << 20
 
 
-# -- common noise -------------------------------------------------------------------
-
-def fine_noises(model, units: int, seed: int, n_traj: int) -> list[NoisePath]:
-    """Paths ``0..n_traj-1``'s noise over ``units`` at ``FINE_DT``."""
-    steps = round(units / FINE_DT)
-    return [sample_noise(model, steps, FINE_DT, seed, stream=i) for i in range(n_traj)]
-
-
-def coarsened(noise: NoisePath, factor: int) -> NoisePath:
-    """``noise`` at ``factor`` times its step: each increment the sum of ``factor`` fine ones."""
-    increments = noise.increments.reshape(-1, factor, noise.increments.shape[1]).sum(axis=1)
-    return NoisePath(dt=noise.dt * factor, increments=increments)
-
-
-def joined(case, noises, factor: int, spacing: float) -> CoupledEnsembleResult:
-    """The bound pairs of ``case`` under ``noises`` coarsened by ``factor``,
-    each integrated alone, recorded every ``spacing`` time units and joined."""
-    model, binding, x0, rho0 = case
-    dt = noises[0].dt * factor
-    every = presets._record_every({"dt": dt, "spacing": spacing})
-    return CoupledEnsembleResult.concat([
-        integrate_coupled(model, binding, x0, x0 + rho0, coarsened(noise, factor), every)
-        for noise in noises])
-
-
-def uncoupled(model, x0, seed: int, streams, units: int, factor: int):
-    """The paths on ``streams`` from ``x0`` over ``units``, recorded at
-    every unit, under their ``FINE_DT`` noise coarsened by ``factor``: one
-    batch, its noise drawn a block at a time as ``sample_noise`` draws it."""
-    rngs = [engine._rng_for(seed, stream) for stream in streams]
-    steps, k = round(units / FINE_DT), model.n_noise
-    chunk = factor * max(1, _BLOCK_VALUES // (factor * len(rngs) * k))
-
-    def blocks():
-        for lo in range(0, steps, chunk):
-            fine = np.stack([rng.normal(0.0, math.sqrt(FINE_DT), (min(chunk, steps - lo), k))
-                             for rng in rngs], axis=1)
-            yield fine.reshape(-1, factor, len(rngs), k).sum(axis=1)
-
-    scheme = engine._Scheme(model, FINE_DT * factor)
-    spu = scheme.steps_per_unit
-    x0s, _ = engine._starts(model, len(rngs), (x0,))
-    return engine._integrate_batch(model, scheme, x0s, blocks(),
-                                   engine._records(scheme.dt, spu, units * spu), w_sups=False)
-
-
-def _on_paths(ens: CoupledEnsembleResult, idx) -> CoupledEnsembleResult:
-    """``ens`` on the paths ``idx``."""
+def _on_paths(ens, idx):
+    """``ens`` (or each of a tuple of levels) on the paths ``idx``."""
+    if isinstance(ens, tuple):
+        return tuple(_on_paths(e, idx) for e in ens)
     return replace(ens, **{f.name: getattr(ens, f.name)[:, idx] for f in fields(ens)
                            if f.name != "times" and getattr(ens, f.name) is not None})
 
@@ -160,8 +109,8 @@ def _on_paths(ens: CoupledEnsembleResult, idx) -> CoupledEnsembleResult:
 
 class _Levels:
     """A run's cases and sizes, and its measured level per dt, made on
-    first use: each case's joined ensemble (the mixing numbers for the
-    mixing gate), or None if a path blows up."""
+    first use: each case's ensemble (the mixing numbers for the mixing
+    gate) on the noise drawn at ``FINE_DT``, or None if a path blows up."""
 
     def __init__(self, gate_id: str, key: str | None, seed_offset: int, last_only: bool):
         gate = presets._GATES[gate_id]
@@ -177,16 +126,16 @@ class _Levels:
             self.units, self.spacing = max(self.sizes["times"]), 1.0
         else:
             self.units, self.spacing = self.sizes["units"], self.sizes["spacing"]
-            self.noises = {name: fine_noises(case[0], self.units, self.seed, self.n_traj)
-                           for name, case in self.cases.items()}
 
-    def _measure(self, name, case, factor):
+    def _measure(self, case, dt):
         if not self.mixing:
-            return joined(case, self.noises[name], factor, self.spacing)
+            run = {**self.sizes, "dt": dt, "n_traj": self.n_traj}
+            return presets._coupled(case, run, self.seed, noise_dt=FINE_DT)
         model, xa, xb = case
         n, times = self.n_traj, list(self.sizes["times"])
-        ens_a = uncoupled(model, xa, self.seed, range(n), self.units, factor)
-        ens_b = uncoupled(model, xb, self.seed, range(n, 2 * n), self.units, factor)
+        ens_a, ens_b = (run_ensemble(model, x0, n, self.units, dt, self.seed, stream0=stream0,
+                                     w_sups=False, noise_dt=FINE_DT)
+                        for x0, stream0 in ((xa, 0), (xb, n)))
         distances = [row["distance"] for row in est.mixing_distance_series(ens_a, ens_b, times)]
         floor = est.bootstrap_null_quantile(ens_a.states[-1], ens_b.states[-1], seed=self.seed,
                                             n_boot=self.sizes["n_boot"], cap=self.sizes["boot_cap"])
@@ -197,7 +146,7 @@ class _Levels:
         factor = round(dt / FINE_DT)
         if factor not in self.cache:
             try:
-                self.cache[factor] = {name: self._measure(name, case, factor)
+                self.cache[factor] = {name: self._measure(case, dt)
                                       for name, case in self.cases.items()}
             except BlowUpError:
                 self.cache[factor] = None
@@ -208,7 +157,8 @@ class _Levels:
 
 class Number(NamedTuple):
     """One dt-sensitive number of a run.  ``value(level, case)`` reads it
-    from a case's measured level; ``kind`` says how it is resolved (a
+    from a case's measured level, or, if it ``reads`` 2, from the tuple of
+    that level and the next finer one; ``kind`` says how it is resolved (a
     ``FRACTION`` key, ``count`` for one that must stay 0 at every level,
     ``shown`` for one not budgeted); ``resolution(level, case)`` gives a
     pathwise tolerance or the mixing floor."""
@@ -217,6 +167,7 @@ class Number(NamedTuple):
     kind: str
     value: Callable
     resolution: Callable | None = None
+    reads: int = 1
 
 
 def _zeta(index, rate):
@@ -230,6 +181,10 @@ def _zeta_tol(e, case):
 def _rate(e, case):
     fit = est.mean_rho_rate(e)
     return math.nan if fit is None else fit.gamma
+
+
+def _extrapolated_rate(pair, case):
+    return presets._extrapolated(*(_rate(e, case) for e in pair))
 
 
 def _margins(values, scale, rate, times):
@@ -299,7 +254,8 @@ RUNS = (
     Run("chain-cascade", "run", (
         Number("zeta_k* deviation", "pathwise", _zeta(-1, 1.0), _zeta_tol),), last_only=True),
     Run("chain-cascade", "rates", (
-        Number("mean |rho| rate", "statistic", _rate),), seed_offset=1),
+        Number("extrapolated rate", "statistic", _extrapolated_rate, reads=2),
+        Number("mean |rho| rate", "shown", _rate)), seed_offset=1),
     Run("girsanov-martingale", "run", (
         Number("density se", "se", _density("se")),
         Number("overflowed", "count", _overflowed),
@@ -321,8 +277,11 @@ def _on_grid(dt: float, spacing: float) -> bool:
     return True
 
 
-def _row(number: Number, levels: _Levels, at, case, rng) -> dict:
-    """``number`` of one case at the levels ``at`` (dt, dt/2, dt/4)."""
+def _row(number: Number, levels: _Levels, measured, case, rng) -> dict:
+    """``number`` of one case at dt, dt/2 and dt/4, read from the
+    ``measured`` levels dt, dt/2, ..."""
+    at = [measured[j] if number.reads == 1 else tuple(measured[j:j + number.reads])
+          for j in range(3)]
     values = [number.value(e, case) for e in at]
     row = {}
     if number.kind == "se":  # at the gate's own path count
@@ -364,8 +323,11 @@ def budget(run: Run, out=print) -> float | None:
     out(f"  {'dt':<8} {'number (case)':<42} " + "".join(
         f"{title:<11}" for title in ("v(dt)", "v(dt/2)", "v(dt/4)", "resolution", "d1/res",
                                       "d2/res", "d1 se")) + "within")
-    for dt in (c for c in CANDIDATES if _on_grid(c, levels.spacing)):
-        measured = [levels(dt / 2**j) for j in range(3)]
+    # the finest level read is dt / 2**depth, which the fine noise must reach
+    depth = 1 + max(number.reads for number in run.numbers)
+    for dt in (c for c in CANDIDATES
+               if _on_grid(c, levels.spacing) and c / 2**depth >= FINE_DT * (1 - 1e-9)):
+        measured = [levels(dt / 2**j) for j in range(depth + 1)]
         within = True
         for number in run.numbers:
             for name, case in levels.cases.items():
