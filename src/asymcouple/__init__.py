@@ -1,11 +1,10 @@
 """Asymptotic-coupling simulators and statistical diagnostics.
 
-Subpackages mirror the pipeline: exact measure algebra (``measures``),
-sparse indexed polynomials (``polynomials``), the four example systems
-(``models``), their binding forces (``binding``), coupled time
-integration with Girsanov accounting (``engine``), statistical
-verification (``estimators``), and the experiment harness (``config``,
-``presets``, ``cli``).
+Subpackages mirror the pipeline: sparse indexed polynomials
+(``polynomials``), the four example systems (``models``), their binding
+forces (``binding``), coupled time integration with Girsanov accounting
+(``engine``), statistical verification (``estimators``), and the
+experiment harness (``config``, ``presets``, ``cli``).
 """
 
 from .binding import (
@@ -39,15 +38,6 @@ from .estimators import (
     fit_contraction,
     lyapunov_fit,
     mixing_distance_series,
-)
-from .measures import (
-    DiscreteMeasure,
-    MeasureError,
-    meet,
-    overlap_chi2_bound_sharp,
-    overlap_lower_bound,
-    pushforward,
-    subtract,
 )
 from .models import (
     ModelError,

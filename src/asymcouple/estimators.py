@@ -330,8 +330,6 @@ def axk_table(
         raise EstimatorError("horizon must be non-negative")
     if ens.w_sup is None:
         raise EstimatorError("axk reads the W sups: the ensemble must be run with w_sups=True")
-    if horizon == 0:
-        return [{"k": float(k), "frequency": 1.0, "bound": 1.0} for k in ks]
     v0 = float(lyapunov(model, ens.states[0, 0]))
     intervals = np.arange(1, horizon + 1)
     w = ens.head(horizon + 1).w_sup[1:]  # (horizon, n_traj)

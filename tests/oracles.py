@@ -33,9 +33,17 @@ Each is written the obvious way and read only by the tests:
   ``build_zeta_cascade`` computes by substitution instead.
 - ``chain_nonlinearity``: the chain's nonlinearity as two sliced
   neighbour sums; it pins the contiguous passes of ``make_chain``'s.
+- ``DiscreteMeasure`` and its lattice algebra (``meet``, ``subtract``,
+  ``leq``, ``pushforward``, ``dirac``): finitely supported measures as
+  exact dictionary arithmetic on point weights.  ``overlap_ingredients``
+  takes two of them to the exact meet mass on a set and the ingredients
+  of the paper's overlap lemmas, whose right-hand sides are
+  ``overlap_bound`` and ``inverse_square_overlap_bound``.
 """
 
+import math
 from fractions import Fraction
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -240,3 +248,194 @@ def parse_cascade_dump(text: str) -> dict[str, IndexedPolynomial]:
         elif current is not None and stripped and not stripped.startswith("#"):
             current.append(stripped)
     return {name: parse_polynomial("\n".join(body)) for name, body in sections.items()}
+
+
+# -- finitely supported measures ---------------------------------------------
+#
+# Support points are opaque hashable atoms compared by exact equality;
+# every operation is pure.
+
+Point = Hashable
+
+# Weights below this are pruned after every operation so that supports
+# stay canonical and measures built along different routes compare equal.
+PRUNE_EPS = 1e-15
+
+# Mass tolerance for "is a probability measure".
+PROB_TOL = 1e-12
+
+
+class MeasureError(ValueError):
+    """Raised for invalid weights, partial maps, or measures an overlap
+    bound cannot take."""
+
+
+class DiscreteMeasure:
+    """Non-negative measure with finite support.
+
+    Parameters
+    ----------
+    weights:
+        Mapping or iterable of ``(point, weight)`` pairs.  Duplicate
+        points are summed, negative weights are rejected, and weights
+        at or below :data:`PRUNE_EPS` are dropped.
+    """
+
+    __slots__ = ("_w",)
+
+    def __init__(self, weights: Mapping[Point, float] | Iterable[tuple[Point, float]] | None = None):
+        acc: dict[Point, float] = {}
+        if weights is not None:
+            items = weights.items() if isinstance(weights, Mapping) else weights
+            for point, value in items:
+                value = float(value)
+                if math.isnan(value) or value < 0.0:
+                    raise MeasureError(f"invalid weight {value!r} at point {point!r}")
+                acc[point] = acc.get(point, 0.0) + value
+        self._w = {p: v for p, v in acc.items() if v > PRUNE_EPS}
+
+    # -- basic queries ----------------------------------------------------
+
+    @property
+    def support(self) -> tuple[Point, ...]:
+        return tuple(self._w)
+
+    def weight(self, point: Point) -> float:
+        return self._w.get(point, 0.0)
+
+    def items(self):
+        return self._w.items()
+
+    def mass(self) -> float:
+        return math.fsum(self._w.values())
+
+    def is_probability(self) -> bool:
+        return abs(self.mass() - 1.0) <= PROB_TOL
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiscreteMeasure):
+            return NotImplemented
+        return self._w == other._w
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{p!r}: {v:.6g}" for p, v in self._w.items())
+        return f"DiscreteMeasure({{{inner}}})"
+
+    def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
+        acc = dict(self._w)
+        for p, v in other.items():
+            acc[p] = acc.get(p, 0.0) + v
+        return DiscreteMeasure(acc)
+
+
+def dirac(point: Point) -> DiscreteMeasure:
+    return DiscreteMeasure({point: 1.0})
+
+
+def meet(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
+    """Pointwise minimum ``mu ∧ nu``."""
+    out = {}
+    for p, v in mu.items():
+        w = min(v, nu.weight(p))
+        if w > 0.0:
+            out[p] = w
+    return DiscreteMeasure(out)
+
+
+def subtract(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
+    """Truncated difference ``mu ∖ nu``: pointwise ``max(mu − nu, 0)``.
+
+    ``meet(mu, nu) + subtract(mu, nu)`` recovers ``mu`` (exactly when the
+    weights are exactly representable, e.g. dyadic rationals).
+    """
+    out = {}
+    for p, v in mu.items():
+        w = nu.weight(p)
+        if v > w:
+            out[p] = v - w
+    return DiscreteMeasure(out)
+
+
+def leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    """Pointwise ``mu ≤ nu`` on the union of supports."""
+    return all(v <= nu.weight(p) for p, v in mu.items())
+
+
+def pushforward(f: Callable[[Point], Point], mu: DiscreteMeasure) -> DiscreteMeasure:
+    """Image measure of ``mu`` under ``f``; colliding images sum weights.
+
+    Raises
+    ------
+    MeasureError
+        If ``f`` is undefined (raises, or returns ``None``) on a support
+        point: pushforward of a partial map is not a measure.
+    """
+    out: dict[Point, float] = {}
+    for p, v in mu.items():
+        try:
+            q = f(p)
+        except Exception as exc:  # noqa: BLE001 - any failure means "undefined here"
+            raise MeasureError(f"partial map: {p!r} has no image ({exc})") from exc
+        if q is None:
+            raise MeasureError(f"partial map: {p!r} has no image")
+        out[q] = out.get(q, 0.0) + v
+    return DiscreteMeasure(out)
+
+
+class Overlap(NamedTuple):
+    """Both sides of the overlap lemmas on a set A: the exact left-hand
+    side ``(mu1 ∧ mu2)(A)`` and the right-hand sides' ingredients
+    ``mu1(A)``, ``eps2 = ∫_A (1 - D)² dmu1`` and ``c = ∫_A D⁻² dmu1``,
+    ``D = dmu2/dmu1``."""
+    meet_mass: float
+    mass_a: float
+    eps2: float
+    c: float
+
+
+def overlap_ingredients(mu1: DiscreteMeasure, mu2: DiscreteMeasure, a: Iterable[Point]) -> Overlap:
+    """:class:`Overlap` of two probability measures on the points ``a``.
+
+    Raises :class:`MeasureError` if either measure is not a probability
+    measure, if ``mu2`` charges a point of A that ``mu1`` does not (eps2
+    needs ``mu2 << mu1`` on A), or if ``mu2`` vanishes at a point of A
+    that ``mu1`` charges (c needs ``D > 0`` there)."""
+    if not mu1.is_probability() or not mu2.is_probability():
+        raise MeasureError("overlap lemmas take probability measures")
+    a_set = set(a)
+    eps2_terms, c_terms = [], []
+    for p in a_set:
+        w1, w2 = mu1.weight(p), mu2.weight(p)
+        if w1 == 0.0:
+            if w2 > 0.0:
+                raise MeasureError(f"not absolutely continuous on A at {p!r}")
+            continue
+        if w2 == 0.0:
+            raise MeasureError(f"density vanishes on A at {p!r}; inverse moment undefined")
+        eps2_terms.append((1.0 - w2 / w1) ** 2 * w1)
+        c_terms.append((w1 / w2) ** 2 * w1)
+    return Overlap(
+        meet_mass=math.fsum(w for p, w in meet(mu1, mu2).items() if p in a_set),
+        mass_a=math.fsum(mu1.weight(p) for p in a_set),
+        eps2=math.fsum(eps2_terms),
+        c=math.fsum(c_terms),
+    )
+
+
+def overlap_bound(mass_a: float, eps2: float) -> float:
+    """``mu1(A) - sqrt(eps2)``, the right-hand side of the overlap lemma
+    ``(mu1 ∧ mu2)(A) >= 1 - eps1 - sqrt(eps2)`` for probability measures
+    with ``mu2 << mu1`` on A, ``D = dmu2/dmu1``, ``eps1 = 1 - mu1(A)`` and
+    ``eps2 = ∫_A (1 - D)² dmu1``.  With A the good event,
+    ``density_diagnostics`` estimates them per unit: ``eps1 = 1 -
+    good_fraction`` and ``eps2 = good_fraction × mean_step_dev_sq``."""
+    return mass_a - math.sqrt(eps2)
+
+
+def inverse_square_overlap_bound(mass_a: float, c: float) -> float:
+    """``mu1(A)² / (mu1(A) + sqrt(c))``, 0 where both are 0: the
+    right-hand side of the overlap lemma ``(mu1 ∧ mu2)(A) >= mu1(A)² /
+    (mu1(A) + sqrt(c))`` for probability measures with ``D = dmu2/dmu1 >
+    0`` wherever mu1 charges A and ``c = ∫_A D⁻² dmu1``."""
+    denom = mass_a + math.sqrt(c)
+    return mass_a**2 / denom if denom > 0.0 else 0.0

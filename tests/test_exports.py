@@ -11,10 +11,6 @@ NO_READER_IN_SRC = {
     "integrate_coupled": "criterion 9: a given noise path replayed",
     "sample_noise": "criterion 9: a given noise path replayed",
     "shift_noise": "criterion 9: a given noise path replayed",
-    "subtract": "criterion 1, until the decision on measures.py",
-    "pushforward": "criterion 1, until the decision on measures.py",
-    "overlap_lower_bound": "criterion 1, until the decision on measures.py",
-    "overlap_chi2_bound_sharp": "criterion 1, until the decision on measures.py",
 }
 
 

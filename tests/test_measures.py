@@ -1,4 +1,6 @@
-"""Lattice algebra on finitely supported measures."""
+"""The oracles' lattice algebra on finitely supported measures, and the
+paper's overlap lemmas: their right-hand sides against the exact meet
+mass."""
 
 import math
 
@@ -6,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcouple.measures import (
+from oracles import (
     DiscreteMeasure,
     MeasureError,
     dirac,
+    inverse_square_overlap_bound,
     leq,
     meet,
-    overlap_chi2_bound_sharp,
-    overlap_lower_bound,
+    overlap_bound,
+    overlap_ingredients,
     pushforward,
     subtract,
 )
@@ -131,34 +134,48 @@ def test_pushforward_equalities_for_injective_maps(mu, nu):
 class TestOverlapLowerBound:
     def test_equal_measures_full_set(self):
         mu = DiscreteMeasure({"a": 0.5, "b": 0.5})
-        lhs, rhs = overlap_lower_bound(mu, mu, ["a", "b"])
-        assert lhs == pytest.approx(1.0)
-        assert rhs == pytest.approx(1.0)
+        exact = overlap_ingredients(mu, mu, ["a", "b"])
+        assert exact.meet_mass == pytest.approx(1.0)
+        assert overlap_bound(exact.mass_a, exact.eps2) == pytest.approx(1.0)
+        assert inverse_square_overlap_bound(exact.mass_a, exact.c) == pytest.approx(0.5)
 
     def test_direct_evaluation(self):
-        # lhs = min(.5,.6)+min(.5,.4) = 0.9; eps2 = .04 so rhs = 1 - 0.2
+        # lhs = min(.5,.6)+min(.5,.4) = 0.9; eps2 = .04 so rhs = 1 - 0.2;
+        # c = .5 (.5/.6)² + .5 (.5/.4)² = 1.128..., so rhs = 1 / (1 + sqrt(c))
         mu1 = DiscreteMeasure({"a": 0.5, "b": 0.5})
         mu2 = DiscreteMeasure({"a": 0.6, "b": 0.4})
-        lhs, rhs = overlap_lower_bound(mu1, mu2, ["a", "b"])
-        assert lhs == pytest.approx(0.9)
-        assert rhs == pytest.approx(0.8)
-        assert lhs >= rhs
+        exact = overlap_ingredients(mu1, mu2, ["a", "b"])
+        assert exact.meet_mass == pytest.approx(0.9)
+        assert exact.eps2 == pytest.approx(0.04)
+        assert overlap_bound(exact.mass_a, exact.eps2) == pytest.approx(0.8)
+        c = 0.5 * (0.5 / 0.6) ** 2 + 0.5 * (0.5 / 0.4) ** 2
+        assert exact.c == pytest.approx(c)
+        sharp = inverse_square_overlap_bound(exact.mass_a, exact.c)
+        assert sharp == pytest.approx(1.0 / (1.0 + math.sqrt(c)))
+        assert exact.meet_mass >= overlap_bound(exact.mass_a, exact.eps2)
+        assert exact.meet_mass >= sharp
 
     def test_empty_set(self):
         mu = DiscreteMeasure({"a": 0.5, "b": 0.5})
-        lhs, rhs = overlap_lower_bound(mu, mu, [])
-        assert lhs == 0.0
-        assert rhs <= 0.0
+        exact = overlap_ingredients(mu, mu, [])
+        assert exact == (0.0, 0.0, 0.0, 0.0)
+        assert overlap_bound(exact.mass_a, exact.eps2) <= 0.0
+        assert inverse_square_overlap_bound(exact.mass_a, exact.c) == 0.0
 
     def test_absolute_continuity_required(self):
         mu1 = DiscreteMeasure({"a": 1.0})
         mu2 = DiscreteMeasure({"a": 0.5, "b": 0.5})
         with pytest.raises(MeasureError, match="absolutely continuous"):
-            overlap_lower_bound(mu1, mu2, ["a", "b"])
+            overlap_ingredients(mu1, mu2, ["a", "b"])
+
+    def test_positive_density_required(self):
+        mu1 = DiscreteMeasure({"a": 0.5, "b": 0.5})
+        with pytest.raises(MeasureError, match="density vanishes"):
+            overlap_ingredients(mu1, dirac("a"), ["a", "b"])
 
     def test_requires_probabilities(self):
         with pytest.raises(MeasureError):
-            overlap_lower_bound(DiscreteMeasure({"a": 0.5}), dirac("a"), ["a"])
+            overlap_ingredients(DiscreteMeasure({"a": 0.5}), dirac("a"), ["a"])
 
 
 def _prob_pair(weights1, weights2):
@@ -179,11 +196,11 @@ def test_overlap_bounds_on_random_pairs(w1, w2, mask):
         w1 = w1[: len(w2)]
     mu1, mu2 = _prob_pair(w1, w2)
     a = [p for i, p in enumerate(mu1.support) if mask & (1 << i)]
-    lhs, rhs = overlap_lower_bound(mu1, mu2, a)
-    assert lhs >= rhs - 1e-12
+    exact = overlap_ingredients(mu1, mu2, a)
+    assert exact.meet_mass >= overlap_bound(exact.mass_a, exact.eps2) - 1e-12
 
-    lhs, rhs_sharp, c = overlap_chi2_bound_sharp(mu1, mu2, a)
-    assert lhs >= rhs_sharp - 1e-12
-    mass_a = sum(mu1.weight(p) for p in a)
+    sharp = inverse_square_overlap_bound(exact.mass_a, exact.c)
+    assert exact.meet_mass >= sharp - 1e-12
+    mass_a, c = exact.mass_a, exact.c
     if mass_a > 0.0 and 4.0 * c >= mass_a + math.sqrt(c):  # where the 1/(4c) form is valid
-        assert rhs_sharp >= mass_a**2 / (4.0 * c) - 1e-12
+        assert sharp >= mass_a**2 / (4.0 * c) - 1e-12
