@@ -38,6 +38,7 @@ from .estimators import (
     fit_contraction,
     lyapunov_fit,
     mixing_distance_series,
+    path_rate,
 )
 from .models import (
     ModelError,

@@ -224,8 +224,7 @@ def _run_estimators(cfg, model, plot_ens, groups, fingerprint) -> EstimatorRepor
     as plotted."""
     report = EstimatorReport(model_id=model.id, config_fingerprint=fingerprint)
     if isinstance(plot_ens, CoupledEnsembleResult) and cfg.estimator("contraction"):
-        fit = est.mean_rho_rate(plot_ens)
-        report.contraction = None if fit is None else asdict(fit)
+        report.contraction = est.path_rate(plot_ens.times, np.linalg.norm(plot_ens.rho, axis=-1))
     pairs, x_ens = groups["ensemble"]
     if cfg.estimator("mixing"):
         report.distances = est.mixing_distance_series(x_ens, groups["mixing"][1],

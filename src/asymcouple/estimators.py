@@ -1,11 +1,11 @@
 """Statistical verification layer: rates, distances, drift coefficients.
 
 Turns trajectory ensembles into the quantities the contraction and
-mixing statements are about: log-linear decay fits, the exact
-dual-Lipschitz (bounded-Lipschitz) distance between empirical measures
-as optimal transport under a truncated metric, Lyapunov drift
-coefficients with confidence margins, excursion-set frequencies, and
-Girsanov density diagnostics.
+mixing statements are about: log-linear decay fits with standard errors
+from resampled paths, the exact dual-Lipschitz (bounded-Lipschitz)
+distance between empirical measures as optimal transport under a
+truncated metric, Lyapunov drift coefficients with confidence margins,
+excursion-set frequencies, and Girsanov density diagnostics.
 """
 
 from __future__ import annotations
@@ -26,54 +26,80 @@ class EstimatorError(ValueError):
     pass
 
 
-# -- contraction fits -----------------------------------------------------------
+# -- contraction fits and path resampling ------------------------------------------
+
+# resamples of the paths behind every standard error of a statistic of path
+# means, drawn from one constant seed: two series on the same number of paths
+# (the chain's two step levels, whose path i is one Brownian path) are
+# resampled alike, so a statistic that reads both keeps the pairing
+PATH_RESAMPLES = 200
+_RESAMPLE_SEED = 0
 
 
-@dataclass
-class ContractionFit:
-    c: float
-    gamma: float
-    residual: float
-    gamma_se: float
-
-
-def fit_contraction(times: np.ndarray, values: np.ndarray) -> ContractionFit:
-    """Least-squares fit of ``values = C exp(-gamma times)`` in log space,
-    from two 1-D arrays of one length.
-
-    ``residual`` is the RMS of the log-residuals and ``gamma_se`` the
-    usual regression standard error of the slope; non-positive values
-    are rejected since the fit lives in log space.
-    """
+def fit_contraction(times: np.ndarray, values: np.ndarray):
+    """The rate ``gamma`` of the least-squares fit ``values = C exp(-gamma
+    times)`` in log space: a float for ``values`` of shape ``(records,)``,
+    one rate per column for ``(records, k)``.  ``times`` is 1-D; the
+    values must be positive, since the fit lives in log space."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.shape != values.shape:
+    if times.ndim != 1 or values.ndim not in (1, 2) or len(values) != len(times):
         raise EstimatorError(
-            f"times and values must be 1-D of one length, got {times.shape} and {values.shape}"
+            f"times and values' first axis must be 1-D of one length, got {times.shape} and "
+            f"{values.shape}"
         )
     if len(times) < 2:
         raise EstimatorError("need at least two points to fit a rate")
     if np.any(values <= 0.0):
         raise EstimatorError("log of non-positive value in contraction fit")
-    logs = np.log(values)
-    slope, intercept = np.polyfit(times, logs, 1)
-    fitted = slope * times + intercept
-    rss = float(((logs - fitted) ** 2).sum())
-    residual = math.sqrt(rss / len(times))
-    spread = float(((times - times.mean()) ** 2).sum())
-    if len(times) > 2 and spread > 0:
-        gamma_se = math.sqrt(rss / (len(times) - 2) / spread)
-    else:
-        gamma_se = float("nan")
-    return ContractionFit(
-        c=float(np.exp(intercept)), gamma=float(-slope), residual=residual, gamma_se=gamma_se
-    )
+    gamma = -np.polyfit(times, np.log(values), 1)[0]
+    return float(gamma) if values.ndim == 1 else gamma
 
 
-def mean_rho_rate(ens: CoupledEnsembleResult) -> ContractionFit | None:
-    """Fitted decay of the path mean of ``|rho|``; ``None`` if that mean is 0 at a record."""
-    mean = np.linalg.norm(ens.rho, axis=-1).mean(axis=1)
-    return fit_contraction(ens.times, mean) if np.all(mean > 0) else None
+def path_means(series: np.ndarray) -> np.ndarray:
+    """Means of ``series`` (records, paths) over its paths, shape
+    ``(records, 1 + PATH_RESAMPLES)``: column 0 over the paths themselves,
+    the others over the paths resampled with replacement (Efron's
+    bootstrap, Ann. Statist. 7, 1979).  Below two paths the resampled
+    columns are NaN.
+
+    A statistic of the path means is read column by column: its value
+    from column 0 and its standard error, ``path_se``, from the others.
+    """
+    series = np.asarray(series, dtype=float)
+    records, paths = series.shape
+    resampled = np.full((PATH_RESAMPLES, records), np.nan)
+    if paths > 1:
+        counts = np.random.default_rng(_RESAMPLE_SEED).multinomial(
+            paths, np.full(paths, 1.0 / paths), size=PATH_RESAMPLES)
+        resampled = counts @ series.T / paths
+    return np.column_stack([series.mean(axis=1), resampled.T])
+
+
+def path_se(columns: np.ndarray) -> float:
+    """Standard error of a statistic read column by column from
+    ``path_means``: its spread over the resampled columns."""
+    return float(np.std(columns[1:], ddof=1))
+
+
+def path_rates(times: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """``fit_contraction`` on each column of ``path_means``; the resampled
+    rates are NaN unless every resampled mean is positive."""
+    resampled = means[:, 1:]
+    rates = (fit_contraction(times, resampled) if np.all(resampled > 0.0)
+             else np.full(resampled.shape[1], np.nan))
+    return np.concatenate([[fit_contraction(times, means[:, 0])], rates])
+
+
+def path_rate(times: np.ndarray, series: np.ndarray) -> dict | None:
+    """The fitted decay rate ``gamma`` of the path mean of ``series``
+    (records, paths) and its standard error ``gamma_se`` over resampled
+    paths (NaN below two paths); ``None`` if the mean is 0 at a record."""
+    means = path_means(series)
+    if not np.all(means[:, 0] > 0.0):
+        return None
+    rates = path_rates(times, means)
+    return {"gamma": float(rates[0]), "gamma_se": path_se(rates)}
 
 
 # -- dual-Lipschitz distance ------------------------------------------------------
@@ -432,7 +458,7 @@ def density_diagnostics(
     tail_t, tail_v = np.array(horizons[3:], dtype=float), np.array(rows["step"][3:])
     tail = (tail_v > 0) & np.isfinite(tail_v)
     if tail.sum() >= 2:
-        gamma2_hat = fit_contraction(tail_t[tail], tail_v[tail]).gamma
+        gamma2_hat = fit_contraction(tail_t[tail], tail_v[tail])
     return DensityDiagnostics(
         horizons=horizons,
         mean_density=rows["md"],

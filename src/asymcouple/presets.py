@@ -12,7 +12,7 @@ Where a pinned start is load-bearing, its cases builder says why.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -102,13 +102,20 @@ def _envelope_margin(values, scale, rate, times) -> float:
     return float((values / envelope[:, None]).max())
 
 
-def _rho_v_bound_margin(ens, rho0, half) -> float:
+def _rho_v_bound_margin(ens, rho0, half) -> np.ndarray:
     """Largest ratio of the ensemble mean of ``|rho_v(t)|^2`` (the
-    coordinates from ``half`` on) to ``(|rho_v(0)|^2 + (1 + |zeta(0)|^2)/2) exp(-t)``."""
-    rho_v_sq = (ens.rho[:, :, half:] ** 2).sum(axis=-1).mean(axis=1)
+    coordinates from ``half`` on) to ``(|rho_v(0)|^2 + (1 + |zeta(0)|^2)/2) exp(-t)``,
+    on each column of ``est.path_means``."""
+    rho_v_sq = est.path_means((ens.rho[:, :, half:] ** 2).sum(axis=-1))
     zeta_sq0 = float((ens.zeta[0, 0] ** 2).sum())
     bound = (float((rho0[half:] ** 2).sum()) + 0.5 * (1.0 + zeta_sq0)) * np.exp(-ens.times)
-    return float((rho_v_sq / bound).max())
+    return (rho_v_sq / bound[:, None]).max(axis=0)
+
+
+def _rho_rates(ens) -> np.ndarray:
+    """The fitted decay rate of the path mean of ``|rho|`` on each column of
+    ``est.path_means``."""
+    return est.path_rates(ens.times, est.path_means(np.linalg.norm(ens.rho, axis=-1)))
 
 
 def _report(keys, cases, m, seed) -> dict:
@@ -131,7 +138,7 @@ def toy_measure(cases, sizes, seed) -> dict:
     return {
         "zeta_rel_err_max": _zeta_decay_deviation(ens.zeta[:, :, 0], ens.times, 2.0),
         "dt": run["dt"], "ensemble": run["n_traj"],
-        "contraction": asdict(est.mean_rho_rate(ens)),
+        "contraction": est.path_rate(ens.times, np.linalg.norm(ens.rho, axis=-1)),
     }
 
 
@@ -163,7 +170,7 @@ def gl_measure(cases, sizes, seed) -> dict:
         "diagonal_max": float(bnd.gl_coupled_diagonal(model, binding).max()),
         "pathwise_margin": _envelope_margin(rho_norm, scale, gap, ens.times),
         "dt": run["dt"], "ensemble": run["n_traj"],
-        "contraction": asdict(est.mean_rho_rate(ens)),
+        "contraction": est.path_rate(ens.times, rho_norm),
     }
 
 
@@ -195,11 +202,13 @@ def rd_measure(cases, sizes, seed) -> dict:
     (case,), run = cases.values(), sizes["run"]
     (model, _, _, rho0), ens = case, _coupled(case, run, seed)
     zeta_sq0 = float((ens.zeta[0, 0] ** 2).sum())
+    ratios = _rho_v_bound_margin(ens, rho0, model.dim // 2)
     return {
         "zeta_sq0": zeta_sq0,
         "zeta_pathwise_margin": _envelope_margin((ens.zeta**2).sum(axis=-1), zeta_sq0, 1.0,
                                                  ens.times),
-        "rho_v_bound_margin": _rho_v_bound_margin(ens, rho0, model.dim // 2),
+        "rho_v_bound_margin": float(ratios[0]),
+        "rho_v_bound_margin_se": est.path_se(ratios),
         "dt": run["dt"], "ensemble": run["n_traj"],
     }
 
@@ -230,25 +239,29 @@ def chain_measure(cases, sizes, seed) -> dict:
     Brownian path per stream, drawn at dt/2 and summed in pairs for dt.
     The scheme's weak error is second order, so the rate checked is their
     Richardson value ``r(dt/2) + (r(dt/2) - r(dt))/3``; the two fitted
-    rates are reported per a² by dt."""
+    rates are reported per a² by dt.  Its standard error is the spread of
+    the Richardson value over path resamples, each the same at both
+    levels, since path i is one Brownian path at dt and at dt/2."""
     cascades = {a2: bnd.build_zeta_cascade(model) for a2, (model, *_) in cases.items()}
     *_, last = cases
     ens = _coupled(cases[last], sizes["run"], seed)
     coarse = sizes["rates"]
     fine = {**coarse, "dt": coarse["dt"] / 2}
 
-    def rate(case, run):
-        return est.mean_rho_rate(_coupled(case, run, seed + 1, noise_dt=fine["dt"])).gamma
-
-    level_rates = {a2: {f"{run['dt']:g}": rate(case, run) for run in (coarse, fine)}
-                   for a2, case in cases.items()}
-    rates = {a2: _extrapolated(*levels.values()) for a2, levels in level_rates.items()}
+    level_rates, rates, rates_se = {}, {}, {}
+    for a2, case in cases.items():
+        levels = [_rho_rates(_coupled(case, run, seed + 1, noise_dt=fine["dt"]))
+                  for run in (coarse, fine)]
+        extrapolated = _extrapolated(*levels)
+        level_rates[a2] = {f"{run['dt']:g}": float(r[0]) for run, r in zip((coarse, fine), levels)}
+        rates[a2], rates_se[a2] = float(extrapolated[0]), est.path_se(extrapolated)
     return {
         "k_star": {a2: models.chain_k_star(a2) for a2 in cases},
         "shape": {a2: bnd.cascade_shape_ok(cascade) for a2, cascade in cascades.items()},
         "zeta_kstar0": float(ens.zeta[0, 0, -1]),
         "zeta_rel_err_max": _zeta_decay_deviation(ens.zeta[:, :, -1], ens.times, 1.0),
         "decay_rates": rates,
+        "decay_rates_se": rates_se,
         "level_rates": level_rates,
         "cascade_text": bnd.dump_cascade_text(cascades[last]),
     }
@@ -341,7 +354,7 @@ def mixing_measure(cases, sizes, seed) -> dict:
         values = [row["distance"] for row in est.mixing_distance_series(ens_a, ens_b, times)]
         floor = est.bootstrap_null_quantile(ens_a.states[-1], ens_b.states[-1], seed=seed,
                                             n_boot=sizes["n_boot"], cap=sizes["boot_cap"])
-        gamma = est.fit_contraction(times, values).gamma
+        gamma = est.fit_contraction(times, values)
         out[name] = {"times": times, "distances": values, "floor": floor, "gamma": gamma}
     return out
 
@@ -389,15 +402,15 @@ _GATES = {
     "rd-zeta": _Gate(
         13, "reaction-diffusion: damped-heat zeta decay + component bound", _rd_cases,
         {"run": dict(n_traj=50, units=3, dt=5e-3, spacing=0.025)}, rd_measure, rd_rule,
-        partial(_report, ("zeta_sq0", "zeta_pathwise_margin", "rho_v_bound_margin", "dt",
-                          "ensemble"))),
+        partial(_report, ("zeta_sq0", "zeta_pathwise_margin", "rho_v_bound_margin",
+                          "rho_v_bound_margin_se", "dt", "ensemble"))),
     "chain-cascade": _Gate(
         14, "chain: cascade invariants and derived-force decay", _chain_cases,
         # ten units for the rates: the fit must see past the transient hump
         {"run": dict(n_traj=20, units=2, dt=5e-3, spacing=0.025),
          "rates": dict(n_traj=20, units=10, dt=1e-2, spacing=1.0)}, chain_measure,
         chain_rule, partial(_report, ("k_star", "zeta_rel_err_max", "decay_rates",
-                                      "level_rates", "cascade_text"))),
+                                      "decay_rates_se", "level_rates", "cascade_text"))),
     "girsanov-martingale": _Gate(
         15, "mean path density equals one", _girsanov_cases,
         {"run": dict(n_traj=2000, units=2, dt=1e-2, spacing=1.0)},

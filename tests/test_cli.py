@@ -472,9 +472,9 @@ class TestRun:
             assert text.endswith("\n") and not text.endswith("\n\n")
 
     def test_report_is_strict_json(self, tmp_path):
-        # one unit recorded once a unit is a two-point rate fit, whose slope
-        # has no standard error: report.json writes it as null, not NaN
-        path = write_config(tmp_path, units=1, record_every=0)
+        # a one-path ensemble has no path standard error: report.json
+        # writes the rate's as null, not NaN
+        path = write_config(tmp_path, ensemble=1)
         assert main(["run", "--config", str(path)]) == 0
 
         def reject(constant):

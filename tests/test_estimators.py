@@ -32,6 +32,8 @@ from asymcouple.estimators import (
     lyapunov_fit,
     mean_density,
     mixing_distance_series,
+    path_means,
+    path_rate,
 )
 from asymcouple.models import lyapunov, make_model, make_toy2d
 from oracles import constant_binding, dirac_dl_distance, linear_model
@@ -161,14 +163,18 @@ ORACLE_IDS = ["equal", "unequal", "duplicates-equal", "duplicates-unequal", "one
 class TestFitContraction:
     def test_exact_log_linear(self):
         ts = np.linspace(0.0, 5.0, 11)
-        fit = fit_contraction(ts, np.exp(-2.0 * ts))
-        assert fit.c == pytest.approx(1.0, abs=1e-10)
-        assert fit.gamma == pytest.approx(2.0, abs=1e-10)
-        assert fit.residual < 1e-10
+        assert fit_contraction(ts, np.exp(-2.0 * ts)) == pytest.approx(2.0, abs=1e-10)
 
     def test_constant_series(self):
-        fit = fit_contraction(range(6), np.full(6, 3.0))
-        assert fit.gamma == pytest.approx(0.0, abs=1e-12)
+        assert fit_contraction(range(6), np.full(6, 3.0)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_one_rate_per_column(self):
+        ts = np.linspace(0.0, 5.0, 11)
+        values = np.exp(-np.outer(ts, [0.5, 1.0, 2.0]) + [0.0, 1.0, -1.0])
+        rates = fit_contraction(ts, values)
+        assert rates.shape == (3,)
+        np.testing.assert_allclose(rates, [fit_contraction(ts, v) for v in values.T],
+                                   rtol=1e-12)
 
     def test_non_positive_rejected(self):
         with pytest.raises(EstimatorError, match="non-positive"):
@@ -177,6 +183,70 @@ class TestFitContraction:
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(EstimatorError, match="1-D of one length"):
             fit_contraction([0.0, 1.0, 2.0], [1.0, 0.5])
+
+
+def _regression_se(times, values):
+    """The regression standard error of the slope of one log-linear fit:
+    the standard error the rates carried before they were read from paths."""
+    logs = np.log(values)
+    slope, intercept = np.polyfit(times, logs, 1)
+    rss = float(((logs - (slope * times + intercept)) ** 2).sum())
+    return math.sqrt(rss / (len(times) - 2) / float(((times - times.mean()) ** 2).sum()))
+
+
+def _spread_paths(seed, paths, times, gamma=1.0):
+    """``exp(-gamma t + a_j + b_j t + eps)`` on ``paths`` paths: each path
+    has its own level a_j and its own rate offset b_j."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(0.0, 0.3, paths), rng.normal(0.0, 0.15, paths)
+    eps = rng.normal(0.0, 0.05, (len(times), paths))
+    return np.exp(-gamma * times[:, None] + a + b * times[:, None] + eps)
+
+
+class TestPathRate:
+    def test_the_rate_is_the_one_fit_of_the_path_mean(self):
+        ts = np.linspace(0.0, 3.0, 31)
+        series = _spread_paths(0, 20, ts)
+        fit = path_rate(ts, series)
+        assert fit["gamma"] == fit_contraction(ts, series.mean(axis=1))
+        assert fit["gamma_se"] > 0.0
+        assert path_rate(ts, series) == fit  # the resamples are the same on every call
+
+    def test_resampled_means(self):
+        series = np.random.default_rng(1).uniform(1.0, 2.0, (5, 12))
+        means = path_means(series)
+        assert means.shape == (5, 1 + estimators.PATH_RESAMPLES)
+        np.testing.assert_array_equal(means[:, 0], series.mean(axis=1))
+        # each resample weights whole paths: its means lie within the paths'
+        # range at every record, and series on the same paths share its weights
+        assert np.all(means >= series.min(axis=1, keepdims=True) - 1e-12)
+        assert np.all(means <= series.max(axis=1, keepdims=True) + 1e-12)
+        assert len({means[:, j].tobytes() for j in range(1, means.shape[1])}) > 100
+        np.testing.assert_allclose(path_means(3.0 * series + 1.0), 3.0 * means + 1.0,
+                                   rtol=1e-12)
+
+    def test_one_path_has_no_standard_error(self):
+        ts = np.linspace(0.0, 1.0, 3)
+        fit = path_rate(ts, np.exp(-ts)[:, None])
+        assert fit["gamma"] == pytest.approx(1.0)
+        assert math.isnan(fit["gamma_se"])
+
+    def test_a_zero_mean_has_no_rate(self):
+        series = np.ones((3, 4))
+        series[1] = 0.0
+        assert path_rate([0.0, 1.0, 2.0], series) is None
+
+    def test_the_standard_error_is_the_rate_s_spread_over_seeds(self):
+        # over 60 independent ensembles of 50 paths the fitted rate spreads
+        # as its path standard error says; the regression error of the one
+        # mean curve sees only the record noise and reads far below
+        ts = np.linspace(0.0, 3.0, 31)
+        fits = [path_rate(ts, _spread_paths(seed, 50, ts)) for seed in range(60)]
+        spread = np.std([fit["gamma"] for fit in fits], ddof=1)
+        assert 0.7 <= np.median([fit["gamma_se"] for fit in fits]) / spread <= 1.4
+        regression = [_regression_se(ts, _spread_paths(seed, 50, ts).mean(axis=1))
+                      for seed in range(60)]
+        assert np.median(regression) < 0.3 * spread
 
 
 class TestDualLipschitz:
@@ -550,7 +620,7 @@ def test_report_json_round_trip():
     report = EstimatorReport(
         model_id="toy2d",
         config_fingerprint="abc",
-        contraction={"c": 1.0, "gamma": 2.0, "residual": 0.0},
+        contraction={"gamma": 2.0, "gamma_se": 0.1},
         distances=[{"t": 1.0, "distance": 0.5}],
     )
     back = EstimatorReport(**json.loads(report.to_json()))

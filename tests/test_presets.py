@@ -34,7 +34,7 @@ import pytest
 from asymcouple import presets
 from asymcouple.binding import BindingSpec
 from asymcouple.engine import EngineError, run_coupled_ensemble
-from asymcouple.estimators import mean_rho_rate
+from asymcouple.estimators import fit_contraction, path_means
 from asymcouple.presets import (
     chain_measure,
     chain_rule,
@@ -300,20 +300,33 @@ def test_records_stay_at_their_times(preset_id, key):
 
 def test_the_chain_rate_is_the_richardson_value_of_its_two_runs():
     # the rate checked is r_f + (r_f - r_c)/3 of the pair run at dt on the
-    # noise drawn at dt/2 (r_c) and the pair run at dt/2 (r_f); both are reported
+    # noise drawn at dt/2 (r_c) and the pair run at dt/2 (r_f); both are
+    # reported.  Its standard error is that value's spread over path
+    # resamples taken alike at both levels, whose path i is one Brownian path
     gate = presets._GATES["chain-cascade"]
     cases = {0.0: gate.cases()[0.0]}
     sizes = {"run": {**gate.sizes["run"], "n_traj": 1, "units": 1},
-             "rates": {**gate.sizes["rates"], "n_traj": 2, "units": 2}}
+             "rates": {**gate.sizes["rates"], "n_traj": 6, "units": 2}}
     m = chain_measure(cases, sizes, gate.seed)
     model, binding, x0, rho0 = cases[0.0]
     dt = sizes["rates"]["dt"]
-    r_c, r_f = (mean_rho_rate(run_coupled_ensemble(
-        model, binding, x0, x0 + rho0, 2, 2, level, gate.seed + 1, record_every=round(1 / level),
-        noise_dt=dt / 2)).gamma for level in (dt, dt / 2))
+
+    def level(step):
+        ens = run_coupled_ensemble(model, binding, x0, x0 + rho0, 6, 2, step, gate.seed + 1,
+                                   record_every=round(1 / step), noise_dt=dt / 2)
+        return ens.times, path_means(np.linalg.norm(ens.rho, axis=-1))
+
+    (times, c), (_, f) = level(dt), level(dt / 2)
+    r_c, r_f = fit_contraction(times, c[:, 0]), fit_contraction(times, f[:, 0])
     assert r_c != r_f
     assert m["level_rates"] == {0.0: {f"{dt:g}": r_c, f"{dt / 2:g}": r_f}}
     assert m["decay_rates"] == {0.0: r_f + (r_f - r_c) / 3}
+    b_c, b_f = fit_contraction(times, c[:, 1:]), fit_contraction(times, f[:, 1:])
+    se = np.std(b_f + (b_f - b_c) / 3, ddof=1)
+    assert m["decay_rates_se"] == {0.0: pytest.approx(se, rel=1e-12)}
+    # not as if the levels were independent samples
+    unpaired = np.hypot(4 / 3 * np.std(b_f, ddof=1), np.std(b_c, ddof=1) / 3)
+    assert se < 0.9 * unpaired, (se, unpaired)
 
 
 @pytest.mark.parametrize("dt, spacing", [(1e-2, 0.025), (3e-3, 1.0), (5e-3, 0.0)])

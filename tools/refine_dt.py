@@ -19,17 +19,19 @@ many paths each gate gets here; the gate's own count may be larger.
 
 The numbers are the gate's own, computed with the helpers its
 measurement uses (``presets._zeta_decay_deviation``,
-``_envelope_margin`` and ``_rho_v_bound_margin``, ``mean_rho_rate``,
+``_envelope_margin``, ``_rho_v_bound_margin`` and ``_rho_rates``,
 ``mean_density``, ``mixing_distance_series`` and
 ``bootstrap_null_quantile``).  Each has a resolution, and the budget is
 a fraction of it:
 
-- A statistical number (a fitted rate, an ensemble mean or ratio) is
-  resolved to its path standard error at the gate's own path count: a
-  bootstrap over this tool's paths, scaled by the square root of the
-  ratio of path counts.  A step that moves it by a tenth of that moves
-  the verdict's odds by about a tenth of a standard error, below what
-  the pinned seed can show.  Fraction 1/10.
+- A statistical number (a fitted rate, a ratio of ensemble means) is a
+  function of path means, read column by column from
+  ``estimators.path_means``.  It is resolved to its path standard error
+  at the gate's own path count: ``estimators.path_se`` over this tool's
+  paths, scaled by the square root of the ratio of path counts.  A step
+  that moves it by a tenth of that moves the verdict's odds by about a
+  tenth of a standard error, below what the pinned seed can show.
+  Fraction 1/10.
 - A pathwise check holds a tolerance: the bound combinations' relative
   deviation from their exact decay, ``presets.ZETA_DECAY_TOL``, and the
   envelopes' allowance ``1 + ENVELOPE_SLOPE t``, read per record as the
@@ -47,9 +49,8 @@ a fraction of it:
 
 The difference is taken from dt to dt/2 (``d1``); the one from dt/2 to
 dt/4 (``d2``) shows whether it shrinks at the scheme's order.  The
-bootstrap standard error of each statistical difference, on the same
-resampled paths at both levels, shows whether this many paths resolve
-it.
+standard error of each statistical difference, on the same resampled
+paths at both levels, shows whether this many paths resolve it.
 
 The Girsanov weight has no dt budget on its mean.  The force ``g_n`` of
 step n is taken at the step's left point, so it is fixed by the noise
@@ -76,7 +77,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -94,15 +94,6 @@ CANDIDATES = (2e-2, 1e-2, 5e-3, 2.5e-3)
 PATHS = {"toy-contraction": 100, "gl-gap": 50, "rd-zeta": 50, "chain-cascade": 20,
          "girsanov-martingale": 200, "mixing-distance": 300}
 FRACTION = {"statistic": 0.1, "pathwise": 0.25, "se": 0.1, "floor": 0.1}
-BOOTSTRAP = 200
-
-
-def _on_paths(ens, idx):
-    """``ens`` (or each of a tuple of levels) on the paths ``idx``."""
-    if isinstance(ens, tuple):
-        return tuple(_on_paths(e, idx) for e in ens)
-    return replace(ens, **{f.name: getattr(ens, f.name)[:, idx] for f in fields(ens)
-                           if f.name != "times" and getattr(ens, f.name) is not None})
 
 
 # -- each run's levels ------------------------------------------------------------------
@@ -140,7 +131,7 @@ class _Levels:
         floor = est.bootstrap_null_quantile(ens_a.states[-1], ens_b.states[-1], seed=self.seed,
                                             n_boot=self.sizes["n_boot"], cap=self.sizes["boot_cap"])
         return {"distances": distances, "floor": floor,
-                "gamma": est.fit_contraction(times, distances).gamma}
+                "gamma": est.fit_contraction(times, distances)}
 
     def __call__(self, dt: float):
         factor = round(dt / FINE_DT)
@@ -161,7 +152,8 @@ class Number(NamedTuple):
     that level and the next finer one; ``kind`` says how it is resolved (a
     ``FRACTION`` key, ``count`` for one that must stay 0 at every level,
     ``shown`` for one not budgeted); ``resolution(level, case)`` gives a
-    pathwise tolerance or the mixing floor."""
+    pathwise tolerance or the mixing floor.  A ``statistic`` reads its
+    value on each column of ``estimators.path_means``."""
 
     name: str
     kind: str
@@ -179,8 +171,11 @@ def _zeta_tol(e, case):
 
 
 def _rate(e, case):
-    fit = est.mean_rho_rate(e)
-    return math.nan if fit is None else fit.gamma
+    return presets._rho_rates(e)
+
+
+def _level_rate(e, case):
+    return _rate(e, case)[0]
 
 
 def _extrapolated_rate(pair, case):
@@ -255,7 +250,7 @@ RUNS = (
         Number("zeta_k* deviation", "pathwise", _zeta(-1, 1.0), _zeta_tol),), last_only=True),
     Run("chain-cascade", "rates", (
         Number("extrapolated rate", "statistic", _extrapolated_rate, reads=2),
-        Number("mean |rho| rate", "shown", _rate)), seed_offset=1),
+        Number("mean |rho| rate", "shown", _level_rate)), seed_offset=1),
     Run("girsanov-martingale", "run", (
         Number("density se", "se", _density("se")),
         Number("overflowed", "count", _overflowed),
@@ -277,13 +272,15 @@ def _on_grid(dt: float, spacing: float) -> bool:
     return True
 
 
-def _row(number: Number, levels: _Levels, measured, case, rng) -> dict:
+def _row(number: Number, levels: _Levels, measured, case) -> dict:
     """``number`` of one case at dt, dt/2 and dt/4, read from the
     ``measured`` levels dt, dt/2, ..."""
     at = [measured[j] if number.reads == 1 else tuple(measured[j:j + number.reads])
           for j in range(3)]
     values = [number.value(e, case) for e in at]
     row = {}
+    if number.kind == "statistic":  # read on each column of path_means
+        columns, values = values, [v[0] for v in values]
     if number.kind == "se":  # at the gate's own path count
         values = [v * math.sqrt(levels.n_traj / levels.n_gate) for v in values]
     if number.kind == "count":
@@ -295,11 +292,8 @@ def _row(number: Number, levels: _Levels, measured, case, rng) -> dict:
         if number.kind == "se":
             resolution = values[1]
         elif number.kind == "statistic":
-            n = levels.n_traj
-            idx = rng.integers(0, n, size=(BOOTSTRAP, n))
-            boot = np.array([[number.value(_on_paths(e, i), case) for e in at[:2]] for i in idx])
-            resolution = float(boot[:, 0].std(ddof=1)) * math.sqrt(n / levels.n_gate)
-            row["diff_se"] = float(np.diff(boot, axis=1).std(ddof=1))
+            resolution = est.path_se(columns[0]) * math.sqrt(levels.n_traj / levels.n_gate)
+            row["diff_se"] = est.path_se(columns[1] - columns[0])
         else:
             resolution = number.resolution(at[0], case)
         used = [float(np.max(d / resolution)) for d in diffs]
@@ -316,7 +310,6 @@ def budget(run: Run, out=print) -> float | None:
     """Print ``run``'s table, candidates from the largest down, and return
     the largest candidate within budget (None if none is)."""
     levels = _Levels(run.gate, run.key, run.seed_offset, run.last_only)
-    rng = np.random.default_rng(0)
     out(f"\n{run.gate}/{run.key or 'run'}: {levels.n_traj} of {levels.n_gate} paths, "
         f"{levels.units} units, records every {levels.spacing:g}, seed {levels.seed}, "
         f"gate dt {levels.sizes['dt']:g}")
@@ -332,7 +325,7 @@ def budget(run: Run, out=print) -> float | None:
         for number in run.numbers:
             for name, case in levels.cases.items():
                 row = ({"values": [None] * 3, "within": False} if None in measured else
-                       _row(number, levels, [m[name] for m in measured], case, rng))
+                       _row(number, levels, [m[name] for m in measured], case))
                 used = row.get("used", [None, None])
                 within &= row["within"]
                 cells = [*row["values"], row.get("resolution"), *used, row.get("diff_se")]
@@ -351,7 +344,7 @@ def main(argv=None) -> int:
     if unknown:
         raise SystemExit(f"error: not a preset: {', '.join(sorted(unknown))}")
     print(f"fine dt {FINE_DT:g}; candidates {CANDIDATES}; fractions of the resolution "
-          f"{FRACTION}; {BOOTSTRAP} bootstrap resamples")
+          f"{FRACTION}; {est.PATH_RESAMPLES} path resamples")
     for run in RUNS:
         if (run.gate in wanted) if wanted else run.gate != "mixing-distance":
             budget(run)
